@@ -1,10 +1,17 @@
 """Exact rational linear programming.
 
-Two-phase primal simplex with Bland's anti-cycling rule over arbitrary
-precision rationals.  Every optimal solve returns a basic point together with
-dual multipliers, and the full optimality certificate (row feasibility, dual
-signs, stationarity, complementary slackness, strong duality) is re-checked
-exactly before the outcome is returned.
+Two-phase primal simplex with Bland's anti-cycling rule on a fraction-free
+integer tableau.  Each constraint row is a positive integer multiple of its
+Gauss-Jordan row and the objective row is held as integers over one positive
+denominator (see `_kernel`), so every sign and ratio, and hence every pivot,
+is that of the rational tableau.  The basic point is read off the final
+constraint rows, the dual multipliers off the final objective row at each
+row's initial basic column.
+
+Every outcome but UNBOUNDED carries a certificate that is re-checked exactly
+before it is returned: OPTIMAL is checked for row feasibility, dual signs,
+stationarity, complementary slackness and strong duality; INFEASIBLE carries a
+Farkas vector, read off the phase-1 objective row the same way as the duals.
 
 Strict-inequality feasibility is decided by maximizing a shared slack added to
 every strict row: the system has a strictly feasible point iff the optimal
@@ -16,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import _kernel
@@ -68,11 +76,17 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """OPTIMAL carries the point, the value and the duals; INFEASIBLE carries
+    a Farkas vector: farkas_le >= 0, A^T.farkas_le + E^T.farkas_eq = 0 and
+    b.farkas_le + d.farkas_eq < 0."""
+
     status: LpStatus
     primal_point: Optional[Vec] = None
     objective_value: Optional[Fraction] = None
     dual_le: Optional[Vec] = None
     dual_eq: Optional[Vec] = None
+    farkas_le: Optional[Vec] = None
+    farkas_eq: Optional[Vec] = None
 
     @property
     def dual_multipliers(self) -> Optional[Vec]:
@@ -90,45 +104,60 @@ class StrictFeasibility:
         return self.feasible
 
 
-def _simplex(nums, dens, basis, m, allowed, width, rhs_c) -> str:
+def _simplex(tab, basis, limit) -> bool:
+    """Bland's rule on columns below `limit`; False when unbounded.
+
+    Entering: the lowest column with a negative reduced cost.  Leaving: the
+    minimum ratio rhs_i / tab[i][e] over tab[i][e] > 0, ties to the smallest
+    basic column.  Positive row scaling changes neither choice."""
+    m = len(tab) - 1
+    rhs = len(tab[m]) - 2
     while True:
-        e = _kernel.bland_entering(nums[m], allowed, width)
+        obj = tab[m]
+        e = next((j for j in range(limit) if obj[j] < 0), -1)
         if e < 0:
-            return "optimal"
-        l = _kernel.bland_leaving(nums, dens, basis, e, m, rhs_c)
-        if l < 0:
-            return "unbounded"
-        _kernel.pivot(nums, dens, l, e)
-        basis[l] = e
+            return True
+        best = -1
+        for i in range(m):
+            a = tab[i][e]
+            if a <= 0:
+                continue
+            b = tab[i][rhs]
+            if best >= 0:
+                lhs = b * best_a
+                right = best_b * a
+                if lhs > right or (lhs == right and basis[i] > basis[best]):
+                    continue
+            best, best_b, best_a = i, b, a
+        if best < 0:
+            return False
+        _kernel.pivot(tab, best, e)
+        basis[best] = e
 
 
-def _set_cell(nums, dens, i, j, value: Fraction):
-    nums[i][j] = value.numerator
-    dens[i][j] = value.denominator
+def _objective_row(cost, tab, basis):
+    """Reduced-cost row of integer `cost` (its last entry is the denominator)
+    over the basis: eliminate each basic column with its row."""
+    obj = cost
+    for i, b in enumerate(basis):
+        if obj[b]:
+            obj = _kernel.eliminate(obj, tab[i], b)
+    return obj
 
 
-def _get_cell(nums, dens, i, j) -> Fraction:
-    return Fraction(nums[i][j], dens[i][j])
+def _read_multipliers(obj, init_col, init_cost, flipped) -> list[Fraction]:
+    """Multipliers of the rows as given, read off the objective row.
 
-
-def _solve_square(matrix, rhs) -> list[Fraction]:
-    """Exact Gaussian elimination; `matrix` must be invertible."""
-    m = len(rhs)
-    a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    perm = list(range(m))
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if piv is None:
-            raise InternalConsistencyError("singular basis matrix")
-        a[col], a[piv] = a[piv], a[col]
-        perm[col], perm[piv] = perm[piv], perm[col]
-        pval = a[col][col]
-        a[col] = [x / pval for x in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][m] for i in range(m)]
+    The row is cost - pi^T.[A | b] over its denominator, where pi are the
+    multipliers of the flipped standard-form rows.  Row k's initial basic
+    column is its unit vector, so pi_k = init_cost_k - obj[col_k] / den.
+    Returns -pi_k, and pi_k for a flipped row."""
+    den = obj[-1]
+    out = []
+    for col, cost, flip in zip(init_col, init_cost, flipped):
+        v = Fraction(obj[col] - cost * den, den)
+        out.append(-v if flip else v)
+    return out
 
 
 def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
@@ -138,6 +167,7 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
     face) and the dual multipliers certify optimality exactly:
     dual_le >= 0, A^T.dual_le + E^T.dual_eq = -c (min) / +c (max), exact
     complementary slackness, and equal primal and dual objective values.
+    On INFEASIBLE the outcome carries an exactly checked Farkas vector.
     """
     if sense not in ("min", "max"):
         raise ValueError(f"unknown sense {sense!r}")
@@ -153,170 +183,171 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
     rows += [(normal, rhs, "eq") for normal, rhs in system.eq]
     m = len(rows)
     n_le = len(system.le)
+    flipped = [rhs < 0 for _, rhs, _ in rows]
 
-    flipped = [False] * m
-    norm_rows: list[tuple[Vec, Fraction]] = []
-    for i, (normal, rhs, kind) in enumerate(rows):
-        if rhs < 0:
-            flipped[i] = True
-            norm_rows.append((tuple(-x for x in normal), -rhs))
-        else:
-            norm_rows.append((normal, rhs))
-
-    # Columns: x+ (n), x- (n), one slack per LE row, artificials as needed.
-    slack_col = {}
-    for i in range(n_le):
-        slack_col[i] = 2 * n + i
+    # Columns: x+ (n), x- (n), one slack per LE row, artificials as needed,
+    # then the right-hand side and the objective denominator.  A row's initial
+    # basic column is the slack of an unflipped LE row, otherwise its artificial.
     art_start = 2 * n + n_le
-    art_col = {}
+    init_col = []
+    n_art = 0
     for i, (_, _, kind) in enumerate(rows):
-        needs_art = kind == "eq" or flipped[i]
-        if needs_art:
-            art_col[i] = art_start + len(art_col)
-    width = art_start + len(art_col)
-    rhs_c = width
-
-    # Standard-form matrix kept for dual extraction (Fractions, cold path).
-    std = []
-    for i, (normal, rhs) in enumerate(norm_rows):
-        line = [ZERO] * width
-        for j in range(n):
-            line[j] = normal[j]
-            line[n + j] = -normal[j]
-        if rows[i][2] == "le":
-            line[slack_col[i]] = -ONE if flipped[i] else ONE
-        if i in art_col:
-            line[art_col[i]] = ONE
-        std.append((line, rhs))
-
-    nums = [[f.numerator for f in line] + [rhs.numerator] for line, rhs in std]
-    dens = [[f.denominator for f in line] + [rhs.denominator] for line, rhs in std]
-
-    basis = []
-    for i in range(m):
-        if i in art_col:
-            basis.append(art_col[i])
+        if kind == "eq" or flipped[i]:
+            init_col.append(art_start + n_art)
+            n_art += 1
         else:
-            basis.append(slack_col[i])
+            init_col.append(2 * n + i)
+    width = art_start + n_art
+
+    # Each row of the flipped standard form, scaled by the lcm of its
+    # denominators: a primitive integer row.
+    tab = []
+    for i, (normal, rhs, kind) in enumerate(rows):
+        scale = lcm(rhs.denominator, *(v.denominator for v in normal))
+        sign = -scale if flipped[i] else scale
+        line = [0] * (width + 2)
+        for j, v in enumerate(normal):
+            if v:
+                line[j] = q = sign * v.numerator // v.denominator
+                line[n + j] = -q
+        if kind == "le":
+            line[2 * n + i] = sign
+        line[init_col[i]] = scale
+        line[width] = sign * rhs.numerator // rhs.denominator
+        tab.append(line)
+    basis = list(init_col)
 
     # Phase 1: minimize the sum of artificials.
-    obj = [ZERO] * (width + 1)
-    for i in art_col:
-        line, rhs = std[i]
-        for j in range(width):
-            obj[j] -= line[j]
-        obj[width] -= rhs
-    for i in art_col:
-        obj[art_col[i]] += ONE  # cost of the artificial itself
-    nums.append([f.numerator for f in obj])
-    dens.append([f.denominator for f in obj])
-    allowed = [1] * width
-    outcome = _simplex(nums, dens, basis, m, allowed, width, rhs_c)
-    if outcome != "optimal":
+    cost = [0] * (width + 2)
+    cost[art_start:width] = [1] * n_art
+    cost[-1] = 1
+    tab.append(_objective_row(cost, tab, basis))
+    if not _simplex(tab, basis, width):
         raise InternalConsistencyError("phase 1 cannot be unbounded")
-    phase1 = -_get_cell(nums, dens, m, rhs_c)
-    if phase1 != 0:
-        return LpOutcome(LpStatus.INFEASIBLE)
+    if tab[m][width] != 0:
+        init_cost = [int(col >= art_start) for col in init_col]
+        y = _read_multipliers(tab[m], init_col, init_cost, flipped)
+        result = LpOutcome(LpStatus.INFEASIBLE, farkas_le=tuple(y[:n_le]),
+                           farkas_eq=tuple(y[n_le:]))
+        verify_outcome(c, system, sense, result)
+        return result
 
     # Drive artificials out of the basis; drop rows that became redundant.
+    # A pivot entry here may be negative; its row's right-hand side is 0.
     drop = []
     for i in range(m):
         if basis[i] >= art_start:
-            piv_j = next(
-                (j for j in range(art_start) if nums[i][j] != 0), None
-            )
+            row = tab[i]
+            piv_j = next((j for j in range(art_start) if row[j] != 0), None)
             if piv_j is None:
                 drop.append(i)
             else:
-                _kernel.pivot(nums, dens, i, piv_j)
+                _kernel.pivot(tab, i, piv_j)
                 basis[i] = piv_j
-    kept = [i for i in range(m) if i not in drop]
-    if drop:
-        nums = [nums[i] for i in kept] + [nums[m]]
-        dens = [dens[i] for i in kept] + [dens[m]]
-        basis = [basis[i] for i in kept]
-    m_eff = len(kept)
+    kept = [i for i in range(m) if i not in drop]  # the objective row goes too
+    tab = [tab[i] for i in kept]
+    basis = [basis[i] for i in kept]
 
     # Phase 2 objective over the current basis.
-    cost = [ZERO] * width
-    for j in range(n):
-        cost[j] = cmin[j]
-        cost[n + j] = -cmin[j]
-    obj = list(cost) + [ZERO]
-    for i in range(m_eff):
-        cb = cost[basis[i]]
-        if cb != 0:
-            for j in range(width + 1):
-                obj[j] -= cb * _get_cell(nums, dens, i, j)
-    nums[m_eff] = [f.numerator for f in obj]
-    dens[m_eff] = [f.denominator for f in obj]
-    allowed = [1 if j < art_start else 0 for j in range(width)]
-    outcome = _simplex(nums, dens, basis, m_eff, allowed, width, rhs_c)
-    if outcome == "unbounded":
+    cden = lcm(*(v.denominator for v in cmin))
+    cost = [0] * (width + 2)
+    for j, v in enumerate(cmin):
+        if v:
+            cost[j] = q = v.numerator * cden // v.denominator
+            cost[n + j] = -q
+    cost[-1] = cden
+    tab.append(_objective_row(cost, tab, basis))
+    if not _simplex(tab, basis, art_start):
         return LpOutcome(LpStatus.UNBOUNDED)
 
-    xplus = [ZERO] * n
-    xminus = [ZERO] * n
-    for i in range(m_eff):
-        b = _get_cell(nums, dens, i, rhs_c)
-        if basis[i] < n:
-            xplus[basis[i]] = b
-        elif basis[i] < 2 * n:
-            xminus[basis[i] - n] = b
-    point = tuple(p - q for p, q in zip(xplus, xminus))
-    value_min = dot(cmin, point)
+    point = [ZERO] * n
+    for row, b in zip(tab, basis):
+        if b < n:
+            point[b] = Fraction(row[width], row[b])
+        elif b < 2 * n:
+            point[b - n] -= Fraction(row[width], row[b])
+    obj = tab[-1]
+    value_min = Fraction(-obj[width], obj[-1])
     value = value_min if sense == "min" else -value_min
 
-    # Simplex multipliers: solve B^T.pi = cost_B on the kept rows.
-    bt = [[std[kept[i]][0][basis[k]] for i in range(m_eff)] for k in range(m_eff)]
-    cb = [cost[basis[k]] for k in range(m_eff)]
-    pi_kept = _solve_square(bt, cb) if m_eff else []
-    pi = [ZERO] * m
-    for idx, i in enumerate(kept):
-        pi[i] = pi_kept[idx]
-    for i in range(m):
-        if flipped[i]:
-            pi[i] = -pi[i]
-    dual_le = tuple(-pi[i] for i in range(n_le))
-    dual_eq = tuple(-pi[n_le + i] for i in range(m - n_le))
-
-    result = LpOutcome(LpStatus.OPTIMAL, point, value, dual_le, dual_eq)
+    # Phase-2 costs vanish at the initial basic columns.  An artificial left
+    # basic in a dropped row is 0 in every kept row, so its row reads 0.
+    y = _read_multipliers(obj, init_col, [0] * m, flipped)
+    result = LpOutcome(LpStatus.OPTIMAL, tuple(point), value,
+                       tuple(y[:n_le]), tuple(y[n_le:]))
     verify_outcome(c, system, sense, result)
     return result
 
 
+def _combination(system: LinearSystem, y, mu) -> list[Fraction]:
+    """A^T.y + E^T.mu, summed over the nonzero multipliers only."""
+    total = [ZERO] * system.dim
+    for rows, weights in ((system.le, y), (system.eq, mu)):
+        for (normal, _), w in zip(rows, weights):
+            if w:
+                for j, a in enumerate(normal):
+                    if a:
+                        total[j] += w * a
+    return total
+
+
+def _rhs_combination(system: LinearSystem, y, mu) -> Fraction:
+    """b.y + d.mu."""
+    value = sum((w * rhs for (_, rhs), w in zip(system.le, y) if w), ZERO)
+    return value + sum((w * rhs for (_, rhs), w in zip(system.eq, mu) if w), ZERO)
+
+
+def _fits(system: LinearSystem, y, mu) -> bool:
+    """One multiplier per LE row and one per EQ row."""
+    return (y is not None and mu is not None
+            and len(y) == len(system.le) and len(mu) == len(system.eq))
+
+
 def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
-    """Exact optimality certificate; raises on any violated identity."""
+    """Exact certificate check of an OPTIMAL or INFEASIBLE outcome; raises on
+    any violated identity.  UNBOUNDED outcomes carry no certificate."""
+    if out.status is LpStatus.INFEASIBLE:
+        y, mu = out.farkas_le, out.farkas_eq
+        if not _fits(system, y, mu):
+            raise InternalConsistencyError("infeasible outcome without a Farkas vector")
+        if any(v < 0 for v in y):
+            raise InternalConsistencyError("negative Farkas multiplier on an LE row")
+        if any(v != 0 for v in _combination(system, y, mu)):
+            raise InternalConsistencyError("Farkas combination of the rows is not zero")
+        if _rhs_combination(system, y, mu) >= 0:
+            raise InternalConsistencyError("Farkas right-hand side is not negative")
+        return
     if out.status is not LpStatus.OPTIMAL:
         return
     c = vec(objective)
     x = out.primal_point
-    for normal, rhs in system.le:
-        if dot(normal, x) > rhs:
+    le_dots = [dot(normal, x) for normal, _ in system.le]
+    for ax, (_, rhs) in zip(le_dots, system.le):
+        if ax > rhs:
             raise InternalConsistencyError("primal point violates an LE row")
     for normal, rhs in system.eq:
         if dot(normal, x) != rhs:
             raise InternalConsistencyError("primal point violates an EQ row")
     y = out.dual_le
     mu = out.dual_eq
+    if not _fits(system, y, mu):
+        raise InternalConsistencyError("optimal outcome without a dual per row")
     if any(v < 0 for v in y):
         raise InternalConsistencyError("negative dual on an LE row")
     sign = -1 if sense == "min" else 1
-    for j in range(system.dim):
-        lhs = sum((y[i] * system.le[i][0][j] for i in range(len(y))), ZERO)
-        lhs += sum((mu[i] * system.eq[i][0][j] for i in range(len(mu))), ZERO)
-        if lhs != sign * c[j]:
+    for lhs, cj in zip(_combination(system, y, mu), c):
+        if lhs != sign * cj:
             raise InternalConsistencyError("dual stationarity fails")
-    for i, (normal, rhs) in enumerate(system.le):
-        if y[i] != 0 and dot(normal, x) != rhs:
+    for yi, ax, (_, rhs) in zip(y, le_dots, system.le):
+        if yi != 0 and ax != rhs:
             raise InternalConsistencyError("complementary slackness fails")
-    dual_val = sum((y[i] * system.le[i][1] for i in range(len(y))), ZERO)
-    dual_val += sum((mu[i] * system.eq[i][1] for i in range(len(mu))), ZERO)
+    dual_val = _rhs_combination(system, y, mu)
     # sense == "min": c.x == -(b.y + d.mu); sense == "max": c.x == b.y + d.mu
     expected = -dual_val if sense == "min" else dual_val
-    if dot(c, x) != expected:
+    cx = dot(c, x)
+    if cx != expected:
         raise InternalConsistencyError("strong duality fails")
-    if dot(c, x) != out.objective_value:
+    if cx != out.objective_value:
         raise InternalConsistencyError("objective value mismatch")
 
 
@@ -340,11 +371,3 @@ def strict_feasible(system: LinearSystem) -> StrictFeasibility:
     if out.objective_value > 0:
         return StrictFeasibility(True, out.primal_point[:n])
     return StrictFeasibility(False)
-
-
-def feasible_point(system: LinearSystem) -> Optional[Vec]:
-    """A basic feasible point of the non-strict part, or None."""
-    out = lp_solve((ZERO,) * system.dim, LinearSystem(system.dim, system.le, system.eq), "min")
-    if out.status is LpStatus.OPTIMAL:
-        return out.primal_point
-    return None

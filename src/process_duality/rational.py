@@ -58,7 +58,7 @@ def unit(n: int, i: int) -> Vec:
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     if len(a) != len(b):
         raise DimensionMismatch(f"dot of lengths {len(a)} and {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), ZERO)
+    return sum((x * y for x, y in zip(a, b) if x and y), ZERO)
 
 
 def vadd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:

@@ -1,12 +1,14 @@
 """Exact LP: golden examples, a brute-force vertex oracle, and invariants."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from process_duality.errors import DimensionMismatch
+from process_duality import _kernel
+from process_duality.errors import DimensionMismatch, InternalConsistencyError
 from process_duality.exactlp import (
     LinearSystem,
     LpStatus,
@@ -83,7 +85,68 @@ def test_box_max_matches_vertex_enumeration():
 
 def test_infeasible_interval():
     s = LinearSystem(1, le=[((-1,), -1), ((1,), 0)])
-    assert lp_solve((1,), s).status is LpStatus.INFEASIBLE
+    out = lp_solve((1,), s)
+    assert out.status is LpStatus.INFEASIBLE
+    # 1·(-x <= -1) + 1·(x <= 0) gives 0 <= -1.
+    assert out.farkas_le == (F(1), F(1))
+    assert out.farkas_eq == ()
+    verify_outcome((1,), s, "min", out)
+
+
+def test_inconsistent_equalities_carry_a_farkas_vector():
+    s = LinearSystem(2, eq=[((1, 1), 1), ((1, 1), 2)])
+    out = lp_solve((0, 0), s)
+    assert out.status is LpStatus.INFEASIBLE
+    assert out.farkas_eq == (F(1), F(-1))
+    verify_outcome((0, 0), s, "min", out)
+
+
+@pytest.mark.parametrize(
+    "farkas_le,farkas_eq",
+    [
+        ((F(2), F(1)), ()),  # rows no longer cancel
+        ((F(-1), F(-1)), ()),  # negative on LE rows
+        ((F(0), F(0)), ()),  # right-hand sides combine to 0, not < 0
+        ((F(1),), ()),  # wrong length
+        (None, None),  # no certificate at all
+    ],
+)
+def test_corrupted_farkas_vector_raises(farkas_le, farkas_eq):
+    s = LinearSystem(1, le=[((-1,), -1), ((1,), 0)])
+    out = replace(lp_solve((1,), s), farkas_le=farkas_le, farkas_eq=farkas_eq)
+    with pytest.raises(InternalConsistencyError):
+        verify_outcome((1,), s, "min", out)
+
+
+def test_artificial_basic_after_phase_one_is_driven_out(monkeypatch):
+    # -x1 - x2 = 0 on the box [0, 3]^2: phase 1 ends at value 0 with the
+    # row's artificial still basic, and the pivot that drives it out has a
+    # negative entry.
+    pivot, negative = _kernel.pivot, []
+
+    def recording(rows, r, e):
+        negative.append(rows[r][e] < 0)
+        pivot(rows, r, e)
+
+    monkeypatch.setattr(_kernel, "pivot", recording)
+    box = [((1, 0), 3), ((0, 1), 3), ((-1, 0), 0), ((0, -1), 0)]
+    s = LinearSystem(2, le=box, eq=[((-1, -1), 0)])
+    out = lp_solve((2, -1), s)
+    assert any(negative)
+    assert out.primal_point == (F(0), F(0))
+    assert out.objective_value == F(0)
+    assert out.dual_eq == (F(-1),)
+    verify_outcome((2, -1), s, "min", out)
+
+
+def test_duplicated_equality_row_is_dropped_with_dual_zero():
+    box = [((1, 0), 3), ((0, 1), 3), ((-1, 0), 0), ((0, -1), 0)]
+    s = LinearSystem(2, le=box, eq=[((1, 1), 2), ((1, 1), 2)])
+    out = lp_solve((-1, 0), s)
+    assert out.primal_point == (F(2), F(0))
+    assert out.objective_value == F(-2)
+    assert out.dual_eq == (F(1), F(0))
+    verify_outcome((-1, 0), s, "min", out)
 
 
 def test_unbounded():
@@ -211,3 +274,38 @@ def test_strict_feasible_monotone_under_added_rows(case, extra):
     after = strict_feasible(base.extended(strict=rows)).feasible
     if not before:
         assert not after
+
+
+@st.composite
+def bounded_lp_with_equalities(draw):
+    """`bounded_lp` plus equality rows through an integer point of the box,
+    one of them duplicated: negative right-hand sides (flipped rows with
+    artificials) and a redundant row that phase 1 drops."""
+    objective, system, sense = draw(bounded_lp())
+    n = system.dim
+    # The box rows come in (x_j <= hi, -x_j <= -lo) pairs.
+    point = [
+        draw(st.integers(min_value=-system.le[2 * j + 1][1], max_value=system.le[2 * j][1]))
+        for j in range(n)
+    ]
+    eq = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        normal = tuple(draw(coeff) for _ in range(n))
+        eq.append((normal, sum(a * x for a, x in zip(normal, point))))
+    eq.insert(draw(st.integers(min_value=0, max_value=len(eq))),
+              eq[draw(st.integers(min_value=0, max_value=len(eq) - 1))])
+    return objective, LinearSystem(n, le=system.le, eq=tuple(eq)), sense
+
+
+@settings(max_examples=120, deadline=None)
+@given(bounded_lp_with_equalities())
+def test_random_lp_with_equalities_matches_brute_force(case):
+    objective, system, sense = case
+    out = lp_solve(objective, system, sense)
+    verify_outcome(objective, system, sense, out)
+    oracle = brute_force_optimum([F(c) for c in objective], system, sense)
+    if oracle is None:
+        assert out.status is LpStatus.INFEASIBLE
+    else:
+        assert out.status is LpStatus.OPTIMAL
+        assert out.objective_value == oracle
