@@ -19,12 +19,17 @@ a bit mask kept up to date by bit operations rather than recomputed:
 - a combination of an adjacent pair vanishes on an old row exactly when both
   parents do, because it is a positive combination of two values <= 0.
 
-Only the canonical output form (reduced row echelon lineality basis, rays
-reduced modulo the lineality space, each a primitive integer vector) goes
-back to Fractions; it is unique, so downstream golden tests are
-reproducible whatever the processing order.  The adjacency step yields only
-extreme rays; with PROCESS_DUALITY_DDCHECK=1 a final LP pass re-checks this
-and drops any ray that is a nonnegative combination of the others.
+Entry, the null space of the equalities, and the exit all stay on integers
+too: a row is scaled by the lcm of its denominators and divided by its
+content, the lineality basis is brought to a fraction-free reduced row echelon
+form (each row the primitive multiple of its reduced row, pivot positive), and
+each ray is reduced modulo that basis by integer row steps.  Fractions are
+built once, for the canonical output (that lineality basis and the reduced
+rays, each a primitive integer vector); it is unique, so downstream golden
+tests are reproducible whatever the processing order.  The adjacency step
+yields only extreme rays; with PROCESS_DUALITY_DDCHECK=1 a final LP pass
+re-checks this and drops any ray that is a nonnegative combination of the
+others.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import os
 from math import gcd, lcm
 from operator import mul
 
-from .rational import ONE, ZERO, Vec, is_zero_vec, vec
+from .rational import ONE, ZERO, is_zero_vec, vec
 
 # The classical adjacency-driven step already yields extreme rays; the final
 # LP filter is belt-and-braces, switchable for audits via the environment.
@@ -49,61 +54,74 @@ def _primitive(ints) -> tuple[int, ...]:
 
 
 def _integer_direction(v) -> tuple[int, ...]:
-    """Primitive integer vector pointing the same way as the rational v."""
-    denominator = lcm(*(x.denominator for x in v)) if v else 1
-    return _primitive([int(x * denominator) for x in v])
+    """Primitive integer vector pointing the same way as v (ints or Fractions)."""
+    denominator = lcm(*(x.denominator for x in v))
+    return _primitive([x.numerator * (denominator // x.denominator) for x in v])
 
 
-def scale_primitive(v) -> Vec:
-    """Positive rescale to a primitive integer vector (sign preserved)."""
-    return vec(_integer_direction(v))
+def _integer_rref(rows, dim):
+    """Fraction-free reduced row echelon form of integer rows.
 
-
-def rref(rows, dim):
-    """Reduced row echelon form; returns (canonical rows, pivot columns)."""
-    work = [list(vec(r)) for r in rows if not is_zero_vec(r)]
+    Returns (rows, pivot columns).  Each row is the primitive multiple of its
+    reduced row echelon row, so its pivot entry is positive and it is zero on
+    every other pivot column.  Eliminations scale the updated row by the
+    positive pivot entry, which keeps the pivot signs found so far.
+    """
+    work = [list(r) for r in rows if any(r)]
     pivots = []
     r = 0
     for col in range(dim):
-        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if r == len(work):
+            break
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        pval = work[r][col]
-        work[r] = [x / pval for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        prow = work[r]
+        pval = prow[col]
+        if pval < 0:
+            prow = work[r] = [-x for x in prow]
+            pval = -pval
+        for i, row in enumerate(work):
+            f = row[col]
+            if f and i != r:
+                work[i] = _primitive([pval * x - f * y for x, y in zip(row, prow)])
         pivots.append(col)
         r += 1
-        if r == len(work):
-            break
-    return [vec(row) for row in work[:r]], pivots
+    return [_primitive(row) for row in work[:r]], pivots
 
 
-def null_space(rows, dim):
-    """Canonical basis of {x : rows . x = 0}."""
-    basis_rows, pivots = rref(rows, dim)
-    free = [c for c in range(dim) if c not in pivots]
+def _integer_null_space(rows, dim) -> list[tuple[int, ...]]:
+    """Primitive integer basis of {x : rows . x = 0}, one line per free column.
+
+    Each line is the positive multiple of the null vector that is 1 on its
+    free column, 0 on the other free columns and minus the reduced row echelon
+    entries on the pivot columns.
+    """
+    basis, pivots = _integer_rref(rows, dim)
+    scale = lcm(*(row[p] for row, p in zip(basis, pivots)))
+    pivot_set = set(pivots)
     out = []
-    for c in free:
-        v = [ZERO] * dim
-        v[c] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -basis_rows[i][c]
-        out.append(vec(v))
+    for c in range(dim):
+        if c in pivot_set:
+            continue
+        v = [0] * dim
+        v[c] = scale
+        for row, p in zip(basis, pivots):
+            v[p] = -row[c] * (scale // row[p])
+        out.append(_primitive(v))
     return out
 
 
-def reduce_mod_lines(v: Vec, lines, pivots) -> Vec:
-    """Canonical coset representative of v modulo span(lines) (lines in RREF)."""
-    w = list(v)
+def _reduce_mod_lines(v, lines, pivots) -> tuple[int, ...]:
+    """Primitive representative of v modulo span(lines), zero on every pivot
+    column (lines as returned by `_integer_rref`); direction kept."""
     for line, p in zip(lines, pivots):
-        if w[p] != 0:
-            f = w[p] / line[p]
-            w = [a - f * b for a, b in zip(w, line)]
-    return vec(w)
+        f = v[p]
+        if f:
+            lp = line[p]
+            v = [lp * x - f * y for x, y in zip(v, line)]
+    return _primitive(v)
 
 
 def _idot(a, b) -> int:
@@ -123,9 +141,8 @@ def _adjacent(common, masks) -> bool:
 
 def cone_dd(dim, ineq_rows, eq_rows):
     """Lineality basis and extreme rays of {x : ineq.x <= 0, eq.x = 0}."""
-    ineq = [_integer_direction(vec(a)) for a in ineq_rows]
-    eq = [vec(a) for a in eq_rows]
-    lines = [_integer_direction(l) for l in null_space(eq, dim)]
+    ineq = [_integer_direction(a) for a in ineq_rows]
+    lines = _integer_null_space([_integer_direction(a) for a in eq_rows], dim)
     rays: list[tuple[int, ...]] = []
     masks: list[int] = []  # bit i set: the ray lies on the i-th processed row
     bit = 1  # the bit of the row being processed
@@ -185,17 +202,14 @@ def cone_dd(dim, ineq_rows, eq_rows):
         masks = [masks[i] | (bit if signs[i] == 0 else 0) for i in kept] + new_masks
         bit <<= 1
 
-    lines, pivots = rref(lines, dim)
-    lines = [scale_primitive(l) for l in lines]
-    reduced = []
-    for r in rays:
-        rr = reduce_mod_lines(r, lines, pivots)
-        if not is_zero_vec(rr):
-            reduced.append(scale_primitive(rr))
-    rays = sorted(set(reduced))
+    lines, pivots = _integer_rref(lines, dim)
+    reduced = {_reduce_mod_lines(r, lines, pivots) for r in rays}
+    reduced.discard((0,) * dim)
+    rays = [vec(r) for r in sorted(reduced)]
+    lines = [vec(l) for l in lines]
     if EXTREMALITY_CHECK:
         rays = _drop_non_extreme(dim, rays, lines)
-    return lines, sorted(rays)
+    return lines, rays
 
 
 def _drop_non_extreme(dim, rays, lines):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -312,10 +311,7 @@ def cmd_fuzz(args) -> int:
     dims = tuple(int(d) for d in args.dims.split(","))
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise ProblemFormatError("--dims", "expected dx,dy,dz positive integers")
-    threads = int(os.environ.get("PROCESS_DUALITY_THREADS", "1") or "1")
-    report = run_fuzz(
-        args.seed, args.count, dims, threads=threads, defect=args.inject_defect
-    )
+    report = run_fuzz(args.seed, args.count, dims, defect=args.inject_defect)
     payload = {
         "report": "fuzz",
         "tool": TOOL,

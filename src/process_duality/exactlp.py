@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import _kernel
 from .errors import DimensionMismatch, InternalConsistencyError
-from .rational import ONE, ZERO, Vec, dot, vec
+from .rational import ONE, ZERO, Vec, dot, rat, vec
 
 Row = tuple[Vec, Fraction]
 
@@ -47,7 +47,7 @@ def _rows(dim: int, rows) -> tuple[Row, ...]:
             raise DimensionMismatch(
                 f"row width {len(normal)} does not match dimension {dim}"
             )
-        out.append((normal, Fraction(rhs)))
+        out.append((normal, rat(rhs)))
     return tuple(out)
 
 

@@ -238,7 +238,7 @@ def injected_defect(name: Optional[str]):
         yield
         return
     if name == "sign-flip-halfspace":
-        def flipped(h: Separator, z_dim=None, y_dim=None):
+        def flipped(h: Separator):
             return halfspace_process(Separator(h.z_star, tuple(-v for v in h.y_star)))
 
         original = _process.halfspace_process
@@ -264,27 +264,14 @@ class FuzzReport:
         return self.counterexample is None
 
 
-def run_fuzz(seed: int, count: int, dims=(2, 2, 1), threads: int = 1,
+def run_fuzz(seed: int, count: int, dims=(2, 2, 1),
              defect: Optional[str] = None) -> FuzzReport:
-    """Deterministic per-instance seeding; parallelism only batches the work."""
-
-    def one(i: int):
-        rng = random.Random(seed * 1_000_003 + i)
-        p = random_affine_instance(rng, dims)
-        return i, p, check_instance(p)
-
-    indices = list(range(count))
-    results = []
+    """Deterministic per-instance seeding; stops at the first violation."""
     with injected_defect(defect):
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(one, indices))
-        else:
-            results = [one(i) for i in indices]
-        results.sort(key=lambda t: t[0])
-        for i, p, violations in results:
+        for i in range(count):
+            rng = random.Random(seed * 1_000_003 + i)
+            p = random_affine_instance(rng, dims)
+            violations = check_instance(p)
             if violations:
                 shrunk = shrink_instance(p)
                 sviol = check_instance(shrunk) or violations

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
-from ._dd import cone_dd, reduce_mod_lines, rref, scale_primitive
+from ._dd import cone_dd
 from .errors import DimensionMismatch, InternalConsistencyError
 from .exactlp import LinearSystem, LpStatus, lp_solve, strict_feasible
 from .rational import (
@@ -229,9 +229,6 @@ class Polyhedron:
             )
         )
 
-    def same_set(self, other: "Polyhedron") -> bool:
-        return self == other
-
     def check_consistency(self):
         """Mutual containment of the two representations (test hook)."""
         probe = Polyhedron.from_hrep(self.dim, self.hrep)
@@ -372,7 +369,14 @@ def _coerce_rows(dim, rows) -> tuple[HRow, ...]:
 
 
 def _hrep_to_vrep(dim: int, rows: tuple[HRow, ...]) -> VRep:
-    """Homogenize, run double description, split by the t coordinate."""
+    """Homogenize, run double description, split by the t coordinate.
+
+    `cone_dd` returns its lines in reduced row echelon form and its rays
+    reduced modulo them, each a primitive integer vector.  Lines have t = 0
+    and the t column is last, so dropping it keeps that form: the recession
+    rays and the vertices come out already reduced, and only the leading
+    coefficient scaling and the division by t remain.
+    """
     ineq = []
     eq = []
     for row in rows:
@@ -386,30 +390,18 @@ def _hrep_to_vrep(dim: int, rows: tuple[HRow, ...]) -> VRep:
     for l in lines:
         if l[dim] != 0:
             raise InternalConsistencyError("homogenization line with t != 0")
-        rec_lines.append(l[:dim])
+        rec_lines.append(_canon_line(l[:dim]))
     for r in rays:
         t = r[dim]
         if t > 0:
             vertices.append(tuple(x / t for x in r[:dim]))
         else:
-            rec_rays.append(r[:dim])
+            rec_rays.append(_canon_ray(r[:dim]))
     if not vertices:
         return VRep()
-    lines_c, pivots = rref(rec_lines, dim)
-    lines_c = [_canon_line(scale_primitive(l)) for l in lines_c]
-    rays_c = sorted(
-        {
-            _canon_ray(scale_primitive(rr))
-            for r in rec_rays
-            if not is_zero_vec(rr := reduce_mod_lines(r, lines_c, pivots))
-        }
+    return VRep(
+        tuple(sorted(vertices)), tuple(sorted(rec_rays)), tuple(sorted(rec_lines))
     )
-    verts_c = sorted({_reduce_vertex(v, lines_c, pivots) for v in vertices})
-    return VRep(tuple(verts_c), tuple(rays_c), tuple(sorted(lines_c)))
-
-
-def _reduce_vertex(v: Vec, lines, pivots) -> Vec:
-    return reduce_mod_lines(v, lines, pivots)
 
 
 def _vrep_to_hrep(dim: int, vrep: VRep) -> tuple[HRow, ...]:
@@ -715,10 +707,6 @@ class Cell:
         return Cell(self.system, new_m, new_o)
 
 
-def _transpose(m: Mat) -> Mat:
-    return tuple(zip(*m)) if m else ()
-
-
 def _pullback(matrix: Mat, coeffs) -> Vec:
     """Row vector c -> c.M (coefficients over the lift variables)."""
     coeffs = vec(coeffs)
@@ -867,11 +855,3 @@ def closure_generators(obj):
         rays += list(p.vrep.rays)
         lines += list(p.vrep.lines)
     return verts, rays, lines
-
-
-def closure_hull(obj, dim: int) -> Polyhedron:
-    """Closed convex hull of the union of the cells' closures."""
-    verts, rays, lines = closure_generators(obj)
-    if not verts:
-        return Polyhedron.empty(dim)
-    return Polyhedron.from_vrep(dim, verts, rays, lines)

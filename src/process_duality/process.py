@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from ._dd import cone_dd
 from .errors import (
@@ -140,8 +140,7 @@ def check_nonvertical(s: SeparatorCone, slater_witness) -> NonverticalVerdict:
     return NonverticalVerdict(not offenders, offenders)
 
 
-def halfspace_process(h: Separator, z_dim: Optional[int] = None,
-                      y_dim: Optional[int] = None) -> PolyhedralCone:
+def halfspace_process(h: Separator) -> PolyhedralCone:
     """Graph of L_h: the half-space {(z, y) : h(z, -y) <= 0}."""
     normal = tuple(h.z_star) + tuple(-c for c in h.y_star)
     dim = len(normal)

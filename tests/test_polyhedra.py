@@ -3,18 +3,18 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from process_duality._dd import (
     _drop_non_extreme,
+    _integer_direction,
+    _integer_null_space,
+    _integer_rref,
+    _reduce_mod_lines,
     cone_dd,
-    null_space,
-    reduce_mod_lines,
-    rref,
-    scale_primitive,
 )
 from process_duality.errors import DimensionMismatch
 from process_duality.exactlp import LpStatus, lp_solve
@@ -31,6 +31,7 @@ from process_duality.polyhedra import (
     polar_cone,
     project,
 )
+from process_duality.rational import ONE, ZERO, Vec, is_zero_vec, vec
 
 
 def orthant(n):
@@ -303,6 +304,70 @@ def criterion5_cone(i):
     return dim, rows
 
 
+# Fraction linear algebra for the brute-force oracle below, kept apart from
+# the integer code in `_dd` so that the two check each other.
+
+
+def fraction_direction(v) -> tuple[int, ...]:
+    """Primitive integer vector pointing the same way as the rational v."""
+    denominator = lcm(*(x.denominator for x in v)) if v else 1
+    ints = [int(x * denominator) for x in v]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def scale_primitive(v) -> Vec:
+    """Positive rescale to a primitive integer vector (sign preserved)."""
+    return vec(fraction_direction(v))
+
+
+def rref(rows, dim):
+    """Reduced row echelon form; returns (canonical rows, pivot columns)."""
+    work = [list(vec(r)) for r in rows if not is_zero_vec(r)]
+    pivots = []
+    r = 0
+    for col in range(dim):
+        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        pval = work[r][col]
+        work[r] = [x / pval for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(work):
+            break
+    return [vec(row) for row in work[:r]], pivots
+
+
+def null_space(rows, dim):
+    """Canonical basis of {x : rows . x = 0}."""
+    basis_rows, pivots = rref(rows, dim)
+    free = [c for c in range(dim) if c not in pivots]
+    out = []
+    for c in free:
+        v = [ZERO] * dim
+        v[c] = ONE
+        for i, p in enumerate(pivots):
+            v[p] = -basis_rows[i][c]
+        out.append(vec(v))
+    return out
+
+
+def reduce_mod_lines(v: Vec, lines, pivots) -> Vec:
+    """Canonical coset representative of v modulo span(lines) (lines in RREF)."""
+    w = list(v)
+    for line, p in zip(lines, pivots):
+        if w[p] != 0:
+            f = w[p] / line[p]
+            w = [a - f * b for a, b in zip(w, line)]
+    return vec(w)
+
+
 def cone_by_enumeration(dim, ineq, eq):
     """Canonical (lines, rays) of {x : ineq.x <= 0, eq.x = 0} by brute force.
 
@@ -369,3 +434,83 @@ class TestConeDd:
             expected = cone_dd(dim, ineq, eq)
             got = cone_dd(dim, rescaled(ineq), rescaled(eq))
             assert repr(got) == repr(expected), (dim, ineq, eq)
+
+
+def random_row_system(rng):
+    """Rational rows with zero rows, repeated rows and combinations of earlier
+    rows, beside the same rows as integers times a nonzero integer factor
+    (negative factors included), which spans the same row space."""
+    dim = rng.randint(1, 5)
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append((F(0),) * dim)
+        elif kind < 0.4 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = F(rng.randint(-3, 3), rng.randint(1, 4)), F(rng.randint(-3, 3))
+            rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+        else:
+            rows.append(
+                tuple(F(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(dim))
+            )
+    int_rows = []
+    for r in rows:
+        factor = rng.choice([-3, -2, -1, 1, 2, 5]) * lcm(*(x.denominator for x in r))
+        int_rows.append(tuple(int(x * factor) for x in r))
+    return dim, rows, int_rows
+
+
+class TestIntegerHelpers:
+    """The integer helpers of `_dd` against the Fraction reference above."""
+
+    def test_integer_rref_is_primitive_rref(self):
+        rng = random.Random(1618)
+        for _ in range(400):
+            dim, rows, int_rows = random_row_system(rng)
+            basis, pivots = rref(rows, dim)
+            got_basis, got_pivots = _integer_rref(int_rows, dim)
+            assert got_pivots == pivots, rows
+            assert got_basis == [scale_primitive(r) for r in basis], rows
+            assert all(type(x) is int for r in got_basis for x in r)
+
+    def test_integer_null_space_is_primitive_null_space(self):
+        rng = random.Random(2718)
+        for _ in range(400):
+            dim, rows, int_rows = random_row_system(rng)
+            expected = [scale_primitive(v) for v in null_space(rows, dim)]
+            assert _integer_null_space(int_rows, dim) == expected, rows
+
+    def test_reduce_mod_lines_is_primitive_reduction(self):
+        rng = random.Random(3141)
+        for _ in range(400):
+            dim, rows, int_rows = random_row_system(rng)
+            basis, pivots = rref(rows, dim)
+            lines, _ = _integer_rref(int_rows, dim)
+            v = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim))
+            expected = fraction_direction(reduce_mod_lines(v, basis, pivots))
+            assert _reduce_mod_lines(fraction_direction(v), lines, pivots) == expected
+
+    def test_integer_direction_matches_fraction_formula(self):
+        cases = [
+            (),
+            (0,),
+            (0, 0, 0),
+            (4, -6, 8),
+            (-3, 0, 9),
+            (F(1, 2), F(-1, 3), F(5, 6)),
+            (F(-4, 9), 2, F(0), F(7, 3)),
+            (F(10, 4), -5, F(-15, 2)),
+        ]
+        rng = random.Random(1414)
+        for _ in range(300):
+            cases.append(
+                tuple(
+                    rng.choice([rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 12))])
+                    for _ in range(rng.randint(0, 6))
+                )
+            )
+        for v in cases:
+            got = _integer_direction(v)
+            assert got == fraction_direction(v), v
+            assert all(type(x) is int for x in got)
