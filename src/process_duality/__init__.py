@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .certify import (
     Certificate,
     EfficiencyStatus,
+    ProgramContext,
     brute_force_status,
     certify_multiplier,
     classify_proper,
@@ -74,7 +75,8 @@ __all__ = [
     "check_nonvertical", "halfspace_process", "fiber_bar",
     "lagrange_process", "process_eval",
     # certify
-    "EfficiencyStatus", "Certificate", "is_minimal", "is_weak_minimal",
+    "EfficiencyStatus", "Certificate", "ProgramContext", "is_minimal",
+    "is_weak_minimal",
     "dual_image", "classify_proper", "certify_multiplier",
     "brute_force_status", "minimal_frontier",
     # files

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import (
@@ -33,11 +34,11 @@ from .model import (
     upper_image_graph,
     w0_cells,
     w0_image_points,
-    w0_member,
 )
 from .polyhedra import (
     LE,
     BoundaryRestrictedPolyhedron,
+    Cell,
     Polyhedron,
     PolyhedralCone,
     closure_generators,
@@ -57,6 +58,59 @@ from .process import (
 from .rational import ONE, ZERO, Vec, dot, inf_norm, vadd, vec, vsub, zeros
 
 SetLike = Union[Polyhedron, BoundaryRestrictedPolyhedron, tuple, list]
+
+
+# -- per-program context ------------------------------------------------------
+
+
+class ProgramContext:
+    """The parts of a program's certificates that do not depend on y0.
+
+    The graph of z -> W(z) + Y_+, the cells of W(0) with the generators of
+    their closures, and the Slater witness depend on the program alone,
+    while S, L, M and the clauses depend on y0.  `certify_multiplier`,
+    `minimal_frontier_points` and `dual_image` take a context in place of
+    its program; give them one context to handle several y0 of a program.
+    Each part is built on first use and kept for the life of the context.
+
+    A finite program is certified through its simplex relaxation: `convex`
+    is the context of the program that the transfer theorems run on, this
+    one for an affine program and the relaxation's for a finite one.
+    """
+
+    def __init__(self, p: Program):
+        self.program = p
+
+    @property
+    def relaxed(self) -> bool:
+        return not isinstance(self.program, AffineVectorProgram)
+
+    @cached_property
+    def convex(self) -> "ProgramContext":
+        if not self.relaxed:
+            return self
+        return ProgramContext(simplex_relaxation(self.program))
+
+    @cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        return w0_cells(self.program)
+
+    @cached_property
+    def closure(self):
+        """(vertices, rays, lines) of the closures of the W(0) cells."""
+        return closure_generators(self.cells)
+
+    @cached_property
+    def slater(self):
+        return slater_point(self.program)
+
+    @cached_property
+    def graph(self):
+        return upper_image_graph(self.program)
+
+
+def _context(p) -> ProgramContext:
+    return p if isinstance(p, ProgramContext) else ProgramContext(p)
 
 
 # -- minimality ---------------------------------------------------------------
@@ -179,7 +233,7 @@ def _henig_dilation(yplus: OrderCone, eta: Fraction) -> PolyhedralCone:
 
 
 def classify_proper(a: SetLike, y0, yplus: OrderCone,
-                    with_witnesses: bool = True) -> EfficiencyStatus:
+                    with_witnesses: bool = True, closure=None) -> EfficiencyStatus:
     """Full efficiency status of y0 in A under the Y_+ order.
 
     Minimality and weak minimality are exact on the (possibly non-closed)
@@ -191,7 +245,8 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone,
 
     `with_witnesses=False` skips the dilation witness search (the booleans
     are unchanged: for polyhedral data the reduction implies a pointed
-    dilation exists).
+    dilation exists).  `closure` is `closure_generators(a)` when the caller
+    already has it.
     """
     y0 = vec(y0)
     minimal = is_minimal(a, y0, yplus)
@@ -200,7 +255,7 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone,
         return EfficiencyStatus(minimal, weak).validate()
 
     dim = yplus.ambient_dim
-    verts, rays, lines = closure_generators(a)
+    verts, rays, lines = closure_generators(a) if closure is None else closure
     witnesses: dict = {}
 
     y_star = _pos_functional(dim, yplus, verts, rays, lines, y0)
@@ -267,16 +322,18 @@ def _box_corners(dim):
 # -- dual image ---------------------------------------------------------------
 
 
-def dual_image(p: Program, L: LagrangeProcess):
-    """M = {f(x) + L(g(x)) : x in Omega}.
+def dual_image(p, L: LagrangeProcess):
+    """M = {f(x) + L(g(x)) : x in Omega}, for a program or its context.
 
     Affine programs: a single closed polyhedron (the closure of Omega is
     used; the inclusion W(0) subset-of M is spot-verified on W(0) generator
     points).  Finite programs: the exact finite union of fiber translates,
     returned as a tuple of polyhedra.
     """
+    ctx = _context(p)
+    p = ctx.program
     if isinstance(p, AffineVectorProgram):
-        return _dual_image_affine(p, L)
+        return _dual_image_affine(ctx, L)
     pieces = []
     for pt in p.points:
         pairs = (
@@ -291,7 +348,8 @@ def dual_image(p: Program, L: LagrangeProcess):
     return tuple(pieces)
 
 
-def _dual_image_affine(p: AffineVectorProgram, L: LagrangeProcess) -> Polyhedron:
+def _dual_image_affine(ctx: ProgramContext, L: LagrangeProcess) -> Polyhedron:
+    p = ctx.program
     xdim, ydim, zdim = p.x_dim, p.y_dim, p.z_dim
     closure = p.omega if isinstance(p.omega, Polyhedron) else p.omega.closure
     rows = []
@@ -310,21 +368,16 @@ def _dual_image_affine(p: AffineVectorProgram, L: LagrangeProcess) -> Polyhedron
         for i in range(ydim)
     ]
     m = lifted.affine_image(matrix, p.f.offset, ydim)
-    _verify_w0_inclusion(p, m)
+    _verify_w0_inclusion(ctx, m)
     return m
 
 
-def _verify_w0_inclusion(p: AffineVectorProgram, m: Polyhedron):
+def _verify_w0_inclusion(ctx: ProgramContext, m: Polyhedron):
     """Guaranteed inclusion W(0) subset-of M, checked on generator points of
     W(0) cell closures that are themselves members of W(0)."""
-    cells = w0_cells(p)
-    for c in cells:
-        poly = c.closure_image()
-        for v in poly.vrep.vertices:
-            if set_member(cells, v) and not m.member(v):
-                raise InternalConsistencyError(
-                    "W(0) point escapes the dual image"
-                )
+    for v in ctx.closure[0]:
+        if set_member(ctx.cells, v) and not m.member(v):
+            raise InternalConsistencyError("W(0) point escapes the dual image")
 
 
 # -- brute-force oracle -------------------------------------------------------
@@ -455,35 +508,39 @@ def _internal_graph_checks(p: AffineVectorProgram, graph_w, y0, L: LagrangeProce
             raise InternalConsistencyError("graph shift inclusion fails on a line")
 
 
-def certify_multiplier(p: Program, y0, with_witnesses: bool = True) -> Certificate:
+def certify_multiplier(p, y0, with_witnesses: bool = True) -> Certificate:
     """Build S, L, and M at y0 and check every transfer clause.
 
-    Finite programs are certified through their simplex-embedding convex
-    relaxation (the transfer theorems require convex data); the certificate is
-    flagged accordingly.  Exact point-set statuses for finite programs are
-    available through classify_proper / brute_force_status instead.
+    `p` is a program or its ProgramContext; certifying several y0 through
+    one context builds what does not depend on y0 once.  Finite programs are
+    certified through their simplex-embedding convex relaxation (the
+    transfer theorems require convex data); the certificate is flagged
+    accordingly.  Exact point-set statuses for finite programs are available
+    through classify_proper / brute_force_status instead.
     """
-    relaxed = not isinstance(p, AffineVectorProgram)
-    prog = simplex_relaxation(p) if relaxed else p
+    ctx = _context(p)
+    conv = ctx.convex
+    prog = conv.program
     y0 = vec(y0)
-    if not w0_member(prog, y0):
+    if not set_member(conv.cells, y0):
         raise NotInW0Error(f"{y0} is not attained by a feasible point")
 
-    graph_w = upper_image_graph(prog)
+    graph_w = conv.graph
     s = separator_cone(graph_w, y0)
-    slater = slater_point(prog)
+    slater = conv.slater
     nonvertical = None
     if slater is not None:
         nonvertical = check_nonvertical(s, slater).ok
     L = lagrange_process(s)
     structure = cone_structure(L.graph)
     _internal_graph_checks(prog, graph_w, y0, L)
-    m = dual_image(prog, L)
+    m = dual_image(conv, L)
     if not m.member(y0):
         raise InternalConsistencyError("y0 escapes the dual image")
 
     yplus = prog.y_plus
-    status_p = classify_proper(w0_cells(prog), y0, yplus, with_witnesses)
+    status_p = classify_proper(conv.cells, y0, yplus, with_witnesses,
+                               closure=conv.closure)
     status_d = classify_proper(m, y0, yplus, with_witnesses)
 
     slater_ok = slater is not None
@@ -542,7 +599,7 @@ def certify_multiplier(p: Program, y0, with_witnesses: bool = True) -> Certifica
         clauses=tuple(clauses),
         slater_witness=slater,
         nonvertical_ok=nonvertical,
-        convex_relaxation=relaxed,
+        convex_relaxation=ctx.relaxed,
         recovered_multiplier=multiplier,
     )
 
@@ -562,13 +619,15 @@ class Frontier:
     truncated: bool = False
 
 
-def minimal_frontier_points(p: Program, limit: int = 10000):
-    """Minimal vertices of the closed upper image at z = 0 (no classification)."""
-    cells = w0_cells(p)
+def minimal_frontier_points(p, limit: int = 10000):
+    """Minimal vertices of the closed upper image at z = 0 (no classification),
+    for a program or its context."""
+    ctx = _context(p)
+    p, cells = ctx.program, ctx.cells
     feasible = any(c.is_feasible() for c in cells)
     if not feasible:
         raise EmptyFeasibleError("no feasible point at z = 0")
-    verts, rays, lines = closure_generators(cells)
+    verts, rays, lines = ctx.closure
     ydim = p.y_dim
     upper = Polyhedron.from_vrep(
         ydim,
@@ -591,9 +650,11 @@ def minimal_frontier(p: Program, limit: int = 10000) -> Frontier:
     """Vertices of the closed upper image at z = 0, filtered by the exact
     minimality test against W(0).  Candidate supply for y0, not a complete
     enumeration of Min (non-closed corner points need an explicit y0)."""
-    cells, points, truncated = minimal_frontier_points(p, limit)
+    ctx = ProgramContext(p)
+    cells, points, truncated = minimal_frontier_points(ctx, limit)
     out = [
-        FrontierPoint(v, classify_proper(cells, v, p.y_plus)) for v in points
+        FrontierPoint(v, classify_proper(cells, v, p.y_plus, closure=ctx.closure))
+        for v in points
     ]
     return Frontier(tuple(out), truncated)
 

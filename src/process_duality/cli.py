@@ -16,6 +16,7 @@ from . import __version__
 from .certify import (
     Certificate,
     EfficiencyStatus,
+    ProgramContext,
     certify_multiplier,
     classify_proper,
     dual_frontier,
@@ -25,8 +26,7 @@ from .certify import (
 )
 from .errors import ProblemFormatError, ProcessDualityError
 from .fuzzing import DEFECTS, run_fuzz
-from .model import upper_image_graph, w0_cells, w0_member
-from .polyhedra import Polyhedron
+from .polyhedra import Polyhedron, set_member
 from .problemfile import instance_hash, load_problem
 from .process import lagrange_process, separator_cone
 from .rational import fmt, parse_vector
@@ -179,9 +179,9 @@ def _load(path):
         raise ProblemFormatError(path, "is a directory")
 
 
-def _y0_list(problem, args):
+def _y0_list(ctx, args):
     if args.frontier:
-        _, points, truncated = minimal_frontier_points(problem, args.limit)
+        _, points, truncated = minimal_frontier_points(ctx, args.limit)
         return list(points), truncated
     if args.y0 is None:
         raise ProblemFormatError("--y0", "either --y0 or --frontier is required")
@@ -190,11 +190,12 @@ def _y0_list(problem, args):
 
 def cmd_certify(args) -> int:
     problem = _load(args.problem)
-    points, truncated = _y0_list(problem, args)
+    ctx = ProgramContext(problem)
+    points, truncated = _y0_list(ctx, args)
     reports = []
     worst = 0
     for y0 in points:
-        cert = certify_multiplier(problem, y0)
+        cert = certify_multiplier(ctx, y0)
         reports.append(_emit_certificate(cert, problem))
         if cert.has_violation:
             worst = 1
@@ -214,10 +215,10 @@ def cmd_process(args) -> int:
     if args.y0 is None:
         raise ProblemFormatError("--y0", "required for the process command")
     y0 = parse_vector(args.y0)
-    if not w0_member(problem, y0):
+    ctx = ProgramContext(problem)
+    if not set_member(ctx.cells, y0):
         raise NotInW0Error(f"{args.y0} is not attained by a feasible point")
-    graph_w = upper_image_graph(problem)
-    s = separator_cone(graph_w, y0)
+    s = separator_cone(ctx.graph, y0)
     L = lagrange_process(s)
     payload = {
         "report": "process",
@@ -257,14 +258,14 @@ def cmd_classify(args) -> int:
         "y0": _emit_vec(y0),
         "side": args.side,
     }
+    ctx = ProgramContext(problem)
     if args.side in ("P", "both"):
         payload["status_P"] = _emit_status(
-            classify_proper(w0_cells(problem), y0, problem.y_plus)
+            classify_proper(ctx.cells, y0, problem.y_plus, closure=ctx.closure)
         )
     if args.side in ("D", "both"):
-        graph_w = upper_image_graph(problem)
-        L = lagrange_process(separator_cone(graph_w, y0))
-        m = dual_image(problem, L)
+        L = lagrange_process(separator_cone(ctx.graph, y0))
+        m = dual_image(ctx, L)
         pieces = m if isinstance(m, Polyhedron) else list(m)
         payload["status_D"] = _emit_status(
             classify_proper(pieces, y0, problem.y_plus)
@@ -288,8 +289,7 @@ def cmd_frontier(args) -> int:
                 "--y0", "the dual-side frontier needs the y0 that builds L"
             )
         y0 = parse_vector(args.y0)
-        graph_w = upper_image_graph(problem)
-        L = lagrange_process(separator_cone(graph_w, y0))
+        L = lagrange_process(separator_cone(ProgramContext(problem).graph, y0))
         frontier = dual_frontier(problem, L, args.limit)
     payload = {
         "report": "frontier",

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import process as _process
-from .certify import certify_multiplier, minimal_frontier_points
+from .certify import ProgramContext, certify_multiplier, minimal_frontier_points
 from .errors import EmptyFeasibleError, ProcessDualityError
 from .exactlp import LinearSystem, strict_feasible
 from .model import (
@@ -152,13 +152,14 @@ class Violation:
 def check_instance(p: AffineVectorProgram) -> list[Violation]:
     """Certify every frontier candidate; collect violated applicable clauses."""
     out = []
+    ctx = ProgramContext(p)
     try:
-        _, points, _ = minimal_frontier_points(p)
+        _, points, _ = minimal_frontier_points(ctx)
     except EmptyFeasibleError:
         return out
     for y0 in points:
         try:
-            cert = certify_multiplier(p, y0, with_witnesses=False)
+            cert = certify_multiplier(ctx, y0, with_witnesses=False)
         except ProcessDualityError as e:
             out.append(Violation(y0, ("exception",), repr(e)))
             continue

@@ -29,9 +29,8 @@ from .polyhedra import (
     PolyhedralCone,
     as_cells,
     cell_of_polyhedron,
-    set_member,
 )
-from .rational import Mat, Vec, ZERO, dot, matvec, vadd, vec, vsub, zeros
+from .rational import Mat, Vec, dot, matvec, vadd, vec, vsub, zeros
 
 OmegaLike = Union[Polyhedron, BoundaryRestrictedPolyhedron]
 
@@ -384,20 +383,23 @@ def upper_image_graph(p: Program):
         return g_cl
 
     restrictions = []
-    cells = as_cells(p.omega)
+    # phi composed with each cell of Omega, once per cell
+    images = [cell.compose(phi.matrix, phi.offset) for cell in as_cells(p.omega)]
     for row in g_cl.inequalities():
-        traces = []
-        for cell in cells:
-            trace = _facet_trace(cell, phi, krays, klines, row.normal, row.offset)
-            if trace is not None and not trace.is_empty:
-                traces.append(trace)
+        traces = [
+            t for t in (_facet_trace(c, row.normal, row.offset) for c in images)
+            if t is not None
+        ]
         facet = Polyhedron.from_hrep(
             dim, tuple(g_cl.hrep) + ((row.normal, row.offset, EQ),)
         )
         if not traces:
             retained = Polyhedron.empty(dim)
         else:
-            vs, rs, ls = [], [], []
+            # K's part of every trace: its rays on the hyperplane, its lines
+            vs = []
+            rs = [k for k in krays if dot(row.normal, k) == 0]
+            ls = list(klines)
             for t in traces:
                 vs += list(t.vrep.vertices)
                 rs += list(t.vrep.rays)
@@ -410,54 +412,24 @@ def upper_image_graph(p: Program):
     return BoundaryRestrictedPolyhedron(g_cl, restrictions)
 
 
-def _facet_trace(cell: Cell, phi: AffineMap, krays, klines, normal, offset):
-    """(phi(cell) + K) on the hyperplane normal.w = offset, or None.
+def _facet_trace(image: Cell, normal, offset):
+    """phi(cl cell) on the hyperplane normal.w = offset, or None when the
+    cell does not reach it.
 
-    Lift variables: (x, lambda for K rays >= 0, mu for K lines free).
+    `image` is a cell of Omega composed with the graph map phi.  The row
+    normal.w <= offset is valid for the closed graph, so normal.k <= 0 on the
+    rays of K, normal.l = 0 on its lines and normal.phi(x) <= offset on
+    cl Omega.  A graph point phi(x) + k thus lies on the hyperplane only when
+    normal.phi(x) = offset and k is in cone{K rays with normal.k = 0} plus
+    the span of the K lines; the caller adds that cone once per facet.
     Reachability honours the cell's strict rows exactly; the returned trace
-    is the closed image of the lift (relative-boundary overcount is the
-    documented one-level NNC limit).
+    is closed (relative-boundary overcount is the documented one-level NNC
+    limit).
     """
-    xdim = cell.lift_dim
-    nk = len(krays)
-    nl = len(klines)
-    width = xdim + nk + nl
-    out_dim = len(normal)
-
-    def lift_row(coeffs_x, rhs):
-        return (tuple(coeffs_x) + zeros(nk + nl), rhs)
-
-    le = [lift_row(n, r) for n, r in cell.system.le]
-    eq = [lift_row(n, r) for n, r in cell.system.eq]
-    strict = [lift_row(n, r) for n, r in cell.system.strict]
-    for i in range(nk):
-        le.append((zeros(xdim) + tuple(-Fraction(int(i == j)) for j in range(nk)) + zeros(nl), ZERO))
-    # w(x, lam, mu) = phi_matrix.(M x + o) ... cell map composes with phi.
-    comp = cell.compose(phi.matrix, phi.offset)
-    # w_i as a row over (x, lam, mu)
-    w_rows = []
-    for i in range(out_dim):
-        row = list(comp.matrix[i]) + [krays[j][i] for j in range(nk)]
-        row += [klines[j][i] for j in range(nl)]
-        w_rows.append((tuple(row), comp.offset[i]))
-    target = tuple(
-        sum((normal[i] * w_rows[i][0][j] for i in range(out_dim)), ZERO)
-        for j in range(width)
-    )
-    shift = sum((normal[i] * w_rows[i][1] for i in range(out_dim)), ZERO)
-    eq.append((target, Fraction(offset) - shift))
-    system = LinearSystem(width, tuple(le), tuple(eq), tuple(strict))
-    if not strict_feasible(system).feasible:
+    on = image.with_target_rows(eq=[(normal, offset)])
+    if not on.is_feasible():
         return None
-    closed = Polyhedron.from_hrep(
-        width,
-        [(n, r, LE) for n, r in system.le]
-        + [(n, r, LE) for n, r in system.strict]
-        + [(n, r, EQ) for n, r in system.eq],
-    )
-    matrix = tuple(r for r, _ in w_rows)
-    off = tuple(r for _, r in w_rows)
-    return closed.affine_image(matrix, off, out_dim)
+    return on.closure_image()
 
 
 # -- Slater points -----------------------------------------------------------
@@ -528,10 +500,6 @@ def w0_image_points(p: Program) -> tuple[Vec, ...]:
             if fv not in out:
                 out.append(fv)
     return tuple(out)
-
-
-def w0_member(p: Program, y0) -> bool:
-    return set_member(w0_cells(p), y0)
 
 
 # -- convex relaxation for finite programs -----------------------------------

@@ -1,9 +1,12 @@
-"""Shared reference instances: the bundled worked example and two derived ones."""
+"""Shared reference instances: the bundled worked example and two derived
+ones, and criterion 3's program stream with restricted boundaries."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from process_duality.fuzzing import random_affine_instance
 from process_duality.model import (
     AffineVectorProgram,
     DiscreteVectorProgram,
@@ -76,3 +79,44 @@ def three_point_discrete(orthant2, r_plus):
         DiscretePoint("c", (F(-1), F(2)), (F(0),)),
     ]
     return DiscreteVectorProgram(points, orthant2, r_plus)
+
+
+CRITERION_3_SEED = 424242
+
+
+def _restrict_boundary(p, rng):
+    """Restrict 1-3 facets of Omega; each keeps nothing or one of its vertices."""
+    closure = p.omega
+    facets = closure.inequalities()
+    chosen = sorted(rng.sample(range(len(facets)), rng.randint(1, min(3, len(facets)))))
+    pairs = []
+    for idx in chosen:
+        row = facets[idx]
+        on_facet = [
+            v for v in closure.vrep.vertices
+            if sum(a * x for a, x in zip(row.normal, v)) == row.offset
+        ]
+        if on_facet and rng.random() < 0.5:
+            retained = Polyhedron.from_vrep(closure.dim, [rng.choice(on_facet)])
+        else:
+            retained = Polyhedron.empty(closure.dim)
+        pairs.append((idx, retained))
+    omega = BoundaryRestrictedPolyhedron.from_facet_indices(closure, pairs)
+    return AffineVectorProgram(omega, p.f, p.g, p.y_plus, p.z_plus)
+
+
+def _criterion_3_program(i):
+    rng = random.Random(CRITERION_3_SEED * 1_000_003 + i)
+    dims = (rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
+    p = random_affine_instance(rng, dims)
+    if rng.random() < 0.25:
+        p = _restrict_boundary(p, rng)
+    return p
+
+
+@pytest.fixture(scope="session")
+def criterion_3_program():
+    """i -> program i of criterion 3's stream, where about a quarter of the
+    programs get 1-3 facets of Omega restricted (the `frontier` benchmark
+    workload draws its programs the same way)."""
+    return _criterion_3_program

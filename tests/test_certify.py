@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction as F
+from importlib import resources
 
 import pytest
 
+from process_duality import certify as certify_module
 from process_duality.certify import (
+    ProgramContext,
     brute_force_status,
     certify_multiplier,
     classify_proper,
@@ -14,8 +17,17 @@ from process_duality.certify import (
     is_minimal,
     is_weak_minimal,
     minimal_frontier,
+    minimal_frontier_points,
 )
-from process_duality.errors import EmptyFeasibleError, NotInW0Error, NotMemberError
+from process_duality.cli import _emit_certificate
+from process_duality.errors import (
+    EmptyFeasibleError,
+    InternalConsistencyError,
+    NotInW0Error,
+    NotMemberError,
+    ProcessDualityError,
+)
+from process_duality.fuzzing import Violation, check_instance
 from process_duality.model import (
     DiscretePoint,
     DiscreteVectorProgram,
@@ -23,7 +35,13 @@ from process_duality.model import (
     upper_image_graph,
     w0_cells,
 )
-from process_duality.polyhedra import LE, Polyhedron
+from process_duality.polyhedra import (
+    LE,
+    Polyhedron,
+    cell_of_polyhedron,
+    closure_generators,
+)
+from process_duality.problemfile import load_problem
 from process_duality.process import lagrange_process, separator_cone
 
 
@@ -286,3 +304,106 @@ class TestOracleEquivalence:
                 assert st.pos == bf.pos
                 checked += 1
         assert checked > 30
+
+
+def _bundled(name):
+    return load_problem(
+        str(resources.files("process_duality").joinpath(f"instances/{name}.json"))
+    )
+
+
+class TestProgramContext:
+    def test_one_context_gives_the_fresh_certificates(
+        self, monkeypatch, criterion_3_program, three_point_discrete
+    ):
+        programs = [criterion_3_program(i) for i in range(40)]
+        programs += [_bundled(n) for n in ("worked_example", "i3", "scalar_i2")]
+        programs.append(three_point_discrete)
+        built = {}
+
+        def counted(fn):
+            def wrapper(p):
+                built[fn.__name__, id(p)] = built.get((fn.__name__, id(p)), 0) + 1
+                return fn(p)
+            return wrapper
+
+        certified = 0
+        for p in programs:
+            ctx = ProgramContext(p)
+            with monkeypatch.context() as m:
+                for name in ("upper_image_graph", "w0_cells", "slater_point"):
+                    m.setattr(certify_module, name,
+                              counted(getattr(certify_module, name)))
+                try:
+                    _, points, _ = minimal_frontier_points(ctx)
+                except EmptyFeasibleError:
+                    continue
+                shared = [certify_multiplier(ctx, y0) for y0 in points]
+            for y0, cert in zip(points, shared):
+                assert _emit_certificate(cert, p) == _emit_certificate(
+                    certify_multiplier(p, y0), p
+                )
+            certified += len(points)
+        assert certified > 50
+        # each program (and each relaxation) builds these once at most
+        assert built and set(built.values()) == {1}
+
+    def test_graph_is_built_after_the_w0_check(self, monkeypatch, planar_i3):
+        def no_graph(p):
+            raise AssertionError("graph built for a y0 outside W(0)")
+
+        monkeypatch.setattr(certify_module, "upper_image_graph", no_graph)
+        with pytest.raises(NotInW0Error):
+            certify_multiplier(ProgramContext(planar_i3), (0, 0))
+
+    def test_check_instance_reports_a_failing_graph_per_point(
+        self, monkeypatch, planar_i3
+    ):
+        _, points, _ = minimal_frontier_points(planar_i3)
+        assert len(points) == 2
+        error = ProcessDualityError("graph build failed")
+
+        def failing(p):
+            raise error
+
+        monkeypatch.setattr(certify_module, "upper_image_graph", failing)
+        assert check_instance(planar_i3) == [
+            Violation(y0, ("exception",), repr(error)) for y0 in points
+        ]
+
+
+class TestChecksOnCachedData:
+    """The self-checks run on what the context has cached, on every y0."""
+
+    def test_stale_w0_cells_caught_on_a_later_y0(self, planar_i3):
+        ctx = ProgramContext(planar_i3)
+        _, points, _ = minimal_frontier_points(ctx)
+        assert not certify_multiplier(ctx, points[0]).has_violation
+        # W(0) replaced by the larger quadrant, whose vertex 0 escapes M
+        quadrant = Polyhedron.from_hrep(2, [((-1, 0), 0, LE), ((0, -1), 0, LE)])
+        ctx.cells = (cell_of_polyhedron(quadrant),)
+        ctx.closure = closure_generators(ctx.cells)
+        with pytest.raises(InternalConsistencyError,
+                           match=r"W\(0\) point escapes the dual image"):
+            certify_multiplier(ctx, points[1])
+
+    def test_corrupted_closure_caught_by_status_validation(self, planar_i3):
+        ctx = ProgramContext(planar_i3)
+        y0 = (F(1), F(1))  # in W(0), dominated by (1, 0)
+        assert not certify_multiplier(ctx, y0).status_P0.minimal
+        ctx.closure = ([y0], [], [])
+        with pytest.raises(InternalConsistencyError, match="Pos holds at a non-minimal"):
+            certify_multiplier(ctx, y0)
+
+    def test_smaller_graph_caught_by_graph_checks(self, planar_i3):
+        ctx = ProgramContext(planar_i3)
+        _, points, _ = minimal_frontier_points(ctx)
+        assert not certify_multiplier(ctx, points[0]).has_violation
+        v = ctx.graph.vrep
+        z_ray = (F(1), F(0), F(0))
+        assert z_ray in v.rays
+        ctx.graph = Polyhedron.from_vrep(
+            3, v.vertices, [r for r in v.rays if r != z_ray], v.lines
+        )
+        with pytest.raises(InternalConsistencyError, match="escapes the process graph"):
+            certify_multiplier(ctx, points[1])

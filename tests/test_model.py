@@ -6,8 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from process_duality.errors import EmptyProgramError, InternalConsistencyError
-from process_duality.exactlp import LinearSystem, LpStatus, lp_solve
+from process_duality.exactlp import LinearSystem, LpStatus, lp_solve, strict_feasible
 from process_duality.model import (
+    _facet_trace,
+    _graph_map,
+    _product_cone_gens,
     AffineVectorProgram,
     DiscretePoint,
     DiscreteVectorProgram,
@@ -19,13 +22,17 @@ from process_duality.model import (
     simplex_relaxation,
     slater_point,
     upper_image_graph,
-    w0_member,
+    w0_cells,
 )
 from process_duality.polyhedra import (
+    EQ,
     LE,
     BoundaryRestrictedPolyhedron,
     Polyhedron,
+    as_cells,
+    set_member,
 )
+from process_duality.rational import ZERO, dot, zeros
 
 
 class TestOrderCone:
@@ -263,7 +270,103 @@ class TestSimplexRelaxation:
         assert upper_image_graph(relaxed) == upper_image_graph(three_point_discrete)
 
     def test_w0_membership(self, worked_example):
-        assert w0_member(worked_example, (0, 0))
-        assert w0_member(worked_example, (2, F(1, 2)))
-        assert not w0_member(worked_example, (2, 0))
-        assert not w0_member(worked_example, (0, 2))
+        cells = w0_cells(worked_example)
+        assert set_member(cells, (0, 0))
+        assert set_member(cells, (2, F(1, 2)))
+        assert not set_member(cells, (2, 0))
+        assert not set_member(cells, (0, 2))
+
+
+def lifted_facet_trace(cell, phi, krays, klines, normal, offset):
+    """Oracle: (phi(cell) + K) on normal.w = offset, or None, through the lift
+    (x, lambda >= 0 for the K rays, mu free for the K lines)."""
+    xdim = cell.lift_dim
+    nk = len(krays)
+    nl = len(klines)
+    width = xdim + nk + nl
+    out_dim = len(normal)
+
+    def lift_row(coeffs_x, rhs):
+        return (tuple(coeffs_x) + zeros(nk + nl), rhs)
+
+    le = [lift_row(n, r) for n, r in cell.system.le]
+    eq = [lift_row(n, r) for n, r in cell.system.eq]
+    strict = [lift_row(n, r) for n, r in cell.system.strict]
+    for i in range(nk):
+        le.append((zeros(xdim) + tuple(-F(int(i == j)) for j in range(nk)) + zeros(nl), ZERO))
+    comp = cell.compose(phi.matrix, phi.offset)
+    w_rows = []
+    for i in range(out_dim):
+        row = list(comp.matrix[i]) + [krays[j][i] for j in range(nk)]
+        row += [klines[j][i] for j in range(nl)]
+        w_rows.append((tuple(row), comp.offset[i]))
+    target = tuple(
+        sum((normal[i] * w_rows[i][0][j] for i in range(out_dim)), ZERO)
+        for j in range(width)
+    )
+    shift = sum((normal[i] * w_rows[i][1] for i in range(out_dim)), ZERO)
+    eq.append((target, F(offset) - shift))
+    system = LinearSystem(width, tuple(le), tuple(eq), tuple(strict))
+    if not strict_feasible(system).feasible:
+        return None
+    closed = Polyhedron.from_hrep(
+        width,
+        [(n, r, LE) for n, r in system.le]
+        + [(n, r, LE) for n, r in system.strict]
+        + [(n, r, EQ) for n, r in system.eq],
+    )
+    matrix = tuple(r for r, _ in w_rows)
+    off = tuple(r for _, r in w_rows)
+    return closed.affine_image(matrix, off, out_dim)
+
+
+def _hull(dim, parts, rays=(), lines=()):
+    """Closed convex hull of nonempty polyhedra plus extra rays and lines."""
+    if not parts:
+        return Polyhedron.empty(dim)
+    vs, rs, ls = [], list(rays), list(lines)
+    for t in parts:
+        vs += list(t.vrep.vertices)
+        rs += list(t.vrep.rays)
+        ls += list(t.vrep.lines)
+    return Polyhedron.from_vrep(dim, vs, rs, ls)
+
+
+class TestFacetTrace:
+    def test_x_space_trace_matches_lifted_oracle(self, worked_example,
+                                                  criterion_3_program):
+        programs = [worked_example] + [
+            p for p in map(criterion_3_program, range(80))
+            if isinstance(p.omega, BoundaryRestrictedPolyhedron)
+        ]
+        assert len(programs) > 15
+        restricted_graphs = 0
+        for p in programs:
+            phi = _graph_map(p)
+            krays, klines = _product_cone_gens(p)
+            dim = p.z_dim + p.y_dim
+            cells = as_cells(p.omega)
+            g = upper_image_graph(p)
+            closure = g.closure if isinstance(g, BoundaryRestrictedPolyhedron) else g
+            expected = []
+            for row in closure.inequalities():
+                n, o = row.normal, row.offset
+                lifted = [lifted_facet_trace(c, phi, krays, klines, n, o) for c in cells]
+                lifted = [t for t in lifted if t is not None and not t.is_empty]
+                traces = [_facet_trace(c.compose(phi.matrix, phi.offset), n, o)
+                          for c in cells]
+                traces = [t for t in traces if t is not None]
+                retained = _hull(dim, lifted)
+                assert retained == _hull(
+                    dim, traces, [k for k in krays if dot(n, k) == 0], klines
+                )
+                facet = Polyhedron.from_hrep(dim, tuple(closure.hrep) + ((n, o, EQ),))
+                if retained != facet:
+                    expected.append((n, o, retained))
+            got = (
+                [(r.normal, r.offset, r.retained) for r in g.restrictions]
+                if isinstance(g, BoundaryRestrictedPolyhedron) else []
+            )
+            assert got == expected
+            restricted_graphs += bool(expected)
+        assert restricted_graphs > 5
