@@ -23,15 +23,15 @@ from .errors import (
     NotMemberError,
     NotPointedError,
 )
-from .exactlp import LinearSystem, LpStatus, lp_solve
+from .exactlp import LinearSystem
 from .model import (
     AffineVectorProgram,
     DiscreteVectorProgram,
     OrderCone,
     Program,
+    graph_closure,
     simplex_relaxation,
     slater_point,
-    upper_image_graph,
     w0_cells,
     w0_image_points,
 )
@@ -44,6 +44,7 @@ from .polyhedra import (
     closure_generators,
     cone_structure,
     intersect_empty,
+    l1_minimal_point,
     set_member,
 )
 from .process import (
@@ -66,9 +67,12 @@ SetLike = Union[Polyhedron, BoundaryRestrictedPolyhedron, tuple, list]
 class ProgramContext:
     """The parts of a program's certificates that do not depend on y0.
 
-    The graph of z -> W(z) + Y_+, the cells of W(0) with the generators of
-    their closures, and the Slater witness depend on the program alone,
-    while S, L, M and the clauses depend on y0.  `certify_multiplier`,
+    The closed graph of z -> W(z) + Y_+, the cells of W(0) with the
+    generators of their closures, and the Slater witness depend on the
+    program alone, while S, L, M and the clauses depend on y0.  Only the
+    closure of the graph is kept: separators are continuous, so S and every
+    check built on it read nothing else.  `upper_image_graph` gives the
+    exact, boundary-restricted graph itself.  `certify_multiplier`,
     `minimal_frontier_points` and `dual_image` take a context in place of
     its program; give them one context to handle several y0 of a program.
     Each part is built on first use and kept for the life of the context.
@@ -105,8 +109,8 @@ class ProgramContext:
         return slater_point(self.program)
 
     @cached_property
-    def graph(self):
-        return upper_image_graph(self.program)
+    def graph(self) -> Polyhedron:
+        return graph_closure(self.program)
 
 
 def _context(p) -> ProgramContext:
@@ -204,10 +208,9 @@ def _pos_functional(dim, yplus: OrderCone, verts, rays, lines, y0):
         eq.append((tuple(l) + tuple(-x for x in l), ZERO))
     for j in range(width):
         le.append((tuple(-ONE if i == j else ZERO for i in range(width)), ZERO))
-    out = lp_solve((ONE,) * width, LinearSystem(width, tuple(le), tuple(eq)), "min")
-    if out.status is not LpStatus.OPTIMAL:
+    x = l1_minimal_point(LinearSystem(width, tuple(le), tuple(eq)))
+    if x is None:
         return None
-    x = out.primal_point
     return tuple(x[j] - x[dim + j] for j in range(dim))
 
 
@@ -219,16 +222,13 @@ def _neg_cone_rows(yplus: OrderCone):
     return [(tuple(-x for x in n), ZERO, LE) for n in yplus.facet_normals()]
 
 
-def _henig_dilation(yplus: OrderCone, eta: Fraction) -> PolyhedralCone:
-    """cone(base of Y_+ + eta * infinity-ball), as a generated cone."""
-    cs = cone_structure(yplus.cone)
-    if cs.base is None:
-        raise NotPointedError("Henig dilation needs a pointed cone with a base")
-    dim = yplus.ambient_dim
+def _henig_dilation(base: Polyhedron, eta: Fraction) -> PolyhedralCone:
+    """cone(base + eta * infinity-ball), as a generated cone."""
+    dim = base.dim
     corners = [()]
     for _ in range(dim):
         corners = [c + (s,) for c in corners for s in (eta, -eta)]
-    gens = [vadd(v, c) for v in cs.base.vrep.vertices for c in corners]
+    gens = [vadd(v, c) for v in base.vrep.vertices for c in corners]
     return PolyhedralCone.from_generators(dim, gens)
 
 
@@ -273,10 +273,13 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone,
 
     ghe = pos or he
     if he and with_witnesses:
+        base = cone_structure(yplus.cone).base
+        if base is None:
+            raise NotPointedError("Henig dilation needs a pointed cone with a base")
         eta = ONE
         k_eta = None
         for _ in range(64):
-            k = _henig_dilation(yplus, eta)
+            k = _henig_dilation(base, eta)
             if not k.lineality and _cone_is_zero(
                 cone_a.with_rows([(tuple(-x for x in r.normal), ZERO, LE)
                                   for r in k.inequalities()])
@@ -470,10 +473,9 @@ def _c5_functional(s: SeparatorCone, yplus: OrderCone):
         le.append((row, -ONE))
     for j in range(k):
         le.append((tuple(-ONE if i == j else ZERO for i in range(k)), ZERO))
-    out = lp_solve((ONE,) * k, LinearSystem(k, tuple(le)), "min")
-    if out.status is not LpStatus.OPTIMAL:
+    lam = l1_minimal_point(LinearSystem(k, tuple(le)))
+    if lam is None:
         return None
-    lam = out.primal_point
     z_star = zeros(s.z_dim)
     y_star = zeros(s.y_dim)
     for c, h in zip(lam, s.generators):
@@ -482,16 +484,13 @@ def _c5_functional(s: SeparatorCone, yplus: OrderCone):
     return Separator(z_star, y_star)
 
 
-def _internal_graph_checks(p: AffineVectorProgram, graph_w, y0, L: LagrangeProcess):
-    """Facts the construction guarantees, asserted on generators."""
+def _internal_graph_checks(p: AffineVectorProgram, closure: Polyhedron, y0,
+                           L: LagrangeProcess):
+    """Facts the construction guarantees, asserted on the generators of the
+    closed graph."""
     for g in p.z_plus.generators:
         if not L.graph.member(tuple(-x for x in g) + zeros(p.y_dim)):
             raise InternalConsistencyError("(-z_+, 0) escapes the process graph")
-    closure = (
-        graph_w.closure
-        if isinstance(graph_w, BoundaryRestrictedPolyhedron)
-        else graph_w
-    )
     zdim = p.z_dim
     for v in closure.vrep.vertices:
         w = tuple(-x for x in v[:zdim]) + tuple(vsub(v[zdim:], y0))

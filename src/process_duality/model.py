@@ -347,16 +347,15 @@ def _graph_map(p: AffineVectorProgram) -> AffineMap:
     return AffineMap(matrix, offset)
 
 
-def upper_image_graph(p: Program):
-    """Exact graph of z -> W(z) + Y_+ in Z x Y.
+def graph_closure(p: Program) -> Polyhedron:
+    """Closure of the graph of z -> W(z) + Y_+ in Z x Y.
 
-    Affine programs over a plain Omega and finite programs yield a closed
-    Polyhedron; a boundary-restricted Omega yields the exact boundary-
-    restricted graph (restrictions are computed per facet from the reachable
-    cell traces).
+    This is the whole graph for finite programs and for affine programs over
+    a plain Omega; over a boundary-restricted Omega it is the graph of the
+    closure of Omega.  Continuous functionals, and hence separators, see only
+    this set.
     """
-    zdim, ydim = p.z_dim, p.y_dim
-    dim = zdim + ydim
+    dim = p.z_dim + p.y_dim
     krays, klines = _product_cone_gens(p)
 
     if isinstance(p, DiscreteVectorProgram):
@@ -378,10 +377,24 @@ def upper_image_graph(p: Program):
     verts = [phi(v) for v in closure_omega.vrep.vertices]
     rays = [phi.linear_part(r) for r in closure_omega.vrep.rays] + krays
     lines = [phi.linear_part(l) for l in closure_omega.vrep.lines] + klines
-    g_cl = Polyhedron.from_vrep(dim, verts, rays, lines)
-    if isinstance(p.omega, Polyhedron):
+    return Polyhedron.from_vrep(dim, verts, rays, lines)
+
+
+def upper_image_graph(p: Program):
+    """Exact graph of z -> W(z) + Y_+ in Z x Y.
+
+    Affine programs over a plain Omega and finite programs yield the closed
+    Polyhedron `graph_closure(p)`; a boundary-restricted Omega yields the
+    exact boundary-restricted graph over that closure (restrictions are
+    computed per facet from the reachable cell traces).
+    """
+    g_cl = graph_closure(p)
+    if not isinstance(p, AffineVectorProgram) or isinstance(p.omega, Polyhedron):
         return g_cl
 
+    dim = g_cl.dim
+    krays, klines = _product_cone_gens(p)
+    phi = _graph_map(p)
     restrictions = []
     # phi composed with each cell of Omega, once per cell
     images = [cell.compose(phi.matrix, phi.offset) for cell in as_cells(p.omega)]
@@ -405,7 +418,9 @@ def upper_image_graph(p: Program):
                 rs += list(t.vrep.rays)
                 ls += list(t.vrep.lines)
             retained = Polyhedron.from_vrep(dim, vs, rs, ls)
-        if retained != facet:
+        # retained lies in the facet by construction, so they differ exactly
+        # when the facet has a point outside retained
+        if not retained.contains_poly(facet):
             restrictions.append(BoundaryRestriction(row.normal, row.offset, retained))
     if not restrictions:
         return g_cl

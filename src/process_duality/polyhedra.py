@@ -505,11 +505,27 @@ def _positive_functional(dim, rays) -> Optional[Vec]:
         le.append((row, -ONE))
     for j in range(width):
         le.append((tuple(-ONE if i == j else ZERO for i in range(width)), ZERO))
-    out = lp_solve((ONE,) * width, LinearSystem(width, le=tuple(le)), "min")
+    x = l1_minimal_point(LinearSystem(width, le=tuple(le)))
+    if x is None:
+        return None
+    return tuple(x[j] - x[dim + j] for j in range(dim))
+
+
+def l1_minimal_point(system: LinearSystem) -> Optional[Vec]:
+    """Point of `system` with the least coordinate sum, or None when the
+    system is infeasible.
+
+    Every caller's system keeps each coordinate >= 0, so the sum is bounded
+    below and an UNBOUNDED answer is an internal fault, never "no point".
+    """
+    out = lp_solve((ONE,) * system.dim, system, "min")
+    if out.status is LpStatus.UNBOUNDED:
+        raise InternalConsistencyError(
+            "L1-minimal LP over nonnegative variables is unbounded"
+        )
     if out.status is not LpStatus.OPTIMAL:
         return None
-    x = out.primal_point
-    return tuple(x[j] - x[dim + j] for j in range(dim))
+    return out.primal_point
 
 
 # -- boundary-restricted polyhedra ----------------------------------------
@@ -845,13 +861,21 @@ def set_member(obj, x) -> bool:
 
 
 def closure_generators(obj):
-    """Vertices/rays/lines of the closure of a cell-decomposable set."""
+    """Vertices/rays/lines of the closure of a cell-decomposable set.
+
+    A closed Polyhedron gives its own canonical V-representation; a
+    boundary-restricted set or a cell gives those of its cells' closure
+    images; a sequence gives its pieces' lists, concatenated in order.
+    """
+    if isinstance(obj, Polyhedron):
+        v = obj.vrep
+        return list(v.vertices), list(v.rays), list(v.lines)
+    if isinstance(obj, (BoundaryRestrictedPolyhedron, Cell)):
+        obj = [c.closure_image() for c in as_cells(obj)]
     verts, rays, lines = [], [], []
-    for c in as_cells(obj):
-        p = c.closure_image()
-        if p.is_empty:
-            continue
-        verts += list(p.vrep.vertices)
-        rays += list(p.vrep.rays)
-        lines += list(p.vrep.lines)
+    for piece in obj:
+        v, r, l = closure_generators(piece)
+        verts += v
+        rays += r
+        lines += l
     return verts, rays, lines

@@ -96,7 +96,8 @@ def separator_cone(graph_w, y0) -> SeparatorCone:
     """Positive polar of cone(closure(Graph(W_{Y+})) - (0, y0)).
 
     Only the closure of the graph matters here (every separator is
-    continuous), so boundary restrictions are dropped.  Lines of the polar
+    continuous), so boundary restrictions are dropped, and callers may pass
+    the closure (`model.graph_closure`) directly.  Lines of the polar
     contribute a +- pair of generators.
     """
     closure = (

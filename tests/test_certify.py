@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 
 from process_duality import certify as certify_module
+from process_duality import polyhedra as polyhedra_module
 from process_duality.certify import (
     ProgramContext,
     brute_force_status,
@@ -27,22 +28,36 @@ from process_duality.errors import (
     NotMemberError,
     ProcessDualityError,
 )
-from process_duality.fuzzing import Violation, check_instance
+from process_duality.exactlp import LpOutcome, LpStatus
+from process_duality.fuzzing import (
+    Violation,
+    check_instance,
+    random_discrete_instance,
+    random_setvalued_instance,
+)
 from process_duality.model import (
     DiscretePoint,
     DiscreteVectorProgram,
     OrderCone,
+    graph_closure,
     upper_image_graph,
     w0_cells,
+    w0_image_points,
 )
 from process_duality.polyhedra import (
     LE,
     Polyhedron,
+    as_cells,
     cell_of_polyhedron,
     closure_generators,
 )
 from process_duality.problemfile import load_problem
-from process_duality.process import lagrange_process, separator_cone
+from process_duality.process import (
+    Separator,
+    SeparatorCone,
+    lagrange_process,
+    separator_cone,
+)
 
 
 def halfplane():
@@ -331,7 +346,7 @@ class TestProgramContext:
         for p in programs:
             ctx = ProgramContext(p)
             with monkeypatch.context() as m:
-                for name in ("upper_image_graph", "w0_cells", "slater_point"):
+                for name in ("graph_closure", "w0_cells", "slater_point"):
                     m.setattr(certify_module, name,
                               counted(getattr(certify_module, name)))
                 try:
@@ -352,7 +367,7 @@ class TestProgramContext:
         def no_graph(p):
             raise AssertionError("graph built for a y0 outside W(0)")
 
-        monkeypatch.setattr(certify_module, "upper_image_graph", no_graph)
+        monkeypatch.setattr(certify_module, "graph_closure", no_graph)
         with pytest.raises(NotInW0Error):
             certify_multiplier(ProgramContext(planar_i3), (0, 0))
 
@@ -366,7 +381,7 @@ class TestProgramContext:
         def failing(p):
             raise error
 
-        monkeypatch.setattr(certify_module, "upper_image_graph", failing)
+        monkeypatch.setattr(certify_module, "graph_closure", failing)
         assert check_instance(planar_i3) == [
             Violation(y0, ("exception",), repr(error)) for y0 in points
         ]
@@ -407,3 +422,90 @@ class TestChecksOnCachedData:
         )
         with pytest.raises(InternalConsistencyError, match="escapes the process graph"):
             certify_multiplier(ctx, points[1])
+
+
+def cell_path_generators(obj):
+    """The generators of every cell's closure image, rebuilt from the cell's
+    rows: the general path, for any cell-decomposable set."""
+    verts, rays, lines = [], [], []
+    for c in as_cells(obj):
+        p = c.closure_image()
+        if p.is_empty:
+            continue
+        verts += list(p.vrep.vertices)
+        rays += list(p.vrep.rays)
+        lines += list(p.vrep.lines)
+    return verts, rays, lines
+
+
+class TestClosureGenerators:
+    """A closed polyhedron's own canonical generators are those of its one
+    cell's closure image."""
+
+    def test_dual_images_at_criterion_3_frontier_points(self, criterion_3_program):
+        images = 0
+        for i in range(30):
+            ctx = ProgramContext(criterion_3_program(i))
+            try:
+                _, points, _ = minimal_frontier_points(ctx)
+            except EmptyFeasibleError:
+                continue
+            for y0 in points:
+                m = dual_image(ctx, lagrange_process(separator_cone(ctx.graph, y0)))
+                expected = cell_path_generators(m)
+                assert closure_generators(m) == expected
+                assert closure_generators((m,)) == expected
+                assert closure_generators([m, m]) == tuple(x + x for x in expected)
+                images += 1
+        assert images > 40
+
+    def test_finite_program_unions(self):
+        unions = 0
+        for i in range(40):
+            rng = random.Random(717171 + i)
+            dims = (rng.randint(1, 3), rng.randint(1, 3))
+            if i % 2 == 0:
+                p = random_discrete_instance(rng, dims, max_points=5)
+            else:
+                p = random_setvalued_instance(rng, dims, max_points=3)
+            graph = graph_closure(p)
+            for y0 in w0_image_points(p):
+                pieces = dual_image(p, lagrange_process(separator_cone(graph, y0)))
+                assert isinstance(pieces, tuple)
+                assert closure_generators(pieces) == cell_path_generators(pieces)
+                assert closure_generators(list(pieces)) == cell_path_generators(pieces)
+                unions += len(pieces) > 1
+        assert unions > 20
+
+    def test_sets_given_by_rows(self):
+        for p in (
+            halfplane(),
+            Polyhedron.full_space(2),
+            Polyhedron.empty(2),
+            Polyhedron.from_hrep(2, [((1, 1), 1, LE), ((-1, -1), -1, LE)]),
+            Polyhedron.from_hrep(3, [((-1, 0, 0), 0, LE), ((1, 1, 0), 2, LE),
+                                     ((0, 0, 1), 1, LE)]),
+        ):
+            assert closure_generators(p) == cell_path_generators(p)
+
+
+class TestUnboundedL1Lp:
+    """The L1-minimal functional LPs minimise a sum of nonnegative variables,
+    so an UNBOUNDED answer is a fault, not "no functional"."""
+
+    @pytest.mark.parametrize("solve", [
+        lambda y: certify_module._pos_functional(2, y, [(F(0), F(0))], [], [],
+                                                 (F(0), F(0))),
+        lambda y: certify_module._c5_functional(
+            SeparatorCone(1, 2, (F(0), F(0)),
+                          (Separator((F(1),), (F(1), F(1))),)),
+            y,
+        ),
+        lambda y: polyhedra_module._positive_functional(2, y.generators),
+    ], ids=["pos_functional", "c5_functional", "positive_functional"])
+    def test_unbounded_raises(self, monkeypatch, orthant2, solve):
+        assert solve(orthant2) is not None
+        monkeypatch.setattr(polyhedra_module, "lp_solve",
+                            lambda *args, **kwargs: LpOutcome(LpStatus.UNBOUNDED))
+        with pytest.raises(InternalConsistencyError, match="unbounded"):
+            solve(orthant2)

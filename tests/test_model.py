@@ -19,6 +19,7 @@ from process_duality.model import (
     SetValuedProgram,
     affine_map,
     feasible_region,
+    graph_closure,
     simplex_relaxation,
     slater_point,
     upper_image_graph,
@@ -264,6 +265,16 @@ class TestGraphInvariants:
                 assert feas == g.member(probe)
 
 
+class TestGraphClosure:
+    def test_is_the_graph_when_it_is_closed(
+        self, scalar_i2, planar_i3, three_point_discrete
+    ):
+        for p in (scalar_i2, planar_i3, three_point_discrete):
+            g = upper_image_graph(p)
+            assert isinstance(g, Polyhedron)
+            assert graph_closure(p) == g
+
+
 class TestSimplexRelaxation:
     def test_relaxation_graph_matches_finite_graph(self, three_point_discrete):
         relaxed = simplex_relaxation(three_point_discrete)
@@ -348,6 +359,7 @@ class TestFacetTrace:
             cells = as_cells(p.omega)
             g = upper_image_graph(p)
             closure = g.closure if isinstance(g, BoundaryRestrictedPolyhedron) else g
+            assert graph_closure(p) == closure
             expected = []
             for row in closure.inequalities():
                 n, o = row.normal, row.offset
