@@ -27,22 +27,15 @@ each ray is reduced modulo that basis by integer row steps.  Fractions are
 built once, for the canonical output (that lineality basis and the reduced
 rays, each a primitive integer vector); it is unique, so downstream golden
 tests are reproducible whatever the processing order.  The adjacency step
-yields only extreme rays; with PROCESS_DUALITY_DDCHECK=1 a final LP pass
-re-checks this and drops any ray that is a nonnegative combination of the
-others.
+yields only extreme rays.
 """
 
 from __future__ import annotations
 
-import os
 from math import gcd, lcm
 from operator import mul
 
-from .rational import ONE, ZERO, is_zero_vec, vec
-
-# The classical adjacency-driven step already yields extreme rays; the final
-# LP filter is belt-and-braces, switchable for audits via the environment.
-EXTREMALITY_CHECK = os.environ.get("PROCESS_DUALITY_DDCHECK", "") == "1"
+from .rational import vec
 
 
 def _primitive(ints) -> tuple[int, ...]:
@@ -207,44 +200,4 @@ def cone_dd(dim, ineq_rows, eq_rows):
     reduced.discard((0,) * dim)
     rays = [vec(r) for r in sorted(reduced)]
     lines = [vec(l) for l in lines]
-    if EXTREMALITY_CHECK:
-        rays = _drop_non_extreme(dim, rays, lines)
     return lines, rays
-
-
-def _drop_non_extreme(dim, rays, lines):
-    """One LP pass: keep a ray only if it is not a nonnegative combination of
-    the other kept rays plus the lineality space."""
-    kept = list(rays)
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1 :]
-        if _in_cone(dim, kept[i], others, lines):
-            kept.pop(i)
-        else:
-            i += 1
-    return kept
-
-
-def _in_cone(dim, target, rays, lines):
-    from .exactlp import LinearSystem, LpStatus, lp_solve
-
-    k = len(rays)
-    m = len(lines)
-    width = k + 2 * m  # lambda_i >= 0; line coefficients split into +/-.
-    if width == 0:
-        return is_zero_vec(target)
-    eq = []
-    for c in range(dim):
-        row = [rays[i][c] for i in range(k)]
-        row += [lines[j][c] for j in range(m)]
-        row += [-lines[j][c] for j in range(m)]
-        eq.append((tuple(row), target[c]))
-    le = [(tuple(-ONE if i == j else ZERO for i in range(width)), ZERO) for j in range(k)]
-    out = lp_solve((ZERO,) * width, LinearSystem(width, le=tuple(le), eq=tuple(eq)), "min")
-    return out.status is LpStatus.OPTIMAL
-
-
-def cone_contains_point(dim, point, rays, lines):
-    """Exact membership of a point in a finitely generated cone."""
-    return _in_cone(dim, vec(point), list(rays), list(lines))

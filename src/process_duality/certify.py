@@ -26,7 +26,6 @@ from .errors import (
 from .exactlp import LinearSystem
 from .model import (
     AffineVectorProgram,
-    DiscreteVectorProgram,
     OrderCone,
     Program,
     graph_closure,
@@ -45,6 +44,7 @@ from .polyhedra import (
     cone_structure,
     intersect_empty,
     l1_minimal_point,
+    positive_functional,
     set_member,
 )
 from .process import (
@@ -188,32 +188,6 @@ class EfficiencyStatus:
         return self
 
 
-def _pos_functional(dim, yplus: OrderCone, verts, rays, lines, y0):
-    """Deterministic y* in Y_+^{+i} supporting A at y0, or None (LP)."""
-    width = 2 * dim
-    le = []
-
-    def row(coeffs, rhs):
-        c = vec(coeffs)
-        le.append((tuple(-x for x in c) + tuple(c), -Fraction(rhs)))
-
-    for g in yplus.generators:
-        row(g, ONE)  # <y*, g> >= 1
-    for v in verts:
-        row(vsub(v, y0), ZERO)
-    for r in rays:
-        row(r, ZERO)
-    eq = []
-    for l in lines:
-        eq.append((tuple(l) + tuple(-x for x in l), ZERO))
-    for j in range(width):
-        le.append((tuple(-ONE if i == j else ZERO for i in range(width)), ZERO))
-    x = l1_minimal_point(LinearSystem(width, tuple(le), tuple(eq)))
-    if x is None:
-        return None
-    return tuple(x[j] - x[dim + j] for j in range(dim))
-
-
 def _cone_is_zero(k: Polyhedron) -> bool:
     return not k.vrep.rays and not k.vrep.lines
 
@@ -225,9 +199,7 @@ def _neg_cone_rows(yplus: OrderCone):
 def _henig_dilation(base: Polyhedron, eta: Fraction) -> PolyhedralCone:
     """cone(base + eta * infinity-ball), as a generated cone."""
     dim = base.dim
-    corners = [()]
-    for _ in range(dim):
-        corners = [c + (s,) for c in corners for s in (eta, -eta)]
+    corners = [tuple(eta * s for s in c) for c in _box_corners(dim)]
     gens = [vadd(v, c) for v in base.vrep.vertices for c in corners]
     return PolyhedralCone.from_generators(dim, gens)
 
@@ -258,7 +230,10 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone,
     verts, rays, lines = closure_generators(a) if closure is None else closure
     witnesses: dict = {}
 
-    y_star = _pos_functional(dim, yplus, verts, rays, lines, y0)
+    # Pos: y* in Y_+^{+i} supporting cl A at y0
+    y_star = positive_functional(
+        dim, yplus.generators, [vsub(v, y0) for v in verts] + list(rays), lines
+    )
     pos = y_star is not None
     if pos:
         witnesses["pos"] = y_star
@@ -339,15 +314,11 @@ def dual_image(p, L: LagrangeProcess):
         return _dual_image_affine(ctx, L)
     pieces = []
     for pt in p.points:
-        pairs = (
-            ((pt.f_value, pt.g_value),)
-            if isinstance(p, DiscreteVectorProgram)
-            else tuple((fv, gv) for fv in pt.f_values for gv in pt.g_values)
-        )
-        for fv, gv in pairs:
-            fiber = process_eval(L, gv)
-            if not fiber.is_empty:
-                pieces.append(fiber.translate(fv))
+        for fv in pt.f_values:
+            for gv in pt.g_values:
+                fiber = process_eval(L, gv)
+                if not fiber.is_empty:
+                    pieces.append(fiber.translate(fv))
     return tuple(pieces)
 
 
@@ -404,9 +375,9 @@ def brute_force_status(p: Program, y0) -> EfficiencyStatus:
     weak = not any(yplus.strictly_contains(vsub(y0, q)) for q in points)
     pos = None
     if yplus.is_pointed:
-        pos = (
-            _pos_functional(p.y_dim, yplus, list(points), [], [], y0) is not None
-        )
+        pos = positive_functional(
+            p.y_dim, yplus.generators, [vsub(q, y0) for q in points]
+        ) is not None
     return EfficiencyStatus(minimal, weak, pos)
 
 
@@ -466,14 +437,11 @@ def _c5_functional(s: SeparatorCone, yplus: OrderCone):
     the generator coefficients; None when no such h0 exists."""
     if not s.generators or not yplus.is_pointed:
         return None
-    k = len(s.generators)
-    le = []
-    for r in yplus.generators:
-        row = tuple(-dot(h.y_star, r) for h in s.generators)
-        le.append((row, -ONE))
-    for j in range(k):
-        le.append((tuple(-ONE if i == j else ZERO for i in range(k)), ZERO))
-    lam = l1_minimal_point(LinearSystem(k, tuple(le)))
+    le = [
+        (tuple(-dot(h.y_star, r) for h in s.generators), -ONE)
+        for r in yplus.generators
+    ]
+    lam = l1_minimal_point(LinearSystem(len(s.generators), tuple(le)))
     if lam is None:
         return None
     z_star = zeros(s.z_dim)

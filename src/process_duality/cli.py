@@ -27,24 +27,12 @@ from .certify import (
 from .errors import ProblemFormatError, ProcessDualityError
 from .fuzzing import DEFECTS, run_fuzz
 from .polyhedra import Polyhedron, set_member
-from .problemfile import instance_hash, load_problem
+from .problemfile import _emit_hrep, _emit_vec, instance_hash, load_problem
 from .process import lagrange_process, separator_cone
 from .rational import fmt, parse_vector
 from .errors import NotInW0Error
 
 TOOL = {"name": "process-duality", "version": __version__}
-
-
-def _emit_vec(v):
-    return [fmt(x) for x in v]
-
-
-def _emit_hrep(rows):
-    return [
-        {"normal": _emit_vec(r.normal), "offset": fmt(r.offset), "relation":
-         "<=" if r.rel == "le" else "="}
-        for r in rows
-    ]
 
 
 def _emit_vrep(p: Polyhedron):

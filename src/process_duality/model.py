@@ -1,9 +1,10 @@
 """Vector program data model: order cones, programs, feasible maps, graphs.
 
 Supports affine continuous programs over a (possibly boundary-restricted)
-convex Omega, finite discrete programs (sampled convex problems), and finite
-set-valued programs whose constraint uses the intersection rule
-G(x) meets (z - Z_+).
+convex Omega and finite set-valued programs whose constraint uses the
+intersection rule G(x) meets (z - Z_+).  A finite discrete program (a sampled
+convex problem) is the set-valued program with one f value and one g value
+per point.
 """
 
 from __future__ import annotations
@@ -92,14 +93,6 @@ class OrderCone:
             raise DimensionMismatch("interior test in wrong dimension")
         return all(dot(n, w) < 0 for n in self.facet_normals())
 
-    def leq(self, a, b) -> bool:
-        """a <= b in this cone order."""
-        return self.contains(vsub(vec(b), vec(a)))
-
-    def lt(self, a, b) -> bool:
-        """a < b: difference in the interior."""
-        return self.strictly_contains(vsub(vec(b), vec(a)))
-
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -165,48 +158,27 @@ class AffineVectorProgram:
 
 
 @dataclass(frozen=True)
-class DiscretePoint:
-    point_id: str
-    f_value: Vec
-    g_value: Vec
-
-
-class DiscreteVectorProgram:
-    """Finite sample of a convex program: explicit (f, g) value pairs."""
-
-    kind = "discrete"
-
-    def __init__(self, points: Sequence[DiscretePoint],
-                 y_plus: OrderCone, z_plus: OrderCone):
-        points = tuple(points)
-        if not points:
-            raise EmptyProgramError("no points")
-        ids = [p.point_id for p in points]
-        if len(set(ids)) != len(ids):
-            raise ProcessDualityError("duplicate point ids")
-        for p in points:
-            if len(p.f_value) != y_plus.ambient_dim:
-                raise DimensionMismatch("f value width")
-            if len(p.g_value) != z_plus.ambient_dim:
-                raise DimensionMismatch("g value width")
-        self.points = points
-        self.y_plus = y_plus
-        self.z_plus = z_plus
-
-    @property
-    def y_dim(self):
-        return self.y_plus.ambient_dim
-
-    @property
-    def z_dim(self):
-        return self.z_plus.ambient_dim
-
-
-@dataclass(frozen=True)
 class SetValuedPoint:
     point_id: str
     f_values: tuple[Vec, ...]
     g_values: tuple[Vec, ...]
+
+
+@dataclass(frozen=True)
+class DiscretePoint:
+    """A set-valued point with one f value and one g value."""
+
+    point_id: str
+    f_value: Vec
+    g_value: Vec
+
+    @property
+    def f_values(self) -> tuple[Vec, ...]:
+        return (self.f_value,)
+
+    @property
+    def g_values(self) -> tuple[Vec, ...]:
+        return (self.g_value,)
 
 
 class SetValuedProgram:
@@ -214,7 +186,7 @@ class SetValuedProgram:
 
     kind = "setvalued"
 
-    def __init__(self, points: Sequence[SetValuedPoint],
+    def __init__(self, points: Sequence[Union[SetValuedPoint, DiscretePoint]],
                  y_plus: OrderCone, z_plus: OrderCone):
         points = tuple(points)
         if not points:
@@ -244,7 +216,14 @@ class SetValuedProgram:
         return self.z_plus.ambient_dim
 
 
-Program = Union[AffineVectorProgram, DiscreteVectorProgram, SetValuedProgram]
+class DiscreteVectorProgram(SetValuedProgram):
+    """Finite sample of a convex program: the set-valued program of its
+    DiscretePoints, each with one (f, g) value pair."""
+
+    kind = "discrete"
+
+
+Program = Union[AffineVectorProgram, SetValuedProgram]
 
 
 # -- feasible map ----------------------------------------------------------
@@ -273,10 +252,6 @@ def feasible_region(p: Program, z):
             return p.omega.with_rows(rows)
         return restrict_brp(p.omega, rows)
     z = _coerce(p.z_dim, z)
-    if isinstance(p, DiscreteVectorProgram):
-        return tuple(
-            pt.point_id for pt in p.points if p.z_plus.contains(vsub(z, pt.g_value))
-        )
     return tuple(
         pt.point_id
         for pt in p.points
@@ -358,9 +333,6 @@ def graph_closure(p: Program) -> Polyhedron:
     dim = p.z_dim + p.y_dim
     krays, klines = _product_cone_gens(p)
 
-    if isinstance(p, DiscreteVectorProgram):
-        verts = [tuple(pt.g_value) + tuple(pt.f_value) for pt in p.points]
-        return Polyhedron.from_vrep(dim, verts, krays, klines)
     if isinstance(p, SetValuedProgram):
         verts = [
             tuple(gv) + tuple(fv)
@@ -453,10 +425,9 @@ def _facet_trace(image: Cell, normal, offset):
 def slater_point(p: Program):
     """A point with g strictly interior-negative, or None when none exists."""
     if isinstance(p, AffineVectorProgram):
-        strict_rows = []
-        for n in p.z_plus.facet_normals():
-            normal = tuple(-dot(n, col) for col in zip(*p.g.matrix))
-            strict_rows.append((normal, dot(n, p.g.offset)))
+        strict_rows = [
+            (normal, rhs) for normal, rhs, _ in _order_rows_for_g(p, zeros(p.z_dim))
+        ]
         for cell in as_cells(p.omega):
             probe = Cell(
                 cell.system.extended(strict=strict_rows), cell.matrix, cell.offset
@@ -464,11 +435,6 @@ def slater_point(p: Program):
             res = strict_feasible(probe.system)
             if res.feasible:
                 return res.witness
-        return None
-    if isinstance(p, DiscreteVectorProgram):
-        for pt in p.points:
-            if p.z_plus.strictly_contains(tuple(-v for v in pt.g_value)):
-                return pt.point_id
         return None
     for pt in p.points:
         if any(
@@ -493,10 +459,7 @@ def w0_cells(p: Program) -> tuple[Cell, ...]:
     for pt in p.points:
         if pt.point_id not in feas:
             continue
-        values = (
-            (pt.f_value,) if isinstance(p, DiscreteVectorProgram) else pt.f_values
-        )
-        for fv in values:
+        for fv in pt.f_values:
             cells.append(cell_of_polyhedron(Polyhedron.from_vrep(p.y_dim, [fv])))
     return tuple(cells)
 
@@ -508,10 +471,7 @@ def w0_image_points(p: Program) -> tuple[Vec, ...]:
     for pt in p.points:
         if pt.point_id not in feas:
             continue
-        values = (
-            (pt.f_value,) if isinstance(p, DiscreteVectorProgram) else pt.f_values
-        )
-        for fv in values:
+        for fv in pt.f_values:
             if fv not in out:
                 out.append(fv)
     return tuple(out)
@@ -528,15 +488,9 @@ def simplex_relaxation(p: Program) -> AffineVectorProgram:
     """
     if isinstance(p, AffineVectorProgram):
         return p
-    if isinstance(p, DiscreteVectorProgram):
-        pairs = [(pt.f_value, pt.g_value) for pt in p.points]
-    else:
-        pairs = [
-            (fv, gv)
-            for pt in p.points
-            for fv in pt.f_values
-            for gv in pt.g_values
-        ]
+    pairs = [
+        (fv, gv) for pt in p.points for fv in pt.f_values for gv in pt.g_values
+    ]
     k = len(pairs)
     rows = [(tuple(-Fraction(int(i == j)) for i in range(k)), 0, LE) for j in range(k)]
     rows.append(((Fraction(1),) * k, 1, EQ))

@@ -489,36 +489,43 @@ def cone_structure(k: PolyhedralCone) -> ConeStructure:
     rays = k.generators
     if not rays:
         return ConeStructure(0, True, True, None, None)
-    h = _positive_functional(k.dim, rays)
+    h = positive_functional(k.dim, rays)
     if h is None:
         raise InternalConsistencyError("pointed cone without positive functional")
     base = Polyhedron.from_vrep(k.dim, [tuple(x / dot(h, r) for x in r) for r in rays])
     return ConeStructure(0, True, True, base, h)
 
 
-def _positive_functional(dim, rays) -> Optional[Vec]:
-    """Deterministic h with <h, r> >= 1 on every ray (L1-minimal), or None."""
-    width = 2 * dim  # h split into h+ - h-
-    le = []
-    for r in rays:
-        row = tuple(-x for x in r) + tuple(r)
-        le.append((row, -ONE))
-    for j in range(width):
-        le.append((tuple(-ONE if i == j else ZERO for i in range(width)), ZERO))
-    x = l1_minimal_point(LinearSystem(width, le=tuple(le)))
+def positive_functional(dim, ge_one, ge_zero=(), eq_zero=()) -> Optional[Vec]:
+    """Deterministic h with <h, a> >= 1 on every `ge_one` row, >= 0 on every
+    `ge_zero` row and = 0 on every `eq_zero` row, or None when there is none.
+
+    h is split into h+ - h- and the L1-minimal split is taken.  The LP meets
+    the rows in the order given, `ge_one` before `ge_zero`; Bland's rule makes
+    h depend on that order, and h is emitted in reports.
+    """
+    le = [(tuple(-x for x in a) + tuple(a), -ONE) for a in ge_one]
+    le += [(tuple(-x for x in a) + tuple(a), ZERO) for a in ge_zero]
+    eq = [(tuple(a) + tuple(-x for x in a), ZERO) for a in eq_zero]
+    x = l1_minimal_point(LinearSystem(2 * dim, tuple(le), tuple(eq)))
     if x is None:
         return None
     return tuple(x[j] - x[dim + j] for j in range(dim))
 
 
 def l1_minimal_point(system: LinearSystem) -> Optional[Vec]:
-    """Point of `system` with the least coordinate sum, or None when the
-    system is infeasible.
+    """Point of `system` with every coordinate >= 0 and the least coordinate
+    sum, or None when there is none.
 
-    Every caller's system keeps each coordinate >= 0, so the sum is bounded
-    below and an UNBOUNDED answer is an internal fault, never "no point".
+    The rows x >= 0 come after the system's own rows.  They bound the sum
+    below, so an UNBOUNDED answer is an internal fault, never "no point".
     """
-    out = lp_solve((ONE,) * system.dim, system, "min")
+    dim = system.dim
+    nonneg = [
+        (tuple(-ONE if i == j else ZERO for i in range(dim)), ZERO)
+        for j in range(dim)
+    ]
+    out = lp_solve((ONE,) * dim, system.extended(le=nonneg), "min")
     if out.status is LpStatus.UNBOUNDED:
         raise InternalConsistencyError(
             "L1-minimal LP over nonnegative variables is unbounded"
@@ -698,12 +705,6 @@ class Cell:
 
     def is_feasible(self) -> bool:
         return strict_feasible(self.system).feasible
-
-    def feasible_witness(self) -> Optional[Vec]:
-        res = strict_feasible(self.system)
-        if not res.feasible:
-            return None
-        return vadd(matvec(self.matrix, res.witness), self.offset)
 
     def closure_image(self) -> Polyhedron:
         """Closed polyhedron: image of the lift with strict rows relaxed."""

@@ -288,7 +288,7 @@ def problem_dict(p: Program) -> dict:
         )
         return base
     base["dims"] = {"y": p.y_dim, "z": p.z_dim}
-    if isinstance(p, DiscreteVectorProgram):
+    if p.kind == "discrete":
         base["points"] = [
             {"id": pt.point_id, "f": _emit_vec(pt.f_value), "g": _emit_vec(pt.g_value)}
             for pt in p.points

@@ -12,7 +12,6 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
@@ -40,19 +39,8 @@ def vec(values: Iterable) -> Vec:
     return tuple(rat(v) for v in values)
 
 
-def mat(rows: Iterable[Iterable]) -> Mat:
-    out = tuple(vec(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise DimensionMismatch("ragged matrix rows")
-    return out
-
-
 def zeros(n: int) -> Vec:
     return (ZERO,) * n
-
-
-def unit(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -73,24 +61,12 @@ def vsub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vscale(c: Fraction, a: Sequence[Fraction]) -> Vec:
-    return tuple(c * x for x in a)
-
-
-def vneg(a: Sequence[Fraction]) -> Vec:
-    return tuple(-x for x in a)
-
-
 def matvec(m: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vec:
     return tuple(dot(row, x) for row in m)
 
 
 def is_zero_vec(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
-
-
-def concat(a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-    return tuple(a) + tuple(b)
 
 
 def inf_norm(a: Sequence[Fraction]) -> Fraction:

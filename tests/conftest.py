@@ -1,12 +1,19 @@
 """Shared reference instances: the bundled worked example and two derived
-ones, and criterion 3's program stream with restricted boundaries."""
+ones, criterion 3's program stream with restricted boundaries and criterion
+4's finite programs; and an LP oracle for membership in a finitely generated
+cone."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from process_duality.fuzzing import random_affine_instance
+from process_duality.exactlp import LinearSystem, LpStatus, lp_solve
+from process_duality.fuzzing import (
+    random_affine_instance,
+    random_discrete_instance,
+    random_setvalued_instance,
+)
 from process_duality.model import (
     AffineVectorProgram,
     DiscreteVectorProgram,
@@ -19,6 +26,7 @@ from process_duality.polyhedra import (
     BoundaryRestrictedPolyhedron,
     Polyhedron,
 )
+from process_duality.rational import ONE, ZERO, is_zero_vec, vec
 
 
 @pytest.fixture
@@ -120,3 +128,73 @@ def criterion_3_program():
     programs get 1-3 facets of Omega restricted (the `frontier` benchmark
     workload draws its programs the same way)."""
     return _criterion_3_program
+
+
+CRITERION_4_SEED = 909090
+
+
+def _criterion_4_program(i):
+    rng = random.Random(CRITERION_4_SEED * 999_983 + i)
+    dy = rng.randint(1, 3)
+    dz = rng.randint(1, 3)
+    if i % 2 == 0:
+        return random_discrete_instance(rng, (dy, dz), max_points=6)
+    return random_setvalued_instance(rng, (dy, dz), max_points=4)
+
+
+@pytest.fixture(scope="session")
+def criterion_4_program():
+    """i -> program i of criterion 4's stream: a discrete program for even i,
+    a set-valued one for odd i (the `minimality` benchmark workload draws its
+    programs the same way)."""
+    return _criterion_4_program
+
+
+def _in_cone(dim, target, rays, lines):
+    """target in cone(rays) + span(lines), decided by one exact LP."""
+    k = len(rays)
+    m = len(lines)
+    width = k + 2 * m  # lambda_i >= 0; line coefficients split into +/-.
+    if width == 0:
+        return is_zero_vec(target)
+    eq = []
+    for c in range(dim):
+        row = [rays[i][c] for i in range(k)]
+        row += [lines[j][c] for j in range(m)]
+        row += [-lines[j][c] for j in range(m)]
+        eq.append((tuple(row), target[c]))
+    le = [(tuple(-ONE if i == j else ZERO for i in range(width)), ZERO) for j in range(k)]
+    out = lp_solve((ZERO,) * width, LinearSystem(width, le=tuple(le), eq=tuple(eq)), "min")
+    return out.status is LpStatus.OPTIMAL
+
+
+@pytest.fixture(scope="session")
+def cone_contains_point():
+    """(dim, point, rays, lines) -> exact membership of the point in the
+    cone the rays and lines generate; an LP, independent of double
+    description."""
+
+    def contains(dim, point, rays, lines):
+        return _in_cone(dim, vec(point), list(rays), list(lines))
+
+    return contains
+
+
+@pytest.fixture(scope="session")
+def drop_non_extreme():
+    """(dim, rays, lines) -> the rays left after one LP pass that drops each
+    ray that is a nonnegative combination of the other kept rays plus the
+    lineality space."""
+
+    def drop(dim, rays, lines):
+        kept = list(rays)
+        i = 0
+        while i < len(kept):
+            others = kept[:i] + kept[i + 1 :]
+            if _in_cone(dim, kept[i], others, lines):
+                kept.pop(i)
+            else:
+                i += 1
+        return kept
+
+    return drop

@@ -13,9 +13,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction as F
 from importlib import resources
 
-from process_duality._dd import cone_contains_point
 from process_duality.certify import (
-    _pos_functional,
     brute_force_status,
     certify_multiplier,
     is_minimal,
@@ -26,8 +24,6 @@ from process_duality.exactlp import LinearSystem, LpStatus, lp_solve, strict_fea
 from process_duality.fuzzing import (
     check_instance,
     random_affine_instance,
-    random_discrete_instance,
-    random_setvalued_instance,
 )
 from process_duality.model import (
     AffineVectorProgram,
@@ -46,9 +42,10 @@ from process_duality.polyhedra import (
     cone_structure,
     dd_convert,
     polar_cone,
+    positive_functional,
 )
 from process_duality.process import lagrange_process, separator_cone
-from process_duality.rational import vec
+from process_duality.rational import vec, vsub
 
 
 def bundled_path(name):
@@ -133,7 +130,7 @@ def _random_scalar_instance(rng):
     return AffineVectorProgram(omega, f, g, y_plus, z_plus)
 
 
-def test_criterion_2_scalar_classical_duality_recovery():
+def test_criterion_2_scalar_classical_duality_recovery(cone_contains_point):
     """Separators at the scalar optimum are exactly the optimal LP duals."""
     t0 = time.time()
     rng = random.Random(20260808)
@@ -235,19 +232,16 @@ def test_criterion_3_theorem_property_suite():
     )
 
 
-def test_criterion_4_oracle_equivalence_on_finite_programs():
+def test_criterion_4_oracle_equivalence_on_finite_programs(
+    criterion_4_program, cone_contains_point
+):
     """Pipeline Min/WMin/Pos equals brute force on 200 finite programs."""
     t0 = time.time()
     statuses_compared = 0
     programs = 0
     for i in range(200):
-        rng = random.Random(909090 * 999_983 + i)
-        dy = rng.randint(1, 3)
-        dz = rng.randint(1, 3)
-        if i % 2 == 0:
-            p = random_discrete_instance(rng, (dy, dz), max_points=6)
-        else:
-            p = random_setvalued_instance(rng, (dy, dz), max_points=4)
+        p = criterion_4_program(i)
+        dy, dz = p.y_dim, p.z_dim
         programs += 1
 
         # independent re-derivation of the feasibility rule at z = 0
@@ -256,12 +250,9 @@ def test_criterion_4_oracle_equivalence_on_finite_programs():
         lines = list(p.z_plus.lineality)
         expected = []
         for pt in p.points:
-            gvals = (
-                (pt.g_value,) if hasattr(pt, "g_value") else pt.g_values
-            )
             ok = any(
                 cone_contains_point(dz, tuple(-v for v in gv), gens, lines)
-                for gv in gvals
+                for gv in pt.g_values
             )
             if ok:
                 expected.append(pt.point_id)
@@ -276,10 +267,12 @@ def test_criterion_4_oracle_equivalence_on_finite_programs():
             assert weak == bf.weak_minimal
             if p.y_plus.is_pointed:
                 verts, rays, lns = closure_generators(cells)
-                pos = (
-                    _pos_functional(dy, p.y_plus, verts, rays, lns, vec(y0))
-                    is not None
-                )
+                pos = positive_functional(
+                    dy,
+                    p.y_plus.generators,
+                    [vsub(v, vec(y0)) for v in verts] + list(rays),
+                    lns,
+                ) is not None
                 assert pos == bf.pos
             statuses_compared += 1
     elapsed = time.time() - t0

@@ -39,7 +39,12 @@ from process_duality.model import (
     DiscretePoint,
     DiscreteVectorProgram,
     OrderCone,
+    SetValuedPoint,
+    SetValuedProgram,
+    feasible_region,
     graph_closure,
+    simplex_relaxation,
+    slater_point,
     upper_image_graph,
     w0_cells,
     w0_image_points,
@@ -51,7 +56,7 @@ from process_duality.polyhedra import (
     cell_of_polyhedron,
     closure_generators,
 )
-from process_duality.problemfile import load_problem
+from process_duality.problemfile import emit_problem, load_problem
 from process_duality.process import (
     Separator,
     SeparatorCone,
@@ -494,14 +499,13 @@ class TestUnboundedL1Lp:
     so an UNBOUNDED answer is a fault, not "no functional"."""
 
     @pytest.mark.parametrize("solve", [
-        lambda y: certify_module._pos_functional(2, y, [(F(0), F(0))], [], [],
-                                                 (F(0), F(0))),
+        lambda y: polyhedra_module.positive_functional(2, y.generators, [(F(0), F(0))]),
         lambda y: certify_module._c5_functional(
             SeparatorCone(1, 2, (F(0), F(0)),
                           (Separator((F(1),), (F(1), F(1))),)),
             y,
         ),
-        lambda y: polyhedra_module._positive_functional(2, y.generators),
+        lambda y: polyhedra_module.positive_functional(2, y.generators),
     ], ids=["pos_functional", "c5_functional", "positive_functional"])
     def test_unbounded_raises(self, monkeypatch, orthant2, solve):
         assert solve(orthant2) is not None
@@ -509,3 +513,55 @@ class TestUnboundedL1Lp:
                             lambda *args, **kwargs: LpOutcome(LpStatus.UNBOUNDED))
         with pytest.raises(InternalConsistencyError, match="unbounded"):
             solve(orthant2)
+
+
+def _certificate_report(p, y0):
+    """The certificate report at y0, less the instance hash."""
+    report = _emit_certificate(certify_multiplier(p, y0), p)
+    del report["instance_hash"]
+    return report
+
+
+class TestDiscreteIsSetValued:
+    """A discrete program is the set-valued program with one f value and one
+    g value per point: every query gives its set-valued twin's answer."""
+
+    @staticmethod
+    def twin(p):
+        points = [
+            SetValuedPoint(pt.point_id, (pt.f_value,), (pt.g_value,))
+            for pt in p.points
+        ]
+        return SetValuedProgram(points, p.y_plus, p.z_plus)
+
+    def test_criterion_4_programs_equal_their_twins(self, criterion_4_program):
+        compared = 0
+        for i in range(0, 200, 2):
+            p = criterion_4_program(i)
+            q = self.twin(p)
+            assert (p.kind, q.kind) == ("discrete", "setvalued")
+            levels = [(F(0),) * p.z_dim] + [pt.g_value for pt in p.points]
+            for z in levels:
+                assert feasible_region(p, z) == feasible_region(q, z), i
+            assert w0_image_points(p) == w0_image_points(q), i
+            assert graph_closure(p) == graph_closure(q), i
+            assert slater_point(p) == slater_point(q), i
+            assert emit_problem(simplex_relaxation(p)) == emit_problem(
+                simplex_relaxation(q)
+            ), i
+            cells_p, cells_q = w0_cells(p), w0_cells(q)
+            assert cells_p == cells_q, i
+            for y0 in w0_image_points(p):
+                bp, bq = brute_force_status(p, y0), brute_force_status(q, y0)
+                assert (bp, bp.witnesses) == (bq, bq.witnesses), (i, y0)
+                assert is_minimal(cells_p, y0, p.y_plus) == is_minimal(
+                    cells_q, y0, q.y_plus
+                ), (i, y0)
+                cp = classify_proper(cells_p, y0, p.y_plus)
+                cq = classify_proper(cells_q, y0, q.y_plus)
+                assert (cp, cp.witnesses) == (cq, cq.witnesses), (i, y0)
+                assert _certificate_report(p, y0) == _certificate_report(
+                    q, y0
+                ), (i, y0)
+                compared += 1
+        assert compared > 100

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from process_duality._dd import (
-    _drop_non_extreme,
     _integer_direction,
     _integer_null_space,
     _integer_rref,
@@ -390,15 +389,15 @@ def cone_by_enumeration(dim, ineq, eq):
 
 
 class TestConeDd:
-    def test_adjacency_yields_only_extreme_rays(self):
+    def test_adjacency_yields_only_extreme_rays(self, drop_non_extreme):
         for i in range(200):
             dim, rows = criterion5_cone(i)
             lines, rays = cone_dd(dim, rows, [])
-            assert _drop_non_extreme(dim, rays, lines) == rays, i
+            assert drop_non_extreme(dim, rays, lines) == rays, i
             # the dual cone: its lineality comes from equality rows
             negated = [tuple(-x for x in r) for r in rays]
             dual_lines, dual_rays = cone_dd(dim, negated, lines)
-            assert _drop_non_extreme(dim, dual_rays, dual_lines) == dual_rays, i
+            assert drop_non_extreme(dim, dual_rays, dual_lines) == dual_rays, i
 
     def test_rays_match_enumeration_of_active_sets(self):
         for i in range(200):
