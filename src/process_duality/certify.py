@@ -44,8 +44,8 @@ from .polyhedra import (
     cone_structure,
     intersect_empty,
     l1_minimal_point,
+    member,
     positive_functional,
-    set_member,
 )
 from .process import (
     LagrangeProcess,
@@ -121,7 +121,7 @@ def _context(p) -> ProgramContext:
 
 
 def _require_member(a: SetLike, y0: Vec):
-    if not set_member(a, y0):
+    if not member(a, y0):
         raise NotMemberError(f"{y0} is not a member of the set under test")
 
 
@@ -312,22 +312,23 @@ def dual_image(p, L: LagrangeProcess):
     p = ctx.program
     if isinstance(p, AffineVectorProgram):
         return _dual_image_affine(ctx, L)
+    fibers = {}
     pieces = []
     for pt in p.points:
         for fv in pt.f_values:
             for gv in pt.g_values:
-                fiber = process_eval(L, gv)
-                if not fiber.is_empty:
-                    pieces.append(fiber.translate(fv))
+                if gv not in fibers:
+                    fibers[gv] = process_eval(L, gv)
+                if not fibers[gv].is_empty:
+                    pieces.append(fibers[gv].translate(fv))
     return tuple(pieces)
 
 
 def _dual_image_affine(ctx: ProgramContext, L: LagrangeProcess) -> Polyhedron:
     p = ctx.program
     xdim, ydim, zdim = p.x_dim, p.y_dim, p.z_dim
-    closure = p.omega if isinstance(p.omega, Polyhedron) else p.omega.closure
     rows = []
-    for r in closure.hrep:
+    for r in p.omega.closure.hrep:
         rows.append((tuple(r.normal) + zeros(ydim), r.offset, r.rel))
     for r in L.graph.hrep:
         nz, ny = r.normal[:zdim], r.normal[zdim:]
@@ -350,7 +351,7 @@ def _verify_w0_inclusion(ctx: ProgramContext, m: Polyhedron):
     """Guaranteed inclusion W(0) subset-of M, checked on generator points of
     W(0) cell closures that are themselves members of W(0)."""
     for v in ctx.closure[0]:
-        if set_member(ctx.cells, v) and not m.member(v):
+        if member(ctx.cells, v) and not m.member(v):
             raise InternalConsistencyError("W(0) point escapes the dual image")
 
 
@@ -460,19 +461,17 @@ def _internal_graph_checks(p: AffineVectorProgram, closure: Polyhedron, y0,
         if not L.graph.member(tuple(-x for x in g) + zeros(p.y_dim)):
             raise InternalConsistencyError("(-z_+, 0) escapes the process graph")
     zdim = p.z_dim
-    for v in closure.vrep.vertices:
-        w = tuple(-x for x in v[:zdim]) + tuple(vsub(v[zdim:], y0))
-        if not L.graph.member(w):
-            raise InternalConsistencyError("graph shift inclusion fails on a vertex")
-    for r in closure.vrep.rays:
-        w = tuple(-x for x in r[:zdim]) + tuple(r[zdim:])
-        if not L.graph.member(w):
-            raise InternalConsistencyError("graph shift inclusion fails on a ray")
-    for l in closure.vrep.lines:
-        w = tuple(-x for x in l[:zdim]) + tuple(l[zdim:])
-        neg = tuple(-x for x in w)
-        if not (L.graph.member(w) and L.graph.member(neg)):
-            raise InternalConsistencyError("graph shift inclusion fails on a line")
+    shift = zeros(zdim) + tuple(y0)
+    flip = lambda w: tuple(-x for x in w[:zdim]) + tuple(w[zdim:])
+    v = closure.vrep
+    shifted = Polyhedron.from_vrep(
+        closure.dim,
+        [flip(vsub(x, shift)) for x in v.vertices],
+        [flip(r) for r in v.rays],
+        [flip(l) for l in v.lines],
+    )
+    if not L.graph.contains_poly(shifted):
+        raise InternalConsistencyError("graph shift inclusion fails")
 
 
 def certify_multiplier(p, y0, with_witnesses: bool = True) -> Certificate:
@@ -489,7 +488,7 @@ def certify_multiplier(p, y0, with_witnesses: bool = True) -> Certificate:
     conv = ctx.convex
     prog = conv.program
     y0 = vec(y0)
-    if not set_member(conv.cells, y0):
+    if not member(conv.cells, y0):
         raise NotInW0Error(f"{y0} is not attained by a feasible point")
 
     graph_w = conv.graph
@@ -606,7 +605,7 @@ def minimal_frontier_points(p, limit: int = 10000):
     truncated = len(candidates) > limit
     points = []
     for v in candidates[:limit]:
-        if not set_member(cells, v):
+        if not member(cells, v):
             continue
         if is_minimal(cells, v, p.y_plus):
             points.append(v)
@@ -629,8 +628,7 @@ def minimal_frontier(p: Program, limit: int = 10000) -> Frontier:
 def dual_frontier(p: Program, L: LagrangeProcess, limit: int = 10000) -> Frontier:
     """Same vertex filter applied to the dual image M."""
     m = dual_image(p, L)
-    pieces = [m] if isinstance(m, Polyhedron) else list(m)
-    verts, rays, lines = closure_generators(pieces)
+    verts, rays, lines = closure_generators(m)
     if not verts:
         return Frontier((), False)
     hull = Polyhedron.from_vrep(p.y_dim, verts, rays, lines)
@@ -638,8 +636,8 @@ def dual_frontier(p: Program, L: LagrangeProcess, limit: int = 10000) -> Frontie
     truncated = len(candidates) > limit
     out = []
     for v in candidates[:limit]:
-        if not set_member(pieces, v):
+        if not member(m, v):
             continue
-        if is_minimal(pieces, v, p.y_plus):
-            out.append(FrontierPoint(v, classify_proper(pieces, v, p.y_plus)))
+        if is_minimal(m, v, p.y_plus):
+            out.append(FrontierPoint(v, classify_proper(m, v, p.y_plus)))
     return Frontier(tuple(out), truncated)

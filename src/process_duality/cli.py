@@ -26,7 +26,7 @@ from .certify import (
 )
 from .errors import ProblemFormatError, ProcessDualityError
 from .fuzzing import DEFECTS, run_fuzz
-from .polyhedra import Polyhedron, set_member
+from .polyhedra import Polyhedron, member
 from .problemfile import _emit_hrep, _emit_vec, instance_hash, load_problem
 from .process import lagrange_process, separator_cone
 from .rational import fmt, parse_vector
@@ -204,7 +204,7 @@ def cmd_process(args) -> int:
         raise ProblemFormatError("--y0", "required for the process command")
     y0 = parse_vector(args.y0)
     ctx = ProgramContext(problem)
-    if not set_member(ctx.cells, y0):
+    if not member(ctx.cells, y0):
         raise NotInW0Error(f"{args.y0} is not attained by a feasible point")
     s = separator_cone(ctx.graph, y0)
     L = lagrange_process(s)
@@ -253,10 +253,8 @@ def cmd_classify(args) -> int:
         )
     if args.side in ("D", "both"):
         L = lagrange_process(separator_cone(ctx.graph, y0))
-        m = dual_image(ctx, L)
-        pieces = m if isinstance(m, Polyhedron) else list(m)
         payload["status_D"] = _emit_status(
-            classify_proper(pieces, y0, problem.y_plus)
+            classify_proper(dual_image(ctx, L), y0, problem.y_plus)
         )
     if args.side == "both":
         p, d = payload["status_P"], payload["status_D"]

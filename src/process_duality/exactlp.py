@@ -88,12 +88,6 @@ class LpOutcome:
     farkas_le: Optional[Vec] = None
     farkas_eq: Optional[Vec] = None
 
-    @property
-    def dual_multipliers(self) -> Optional[Vec]:
-        if self.dual_le is None:
-            return None
-        return self.dual_le + self.dual_eq
-
 
 @dataclass(frozen=True)
 class StrictFeasibility:

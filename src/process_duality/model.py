@@ -136,7 +136,7 @@ class AffineVectorProgram:
             raise DimensionMismatch("f output width does not match Y_+")
         if g.out_dim != z_plus.ambient_dim:
             raise DimensionMismatch("g output width does not match Z_+")
-        if not any(c.is_feasible() for c in as_cells(omega)):
+        if omega.is_empty:
             raise EmptyProgramError("Omega is empty")
         self.omega = omega
         self.f = f
@@ -247,54 +247,13 @@ def feasible_region(p: Program, z):
     """
     if isinstance(p, AffineVectorProgram):
         z = _coerce(p.z_dim, z)
-        rows = _order_rows_for_g(p, z)
-        if isinstance(p.omega, Polyhedron):
-            return p.omega.with_rows(rows)
-        return restrict_brp(p.omega, rows)
+        return p.omega.with_rows(_order_rows_for_g(p, z))
     z = _coerce(p.z_dim, z)
     return tuple(
         pt.point_id
         for pt in p.points
         if any(p.z_plus.contains(vsub(z, gv)) for gv in pt.g_values)
     )
-
-
-def restrict_brp(brp: BoundaryRestrictedPolyhedron, rows):
-    """Exact intersection of a boundary-restricted set with closed rows."""
-    closure = brp.closure.with_rows(rows)
-    pending = [
-        (r.normal, r.offset, r.retained.with_rows(rows)) for r in brp.restrictions
-    ]
-    while True:
-        if closure.is_empty:
-            return closure
-        keep = []
-        restart = False
-        for normal, offset, retained in pending:
-            on_hyper = all(
-                dot(normal, v) == offset for v in closure.vrep.vertices
-            ) and all(
-                dot(normal, r) == 0 for r in closure.vrep.rays
-            ) and all(dot(normal, l) == 0 for l in closure.vrep.lines)
-            if on_hyper:
-                # Whole set lies on the restricted hyperplane: collapse.
-                closure = closure.intersect(retained)
-                pending = [x for x in pending if x[0] != normal or x[1] != offset]
-                restart = True
-                break
-            touch = strict_feasible(
-                closure.system().extended(eq=[(normal, offset)])
-            ).feasible
-            if touch:
-                keep.append((normal, offset, retained))
-        if restart:
-            continue
-        if not keep:
-            return closure
-        return BoundaryRestrictedPolyhedron(
-            closure,
-            [BoundaryRestriction(n, o, ret) for n, o, ret in keep],
-        )
 
 
 def _coerce(dim, z) -> Vec:
@@ -343,9 +302,7 @@ def graph_closure(p: Program) -> Polyhedron:
         return Polyhedron.from_vrep(dim, verts, krays, klines)
 
     phi = _graph_map(p)
-    closure_omega = (
-        p.omega if isinstance(p.omega, Polyhedron) else p.omega.closure
-    )
+    closure_omega = p.omega.closure
     verts = [phi(v) for v in closure_omega.vrep.vertices]
     rays = [phi.linear_part(r) for r in closure_omega.vrep.rays] + krays
     lines = [phi.linear_part(l) for l in closure_omega.vrep.lines] + klines
@@ -429,10 +386,7 @@ def slater_point(p: Program):
             (normal, rhs) for normal, rhs, _ in _order_rows_for_g(p, zeros(p.z_dim))
         ]
         for cell in as_cells(p.omega):
-            probe = Cell(
-                cell.system.extended(strict=strict_rows), cell.matrix, cell.offset
-            )
-            res = strict_feasible(probe.system)
+            res = strict_feasible(cell.system.extended(strict=strict_rows))
             if res.feasible:
                 return res.witness
         return None

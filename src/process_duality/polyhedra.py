@@ -177,6 +177,10 @@ class Polyhedron:
             return not self._any_vrep().vertices
         return not self.vrep.vertices
 
+    @property
+    def closure(self) -> "Polyhedron":
+        return self
+
     def inequalities(self) -> tuple[HRow, ...]:
         return tuple(r for r in self.hrep if r.rel == LE)
 
@@ -574,12 +578,8 @@ class BoundaryRestrictedPolyhedron:
             fr = fr.canonical()
             if fr.retained.dim != closure.dim:
                 raise DimensionMismatch("retained set in wrong dimension")
-            valid = all(
-                dot(fr.normal, v) <= fr.offset for v in closure.vrep.vertices
-            ) and all(
-                dot(fr.normal, r) <= 0 for r in closure.vrep.rays
-            ) and all(dot(fr.normal, l) == 0 for l in closure.vrep.lines)
-            if not valid:
+            half = Polyhedron.from_hrep(closure.dim, [(fr.normal, fr.offset, LE)])
+            if not half.contains_poly(closure):
                 raise InternalConsistencyError(
                     "restricted row is not valid for the closure"
                 )
@@ -642,16 +642,45 @@ class BoundaryRestrictedPolyhedron:
                 return False
         return True
 
+    def with_rows(self, rows):
+        """Exact intersection with closed rows: a Polyhedron once no
+        restricted slice is left in reach, else a boundary-restricted set."""
+        closure = self.closure.with_rows(rows)
+        pending = [
+            (r.normal, r.offset, r.retained.with_rows(rows)) for r in self.restrictions
+        ]
+        while True:
+            if closure.is_empty:
+                return closure
+            keep = []
+            restart = False
+            for normal, offset, retained in pending:
+                hyper = Polyhedron.from_hrep(self.dim, [(normal, offset, EQ)])
+                if hyper.contains_poly(closure):
+                    # Whole set lies on the restricted hyperplane: collapse.
+                    closure = closure.intersect(retained)
+                    pending = [x for x in pending if x[0] != normal or x[1] != offset]
+                    restart = True
+                    break
+                touch = strict_feasible(
+                    closure.system().extended(eq=[(normal, offset)])
+                ).feasible
+                if touch:
+                    keep.append((normal, offset, retained))
+            if restart:
+                continue
+            if not keep:
+                return closure
+            return BoundaryRestrictedPolyhedron(
+                closure,
+                [BoundaryRestriction(n, o, ret) for n, o, ret in keep],
+            )
+
     def __repr__(self):
         return (
             f"BoundaryRestrictedPolyhedron({self.closure!r}, "
             f"{len(self.restrictions)} restricted slice(s))"
         )
-
-
-def member(p, x) -> bool:
-    """Exact membership for Polyhedron or BoundaryRestrictedPolyhedron."""
-    return p.member(x)
 
 
 # -- cells: relatively open pieces behind an affine map --------------------
@@ -705,6 +734,14 @@ class Cell:
 
     def is_feasible(self) -> bool:
         return strict_feasible(self.system).feasible
+
+    def member(self, x) -> bool:
+        """Is x = M.u + o for some u of the system?  One strict LP."""
+        x = _coerce_point(self.target_dim, x)
+        eye = _identity(len(x))
+        return self.with_target_rows(
+            eq=[(eye[i], x[i]) for i in range(len(x))]
+        ).is_feasible()
 
     def closure_image(self) -> Polyhedron:
         """Closed polyhedron: image of the lift with strict rows relaxed."""
@@ -844,21 +881,13 @@ def intersect_empty(parts, strict_halfspaces=()) -> Emptiness:
     return Emptiness(True)
 
 
-def set_member(obj, x) -> bool:
-    """Membership that also works for cell collections."""
-    if isinstance(obj, (Polyhedron, BoundaryRestrictedPolyhedron)):
+def member(obj, x) -> bool:
+    """Exact membership in a Polyhedron, a BoundaryRestrictedPolyhedron or a
+    Cell, each of which answers for itself, or in the union of a sequence of
+    them."""
+    if isinstance(obj, (Polyhedron, BoundaryRestrictedPolyhedron, Cell)):
         return obj.member(x)
-    cells = as_cells(obj)
-    if not cells:
-        return False
-    x = _coerce_point(cells[0].target_dim, x)
-    eye = _identity(len(x))
-    eqs = [(eye[i], x[i]) for i in range(len(x))]
-    for c in cells:
-        probe = c.with_target_rows(eq=eqs)
-        if probe.is_feasible():
-            return True
-    return False
+    return any(member(piece, x) for piece in obj)
 
 
 def closure_generators(obj):

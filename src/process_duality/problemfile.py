@@ -180,13 +180,14 @@ def parse_problem(text: str) -> Program:
     points = data.get("points")
     _expect(isinstance(points, list) and points, "$.points",
             "expected a nonempty list")
-    if kind == "discrete":
-        parsed = []
-        for i, pt in enumerate(points):
-            p = f"$.points[{i}]"
-            _expect(isinstance(pt, dict), p, "expected an object")
-            pid = pt.get("id")
-            _expect(isinstance(pid, str) and pid, f"{p}.id", "expected an id string")
+    discrete = kind == "discrete"
+    parsed = []
+    for i, pt in enumerate(points):
+        p = f"$.points[{i}]"
+        _expect(isinstance(pt, dict), p, "expected an object")
+        pid = pt.get("id")
+        _expect(isinstance(pid, str) and pid, f"{p}.id", "expected an id string")
+        if discrete:
             parsed.append(
                 DiscretePoint(
                     pid,
@@ -194,16 +195,7 @@ def parse_problem(text: str) -> Program:
                     _parse_vec(pt.get("g"), zdim, f"{p}.g"),
                 )
             )
-        try:
-            return DiscreteVectorProgram(parsed, y_plus, z_plus)
-        except Exception as e:
-            _fail("$.points", f"invalid program: {e}")
-    parsed = []
-    for i, pt in enumerate(points):
-        p = f"$.points[{i}]"
-        _expect(isinstance(pt, dict), p, "expected an object")
-        pid = pt.get("id")
-        _expect(isinstance(pid, str) and pid, f"{p}.id", "expected an id string")
+            continue
         fvs = pt.get("f_values")
         gvs = pt.get("g_values")
         _expect(isinstance(fvs, list) and fvs, f"{p}.f_values", "nonempty list required")
@@ -219,8 +211,9 @@ def parse_problem(text: str) -> Program:
                 ),
             )
         )
+    program = DiscreteVectorProgram if discrete else SetValuedProgram
     try:
-        return SetValuedProgram(parsed, y_plus, z_plus)
+        return program(parsed, y_plus, z_plus)
     except Exception as e:
         _fail("$.points", f"invalid program: {e}")
 
@@ -253,9 +246,7 @@ def problem_dict(p: Program) -> dict:
     }
     if isinstance(p, AffineVectorProgram):
         omega = p.omega
-        closure = (
-            omega.closure if isinstance(omega, BoundaryRestrictedPolyhedron) else omega
-        )
+        closure = omega.closure
         spec = {"h_rep": _emit_hrep(closure.hrep)}
         if isinstance(omega, BoundaryRestrictedPolyhedron):
             restrictions = []

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
 from ._dd import cone_dd
 from .errors import (
     DegenerateFunctional,
@@ -23,7 +21,6 @@ from .errors import (
 from .polyhedra import (
     EQ,
     LE,
-    BoundaryRestrictedPolyhedron,
     Polyhedron,
     PolyhedralCone,
 )
@@ -70,9 +67,6 @@ class NonverticalVerdict:
     offenders: tuple[int, ...] = ()
 
 
-WHOLE = "whole"
-
-
 @dataclass(frozen=True)
 class LagrangeProcess:
     """Closed convex process Z => Y, represented by its graph cone."""
@@ -80,13 +74,11 @@ class LagrangeProcess:
     z_dim: int
     y_dim: int
     graph: PolyhedralCone
-    source: Union[SeparatorCone, str]
+    source: SeparatorCone
 
     @property
     def is_whole_space(self) -> bool:
-        return self.source == WHOLE or (
-            isinstance(self.source, SeparatorCone) and self.source.empty_flag
-        )
+        return self.source.empty_flag
 
     def __call__(self, z) -> Polyhedron:
         return process_eval(self, z)
@@ -100,11 +92,7 @@ def separator_cone(graph_w, y0) -> SeparatorCone:
     the closure (`model.graph_closure`) directly.  Lines of the polar
     contribute a +- pair of generators.
     """
-    closure = (
-        graph_w.closure
-        if isinstance(graph_w, BoundaryRestrictedPolyhedron)
-        else graph_w
-    )
+    closure = graph_w.closure
     dim = closure.dim
     y0 = vec(y0)
     z_dim = dim - len(y0)
@@ -167,7 +155,7 @@ def lagrange_process(s: SeparatorCone) -> LagrangeProcess:
     dim = s.z_dim + s.y_dim
     if s.empty_flag:
         graph = PolyhedralCone.from_polyhedron(Polyhedron.full_space(dim))
-        return LagrangeProcess(s.z_dim, s.y_dim, graph, WHOLE)
+        return LagrangeProcess(s.z_dim, s.y_dim, graph, s)
     normals = []
     for h in s.generators:
         half = halfspace_process(h)

@@ -32,6 +32,7 @@ from process_duality.exactlp import LpOutcome, LpStatus
 from process_duality.fuzzing import (
     Violation,
     check_instance,
+    injected_defect,
     random_discrete_instance,
     random_setvalued_instance,
 )
@@ -427,6 +428,22 @@ class TestChecksOnCachedData:
         )
         with pytest.raises(InternalConsistencyError, match="escapes the process graph"):
             certify_multiplier(ctx, points[1])
+
+    def test_sign_flipped_halfspaces_caught_at_every_frontier_point(self):
+        """With each separator's y* negated, Graph(L) no longer holds the
+        closed graph shifted to (-z, y - y0), on any bundled instance."""
+        caught = 0
+        for name in ("worked_example", "i3", "scalar_i2"):
+            ctx = ProgramContext(_bundled(name))
+            _, points, _ = minimal_frontier_points(ctx)
+            assert points
+            with injected_defect("sign-flip-halfspace"):
+                for y0 in points:
+                    with pytest.raises(InternalConsistencyError,
+                                       match="graph shift inclusion fails"):
+                        certify_multiplier(ctx, y0)
+                    caught += 1
+        assert caught >= 3
 
 
 def cell_path_generators(obj):

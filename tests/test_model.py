@@ -31,7 +31,7 @@ from process_duality.polyhedra import (
     BoundaryRestrictedPolyhedron,
     Polyhedron,
     as_cells,
-    set_member,
+    member,
 )
 from process_duality.rational import ZERO, dot, zeros
 
@@ -282,10 +282,10 @@ class TestSimplexRelaxation:
 
     def test_w0_membership(self, worked_example):
         cells = w0_cells(worked_example)
-        assert set_member(cells, (0, 0))
-        assert set_member(cells, (2, F(1, 2)))
-        assert not set_member(cells, (2, 0))
-        assert not set_member(cells, (0, 2))
+        assert member(cells, (0, 0))
+        assert member(cells, (2, F(1, 2)))
+        assert not member(cells, (2, 0))
+        assert not member(cells, (0, 2))
 
 
 def lifted_facet_trace(cell, phi, krays, klines, normal, offset):

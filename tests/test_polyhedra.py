@@ -15,14 +15,18 @@ from process_duality._dd import (
     _reduce_mod_lines,
     cone_dd,
 )
-from process_duality.errors import DimensionMismatch
+from process_duality.errors import DimensionMismatch, InternalConsistencyError
 from process_duality.exactlp import LpStatus, lp_solve
+from process_duality.model import w0_cells
 from process_duality.polyhedra import (
     EQ,
     LE,
+    BoundaryRestriction,
     BoundaryRestrictedPolyhedron,
     Polyhedron,
     PolyhedralCone,
+    as_cells,
+    closure_generators,
     cone_structure,
     dd_convert,
     intersect_empty,
@@ -189,6 +193,102 @@ class TestMembership:
     def test_member_dimension(self):
         with pytest.raises(DimensionMismatch):
             member(orthant(2), (1, 1, 1))
+
+
+def per_cell_lp(obj, x):
+    """Oracle: x is in some cell of obj, one strict LP per cell with the
+    target coordinates pinned to x."""
+    x = vec(x)
+    pins = [
+        (tuple(ONE if j == i else ZERO for j in range(len(x))), x[i])
+        for i in range(len(x))
+    ]
+    return any(c.with_target_rows(eq=pins).is_feasible() for c in as_cells(obj))
+
+
+def probes(points):
+    """The points, their pairwise midpoints and a unit step off each point
+    along every axis."""
+    points = [vec(v) for v in points]
+    out = list(points)
+    out += [tuple((a + b) / 2 for a, b in zip(u, v)) for u, v in combinations(points, 2)]
+    for v in points:
+        for i in range(len(v)):
+            for step in (ONE, -ONE):
+                out.append(tuple(x + step if j == i else x for j, x in enumerate(v)))
+    return out
+
+
+class TestMemberOnUnions:
+    """`member` answers for every set kind and for unions given as
+    sequences, as the per-cell strict LP does."""
+
+    def test_criterion_3_w0_cells(self, criterion_3_program):
+        checked = {True: 0, False: 0}
+        restricted = 0
+        for i in range(40):
+            if i in (3, 5):
+                continue
+            p = criterion_3_program(i)
+            restricted += isinstance(p.omega, BoundaryRestrictedPolyhedron)
+            cells = w0_cells(p)
+            verts = closure_generators(cells)[0]
+            for y in probes(verts[:6]):
+                expected = per_cell_lp(cells, y)
+                assert member(cells, y) == expected
+                assert member(list(cells), y) == expected
+                checked[expected] += 1
+        assert restricted >= 5
+        assert checked[True] > 50 and checked[False] > 50
+
+    def test_mixed_tuples(self, worked_example):
+        box = Polyhedron.from_vrep(2, [(1, 1), (1, 2), (2, 1), (2, 2)])
+        cells = w0_cells(worked_example)
+        shifted = tuple(c.compose(((1, 0), (0, 1)), (-2, -3)) for c in cells)
+        unions = [
+            (box, D_set()),
+            (box, D_set()) + cells,
+            (D_set(), shifted),
+            [box, [D_set(), shifted], cells],
+            (),
+        ]
+        grid = [(F(a, 2), F(b, 2)) for a in range(-6, 7) for b in range(-8, 7)]
+        for union in unions:
+            for y in grid:
+                assert member(union, y) == per_cell_lp(union, y)
+        for piece in (box, D_set(), cells[0]):
+            for y in grid:
+                assert member(piece, y) == piece.member(y) == per_cell_lp(piece, y)
+
+
+class TestBoundaryRestrictionValidation:
+    @pytest.mark.parametrize(
+        "rows, restriction, message",
+        [
+            pytest.param(
+                [((0, -1), 0, LE)],
+                BoundaryRestriction((0, 1), 0, Polyhedron.empty(2)),
+                "restricted row is not valid for the closure",
+                id="row-not-valid",
+            ),
+            pytest.param(
+                [((0, 1), 0, LE), ((0, -1), 0, LE)],
+                BoundaryRestriction((0, -1), 0, Polyhedron.from_vrep(2, [(0, 0)])),
+                "restricted row is an implicit equality of the closure",
+                id="implicit-equality",
+            ),
+            pytest.param(
+                [((0, -1), 0, LE)],
+                BoundaryRestriction((0, -1), 0, Polyhedron.from_vrep(2, [(0, 1)])),
+                "retained set leaves its restricted slice",
+                id="retained-leaves-slice",
+            ),
+        ],
+    )
+    def test_rejected(self, rows, restriction, message):
+        closure = Polyhedron.from_hrep(2, rows)
+        with pytest.raises(InternalConsistencyError, match=message):
+            BoundaryRestrictedPolyhedron(closure, [restriction])
 
 
 class TestIntersectEmpty:

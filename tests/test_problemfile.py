@@ -83,6 +83,35 @@ class TestDiagnostics:
             parse_problem(json.dumps(doc))
         assert "facet" in e.value.path
 
+    @pytest.mark.parametrize(
+        "h_rep, facet, retained, message",
+        [
+            pytest.param(
+                [["0/1", "1/1"], ["0/1", "-1/1"]], 1,
+                [{"normal": ["0/1", "1/1"], "offset": "0/1", "relation": "="}],
+                "restricted row is an implicit equality of the closure",
+                id="implicit-equality",
+            ),
+            pytest.param(
+                [["0/1", "-1/1"]], 0, [],
+                "retained set leaves its restricted slice",
+                id="retained-leaves-slice",
+            ),
+        ],
+    )
+    def test_invalid_boundary_restriction(self, h_rep, facet, retained, message):
+        """A restricted row of a file is always one of Omega's own rows, so
+        it is valid for the closure; the other two defects can be written."""
+        doc = json.loads(bundled("worked_example"))
+        doc["omega"] = {
+            "h_rep": [{"normal": n, "offset": "0/1"} for n in h_rep],
+            "facet_restrictions": [{"facet": facet, "retained": {"h_rep": retained}}],
+        }
+        with pytest.raises(ProblemFormatError) as e:
+            parse_problem(json.dumps(doc))
+        assert e.value.path == "$.omega"
+        assert message in e.value.message
+
     def test_degenerate_order_cone(self):
         doc = json.loads(bundled("i3"))
         doc["y_plus"]["generators"] = [["1/1", "0/1"]]
