@@ -134,9 +134,14 @@ def _shifted_cone(y0: Vec, yplus: OrderCone, sign: int) -> Polyhedron:
 
 
 def is_weak_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
-    """A meets (y0 - Int Y_+) nowhere."""
+    """A meets (y0 - Int Y_+) nowhere; y0 must be a member of A."""
     y0 = vec(y0)
     _require_member(a, y0)
+    return _is_weak_minimal(a, y0, yplus)
+
+
+def _is_weak_minimal(a: SetLike, y0: Vec, yplus: OrderCone) -> bool:
+    """is_weak_minimal for a y0 already known to be a member of A."""
     strict = [
         (tuple(-x for x in n), -dot(n, y0)) for n in yplus.facet_normals()
     ]
@@ -144,16 +149,25 @@ def is_weak_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
 
 
 def is_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
-    """A cap (y0 - Y_+) lies inside y0 + Y_+ (one strict LP per facet)."""
+    """A cap (y0 - Y_+) lies inside y0 + Y_+; y0 must be a member of A.
+
+    One strict LP per cell of A: on y0 - Y_+ every facet term n.(y - y0)
+    is >= 0, so some term is > 0 iff their sum N.(y - y0) is, and the
+    region with N.(y - y0) > 0 must be empty (Ecker & Kouada 1975).  With
+    no facets N = 0, the strict row 0 > 0 is infeasible and y0 is minimal.
+    """
     y0 = vec(y0)
     _require_member(a, y0)
-    down = _shifted_cone(y0, yplus, -1)
+    return _is_minimal(a, y0, yplus)
+
+
+def _is_minimal(a: SetLike, y0: Vec, yplus: OrderCone) -> bool:
+    """is_minimal for a y0 already known to be a member of A."""
+    total = zeros(yplus.ambient_dim)
     for n in yplus.facet_normals():
-        # region {y in A cap (y0 - Y_+) : n.(y - y0) > 0} must be empty
-        strict = [(tuple(-x for x in n), -dot(n, y0))]
-        if not intersect_empty([a, down], strict).empty:
-            return False
-    return True
+        total = vadd(total, n)
+    strict = [(tuple(-x for x in total), -dot(total, y0))]
+    return intersect_empty([a, _shifted_cone(y0, yplus, -1)], strict).empty
 
 
 # -- proper efficiency --------------------------------------------------------
@@ -221,8 +235,9 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone,
     already has it.
     """
     y0 = vec(y0)
-    minimal = is_minimal(a, y0, yplus)
-    weak = is_weak_minimal(a, y0, yplus)
+    _require_member(a, y0)
+    minimal = _is_minimal(a, y0, yplus)
+    weak = _is_weak_minimal(a, y0, yplus)
     if not yplus.is_pointed:
         return EfficiencyStatus(minimal, weak).validate()
 
@@ -607,7 +622,7 @@ def minimal_frontier_points(p, limit: int = 10000):
     for v in candidates[:limit]:
         if not member(cells, v):
             continue
-        if is_minimal(cells, v, p.y_plus):
+        if _is_minimal(cells, v, p.y_plus):
             points.append(v)
     return cells, tuple(points), truncated
 
@@ -638,6 +653,6 @@ def dual_frontier(p: Program, L: LagrangeProcess, limit: int = 10000) -> Frontie
     for v in candidates[:limit]:
         if not member(m, v):
             continue
-        if is_minimal(m, v, p.y_plus):
+        if _is_minimal(m, v, p.y_plus):
             out.append(FrontierPoint(v, classify_proper(m, v, p.y_plus)))
     return Frontier(tuple(out), truncated)

@@ -66,12 +66,14 @@ class LinearSystem:
         object.__setattr__(self, "strict", _rows(self.dim, self.strict))
 
     def extended(self, le=(), eq=(), strict=()) -> "LinearSystem":
-        return LinearSystem(
-            self.dim,
-            self.le + _rows(self.dim, le),
-            self.eq + _rows(self.dim, eq),
-            self.strict + _rows(self.dim, strict),
-        )
+        """This system plus the given rows; only the added rows are coerced,
+        the held ones were when this system was built."""
+        out = object.__new__(LinearSystem)
+        object.__setattr__(out, "dim", self.dim)
+        object.__setattr__(out, "le", self.le + _rows(self.dim, le))
+        object.__setattr__(out, "eq", self.eq + _rows(self.dim, eq))
+        object.__setattr__(out, "strict", self.strict + _rows(self.dim, strict))
+        return out
 
 
 @dataclass(frozen=True)

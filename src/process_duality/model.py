@@ -409,12 +409,17 @@ def w0_cells(p: Program) -> tuple[Cell, ...]:
             c.compose(p.f.matrix, p.f.offset) for c in as_cells(lam0)
         )
     feas = set(feasible_region(p, zeros(p.z_dim)))
+    n = p.y_dim
+    # {fv} from the unit rows y_i = fv_i, listed in the order of its
+    # canonical H-representation, so no double description is run
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     cells = []
     for pt in p.points:
         if pt.point_id not in feas:
             continue
         for fv in pt.f_values:
-            cells.append(cell_of_polyhedron(Polyhedron.from_vrep(p.y_dim, [fv])))
+            rows = [(unit[i], fv[i], EQ) for i in reversed(range(n))]
+            cells.append(cell_of_polyhedron(Polyhedron.from_hrep(n, rows)))
     return tuple(cells)
 
 

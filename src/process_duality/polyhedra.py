@@ -736,8 +736,19 @@ class Cell:
         return strict_feasible(self.system).feasible
 
     def member(self, x) -> bool:
-        """Is x = M.u + o for some u of the system?  One strict LP."""
+        """Is x = M.u + o for some u of the system?
+
+        An identity cell (M = I, o = 0) checks x against its rows directly,
+        strict rows strictly, as `Polyhedron.member` does; any other cell
+        solves one strict LP."""
         x = _coerce_point(self.target_dim, x)
+        if self.is_identity:
+            s = self.system
+            return (
+                all(dot(n, x) <= r for n, r in s.le)
+                and all(dot(n, x) == r for n, r in s.eq)
+                and all(dot(n, x) < r for n, r in s.strict)
+            )
         eye = _identity(len(x))
         return self.with_target_rows(
             eq=[(eye[i], x[i]) for i in range(len(x))]

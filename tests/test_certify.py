@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 from importlib import resources
+from itertools import product
 
 import pytest
 
@@ -52,10 +53,14 @@ from process_duality.model import (
 )
 from process_duality.polyhedra import (
     LE,
+    BoundaryRestrictedPolyhedron,
     Polyhedron,
+    PolyhedralCone,
     as_cells,
     cell_of_polyhedron,
     closure_generators,
+    intersect_empty,
+    member,
 )
 from process_duality.problemfile import emit_problem, load_problem
 from process_duality.process import (
@@ -64,6 +69,7 @@ from process_duality.process import (
     lagrange_process,
     separator_cone,
 )
+from process_duality.rational import dot, vec, zeros
 
 
 def halfplane():
@@ -96,6 +102,123 @@ class TestMinimal:
     def test_planar_dual_image(self, orthant2):
         m = Polyhedron.from_hrep(2, [((-1, -1), -1, LE)])
         assert is_minimal(m, (F(1, 2), F(1, 2)), orthant2)
+
+    def test_requires_membership(self, orthant2):
+        with pytest.raises(NotMemberError):
+            is_minimal(halfplane(), (0, -1), orthant2)
+
+
+def per_facet_is_minimal(a, y0, yplus):
+    """Minimality of a member y0 of A, one strict LP per facet normal n of
+    Y_+: no point of A cap (y0 - Y_+) has n.(y - y0) > 0."""
+    y0 = vec(y0)
+    down = Polyhedron.from_vrep(
+        yplus.ambient_dim,
+        [y0],
+        [tuple(-x for x in g) for g in yplus.generators],
+        yplus.lineality,
+    )
+    for n in yplus.facet_normals():
+        strict = [(tuple(-x for x in n), -dot(n, y0))]
+        if not intersect_empty([a, down], strict).empty:
+            return False
+    return True
+
+
+def whole_space(dim):
+    """Y_+ = Y as an order cone: no facets.  The constructor refuses it;
+    the minimality test reads only the cone."""
+    yplus = object.__new__(OrderCone)
+    yplus.cone = PolyhedralCone.from_generators(dim, lines=identity(dim))
+    yplus.ambient_dim = dim
+    return yplus
+
+
+def identity(dim):
+    return [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+
+
+class TestSummedNormal:
+    """One strict row with the summed facet normal decides minimality as the
+    per-facet loop does."""
+
+    def test_criterion_4_programs(self, criterion_4_program):
+        answers = {True: 0, False: 0}
+        for i in range(60):
+            p = criterion_4_program(i)
+            cells = w0_cells(p)
+            for y0 in w0_image_points(p):
+                expected = per_facet_is_minimal(cells, y0, p.y_plus)
+                assert is_minimal(cells, y0, p.y_plus) == expected, (i, y0)
+                answers[expected] += 1
+        assert answers[True] > 40 and answers[False] > 30
+
+    def test_criterion_3_w0_cells(self, criterion_3_program):
+        answers = {True: 0, False: 0}
+        for i in range(30):
+            p = criterion_3_program(i)
+            ctx = ProgramContext(p)
+            verts, rays, lines = ctx.closure
+            if not verts:
+                continue
+            upper = Polyhedron.from_vrep(
+                p.y_dim, verts, list(rays) + list(p.y_plus.generators),
+                list(lines) + list(p.y_plus.lineality),
+            )
+            # the upper image's vertices, and the W(0) closure's vertices,
+            # which need not be minimal
+            for v in dict.fromkeys(list(upper.vrep.vertices) + verts):
+                if not member(ctx.cells, v):
+                    continue
+                expected = per_facet_is_minimal(ctx.cells, v, p.y_plus)
+                assert is_minimal(ctx.cells, v, p.y_plus) == expected, (i, v)
+                answers[expected] += 1
+        assert answers[True] > 40 and answers[False] > 20
+
+    @pytest.mark.parametrize("yplus", [
+        OrderCone.from_generators(2, [(1, 0), (-1, 0), (0, 1)]),
+        OrderCone.from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1)]),
+        whole_space(2),
+        whole_space(3),
+        OrderCone.from_generators(1, [(1,)]),
+        OrderCone.from_generators(1, [(-1,)]),
+        OrderCone.from_generators(2, [(1, 0), (0, 1)]),
+        OrderCone.from_generators(2, [(2, -1), (-1, 2)]),
+    ], ids=["halfplane-line", "wedge-line-3d", "whole-plane", "whole-space-3d",
+            "r-plus", "r-minus", "orthant", "wide-cone"])
+    def test_order_cones(self, yplus):
+        dim = yplus.ambient_dim
+        box = [tuple(F(c) for c in corner) for corner in product((-1, 1), repeat=dim)]
+        sets = [
+            Polyhedron.from_vrep(dim, box),
+            Polyhedron.from_vrep(dim, [box[0]], [tuple(-x for x in box[0])]),
+            Polyhedron.from_vrep(dim, box[:2], [], [identity(dim)[0]]),
+            tuple(Polyhedron.from_vrep(dim, [v]) for v in box),
+            w0_cells(DiscreteVectorProgram(
+                [DiscretePoint(f"p{k}", v, (F(0),)) for k, v in enumerate(box)],
+                OrderCone.from_generators(dim, identity(dim)),
+                OrderCone.from_generators(1, [(1,)]),
+            )),
+        ]
+        if dim == 2:
+            omega = Polyhedron.from_hrep(2, [((0, -1), 0, LE)])
+            sets.append(as_cells(
+                BoundaryRestrictedPolyhedron.from_facet_indices(
+                    omega, [(0, Polyhedron.from_vrep(2, [(0, 0)]))]
+                )
+            ))
+        answers = {True: 0, False: 0}
+        for a in sets:
+            verts = closure_generators(a)[0]
+            for y0 in verts + [zeros(dim)]:
+                if not member(a, y0):
+                    continue
+                expected = per_facet_is_minimal(a, y0, yplus)
+                assert is_minimal(a, y0, yplus) == expected, (a, y0)
+                answers[expected] += 1
+        assert answers[True] > 0
+        if yplus.facet_normals():
+            assert answers[False] > 0
 
 
 class TestDualImage:
@@ -152,6 +275,73 @@ class TestClassifyProper:
         nonpointed = OrderCone.from_generators(2, [(1, 0), (-1, 0), (0, 1)])
         st = classify_proper(halfplane(), (0, 0), nonpointed)
         assert st.pos is None and st.ghe is None and st.he is None and st.se is None
+
+    def test_requires_membership(self, orthant2):
+        with pytest.raises(NotMemberError):
+            classify_proper(halfplane(), (0, -1), orthant2)
+
+
+class TestStrictLpCounts:
+    """Strict-feasibility LPs run by the minimality tests, counted at
+    `polyhedra.strict_feasible`."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        calls = [0]
+        solve = polyhedra_module.strict_feasible
+
+        def counted(system):
+            calls[0] += 1
+            return solve(system)
+
+        monkeypatch.setattr(polyhedra_module, "strict_feasible", counted)
+
+        def run(fn, *args, **kwargs):
+            calls[0] = 0
+            fn(*args, **kwargs)
+            return calls[0]
+
+        return run
+
+    def test_one_lp_per_identity_cell(self, count, criterion_4_program):
+        several_facets = 0
+        for i in range(40):
+            p = criterion_4_program(i)
+            cells = w0_cells(p)
+            assert all(c.is_identity for c in cells)
+            for y0 in w0_image_points(p):
+                assert count(member, cells, y0) == 0
+                assert count(is_minimal, cells, y0, p.y_plus) <= len(cells)
+                several_facets += (
+                    len(p.y_plus.facet_normals()) > 1
+                    and is_minimal(cells, y0, p.y_plus)
+                )
+        # where the per-facet loop would run one LP per facet and cell
+        assert several_facets > 20
+
+    def test_classify_proper_decides_membership_once(
+        self, count, criterion_3_program
+    ):
+        classified = 0
+        for i in range(12):
+            ctx = ProgramContext(criterion_3_program(i))
+            try:
+                _, points, _ = minimal_frontier_points(ctx)
+            except EmptyFeasibleError:
+                continue
+            cells, yplus = ctx.cells, ctx.program.y_plus
+            for y0 in points:
+                membership = count(member, cells, y0)
+                assert membership > 0
+                assert count(
+                    classify_proper, cells, y0, yplus, closure=ctx.closure
+                ) == (
+                    count(is_minimal, cells, y0, yplus)
+                    + count(is_weak_minimal, cells, y0, yplus)
+                    - membership
+                )
+                classified += 1
+        assert classified > 10
 
 
 class TestCertify:

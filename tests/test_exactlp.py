@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from process_duality import _kernel
+from process_duality import exactlp as exactlp_module
 from process_duality.errors import DimensionMismatch, InternalConsistencyError
 from process_duality.exactlp import (
     LinearSystem,
@@ -158,6 +159,32 @@ def test_dimension_mismatch():
         LinearSystem(2, le=[((1,), 0)])
     with pytest.raises(DimensionMismatch):
         lp_solve((1,), LinearSystem(2))
+
+
+def test_extended_coerces_only_the_added_rows(monkeypatch):
+    base = LinearSystem(2, le=[((1, 0), 1), ((0, 1), 1)], eq=[((1, 1), 1)],
+                        strict=[((-1, 0), 0)])
+    added = dict(le=[((1, 2), 3)], eq=[((F(1, 2), 0), F(1, 3))], strict=[((0, -1), 0)])
+    fresh = LinearSystem(
+        2, base.le + tuple(added["le"]), base.eq + tuple(added["eq"]),
+        base.strict + tuple(added["strict"]),
+    )
+    coerced = []
+    rows = exactlp_module._rows
+
+    def counted(dim, given):
+        coerced.extend(given)
+        return rows(dim, given)
+
+    monkeypatch.setattr(exactlp_module, "_rows", counted)
+    grown = base.extended(**added)
+    assert coerced == added["le"] + added["eq"] + added["strict"]
+    assert grown == fresh
+    assert all(type(x) is F for n, r in grown.le + grown.eq + grown.strict
+               for x in n + (r,))
+    for kind in ("le", "eq", "strict"):
+        with pytest.raises(DimensionMismatch):
+            base.extended(**{kind: [((1, 0, 0), 0)]})
 
 
 def test_strict_open_interval():

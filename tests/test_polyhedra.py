@@ -17,7 +17,7 @@ from process_duality._dd import (
 )
 from process_duality.errors import DimensionMismatch, InternalConsistencyError
 from process_duality.exactlp import LpStatus, lp_solve
-from process_duality.model import w0_cells
+from process_duality.model import w0_cells, w0_image_points
 from process_duality.polyhedra import (
     EQ,
     LE,
@@ -34,7 +34,7 @@ from process_duality.polyhedra import (
     polar_cone,
     project,
 )
-from process_duality.rational import ONE, ZERO, Vec, is_zero_vec, vec
+from process_duality.rational import ONE, ZERO, Vec, dot, is_zero_vec, vec
 
 
 def orthant(n):
@@ -259,6 +259,87 @@ class TestMemberOnUnions:
         for piece in (box, D_set(), cells[0]):
             for y in grid:
                 assert member(piece, y) == piece.member(y) == per_cell_lp(piece, y)
+
+
+def on_rows(cell, y):
+    """(on a strict row's boundary, on an eq row) for the point y."""
+    return (
+        any(dot(n, y) == r for n, r in cell.system.strict),
+        any(dot(n, y) == r for n, r in cell.system.eq),
+    )
+
+
+class TestIdentityCellMember:
+    """An identity cell answers membership from its rows, as the strict LP
+    with the target pinned to the point does."""
+
+    def check(self, cells, points, seen):
+        for c in cells:
+            assert c.is_identity
+            for y in points:
+                expected = per_cell_lp(c, y)
+                assert c.member(y) == expected, (c, y)
+                strict_edge, on_eq = on_rows(c, y)
+                seen["member" if expected else "outside"] += 1
+                seen["strict edge"] += strict_edge
+                seen["eq row"] += on_eq and expected
+
+    def test_worked_example_omega(self):
+        seen = dict.fromkeys(("member", "outside", "strict edge", "eq row"), 0)
+        grid = [(F(a, 2), F(b, 2)) for a in range(-3, 4) for b in range(-2, 3)]
+        self.check(as_cells(D_set()), grid, seen)
+        assert all(seen.values())
+        off, on = as_cells(D_set())
+        # the open half-plane excludes its boundary; the retained origin is on
+        # an eq row and is the only boundary point in the set
+        assert not off.member((1, 0)) and not off.member((0, 0))
+        assert on.member((0, 0)) and not on.member((1, 0))
+
+    def test_restricted_criterion_3_programs(self, criterion_3_program):
+        seen = dict.fromkeys(("member", "outside", "strict edge", "eq row"), 0)
+        restricted = 0
+        for i in range(60):
+            omega = criterion_3_program(i).omega
+            if not isinstance(omega, BoundaryRestrictedPolyhedron):
+                continue
+            restricted += 1
+            kept = [v for r in omega.restrictions for v in r.retained.vrep.vertices]
+            points = probes(list(omega.closure.vrep.vertices[:6]) + kept)
+            self.check(as_cells(omega), points, seen)
+        assert restricted >= 10
+        assert seen["member"] > 50 and seen["outside"] > 50
+        assert seen["strict edge"] > 20 and seen["eq row"] > 5
+
+    def test_finite_program_point_cells(self, criterion_4_program):
+        seen = dict.fromkeys(("member", "outside", "strict edge", "eq row"), 0)
+        for i in range(40):
+            p = criterion_4_program(i)
+            self.check(w0_cells(p), probes(w0_image_points(p)[:4]), seen)
+        assert seen["member"] > 50 and seen["outside"] > 200
+        assert seen["eq row"] == seen["member"]
+
+    def test_row_kinds(self):
+        # {x1 + x2 = 1, x1 <= 1, x2 < 1}: the eq row, the le row's boundary
+        # (a member) and the strict row's boundary (not a member)
+        cell = as_cells(
+            BoundaryRestrictedPolyhedron(
+                Polyhedron.from_hrep(
+                    2, [((1, 1), 1, EQ), ((1, 0), 1, LE), ((0, 1), 1, LE)]
+                ),
+                [BoundaryRestriction((0, 1), 1, Polyhedron.empty(2))],
+            )
+        )
+        assert len(cell) == 1
+        cases = {
+            (F(1, 2), F(1, 2)): True,
+            (1, 0): True,
+            (0, 1): False,
+            (F(1, 2), F(1, 3)): False,
+            (2, -1): False,
+        }
+        seen = dict.fromkeys(("member", "outside", "strict edge", "eq row"), 0)
+        self.check(cell, list(cases), seen)
+        assert {y: cell[0].member(y) for y in cases} == cases
 
 
 class TestBoundaryRestrictionValidation:
