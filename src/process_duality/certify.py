@@ -23,7 +23,7 @@ from .errors import (
     NotMemberError,
     NotPointedError,
 )
-from .exactlp import LinearSystem
+from .exactlp import LinearSystem, LpStatus, lp_solve
 from .model import (
     AffineVectorProgram,
     OrderCone,
@@ -40,6 +40,7 @@ from .polyhedra import (
     Cell,
     Polyhedron,
     PolyhedralCone,
+    cell_of_polyhedron,
     closure_generators,
     cone_structure,
     intersect_empty,
@@ -76,6 +77,9 @@ class ProgramContext:
     `minimal_frontier_points` and `dual_image` take a context in place of
     its program; give them one context to handle several y0 of a program.
     Each part is built on first use and kept for the life of the context.
+    `minimal_frontier_points` records in `minimal` the verdicts it reached,
+    point -> minimality in W(0), for the members of W(0) it tested, and
+    `certify_multiplier` reads them instead of deciding them again.
 
     A finite program is certified through its simplex relaxation: `convex`
     is the context of the program that the transfer theorems run on, this
@@ -84,6 +88,7 @@ class ProgramContext:
 
     def __init__(self, p: Program):
         self.program = p
+        self.minimal: dict = {}
 
     @property
     def relaxed(self) -> bool:
@@ -125,12 +130,11 @@ def _require_member(a: SetLike, y0: Vec):
         raise NotMemberError(f"{y0} is not a member of the set under test")
 
 
-def _shifted_cone(y0: Vec, yplus: OrderCone, sign: int) -> Polyhedron:
-    """y0 + sign*Y_+ as a polyhedron."""
-    gens = [tuple(sign * x for x in g) for g in yplus.generators]
-    return Polyhedron.from_vrep(
-        yplus.ambient_dim, [y0], gens, yplus.lineality
-    )
+def _facet_rows_at(yplus: OrderCone, y0: Vec):
+    """Y_+'s facet rows shifted to y0, as (-n, -n.y0) per facet normal n:
+    y - y0 lies in -Y_+ iff every row holds, in -Int Y_+ iff every row
+    holds strictly."""
+    return [(tuple(-x for x in n), -dot(n, y0)) for n in yplus.facet_normals()]
 
 
 def is_weak_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
@@ -142,10 +146,7 @@ def is_weak_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
 
 def _is_weak_minimal(a: SetLike, y0: Vec, yplus: OrderCone) -> bool:
     """is_weak_minimal for a y0 already known to be a member of A."""
-    strict = [
-        (tuple(-x for x in n), -dot(n, y0)) for n in yplus.facet_normals()
-    ]
-    return intersect_empty([a], strict).empty
+    return intersect_empty([a], _facet_rows_at(yplus, y0)).empty
 
 
 def is_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
@@ -155,6 +156,7 @@ def is_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
     is >= 0, so some term is > 0 iff their sum N.(y - y0) is, and the
     region with N.(y - y0) > 0 must be empty (Ecker & Kouada 1975).  With
     no facets N = 0, the strict row 0 > 0 is infeasible and y0 is minimal.
+    y0 - Y_+ enters as an identity cell on Y_+'s own facet rows.
     """
     y0 = vec(y0)
     _require_member(a, y0)
@@ -163,11 +165,15 @@ def is_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
 
 def _is_minimal(a: SetLike, y0: Vec, yplus: OrderCone) -> bool:
     """is_minimal for a y0 already known to be a member of A."""
-    total = zeros(yplus.ambient_dim)
-    for n in yplus.facet_normals():
-        total = vadd(total, n)
-    strict = [(tuple(-x for x in total), -dot(total, y0))]
-    return intersect_empty([a, _shifted_cone(y0, yplus, -1)], strict).empty
+    dim = yplus.ambient_dim
+    rows = _facet_rows_at(yplus, y0)
+    below = cell_of_polyhedron(
+        Polyhedron.from_hrep(dim, [(n, r, LE) for n, r in rows])
+    )
+    normal, offset = zeros(dim), ZERO
+    for n, r in rows:
+        normal, offset = vadd(normal, n), offset + r
+    return intersect_empty([a, below], [(normal, offset)]).empty
 
 
 # -- proper efficiency --------------------------------------------------------
@@ -206,16 +212,61 @@ def _cone_is_zero(k: Polyhedron) -> bool:
     return not k.vrep.rays and not k.vrep.lines
 
 
-def _neg_cone_rows(yplus: OrderCone):
-    return [(tuple(-x for x in n), ZERO, LE) for n in yplus.facet_normals()]
-
-
-def _henig_dilation(base: Polyhedron, eta: Fraction) -> PolyhedralCone:
-    """cone(base + eta * infinity-ball), as a generated cone."""
-    dim = base.dim
-    corners = [tuple(eta * s for s in c) for c in _box_corners(dim)]
+def _henig_admissible(cone_a: PolyhedralCone, base: Polyhedron,
+                      eta: Fraction) -> bool:
+    """K_eta = cone(base + eta * infinity-ball) is pointed and meets
+    -cone_a only at 0, decided by double description."""
+    corners = [tuple(eta * s for s in c) for c in _box_corners(base.dim)]
     gens = [vadd(v, c) for v in base.vrep.vertices for c in corners]
-    return PolyhedralCone.from_generators(dim, gens)
+    k = PolyhedralCone.from_generators(base.dim, gens)
+    return not k.lineality and _cone_is_zero(
+        cone_a.with_rows([(tuple(-x for x in r.normal), ZERO, LE)
+                          for r in k.inequalities()])
+    )
+
+
+def _henig_distance(rays, lines, base: Polyhedron) -> Fraction:
+    """delta = min ||d + b||_inf over d in cone(rays) + span(lines) and b in
+    base, by one LP: d as a nonnegative combination of the rays and of each
+    line taken with both signs, b as a convex combination of the base
+    vertices, and t >= |(d + b)_k| on every coordinate k."""
+    verts = base.vrep.vertices
+    cols = list(rays) + [s for l in lines for s in (l, tuple(-x for x in l))]
+    cols += verts
+    n = len(cols)  # the weights, then t
+    le = []
+    for k in range(base.dim):
+        coeffs = tuple(c[k] for c in cols)
+        le.append((coeffs + (-ONE,), ZERO))
+        le.append((tuple(-x for x in coeffs) + (-ONE,), ZERO))
+    le += [(tuple(-ONE if i == j else ZERO for i in range(n + 1)), ZERO)
+           for j in range(n)]
+    convex = ((ZERO,) * (n - len(verts)) + (ONE,) * len(verts) + (ZERO,), ONE)
+    out = lp_solve((ZERO,) * n + (ONE,), LinearSystem(n + 1, tuple(le), (convex,)))
+    if out.status is not LpStatus.OPTIMAL:
+        raise InternalConsistencyError("the Henig distance LP has no optimum")
+    return out.objective_value
+
+
+def _henig_eta(cone_a: PolyhedralCone, rays, lines, base: Polyhedron) -> Fraction:
+    """The largest admissible eta = 2^-k, k < 64, for the Henig witness.
+
+    Every eta < delta (`_henig_distance`) is admissible and every eta > delta
+    is not; eta = delta can go either way, so it is checked, then eta/2.
+    """
+    delta = _henig_distance(rays, lines, base)
+    eta = ONE
+    for k in range(64):
+        if eta <= delta:
+            tries = (eta, eta / 2) if eta == delta and k < 63 else (eta,)
+            for e in tries:
+                if _henig_admissible(cone_a, base, e):
+                    return e
+            break
+        eta /= 2
+    raise InternalConsistencyError(
+        "dilation witness not found although the reduction holds"
+    )
 
 
 def classify_proper(a: SetLike, y0, yplus: OrderCone,
@@ -229,6 +280,15 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone,
     of C cap (ball - Y_+), GHe via the Pos or He certificates.  Non-pointed
     order cones report the proper notions as not applicable (None).
 
+    The He witness is eta = he_eta: with K_eta = cone(base + eta * B_inf) for
+    the bounded base of Y_+, eta is admissible when K_eta is pointed and
+    C cap (-K_eta) = {0}, and he_eta is the largest admissible 2^-k, k < 64.
+    One LP gives delta = min ||d + b||_inf over d in C and b in the base:
+    every eta < delta is admissible and every eta > delta is not.  eta =
+    delta can go either way (Y = R, Y_+ = R_+ and C = R_+ give delta = 1 and
+    a pointed K_1), so the largest 2^-k <= min(delta, 1) is checked by
+    double description, and when it equals delta and fails, half of it is.
+
     `with_witnesses=False` skips the dilation witness search (the booleans
     are unchanged: for polyhedral data the reduction implies a pointed
     dilation exists).  `closure` is `closure_generators(a)` when the caller
@@ -236,7 +296,15 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone,
     """
     y0 = vec(y0)
     _require_member(a, y0)
-    minimal = _is_minimal(a, y0, yplus)
+    return _classify(a, y0, yplus, with_witnesses, closure)
+
+
+def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True,
+              closure=None, minimal: Optional[bool] = None) -> EfficiencyStatus:
+    """classify_proper for a y0 already known to be a member of A; `minimal`
+    is y0's minimality in A when the caller has decided it."""
+    if minimal is None:
+        minimal = _is_minimal(a, y0, yplus)
     weak = _is_weak_minimal(a, y0, yplus)
     if not yplus.is_pointed:
         return EfficiencyStatus(minimal, weak).validate()
@@ -253,35 +321,19 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone,
     if pos:
         witnesses["pos"] = y_star
 
-    cone_a = PolyhedralCone.from_generators(
-        dim,
-        rays=[vsub(v, y0) for v in verts if vsub(v, y0) != zeros(dim)] + list(rays),
-        lines=list(lines),
+    rays_a = [vsub(v, y0) for v in verts if vsub(v, y0) != zeros(dim)] + list(rays)
+    cone_a = PolyhedralCone.from_generators(dim, rays=rays_a, lines=list(lines))
+    meet = cone_a.with_rows(
+        [(n, r, LE) for n, r in _facet_rows_at(yplus, zeros(dim))]
     )
-    meet = cone_a.with_rows(_neg_cone_rows(yplus))
     he = _cone_is_zero(meet)
 
     ghe = pos or he
     if he and with_witnesses:
-        base = cone_structure(yplus.cone).base
+        base = yplus.structure.base
         if base is None:
             raise NotPointedError("Henig dilation needs a pointed cone with a base")
-        eta = ONE
-        k_eta = None
-        for _ in range(64):
-            k = _henig_dilation(base, eta)
-            if not k.lineality and _cone_is_zero(
-                cone_a.with_rows([(tuple(-x for x in r.normal), ZERO, LE)
-                                  for r in k.inequalities()])
-            ):
-                k_eta = k
-                break
-            eta /= 2
-        if k_eta is None:
-            raise InternalConsistencyError(
-                "dilation witness not found although the reduction holds"
-            )
-        witnesses["he_eta"] = eta
+        witnesses["he_eta"] = _henig_eta(cone_a, rays_a, lines, base)
     if ghe:
         witnesses["ghe_via"] = "he" if he else "pos"
 
@@ -366,7 +418,7 @@ def _verify_w0_inclusion(ctx: ProgramContext, m: Polyhedron):
     """Guaranteed inclusion W(0) subset-of M, checked on generator points of
     W(0) cell closures that are themselves members of W(0)."""
     for v in ctx.closure[0]:
-        if member(ctx.cells, v) and not m.member(v):
+        if not m.member(v) and member(ctx.cells, v):
             raise InternalConsistencyError("W(0) point escapes the dual image")
 
 
@@ -503,7 +555,8 @@ def certify_multiplier(p, y0, with_witnesses: bool = True) -> Certificate:
     conv = ctx.convex
     prog = conv.program
     y0 = vec(y0)
-    if not member(conv.cells, y0):
+    minimal = conv.minimal.get(y0)
+    if minimal is None and not member(conv.cells, y0):
         raise NotInW0Error(f"{y0} is not attained by a feasible point")
 
     graph_w = conv.graph
@@ -520,9 +573,9 @@ def certify_multiplier(p, y0, with_witnesses: bool = True) -> Certificate:
         raise InternalConsistencyError("y0 escapes the dual image")
 
     yplus = prog.y_plus
-    status_p = classify_proper(conv.cells, y0, yplus, with_witnesses,
-                               closure=conv.closure)
-    status_d = classify_proper(m, y0, yplus, with_witnesses)
+    status_p = _classify(conv.cells, y0, yplus, with_witnesses,
+                         closure=conv.closure, minimal=minimal)
+    status_d = _classify(m, y0, yplus, with_witnesses)
 
     slater_ok = slater is not None
     clauses = []
@@ -602,7 +655,7 @@ class Frontier:
 
 def minimal_frontier_points(p, limit: int = 10000):
     """Minimal vertices of the closed upper image at z = 0 (no classification),
-    for a program or its context."""
+    for a program or its context, whose `minimal` records each verdict."""
     ctx = _context(p)
     p, cells = ctx.program, ctx.cells
     feasible = any(c.is_feasible() for c in cells)
@@ -622,7 +675,8 @@ def minimal_frontier_points(p, limit: int = 10000):
     for v in candidates[:limit]:
         if not member(cells, v):
             continue
-        if _is_minimal(cells, v, p.y_plus):
+        ctx.minimal[v] = _is_minimal(cells, v, p.y_plus)
+        if ctx.minimal[v]:
             points.append(v)
     return cells, tuple(points), truncated
 
@@ -634,7 +688,9 @@ def minimal_frontier(p: Program, limit: int = 10000) -> Frontier:
     ctx = ProgramContext(p)
     cells, points, truncated = minimal_frontier_points(ctx, limit)
     out = [
-        FrontierPoint(v, classify_proper(cells, v, p.y_plus, closure=ctx.closure))
+        FrontierPoint(
+            v, _classify(cells, v, p.y_plus, closure=ctx.closure, minimal=True)
+        )
         for v in points
     ]
     return Frontier(tuple(out), truncated)
@@ -654,5 +710,5 @@ def dual_frontier(p: Program, L: LagrangeProcess, limit: int = 10000) -> Frontie
         if not member(m, v):
             continue
         if _is_minimal(m, v, p.y_plus):
-            out.append(FrontierPoint(v, classify_proper(m, v, p.y_plus)))
+            out.append(FrontierPoint(v, _classify(m, v, p.y_plus, minimal=True)))
     return Frontier(tuple(out), truncated)

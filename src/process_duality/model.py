@@ -26,10 +26,12 @@ from .polyhedra import (
     BoundaryRestrictedPolyhedron,
     BoundaryRestriction,
     Cell,
+    ConeStructure,
     Polyhedron,
     PolyhedralCone,
     as_cells,
     cell_of_polyhedron,
+    cone_structure,
 )
 from .rational import Mat, Vec, dot, matvec, vadd, vec, vsub, zeros
 
@@ -41,10 +43,11 @@ class OrderCone:
 
     The cone must have nonempty interior (a standing structural requirement,
     validated once here via a strict LP) and must be a proper subset of its
-    space, otherwise minimality would be vacuous.
+    space, otherwise minimality would be vacuous.  Its `structure` (the
+    bounded base of a pointed cone) is built on first read and kept.
     """
 
-    __slots__ = ("cone", "ambient_dim", "interior_witness")
+    __slots__ = ("cone", "ambient_dim", "interior_witness", "_structure")
 
     def __init__(self, cone: PolyhedralCone):
         if not cone.hrep:
@@ -80,6 +83,14 @@ class OrderCone:
     @property
     def is_pointed(self) -> bool:
         return not self.cone.lineality
+
+    @property
+    def structure(self) -> ConeStructure:
+        try:
+            return self._structure
+        except AttributeError:
+            self._structure = cone_structure(self.cone)
+            return self._structure
 
     def facet_normals(self) -> tuple[Vec, ...]:
         return tuple(r.normal for r in self.cone.inequalities())

@@ -1,5 +1,6 @@
 """Certification layer: minimality, proper efficiency, clause transfer."""
 
+import json
 import random
 from fractions import Fraction as F
 from importlib import resources
@@ -8,6 +9,7 @@ from itertools import product
 import pytest
 
 from process_duality import certify as certify_module
+from process_duality import model as model_module
 from process_duality import polyhedra as polyhedra_module
 from process_duality.certify import (
     ProgramContext,
@@ -21,7 +23,7 @@ from process_duality.certify import (
     minimal_frontier,
     minimal_frontier_points,
 )
-from process_duality.cli import _emit_certificate
+from process_duality.cli import _emit_certificate, main
 from process_duality.errors import (
     EmptyFeasibleError,
     InternalConsistencyError,
@@ -279,6 +281,160 @@ class TestClassifyProper:
     def test_requires_membership(self, orthant2):
         with pytest.raises(NotMemberError):
             classify_proper(halfplane(), (0, -1), orthant2)
+
+
+def halving_loop_eta(cone_a, base):
+    """The Henig witness by trial: the first eta = 1, 1/2, 1/4, ... whose
+    cone(base + eta * infinity-ball) is pointed and meets -cone_a only at 0."""
+    eta = F(1)
+    for _ in range(64):
+        gens = [
+            tuple(x + eta * s for x, s in zip(v, corner))
+            for v in base.vrep.vertices
+            for corner in product((-1, 1), repeat=base.dim)
+        ]
+        k = PolyhedralCone.from_generators(base.dim, gens)
+        meet = cone_a.with_rows(
+            [(tuple(-x for x in r.normal), 0, LE) for r in k.inequalities()]
+        )
+        if not k.lineality and not meet.vrep.rays and not meet.vrep.lines:
+            return eta
+        eta /= 2
+    raise AssertionError("no admissible eta")
+
+
+class TestHenigEta:
+    """The Henig witness eta read off the distance LP is the halving loop's."""
+
+    def test_lp_chosen_eta_equals_the_halving_loop(
+        self, monkeypatch, criterion_3_program
+    ):
+        chosen = certify_module._henig_eta
+        seen = {"points": 0, "at_delta": 0}
+
+        def checked(cone_a, rays, lines, base):
+            eta = chosen(cone_a, rays, lines, base)
+            assert eta == halving_loop_eta(cone_a, base)
+            delta = certify_module._henig_distance(rays, lines, base)
+            seen["points"] += 1
+            # the largest 2^-k <= min(delta, 1) was delta itself
+            seen["at_delta"] += delta <= 1 and delta in (eta, 2 * eta)
+            return eta
+
+        monkeypatch.setattr(certify_module, "_henig_eta", checked)
+        programs = [criterion_3_program(i) for i in range(60) if i not in (3, 5)]
+        programs += [_bundled(n) for n in ("worked_example", "i3", "scalar_i2")]
+        for p in programs:
+            ctx = ProgramContext(p)
+            try:
+                _, points, _ = minimal_frontier_points(ctx)
+            except EmptyFeasibleError:
+                continue
+            for y0 in points:
+                # both sides, P0 and D, are classified with witnesses
+                certify_multiplier(ctx, y0)
+        assert seen["points"] > 100
+        assert seen["at_delta"] > 0
+
+    def test_refused_checks_raise(self, monkeypatch, planar_i3):
+        y0 = (F(1, 2), F(1, 2))
+        assert certify_multiplier(planar_i3, y0).status_P0.witnesses["he_eta"]
+        monkeypatch.setattr(certify_module, "_henig_admissible",
+                            lambda cone_a, base, eta: False)
+        with pytest.raises(InternalConsistencyError,
+                           match="dilation witness not found"):
+            certify_multiplier(planar_i3, y0)
+
+    def test_distance_lp_without_optimum_raises(self, monkeypatch, planar_i3):
+        monkeypatch.setattr(certify_module, "lp_solve",
+                            lambda *args, **kwargs: LpOutcome(LpStatus.INFEASIBLE))
+        with pytest.raises(InternalConsistencyError, match="Henig distance LP"):
+            certify_multiplier(planar_i3, (F(1, 2), F(1, 2)))
+
+
+class TestWorkDoneOnce:
+    def test_is_minimal_runs_no_double_description(
+        self, monkeypatch, criterion_4_program
+    ):
+        cases = []
+        for i in range(60):
+            p = criterion_4_program(i)
+            cases += [(w0_cells(p), y0, p.y_plus) for y0 in w0_image_points(p)]
+        calls = [0]
+        dd = polyhedra_module.cone_dd
+
+        def counted(*args):
+            calls[0] += 1
+            return dd(*args)
+
+        monkeypatch.setattr(polyhedra_module, "cone_dd", counted)
+        minimal = sum(is_minimal(*case) for case in cases)
+        assert calls[0] == 0
+        assert minimal > 40 and len(cases) - minimal > 30
+
+    def test_order_cone_base_built_once_per_cone(
+        self, monkeypatch, capsys, tmp_path, criterion_3_program
+    ):
+        built = []
+        structure = model_module.cone_structure
+
+        def counted(k):
+            built.append(id(k))
+            return structure(k)
+
+        monkeypatch.setattr(model_module, "cone_structure", counted)
+        witnesses = 0
+        for i in range(12):
+            path = tmp_path / f"p{i}.json"
+            path.write_text(emit_problem(criterion_3_program(i)))
+            built.clear()
+            assert main(["certify", str(path), "--frontier", "--json"]) in (0, 1)
+            doc = json.loads(capsys.readouterr().out)
+            he_points = sum(
+                "he_eta" in c[side]["witnesses"]
+                for c in doc["certificates"]
+                for side in ("status_P0", "status_D")
+            )
+            # one Y_+ per program, its base built once for all its He points
+            assert len(built) == min(he_points, 1), i
+            witnesses += he_points
+        assert witnesses > 10
+
+    def test_filter_verdicts_are_not_decided_again(
+        self, monkeypatch, criterion_3_program
+    ):
+        calls = [0]
+        decide = certify_module._is_minimal
+        asked = []
+        contains = certify_module.member
+
+        def counted(*args):
+            calls[0] += 1
+            return decide(*args)
+
+        def recorded(obj, x):
+            asked.append(vec(x))
+            return contains(obj, x)
+
+        monkeypatch.setattr(certify_module, "_is_minimal", counted)
+        monkeypatch.setattr(certify_module, "member", recorded)
+        frontier = 0
+        for i in range(40):
+            if i in (3, 5):
+                continue
+            ctx = ProgramContext(criterion_3_program(i))
+            try:
+                _, points, _ = minimal_frontier_points(ctx)
+            except EmptyFeasibleError:
+                continue
+            asked.clear()
+            for y0 in points:
+                certify_multiplier(ctx, y0)
+            # membership in W(0) was the filter's to decide
+            assert not set(asked) & set(points), i
+            frontier += len(points)
+        # the filter's verdict, then minimality in M; W(0) is not asked again
+        assert (frontier, calls[0]) == (45, 90)
 
 
 class TestStrictLpCounts:
