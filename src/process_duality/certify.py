@@ -2,8 +2,10 @@
 theorem harness.
 
 All decisions are exact.  Weak minimality and minimality reduce to
-strict-feasibility LPs over the cell decomposition of the set under test, so
-boundary-restricted and finite-union sets are handled without approximation.
+emptiness tests over the cell decomposition of the set under test, so
+boundary-restricted and finite-union sets are handled without approximation:
+a strict-feasibility LP per combination of cells, or an evaluation where a
+cell is a single point, as every cell of a finite program's W(0) is.
 The proper-efficiency notions are decided on closures, which is equivalent
 for these notions because they only involve closed conic hulls and open
 dilations.
@@ -57,7 +59,18 @@ from .process import (
     process_eval,
     separator_cone,
 )
-from .rational import ONE, ZERO, Vec, dot, inf_norm, vadd, vec, vsub, zeros
+from .rational import (
+    ONE,
+    ZERO,
+    Vec,
+    box_corners,
+    dot,
+    inf_norm,
+    vadd,
+    vec,
+    vsub,
+    zeros,
+)
 
 SetLike = Union[Polyhedron, BoundaryRestrictedPolyhedron, tuple, list]
 
@@ -152,11 +165,13 @@ def _is_weak_minimal(a: SetLike, y0: Vec, yplus: OrderCone) -> bool:
 def is_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
     """A cap (y0 - Y_+) lies inside y0 + Y_+; y0 must be a member of A.
 
-    One strict LP per cell of A: on y0 - Y_+ every facet term n.(y - y0)
-    is >= 0, so some term is > 0 iff their sum N.(y - y0) is, and the
-    region with N.(y - y0) > 0 must be empty (Ecker & Kouada 1975).  With
-    no facets N = 0, the strict row 0 > 0 is infeasible and y0 is minimal.
-    y0 - Y_+ enters as an identity cell on Y_+'s own facet rows.
+    One emptiness test per cell of A: on y0 - Y_+ every facet term
+    n.(y - y0) is >= 0, so some term is > 0 iff their sum N.(y - y0) is,
+    and the region with N.(y - y0) > 0 must be empty (Ecker & Kouada 1975).
+    With no facets N = 0, the strict row 0 > 0 is infeasible and y0 is
+    minimal.  y0 - Y_+ enters as an identity cell on Y_+'s own facet rows,
+    so a point cell of A is decided by evaluation and any other cell by one
+    strict LP.
     """
     y0 = vec(y0)
     _require_member(a, y0)
@@ -216,7 +231,7 @@ def _henig_admissible(cone_a: PolyhedralCone, base: Polyhedron,
                       eta: Fraction) -> bool:
     """K_eta = cone(base + eta * infinity-ball) is pointed and meets
     -cone_a only at 0, decided by double description."""
-    corners = [tuple(eta * s for s in c) for c in _box_corners(base.dim)]
+    corners = [tuple(eta * s for s in c) for c in box_corners(base.dim)]
     gens = [vadd(v, c) for v in base.vrep.vertices for c in corners]
     k = PolyhedralCone.from_generators(base.dim, gens)
     return not k.lineality and _cone_is_zero(
@@ -337,13 +352,7 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
     if ghe:
         witnesses["ghe_via"] = "he" if he else "pos"
 
-    ball_minus_cone = Polyhedron.from_vrep(
-        dim,
-        vertices=_box_corners(dim),
-        rays=[tuple(-x for x in g) for g in yplus.generators],
-        lines=yplus.lineality,
-    )
-    bounded_part = cone_a.intersect(ball_minus_cone)
+    bounded_part = cone_a.intersect(yplus.ball_minus)
     se = not bounded_part.vrep.rays and not bounded_part.vrep.lines
     if se:
         rho = max(
@@ -355,13 +364,6 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
             "SE and He must coincide for pointed polyhedral order cones"
         )
     return EfficiencyStatus(minimal, weak, pos, ghe, he, se, witnesses).validate()
-
-
-def _box_corners(dim):
-    corners = [()]
-    for _ in range(dim):
-        corners = [c + (s,) for c in corners for s in (ONE, -ONE)]
-    return corners
 
 
 # -- dual image ---------------------------------------------------------------

@@ -33,7 +33,7 @@ from .polyhedra import (
     cell_of_polyhedron,
     cone_structure,
 )
-from .rational import Mat, Vec, dot, matvec, vadd, vec, vsub, zeros
+from .rational import Mat, Vec, box_corners, dot, matvec, vadd, vec, vsub, zeros
 
 OmegaLike = Union[Polyhedron, BoundaryRestrictedPolyhedron]
 
@@ -44,10 +44,12 @@ class OrderCone:
     The cone must have nonempty interior (a standing structural requirement,
     validated once here via a strict LP) and must be a proper subset of its
     space, otherwise minimality would be vacuous.  Its `structure` (the
-    bounded base of a pointed cone) is built on first read and kept.
+    bounded base of a pointed cone) and `ball_minus` are built on first read
+    and kept.
     """
 
-    __slots__ = ("cone", "ambient_dim", "interior_witness", "_structure")
+    __slots__ = ("cone", "ambient_dim", "interior_witness", "_structure",
+                 "_ball_minus")
 
     def __init__(self, cone: PolyhedralCone):
         if not cone.hrep:
@@ -91,6 +93,21 @@ class OrderCone:
         except AttributeError:
             self._structure = cone_structure(self.cone)
             return self._structure
+
+    @property
+    def ball_minus(self) -> Polyhedron:
+        """B - Y_+ for the unit infinity-norm ball B, from its generators;
+        its facets are computed on their first read and kept with it."""
+        try:
+            return self._ball_minus
+        except AttributeError:
+            self._ball_minus = Polyhedron.from_vrep(
+                self.ambient_dim,
+                vertices=box_corners(self.ambient_dim),
+                rays=[tuple(-x for x in g) for g in self.generators],
+                lines=self.lineality,
+            )
+            return self._ball_minus
 
     def facet_normals(self) -> tuple[Vec, ...]:
         return tuple(r.normal for r in self.cone.inequalities())

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
@@ -693,7 +694,10 @@ class Cell:
     The represented subset of the target space is
     {M.u + o : u satisfies system (strict rows strictly)}.
     Every exact set query on boundary-restricted data is pulled back
-    through cells, so nothing non-closed is ever projected.
+    through cells, so nothing non-closed is ever projected.  An identity
+    cell (M = I, o = 0) is answered on its own rows, and a point cell, one
+    whose rows are exactly y_i = v_i, by evaluation at its `point` v.
+    `is_identity` and `point` are computed on first read and kept.
     """
 
     system: LinearSystem
@@ -708,7 +712,7 @@ class Cell:
     def lift_dim(self) -> int:
         return self.system.dim
 
-    @property
+    @cached_property
     def is_identity(self) -> bool:
         n = self.target_dim
         if self.lift_dim != n or any(x != 0 for x in self.offset):
@@ -718,6 +722,24 @@ class Cell:
             for i in range(n)
             for j in range(n)
         )
+
+    @cached_property
+    def point(self) -> Optional[Vec]:
+        """v for a point cell, an identity cell whose system is exactly the
+        n unit equalities y_i = v_i in some order; None for any other cell.
+        Scaled rows, a repeated coordinate or any LE or strict row make it
+        not a point cell, even where the set is a single point."""
+        s = self.system
+        n = self.target_dim
+        if s.le or s.strict or len(s.eq) != n or not self.is_identity:
+            return None
+        v = [None] * n
+        for normal, r in s.eq:
+            at = [j for j, x in enumerate(normal) if x != 0]
+            if len(at) != 1 or normal[at[0]] != 1 or v[at[0]] is not None:
+                return None
+            v[at[0]] = r
+        return tuple(v)
 
     def with_target_rows(self, le=(), eq=(), strict=()) -> "Cell":
         pull = lambda rows: tuple(
@@ -834,12 +856,21 @@ class Emptiness:
         return self.empty
 
 
+def _holds_at(v: Vec, cells, strict_rows) -> bool:
+    """Is v in every cell and strictly inside every half-space n.y < r?"""
+    return all(dot(n, v) < r for n, r in strict_rows) and all(
+        c.member(v) for c in cells
+    )
+
+
 def intersect_empty(parts, strict_halfspaces=()) -> Emptiness:
     """Exact emptiness of the intersection of parts and open half-spaces.
 
-    Parts may be Polyhedron, BoundaryRestrictedPolyhedron, or cells; every
-    combination of cells is tested with one strict-feasibility LP on the
-    joint lifted system.
+    Parts may be Polyhedron, BoundaryRestrictedPolyhedron, or cells.  A
+    combination of cells with a point cell in it is {v} or empty, for the
+    cell's point v: it is decided by evaluation, v itself the witness.  Any
+    other combination is tested with one strict-feasibility LP on the joint
+    lifted system.
     """
     groups = [as_cells(p) for p in parts]
     if any(not g for g in groups):
@@ -850,6 +881,11 @@ def intersect_empty(parts, strict_halfspaces=()) -> Emptiness:
     target = dims.pop()
     strict_rows = [(vec(n), Fraction(r)) for n, r in strict_halfspaces]
     for combo in product(*groups):
+        v = next((c.point for c in combo if c.point is not None), None)
+        if v is not None:
+            if _holds_at(v, combo, strict_rows):
+                return Emptiness(False, v)
+            continue
         # identity cells constrain the shared target variables directly
         offset_of = []
         pos = target

@@ -73,6 +73,14 @@ def inf_norm(a: Sequence[Fraction]) -> Fraction:
     return max((abs(x) for x in a), default=ZERO)
 
 
+def box_corners(dim: int) -> list[Vec]:
+    """The 2^dim corners of the unit infinity-norm ball."""
+    corners = [()]
+    for _ in range(dim):
+        corners = [c + (s,) for c in corners for s in (ONE, -ONE)]
+    return corners
+
+
 def parse_vector(text: str) -> Vec:
     """Parse a comma-separated rational vector like '1/2,-3,0/1'."""
     parts = [p for p in text.split(",") if p.strip()]

@@ -31,7 +31,12 @@ from process_duality.errors import (
     NotMemberError,
     ProcessDualityError,
 )
-from process_duality.exactlp import LpOutcome, LpStatus
+from process_duality.exactlp import (
+    LinearSystem,
+    LpOutcome,
+    LpStatus,
+    strict_feasible,
+)
 from process_duality.fuzzing import (
     Violation,
     check_instance,
@@ -54,8 +59,11 @@ from process_duality.model import (
     w0_image_points,
 )
 from process_duality.polyhedra import (
+    EQ,
     LE,
     BoundaryRestrictedPolyhedron,
+    Cell,
+    Emptiness,
     Polyhedron,
     PolyhedralCone,
     as_cells,
@@ -71,7 +79,7 @@ from process_duality.process import (
     lagrange_process,
     separator_cone,
 )
-from process_duality.rational import dot, vec, zeros
+from process_duality.rational import ONE, ZERO, dot, vec, zeros
 
 
 def halfplane():
@@ -437,27 +445,29 @@ class TestWorkDoneOnce:
         assert (frontier, calls[0]) == (45, 90)
 
 
+@pytest.fixture
+def count(monkeypatch):
+    """(fn, *args) -> the strict-feasibility LPs that fn(*args) runs, counted
+    at `polyhedra.strict_feasible`."""
+    calls = [0]
+    solve = polyhedra_module.strict_feasible
+
+    def counted(system):
+        calls[0] += 1
+        return solve(system)
+
+    monkeypatch.setattr(polyhedra_module, "strict_feasible", counted)
+
+    def run(fn, *args, **kwargs):
+        calls[0] = 0
+        fn(*args, **kwargs)
+        return calls[0]
+
+    return run
+
+
 class TestStrictLpCounts:
-    """Strict-feasibility LPs run by the minimality tests, counted at
-    `polyhedra.strict_feasible`."""
-
-    @pytest.fixture
-    def count(self, monkeypatch):
-        calls = [0]
-        solve = polyhedra_module.strict_feasible
-
-        def counted(system):
-            calls[0] += 1
-            return solve(system)
-
-        monkeypatch.setattr(polyhedra_module, "strict_feasible", counted)
-
-        def run(fn, *args, **kwargs):
-            calls[0] = 0
-            fn(*args, **kwargs)
-            return calls[0]
-
-        return run
+    """Strict-feasibility LPs run by the minimality tests."""
 
     def test_one_lp_per_identity_cell(self, count, criterion_4_program):
         several_facets = 0
@@ -474,6 +484,20 @@ class TestStrictLpCounts:
                 )
         # where the per-facet loop would run one LP per facet and cell
         assert several_facets > 20
+
+    def test_point_cells_run_no_lp(self, count, criterion_4_program):
+        minimal = weak = 0
+        for i in range(40):
+            p = criterion_4_program(i)
+            cells = w0_cells(p)
+            assert all(c.point is not None for c in cells)
+            for y0 in w0_image_points(p):
+                assert count(member, cells, y0) == 0
+                assert count(is_minimal, cells, y0, p.y_plus) == 0
+                assert count(is_weak_minimal, cells, y0, p.y_plus) == 0
+                minimal += is_minimal(cells, y0, p.y_plus)
+                weak += is_weak_minimal(cells, y0, p.y_plus)
+        assert 0 < minimal < weak
 
     def test_classify_proper_decides_membership_once(
         self, count, criterion_3_program
@@ -498,6 +522,183 @@ class TestStrictLpCounts:
                 )
                 classified += 1
         assert classified > 10
+
+
+def per_combo_lp(parts, strict_halfspaces=()):
+    """intersect_empty by one strict LP on the joint lifted system for every
+    combination of cells, point cells included."""
+    groups = [as_cells(p) for p in parts]
+    if any(not g for g in groups):
+        return Emptiness(True)
+    target = groups[0][0].target_dim
+    strict_rows = [(vec(n), F(r)) for n, r in strict_halfspaces]
+    for combo in product(*groups):
+        offset_of = []
+        pos = target
+        for c in combo:
+            if c.is_identity:
+                offset_of.append(0)
+            else:
+                offset_of.append(pos)
+                pos += c.lift_dim
+        width = pos
+        le, eq, strict = [], [], []
+
+        def emb(coeffs, at):
+            row = [ZERO] * width
+            for j, v in enumerate(coeffs):
+                row[at + j] = v
+            return tuple(row)
+
+        for c, at in zip(combo, offset_of):
+            le += [(emb(n, at), r) for n, r in c.system.le]
+            eq += [(emb(n, at), r) for n, r in c.system.eq]
+            strict += [(emb(n, at), r) for n, r in c.system.strict]
+            if c.is_identity:
+                continue
+            for i in range(target):
+                row = [ZERO] * width
+                row[i] = ONE
+                for j in range(c.lift_dim):
+                    row[at + j] = -c.matrix[i][j]
+                eq.append((tuple(row), c.offset[i]))
+        strict += [(emb(n, 0), r) for n, r in strict_rows]
+        res = strict_feasible(LinearSystem(width, tuple(le), tuple(eq), tuple(strict)))
+        if res.feasible:
+            return Emptiness(False, res.witness[:target])
+    return Emptiness(True)
+
+
+def identity_cell(dim, le=(), eq=()):
+    return Cell(LinearSystem(dim, tuple(le), tuple(eq)), tuple(map(tuple, identity(dim))),
+                zeros(dim))
+
+
+def point_cell(v):
+    return identity_cell(len(v), eq=[(u, x) for u, x in zip(identity(len(v)), v)])
+
+
+class TestPointCells:
+    """A combination of cells with a point cell in it is decided by
+    evaluation at the point, with the answer and the witness of the joint
+    strict LP."""
+
+    def agrees(self, count, parts, strict=()):
+        """intersect_empty's answer, checked against the oracle, and the
+        strict LPs it ran."""
+        got = intersect_empty(parts, strict)
+        assert got == per_combo_lp(parts, strict)
+        return got, count(intersect_empty, parts, strict)
+
+    def test_minimality_combos_match_the_lp_oracle(
+        self, monkeypatch, criterion_4_program
+    ):
+        asked = []
+        decide = certify_module.intersect_empty
+
+        def recorded(parts, strict_halfspaces=()):
+            asked.append((parts, strict_halfspaces))
+            return decide(parts, strict_halfspaces)
+
+        monkeypatch.setattr(certify_module, "intersect_empty", recorded)
+        answers = {True: 0, False: 0}
+        for i in range(60):
+            p = criterion_4_program(i)
+            cells = w0_cells(p)
+            for y0 in w0_image_points(p):
+                asked.clear()
+                is_minimal(cells, y0, p.y_plus)
+                is_weak_minimal(cells, y0, p.y_plus)
+                assert len(asked) == 2
+                for parts, strict in asked:
+                    got = decide(parts, strict)
+                    assert got == per_combo_lp(parts, strict), (i, y0)
+                    answers[got.empty] += 1
+        assert answers[True] > 100 and answers[False] > 60
+
+    def test_point_on_a_strict_rows_boundary(self, count):
+        v = point_cell((1, 2))
+        assert self.agrees(count, [v], [((1, 0), 1)]) == (Emptiness(True), 0)
+        assert self.agrees(count, [v], [((1, 0), 2), ((0, 1), 3)]) == (
+            Emptiness(False, (1, 2)), 0
+        )
+
+    def test_point_on_an_eq_row(self, count):
+        v = point_cell((1, 2))
+        line = Polyhedron.from_hrep(2, [((1, 1), 3, EQ)])
+        other = Polyhedron.from_hrep(2, [((1, 1), 4, EQ)])
+        assert self.agrees(count, [v, line]) == (Emptiness(False, (1, 2)), 0)
+        assert self.agrees(count, [v, other]) == (Emptiness(True), 0)
+        assert self.agrees(count, [line, v], [((1, -1), 0)]) == (
+            Emptiness(False, (1, 2)), 0
+        )
+
+    def test_point_with_a_composed_cell(self, count):
+        # {(t, 2t) : 0 <= t <= 1}, not an identity cell: its membership
+        # test is the one LP
+        segment = cell_of_polyhedron(
+            Polyhedron.from_hrep(1, [((1,), 1, LE), ((-1,), 0, LE)])
+        ).compose(((1,), (2,)), (0, 0))
+        assert not segment.is_identity and segment.point is None
+        on, off = point_cell((F(1, 2), 1)), point_cell((F(1, 2), F(1, 2)))
+        assert self.agrees(count, [on, segment]) == (Emptiness(False, (F(1, 2), 1)), 1)
+        assert self.agrees(count, [off, segment]) == (Emptiness(True), 1)
+        # a strict row that fails at the point needs no LP
+        assert self.agrees(count, [segment, on], [((0, 1), 1)]) == (Emptiness(True), 0)
+
+    def test_two_point_cells(self, count):
+        a, b = point_cell((1, 2)), point_cell((2, 1))
+        assert self.agrees(count, [a, b]) == (Emptiness(True), 0)
+        assert self.agrees(count, [a, point_cell((1, 2))]) == (
+            Emptiness(False, (1, 2)), 0
+        )
+        # a union meets a point where one of its pieces is that point
+        assert self.agrees(count, [(a, b), b]) == (Emptiness(False, (2, 1)), 0)
+
+    def test_unit_rows_in_reversed_order(self, count):
+        v = identity_cell(2, eq=[((0, 1), 2), ((1, 0), 1)])
+        assert v.point == (1, 2)
+        assert self.agrees(count, [v], [((-1, 0), 0)]) == (Emptiness(False, (1, 2)), 0)
+        assert self.agrees(count, [v], [((0, 1), 2)]) == (Emptiness(True), 0)
+
+    @pytest.mark.parametrize("cell", [
+        identity_cell(2, eq=[((1, 0), 1), ((1, 0), 1)]),
+        identity_cell(2, eq=[((1, 0), 1), ((0, 1), 2)], le=[((1, 1), 5)]),
+        identity_cell(2, eq=[((2, 0), 2), ((0, 1), 2)]),
+        identity_cell(2, eq=[((1, 0), 1)]),
+    ], ids=["repeated-coordinate", "extra-le-row", "scaled-row", "one-row"])
+    def test_other_unit_row_systems_take_the_lp(self, count, cell):
+        assert cell.point is None
+        answers = set()
+        for strict in ([((0, 1), 3)], [((0, 1), 2)], [((1, 0), 1)]):
+            got, lps = self.agrees(count, [cell], strict)
+            assert lps == 1
+            answers.add(got.empty)
+        assert answers == {True, False}
+
+    def test_flags_are_computed_once(self):
+        v = point_cell((1, 2))
+        assert v.is_identity and v.point == (1, 2)
+        assert v.__dict__["is_identity"] is True
+        assert v.__dict__["point"] == (1, 2)
+
+    def test_ignoring_strict_rows_breaks_criterion_4(
+        self, monkeypatch, criterion_4_program
+    ):
+        holds = polyhedra_module._holds_at
+        monkeypatch.setattr(polyhedra_module, "_holds_at",
+                            lambda v, cells, strict_rows: holds(v, cells, ()))
+        wrong = 0
+        for i in range(60):
+            p = criterion_4_program(i)
+            cells = w0_cells(p)
+            for y0 in w0_image_points(p):
+                bf = brute_force_status(p, y0)
+                wrong += (
+                    is_minimal(cells, y0, p.y_plus) != bf.minimal
+                    or is_weak_minimal(cells, y0, p.y_plus) != bf.weak_minimal
+                )
+        assert wrong > 0
 
 
 class TestCertify:
