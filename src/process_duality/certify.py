@@ -285,7 +285,7 @@ def _henig_eta(cone_a: PolyhedralCone, rays, lines, base: Polyhedron) -> Fractio
 
 
 def classify_proper(a: SetLike, y0, yplus: OrderCone,
-                    with_witnesses: bool = True, closure=None) -> EfficiencyStatus:
+                    closure=None) -> EfficiencyStatus:
     """Full efficiency status of y0 in A under the Y_+ order.
 
     Minimality and weak minimality are exact on the (possibly non-closed)
@@ -304,20 +304,21 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone,
     a pointed K_1), so the largest 2^-k <= min(delta, 1) is checked by
     double description, and when it equals delta and fails, half of it is.
 
-    `with_witnesses=False` skips the dilation witness search (the booleans
-    are unchanged: for polyhedral data the reduction implies a pointed
-    dilation exists).  `closure` is `closure_generators(a)` when the caller
-    already has it.
+    `closure` is `closure_generators(a)` when the caller already has it.
     """
     y0 = vec(y0)
     _require_member(a, y0)
-    return _classify(a, y0, yplus, with_witnesses, closure)
+    return _classify(a, y0, yplus, closure=closure)
 
 
 def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True,
               closure=None, minimal: Optional[bool] = None) -> EfficiencyStatus:
     """classify_proper for a y0 already known to be a member of A; `minimal`
-    is y0's minimality in A when the caller has decided it."""
+    is y0's minimality in A when the caller has decided it.
+
+    `with_witnesses=False` skips the dilation witness search (the booleans
+    are unchanged: for polyhedral data the reduction implies a pointed
+    dilation exists)."""
     if minimal is None:
         minimal = _is_minimal(a, y0, yplus)
     weak = _is_weak_minimal(a, y0, yplus)
@@ -655,32 +656,37 @@ class Frontier:
     truncated: bool = False
 
 
+def _minimal_vertices(a: SetLike, hull: Polyhedron, yplus: OrderCone,
+                      limit: int, verdicts: dict):
+    """(points, truncated): the first `limit` vertices of `hull` that are
+    members of A and minimal in A, and whether `hull` has more vertices than
+    `limit`.  `verdicts` records point -> minimality for each member tested."""
+    candidates = hull.vrep.vertices
+    points = []
+    for v in candidates[:limit]:
+        if member(a, v):
+            verdicts[v] = _is_minimal(a, v, yplus)
+            if verdicts[v]:
+                points.append(v)
+    return tuple(points), len(candidates) > limit
+
+
 def minimal_frontier_points(p, limit: int = 10000):
     """Minimal vertices of the closed upper image at z = 0 (no classification),
     for a program or its context, whose `minimal` records each verdict."""
     ctx = _context(p)
     p, cells = ctx.program, ctx.cells
-    feasible = any(c.is_feasible() for c in cells)
-    if not feasible:
+    if not any(c.is_feasible() for c in cells):
         raise EmptyFeasibleError("no feasible point at z = 0")
     verts, rays, lines = ctx.closure
-    ydim = p.y_dim
     upper = Polyhedron.from_vrep(
-        ydim,
+        p.y_dim,
         verts,
         list(rays) + list(p.y_plus.generators),
         list(lines) + list(p.y_plus.lineality),
     )
-    candidates = upper.vrep.vertices
-    truncated = len(candidates) > limit
-    points = []
-    for v in candidates[:limit]:
-        if not member(cells, v):
-            continue
-        ctx.minimal[v] = _is_minimal(cells, v, p.y_plus)
-        if ctx.minimal[v]:
-            points.append(v)
-    return cells, tuple(points), truncated
+    points, truncated = _minimal_vertices(cells, upper, p.y_plus, limit, ctx.minimal)
+    return cells, points, truncated
 
 
 def minimal_frontier(p: Program, limit: int = 10000) -> Frontier:
@@ -705,12 +711,8 @@ def dual_frontier(p: Program, L: LagrangeProcess, limit: int = 10000) -> Frontie
     if not verts:
         return Frontier((), False)
     hull = Polyhedron.from_vrep(p.y_dim, verts, rays, lines)
-    candidates = hull.vrep.vertices
-    truncated = len(candidates) > limit
-    out = []
-    for v in candidates[:limit]:
-        if not member(m, v):
-            continue
-        if _is_minimal(m, v, p.y_plus):
-            out.append(FrontierPoint(v, _classify(m, v, p.y_plus, minimal=True)))
+    points, truncated = _minimal_vertices(m, hull, p.y_plus, limit, {})
+    out = [
+        FrontierPoint(v, _classify(m, v, p.y_plus, minimal=True)) for v in points
+    ]
     return Frontier(tuple(out), truncated)

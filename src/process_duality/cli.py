@@ -24,13 +24,12 @@ from .certify import (
     minimal_frontier,
     minimal_frontier_points,
 )
-from .errors import ProblemFormatError, ProcessDualityError
+from .errors import NotInW0Error, ProblemFormatError, ProcessDualityError
 from .fuzzing import DEFECTS, run_fuzz
 from .polyhedra import Polyhedron, member
 from .problemfile import _emit_hrep, _emit_vec, instance_hash, load_problem
-from .process import lagrange_process, separator_cone
+from .process import SeparatorCone, lagrange_process, separator_cone
 from .rational import fmt, parse_vector
-from .errors import NotInW0Error
 
 TOOL = {"name": "process-duality", "version": __version__}
 
@@ -41,6 +40,16 @@ def _emit_vrep(p: Polyhedron):
         "vertices": [_emit_vec(x) for x in v.vertices],
         "rays": [_emit_vec(x) for x in v.rays],
         "lines": [_emit_vec(x) for x in v.lines],
+    }
+
+
+def _emit_separators(s: SeparatorCone):
+    return {
+        "empty": s.empty_flag,
+        "generators": [
+            {"z_star": _emit_vec(h.z_star), "y_star": _emit_vec(h.y_star)}
+            for h in s.generators
+        ],
     }
 
 
@@ -85,13 +94,7 @@ def _emit_certificate(cert: Certificate, problem) -> dict:
             ),
         },
         "convex_relaxation": cert.convex_relaxation,
-        "separators": {
-            "empty": cert.separators.empty_flag,
-            "generators": [
-                {"z_star": _emit_vec(h.z_star), "y_star": _emit_vec(h.y_star)}
-                for h in cert.separators.generators
-            ],
-        },
+        "separators": _emit_separators(cert.separators),
         "nonvertical_ok": cert.nonvertical_ok,
         "process_graph": {
             "whole_space": cert.process.is_whole_space,
@@ -213,13 +216,7 @@ def cmd_process(args) -> int:
         "tool": TOOL,
         "instance_hash": instance_hash(problem),
         "y0": _emit_vec(y0),
-        "separators": {
-            "empty": s.empty_flag,
-            "generators": [
-                {"z_star": _emit_vec(h.z_star), "y_star": _emit_vec(h.y_star)}
-                for h in s.generators
-            ],
-        },
+        "separators": _emit_separators(s),
         "graph": (
             {"whole_space": True, "note": "Graph(L) = Z x Y"}
             if L.is_whole_space

@@ -35,11 +35,11 @@ from .process import Separator, halfspace_process
 from .rational import Vec, fmt_vector, vec, zeros
 
 
-def random_order_cone(rng: random.Random, dim: int, tries: int = 60,
-                      max_gens: int = 6) -> OrderCone:
+def random_order_cone(rng: random.Random, dim: int, max_gens: int = 6) -> OrderCone:
     """Random full-dimensional proper polyhedral cone from random normals,
-    with at most max_gens generators (rays plus lineality directions)."""
-    for _ in range(tries):
+    with at most max_gens generators (rays plus lineality directions); the
+    orthant after 60 failed draws."""
+    for _ in range(60):
         nrows = rng.randint(1, max(1, 2 * dim))
         normals = []
         for _ in range(nrows):
@@ -169,8 +169,9 @@ def check_instance(p: AffineVectorProgram) -> list[Violation]:
     return out
 
 
-def shrink_instance(p: AffineVectorProgram, tries: int = 200) -> AffineVectorProgram:
-    """Greedy reduction keeping at least one violation alive."""
+def shrink_instance(p: AffineVectorProgram) -> AffineVectorProgram:
+    """Greedy reduction keeping at least one violation alive, within a
+    budget of 200 candidate reductions."""
 
     def still_failing(q) -> bool:
         try:
@@ -179,7 +180,7 @@ def shrink_instance(p: AffineVectorProgram, tries: int = 200) -> AffineVectorPro
             return True
 
     current = p
-    budget = tries
+    budget = 200
     improved = True
     while improved and budget > 0:
         improved = False

@@ -429,6 +429,12 @@ def slater_point(p: Program):
 # -- image cells of W(0) and membership --------------------------------------
 
 
+def _w0_values(p: SetValuedProgram) -> list[Vec]:
+    """The f values of the points feasible at z = 0, in point order."""
+    feas = set(feasible_region(p, zeros(p.z_dim)))
+    return [fv for pt in p.points if pt.point_id in feas for fv in pt.f_values]
+
+
 def w0_cells(p: Program) -> tuple[Cell, ...]:
     """Exact cell decomposition of W(0) = f(feasible set at z = 0) in Y."""
     if isinstance(p, AffineVectorProgram):
@@ -436,32 +442,21 @@ def w0_cells(p: Program) -> tuple[Cell, ...]:
         return tuple(
             c.compose(p.f.matrix, p.f.offset) for c in as_cells(lam0)
         )
-    feas = set(feasible_region(p, zeros(p.z_dim)))
     n = p.y_dim
     # {fv} from the unit rows y_i = fv_i, listed in the order of its
     # canonical H-representation, so no double description is run
     unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    cells = []
-    for pt in p.points:
-        if pt.point_id not in feas:
-            continue
-        for fv in pt.f_values:
-            rows = [(unit[i], fv[i], EQ) for i in reversed(range(n))]
-            cells.append(cell_of_polyhedron(Polyhedron.from_hrep(n, rows)))
-    return tuple(cells)
+    return tuple(
+        cell_of_polyhedron(
+            Polyhedron.from_hrep(n, [(unit[i], fv[i], EQ) for i in reversed(range(n))])
+        )
+        for fv in _w0_values(p)
+    )
 
 
 def w0_image_points(p: Program) -> tuple[Vec, ...]:
     """Finite programs: the exact image point set of W(0), deduplicated."""
-    feas = set(feasible_region(p, zeros(p.z_dim)))
-    out = []
-    for pt in p.points:
-        if pt.point_id not in feas:
-            continue
-        for fv in pt.f_values:
-            if fv not in out:
-                out.append(fv)
-    return tuple(out)
+    return tuple(dict.fromkeys(_w0_values(p)))
 
 
 # -- convex relaxation for finite programs -----------------------------------

@@ -155,6 +155,11 @@ class Polyhedron:
                     self._hrep = _vrep_to_hrep(self.dim, v)
         return self._hrep
 
+    # No constructor sets both raw representations, so a set built from
+    # generators gets its canonical rows from `_any_hrep` on first use, and
+    # keeps them, and a set built from rows its canonical generators from
+    # `_any_vrep`.
+
     def _any_hrep(self):
         """Some valid row list for this set (canonical if already computed)."""
         if self._hrep is not None:
@@ -174,9 +179,7 @@ class Polyhedron:
 
     @property
     def is_empty(self) -> bool:
-        if self._raw_vrep is not None or self._vrep is not None:
-            return not self._any_vrep().vertices
-        return not self.vrep.vertices
+        return not self._any_vrep().vertices
 
     @property
     def closure(self) -> "Polyhedron":
@@ -198,8 +201,6 @@ class Polyhedron:
 
     def member(self, x) -> bool:
         x = _coerce_point(self.dim, x)
-        if self._raw_vrep is not None and self._hrep is None:
-            self.hrep  # force facets once; membership is then arithmetic
         for row in self._any_hrep():
             v = dot(row.normal, x)
             if row.rel == LE and v > row.offset:
@@ -211,8 +212,6 @@ class Polyhedron:
     def ray_member(self, r) -> bool:
         """Is r in the recession cone?"""
         r = _coerce_point(self.dim, r)
-        if self._raw_vrep is not None and self._hrep is None:
-            self.hrep
         for row in self._any_hrep():
             v = dot(row.normal, r)
             if row.rel == LE and v > 0:
@@ -233,21 +232,6 @@ class Polyhedron:
                 for l in v.lines
             )
         )
-
-    def check_consistency(self):
-        """Mutual containment of the two representations (test hook)."""
-        probe = Polyhedron.from_hrep(self.dim, self.hrep)
-        v = self.vrep
-        if not (
-            probe.contains_poly(self)
-            and all(probe.member(x) for x in v.vertices)
-            and all(probe.ray_member(r) for r in v.rays)
-        ):
-            raise InternalConsistencyError("representations disagree")
-        w = probe.vrep
-        if (w.vertices, w.rays, w.lines) != (v.vertices, v.rays, v.lines):
-            raise InternalConsistencyError("representations disagree")
-        return self
 
     def __eq__(self, other):
         return (
@@ -289,11 +273,10 @@ class Polyhedron:
             v.lines,
         )
 
-    def affine_image(self, matrix: Mat, offset=None, out_dim: Optional[int] = None) -> "Polyhedron":
+    def affine_image(self, matrix: Mat, offset, out_dim: int) -> "Polyhedron":
         """Exact image under x -> M.x + o, computed on generators."""
         matrix = tuple(vec(row) for row in matrix)
-        out_dim = len(matrix) if out_dim is None else out_dim
-        offset = zeros(out_dim) if offset is None else _coerce_point(out_dim, offset)
+        offset = _coerce_point(out_dim, offset)
         if self.is_empty:
             return Polyhedron.empty(out_dim)
         src_v = self._any_vrep()
@@ -301,20 +284,6 @@ class Polyhedron:
         rays = [matvec(matrix, r) for r in src_v.rays]
         lines = [matvec(matrix, l) for l in src_v.lines]
         return Polyhedron.from_vrep(out_dim, verts, rays, lines)
-
-    def minkowski_sum(self, other: "Polyhedron") -> "Polyhedron":
-        if self.dim != other.dim:
-            raise DimensionMismatch("Minkowski sum of different dimensions")
-        if self.is_empty or other.is_empty:
-            return Polyhedron.empty(self.dim)
-        va, vb = self._any_vrep(), other._any_vrep()
-        verts = [vadd(a, b) for a in va.vertices for b in vb.vertices]
-        return Polyhedron.from_vrep(
-            self.dim,
-            verts,
-            va.rays + vb.rays,
-            va.lines + vb.lines,
-        )
 
 
 class PolyhedralCone(Polyhedron):
@@ -560,6 +529,12 @@ class BoundaryRestriction:
         return BoundaryRestriction(row.normal, row.offset, self.retained)
 
 
+def _on_hyperplane(p: Polyhedron, fr: BoundaryRestriction) -> bool:
+    """Does p lie on the hyperplane normal.x = offset of fr?"""
+    hyper = Polyhedron.from_hrep(p.dim, [(fr.normal, fr.offset, EQ)])
+    return hyper.contains_poly(p)
+
+
 class BoundaryRestrictedPolyhedron:
     """closure minus each restricted boundary slice, plus its retained part.
 
@@ -616,16 +591,6 @@ class BoundaryRestrictedPolyhedron:
             restrictions.append(BoundaryRestriction(row.normal, row.offset, retained))
         return BoundaryRestrictedPolyhedron(closure, restrictions)
 
-    def facet_restrictions(self) -> tuple[tuple[Optional[int], BoundaryRestriction], ...]:
-        """Restrictions resolved to canonical facet indices where possible."""
-        facets = self.closure.inequalities()
-        out = []
-        for fr in self.restrictions:
-            key = HRow(fr.normal, fr.offset, LE)
-            idx = next((i for i, row in enumerate(facets) if row == key), None)
-            out.append((idx, fr))
-        return tuple(out)
-
     @property
     def dim(self) -> int:
         return self.closure.dim
@@ -648,34 +613,29 @@ class BoundaryRestrictedPolyhedron:
         restricted slice is left in reach, else a boundary-restricted set."""
         closure = self.closure.with_rows(rows)
         pending = [
-            (r.normal, r.offset, r.retained.with_rows(rows)) for r in self.restrictions
+            BoundaryRestriction(r.normal, r.offset, r.retained.with_rows(rows))
+            for r in self.restrictions
         ]
-        while True:
-            if closure.is_empty:
-                return closure
-            keep = []
-            restart = False
-            for normal, offset, retained in pending:
-                hyper = Polyhedron.from_hrep(self.dim, [(normal, offset, EQ)])
-                if hyper.contains_poly(closure):
-                    # Whole set lies on the restricted hyperplane: collapse.
-                    closure = closure.intersect(retained)
-                    pending = [x for x in pending if x[0] != normal or x[1] != offset]
-                    restart = True
-                    break
-                touch = strict_feasible(
-                    closure.system().extended(eq=[(normal, offset)])
-                ).feasible
-                if touch:
-                    keep.append((normal, offset, retained))
-            if restart:
-                continue
-            if not keep:
-                return closure
-            return BoundaryRestrictedPolyhedron(
-                closure,
-                [BoundaryRestriction(n, o, ret) for n, o, ret in keep],
-            )
+        # collapse onto the first restricted hyperplane that holds the whole
+        # set, dropping every restriction on it, until none does
+        while not closure.is_empty:
+            on = next((fr for fr in pending if _on_hyperplane(closure, fr)), None)
+            if on is None:
+                break
+            closure = closure.intersect(on.retained)
+            pending = [
+                fr for fr in pending
+                if (fr.normal, fr.offset) != (on.normal, on.offset)
+            ]
+        if closure.is_empty:
+            return closure
+        keep = [
+            fr for fr in pending
+            if strict_feasible(
+                closure.system().extended(eq=[(fr.normal, fr.offset)])
+            ).feasible
+        ]
+        return BoundaryRestrictedPolyhedron(closure, keep) if keep else closure
 
     def __repr__(self):
         return (

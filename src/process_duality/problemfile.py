@@ -28,6 +28,7 @@ from .polyhedra import (
     LE,
     BoundaryRestrictedPolyhedron,
     BoundaryRestriction,
+    HRow,
     Polyhedron,
     PolyhedralCone,
 )
@@ -250,14 +251,13 @@ def problem_dict(p: Program) -> dict:
         spec = {"h_rep": _emit_hrep(closure.hrep)}
         if isinstance(omega, BoundaryRestrictedPolyhedron):
             restrictions = []
-            for idx, fr in omega.facet_restrictions():
-                if idx is None:
+            for fr in omega.restrictions:
+                row = HRow(fr.normal, fr.offset, LE)
+                if row not in closure.hrep:
                     raise ProblemFormatError(
                         "$.omega",
                         "restriction row is not a canonical facet; not serializable",
                     )
-                # resolve to an index into the emitted (full) h_rep tuple
-                row = closure.inequalities()[idx]
                 hidx = closure.hrep.index(row)
                 restrictions.append(
                     {"facet": hidx, "retained": {"h_rep": _emit_hrep(fr.retained.hrep)}}

@@ -1,7 +1,8 @@
 """Shared reference instances: the bundled worked example and two derived
 ones, criterion 3's program stream with restricted boundaries and criterion
-4's finite programs; and an LP oracle for membership in a finitely generated
-cone."""
+4's finite programs; an LP oracle for membership in a finitely generated
+cone; and generator-level oracles for a polyhedron's two representations
+and for Minkowski sums."""
 
 import random
 from fractions import Fraction as F
@@ -26,7 +27,7 @@ from process_duality.polyhedra import (
     BoundaryRestrictedPolyhedron,
     Polyhedron,
 )
-from process_duality.rational import ONE, ZERO, is_zero_vec, vec
+from process_duality.rational import ONE, ZERO, is_zero_vec, vadd, vec
 
 
 @pytest.fixture
@@ -198,3 +199,40 @@ def drop_non_extreme():
         return kept
 
     return drop
+
+
+@pytest.fixture(scope="session")
+def check_consistency():
+    """p -> asserts that p's canonical rows contain p and its generators,
+    and that the generators recomputed from those rows are p's own."""
+
+    def check(p):
+        probe = Polyhedron.from_hrep(p.dim, p.hrep)
+        v = p.vrep
+        assert probe.contains_poly(p)
+        assert all(probe.member(x) for x in v.vertices)
+        assert all(probe.ray_member(r) for r in v.rays)
+        w = probe.vrep
+        assert (w.vertices, w.rays, w.lines) == (v.vertices, v.rays, v.lines)
+
+    return check
+
+
+@pytest.fixture(scope="session")
+def minkowski_sum():
+    """(a, b) -> a + b, built from the pairwise sums of their vertices and
+    the union of their rays and lines."""
+
+    def total(a, b):
+        assert a.dim == b.dim
+        if a.is_empty or b.is_empty:
+            return Polyhedron.empty(a.dim)
+        va, vb = a.vrep, b.vrep
+        return Polyhedron.from_vrep(
+            a.dim,
+            [vadd(x, y) for x in va.vertices for y in vb.vertices],
+            va.rays + vb.rays,
+            va.lines + vb.lines,
+        )
+
+    return total

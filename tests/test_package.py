@@ -5,6 +5,7 @@ from pathlib import Path
 
 import process_duality
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 
@@ -53,3 +54,44 @@ def test_no_module_imports_a_name_it_never_uses():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         unused += [(path.name, line, name) for line, name in _unused_imports(tree)]
     assert unused == []
+
+
+def _references(tree, refs, enclosing=()):
+    """Add to refs every name the tree reads: a bare name, an attribute, or
+    a string constant (which covers `__all__` and names looked up by
+    string).  A name read inside a def of that same name is not added."""
+    for node in ast.iter_child_nodes(tree):
+        inner = enclosing
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = enclosing + (node.name,)
+        name = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        if name is not None and name not in enclosing:
+            refs.add(name)
+        _references(node, refs, inner)
+
+
+def test_every_function_has_a_caller():
+    """No dead code: each function and method the package defines is named
+    somewhere in the package or the benchmark, outside its own def."""
+    package = Path(process_duality.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    assert sources
+    defined = []
+    refs = set()
+    for path in sources + sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _references(tree, refs)
+        if path in sources:
+            defined += [
+                (path.name, node.lineno, node.name)
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+            ]
+    assert [d for d in defined if d[2] not in refs] == []

@@ -17,7 +17,7 @@ from process_duality._dd import (
 )
 from process_duality.errors import DimensionMismatch, InternalConsistencyError
 from process_duality.exactlp import LpStatus, lp_solve
-from process_duality.model import w0_cells, w0_image_points
+from process_duality.model import _order_rows_for_g, w0_cells, w0_image_points
 from process_duality.polyhedra import (
     EQ,
     LE,
@@ -34,7 +34,7 @@ from process_duality.polyhedra import (
     polar_cone,
     project,
 )
-from process_duality.rational import ONE, ZERO, Vec, dot, is_zero_vec, vec
+from process_duality.rational import ONE, ZERO, Vec, dot, is_zero_vec, vec, zeros
 
 
 def orthant(n):
@@ -372,6 +372,72 @@ class TestBoundaryRestrictionValidation:
             BoundaryRestrictedPolyhedron(closure, [restriction])
 
 
+def unit_square():
+    return Polyhedron.from_hrep(
+        2, [((1, 0), 1, LE), ((-1, 0), 0, LE), ((0, 1), 1, LE), ((0, -1), 0, LE)]
+    )
+
+
+class TestWithRows:
+    """`with_rows` against its definition: x lies in omega.with_rows(rows)
+    iff x lies in omega and every row holds at x."""
+
+    @staticmethod
+    def check(omega, rows, extra=()):
+        cut = omega.with_rows(rows)
+        verts = omega.closure.vrep.vertices
+        points = list(verts) + list(extra) + [
+            tuple((a + b) / 2 for a, b in zip(u, v)) for u, v in combinations(verts, 2)
+        ]
+        for x in map(vec, points):
+            holds = all(
+                dot(n, x) <= r if rel == LE else dot(n, x) == r for n, r, rel in rows
+            )
+            assert member(cut, x) == (omega.member(x) and holds), x
+        return cut
+
+    def test_criterion_3_programs_at_several_levels(self, criterion_3_program):
+        restricted = 0
+        for i in range(40):
+            p = criterion_3_program(i)
+            restricted += isinstance(p.omega, BoundaryRestrictedPolyhedron)
+            rng = random.Random(i)
+            levels = [zeros(p.z_dim)] + [
+                tuple(rng.randint(-2, 2) for _ in range(p.z_dim)) for _ in range(3)
+            ]
+            for z in levels:
+                self.check(p.omega, _order_rows_for_g(p, vec(z)))
+        assert restricted >= 5
+
+    def test_collapse_onto_the_retained_origin(self):
+        cut = self.check(
+            D_set(), [((0, 1), 0, LE)], extra=[(1, 0), (-1, 0), (0, 1), (1, 1)]
+        )
+        assert cut == Polyhedron.from_vrep(2, [(0, 0)])
+
+    def test_collapse_keeps_a_restriction_that_touches(self):
+        top = Polyhedron.from_vrep(2, [(0, 1), (1, 1)])
+        right = BoundaryRestriction((1, 0), 1, Polyhedron.from_vrep(2, [(1, 0)]))
+        omega = BoundaryRestrictedPolyhedron(
+            unit_square(), [BoundaryRestriction((0, 1), 1, top), right]
+        )
+        cut = self.check(omega, [((0, -1), -1, LE)])
+        assert isinstance(cut, BoundaryRestrictedPolyhedron)
+        assert cut.closure == top
+        assert [(r.normal, r.offset) for r in cut.restrictions] == [((1, 0), 1)]
+
+    def test_collapse_twice_to_empty(self):
+        omega = BoundaryRestrictedPolyhedron(
+            unit_square(),
+            [
+                BoundaryRestriction((0, 1), 1, Polyhedron.from_vrep(2, [(1, 1)])),
+                BoundaryRestriction((1, 0), 1, Polyhedron.from_vrep(2, [(1, 0)])),
+            ],
+        )
+        cut = self.check(omega, [((0, -1), -1, LE), ((-1, 0), -1, LE)])
+        assert isinstance(cut, Polyhedron) and cut.is_empty
+
+
 class TestIntersectEmpty:
     def test_minimality_core_of_worked_example(self):
         D = D_set()
@@ -415,12 +481,12 @@ def random_cone_hrep(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(random_cone_hrep())
-def test_dd_roundtrip_is_canonical_involution(data):
+def test_dd_roundtrip_is_canonical_involution(check_consistency, data):
     dim, rows = data
     p = Polyhedron.from_hrep(dim, rows)
     q = dd_convert(dd_convert(p, "HtoV"), "VtoH")
     assert p == q
-    p.check_consistency()
+    check_consistency(p)
 
 
 @settings(max_examples=80, deadline=None)

@@ -10,6 +10,13 @@ from process_duality.model import (
     AffineVectorProgram,
     DiscreteVectorProgram,
     SetValuedProgram,
+    affine_map,
+)
+from process_duality.polyhedra import (
+    LE,
+    BoundaryRestrictedPolyhedron,
+    BoundaryRestriction,
+    Polyhedron,
 )
 from process_duality.problemfile import (
     emit_problem,
@@ -44,6 +51,49 @@ class TestBundledInstances:
         a = instance_hash(parse_problem(text))
         b = instance_hash(parse_problem(text))
         assert a == b and len(a) == 64
+
+
+def square_program(restriction, orthant2, r_plus):
+    """Identity f and g = -1 over the unit square with one restricted row."""
+    square = Polyhedron.from_hrep(
+        2, [((1, 0), 1, LE), ((-1, 0), 0, LE), ((0, 1), 1, LE), ((0, -1), 0, LE)]
+    )
+    return AffineVectorProgram(
+        BoundaryRestrictedPolyhedron(square, [restriction]),
+        affine_map([[1, 0], [0, 1]], [0, 0]),
+        affine_map([[0, 0]], [-1]),
+        orthant2,
+        r_plus,
+    )
+
+
+class TestBoundaryRestrictionEmit:
+    def test_restriction_on_a_later_facet_roundtrips(self, orthant2, r_plus):
+        retained = Polyhedron.from_vrep(2, [(1, 1)])
+        p = square_program(BoundaryRestriction((0, 1), 1, retained), orthant2, r_plus)
+        text = emit_problem(p)
+        doc = json.loads(text)
+        [fr] = doc["omega"]["facet_restrictions"]
+        assert fr["facet"] > 0
+        assert doc["omega"]["h_rep"][fr["facet"]] == {
+            "normal": ["0/1", "1/1"], "offset": "1/1", "relation": "<="
+        }
+        q = parse_problem(text)
+        assert q.omega.closure == p.omega.closure
+        assert q.omega.restrictions == p.omega.restrictions
+        assert emit_problem(q) == text
+
+    def test_restriction_off_the_facets_is_not_serializable(self, orthant2, r_plus):
+        """x + y <= 2 is valid for the unit square and touches it at (1, 1)
+        only, so it is no facet row and the format cannot name it."""
+        p = square_program(
+            BoundaryRestriction((1, 1), 2, Polyhedron.empty(2)), orthant2, r_plus
+        )
+        assert not p.omega.member((1, 1))
+        with pytest.raises(ProblemFormatError) as e:
+            emit_problem(p)
+        assert e.value.path == "$.omega"
+        assert "not serializable" in e.value.message
 
 
 class TestDiagnostics:

@@ -223,7 +223,7 @@ class TestProcessGuarantees:
                 fib = process_eval(L, tuple(-x for x in zg))
                 assert fib.member((F(0),) * prog.y_dim)
 
-    def test_fiber_consistency(self):
+    def test_fiber_consistency(self, minkowski_sum):
         # process_eval(L_h, z) = fiber_bar(h, z) + Y_+ when y* is Y_+-positive;
         # asserted by mutual containment of the canonical representations.
         rng = random.Random(23)
@@ -239,6 +239,6 @@ class TestProcessGuarantees:
                 vertices=[(F(0), F(0))],
                 rays=[(F(1), F(0)), (F(0), F(1))],
             )
-            rhs = fiber_bar(h, z).minkowski_sum(plus)
+            rhs = minkowski_sum(fiber_bar(h, z), plus)
             assert lhs.contains_poly(rhs) and rhs.contains_poly(lhs)
             assert lhs == rhs
