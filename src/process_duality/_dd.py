@@ -23,19 +23,20 @@ Entry, the null space of the equalities, and the exit all stay on integers
 too: a row is scaled by the lcm of its denominators and divided by its
 content, the lineality basis is brought to a fraction-free reduced row echelon
 form (each row the primitive multiple of its reduced row, pivot positive), and
-each ray is reduced modulo that basis by integer row steps.  Fractions are
-built once, for the canonical output (that lineality basis and the reduced
-rays, each a primitive integer vector); it is unique, so downstream golden
-tests are reproducible whatever the processing order.  The adjacency step
-yields only extreme rays.
+each ray is reduced modulo that basis by integer row steps.  The output is
+that lineality basis and the sorted reduced rays, each a primitive integer
+tuple; it is unique, so downstream golden tests are reproducible whatever the
+processing order.  No Fraction is built here: each caller builds one per
+entry of its canonical form, dividing the integer entry by the leading entry,
+its absolute value, or the homogenizing coordinate (integer generators with
+a single divisor, as in the Parma Polyhedra Library; Bagnara, Hill &
+Zaffanella 2008).  The adjacency step yields only extreme rays.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 from operator import mul
-
-from .rational import vec
 
 
 def _primitive(ints) -> tuple[int, ...]:
@@ -133,7 +134,8 @@ def _adjacent(common, masks) -> bool:
 
 
 def cone_dd(dim, ineq_rows, eq_rows):
-    """Lineality basis and extreme rays of {x : ineq.x <= 0, eq.x = 0}."""
+    """Lineality basis and extreme rays of {x : ineq.x <= 0, eq.x = 0}, as
+    primitive integer tuples (rows given as ints or Fractions)."""
     ineq = [_integer_direction(a) for a in ineq_rows]
     lines = _integer_null_space([_integer_direction(a) for a in eq_rows], dim)
     rays: list[tuple[int, ...]] = []
@@ -198,6 +200,4 @@ def cone_dd(dim, ineq_rows, eq_rows):
     lines, pivots = _integer_rref(lines, dim)
     reduced = {_reduce_mod_lines(r, lines, pivots) for r in rays}
     reduced.discard((0,) * dim)
-    rays = [vec(r) for r in sorted(reduced)]
-    lines = [vec(l) for l in lines]
-    return lines, rays
+    return lines, sorted(reduced)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
+from ._dd import _integer_direction, _integer_rref
 from .errors import (
     EmptyFeasibleError,
     InternalConsistencyError,
@@ -230,11 +231,15 @@ def _cone_is_zero(k: Polyhedron) -> bool:
 def _henig_admissible(cone_a: PolyhedralCone, base: Polyhedron,
                       eta: Fraction) -> bool:
     """K_eta = cone(base + eta * infinity-ball) is pointed and meets
-    -cone_a only at 0, decided by double description."""
+    -cone_a only at 0, decided by double description.  K_eta is pointed iff
+    the normals of its rows span the space, which one integer rank decides
+    on the rows the double description has just produced."""
     corners = [tuple(eta * s for s in c) for c in box_corners(base.dim)]
     gens = [vadd(v, c) for v in base.vrep.vertices for c in corners]
     k = PolyhedralCone.from_generators(base.dim, gens)
-    return not k.lineality and _cone_is_zero(
+    normals = [_integer_direction(r.normal) for r in k.hrep]
+    _, pivots = _integer_rref(normals, k.dim)
+    return len(pivots) == k.dim and _cone_is_zero(
         cone_a.with_rows([(tuple(-x for x in r.normal), ZERO, LE)
                           for r in k.inequalities()])
     )

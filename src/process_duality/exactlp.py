@@ -12,6 +12,13 @@ Every outcome but UNBOUNDED carries a certificate that is re-checked exactly
 before it is returned: OPTIMAL is checked for row feasibility, dual signs,
 stationarity, complementary slackness and strong duality; INFEASIBLE carries a
 Farkas vector, read off the phase-1 objective row the same way as the duals.
+The check runs on integers and recomputes its own scaling, independently of
+the tableau: each row is multiplied by the lcm of its own denominators, the
+point is written over one common denominator, and the multipliers, each
+divided by its row's scale, over another.  Every identity, scaled by these
+positive integers, is then an integer identity with the same truth value
+(Applegate, Cook, Dash & Espinoza 2007, "Exact solutions to linear
+programming problems").
 
 Strict-inequality feasibility is decided by maximizing a shared slack added to
 every strict row: the system has a strictly feasible point iff the optimal
@@ -24,11 +31,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional
 
 from . import _kernel
 from .errors import DimensionMismatch, InternalConsistencyError
-from .rational import ONE, ZERO, Vec, dot, rat, vec
+from .rational import ONE, ZERO, Vec, rat, vec
 
 Row = tuple[Vec, Fraction]
 
@@ -275,22 +283,42 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
     return result
 
 
-def _combination(system: LinearSystem, y, mu) -> list[Fraction]:
-    """A^T.y + E^T.mu, summed over the nonzero multipliers only."""
-    total = [ZERO] * system.dim
-    for rows, weights in ((system.le, y), (system.eq, mu)):
-        for (normal, _), w in zip(rows, weights):
-            if w:
-                for j, a in enumerate(normal):
-                    if a:
-                        total[j] += w * a
-    return total
+def _integer_rows(rows) -> list[tuple[list[int], int, int]]:
+    """Each row (normal, rhs) as (s.normal, s.rhs, s) with s > 0 the lcm of
+    its own denominators, so the scaled row is integer and keeps its sign."""
+    out = []
+    for normal, rhs in rows:
+        s = lcm(rhs.denominator, *(v.denominator for v in normal))
+        if s == 1:
+            out.append(([v.numerator for v in normal], rhs.numerator, 1))
+        else:
+            a = [v.numerator * (s // v.denominator) for v in normal]
+            out.append((a, rhs.numerator * (s // rhs.denominator), s))
+    return out
 
 
-def _rhs_combination(system: LinearSystem, y, mu) -> Fraction:
-    """b.y + d.mu."""
-    value = sum((w * rhs for (_, rhs), w in zip(system.le, y) if w), ZERO)
-    return value + sum((w * rhs for (_, rhs), w in zip(system.eq, mu) if w), ZERO)
+def _integer_point(x) -> tuple[list[int], int]:
+    """(X, D) with D > 0 and X / D = x."""
+    d = lcm(*(v.denominator for v in x))
+    return [v.numerator * (d // v.denominator) for v in x], d
+
+
+def _integer_combination(rows, weights, dim) -> tuple[list[int], int, int]:
+    """(A^T.W, b.W, M) over integer rows (a, b, s) with M > 0 and
+    W_i / M = weights_i / s_i, so A^T.W / M and b.W / M are the weighted
+    sums of the rows as given.  Zero weights are skipped."""
+    dens = [w.denominator * s if w else 1 for w, (_, _, s) in zip(weights, rows)]
+    m = lcm(*dens)
+    total = [0] * dim
+    rhs = 0
+    for w, den, (a, b, _) in zip(weights, dens, rows):
+        if w:
+            k = w.numerator * (m // den)
+            rhs += k * b
+            for j, aj in enumerate(a):
+                if aj:
+                    total[j] += k * aj
+    return total, rhs, m
 
 
 def _fits(system: LinearSystem, y, mu) -> bool:
@@ -301,28 +329,40 @@ def _fits(system: LinearSystem, y, mu) -> bool:
 
 def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
     """Exact certificate check of an OPTIMAL or INFEASIBLE outcome; raises on
-    any violated identity.  UNBOUNDED outcomes carry no certificate."""
+    any violated identity.  UNBOUNDED outcomes carry no certificate.
+
+    Every identity is checked on integers: each row times the lcm of its own
+    denominators, the point over one common denominator, and the multipliers,
+    each divided by its row's scale, over another."""
+    dim = system.dim
     if out.status is LpStatus.INFEASIBLE:
         y, mu = out.farkas_le, out.farkas_eq
         if not _fits(system, y, mu):
             raise InternalConsistencyError("infeasible outcome without a Farkas vector")
         if any(v < 0 for v in y):
             raise InternalConsistencyError("negative Farkas multiplier on an LE row")
-        if any(v != 0 for v in _combination(system, y, mu)):
+        rows = _integer_rows(system.le + system.eq)
+        total, rhs, _ = _integer_combination(rows, y + mu, dim)
+        if any(total):
             raise InternalConsistencyError("Farkas combination of the rows is not zero")
-        if _rhs_combination(system, y, mu) >= 0:
+        if rhs >= 0:
             raise InternalConsistencyError("Farkas right-hand side is not negative")
         return
     if out.status is not LpStatus.OPTIMAL:
         return
-    c = vec(objective)
-    x = out.primal_point
-    le_dots = [dot(normal, x) for normal, _ in system.le]
-    for ax, (_, rhs) in zip(le_dots, system.le):
-        if ax > rhs:
+    c, cden = _integer_point(vec(objective))
+    x, xden = _integer_point(out.primal_point)
+    if len(x) != dim:
+        raise DimensionMismatch(f"primal point of length {len(x)} in dimension {dim}")
+    le = _integer_rows(system.le)
+    eq = _integer_rows(system.eq)
+    # a.x <= b and a.x = b, each times s.xden > 0
+    le_dots = [sum(map(mul, a, x)) for a, _, _ in le]
+    for ax, (_, b, _) in zip(le_dots, le):
+        if ax > b * xden:
             raise InternalConsistencyError("primal point violates an LE row")
-    for normal, rhs in system.eq:
-        if dot(normal, x) != rhs:
+    for a, b, _ in eq:
+        if sum(map(mul, a, x)) != b * xden:
             raise InternalConsistencyError("primal point violates an EQ row")
     y = out.dual_le
     mu = out.dual_eq
@@ -331,19 +371,22 @@ def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
     if any(v < 0 for v in y):
         raise InternalConsistencyError("negative dual on an LE row")
     sign = -1 if sense == "min" else 1
-    for lhs, cj in zip(_combination(system, y, mu), c):
-        if lhs != sign * cj:
+    total, dual_val, m = _integer_combination(le + eq, y + mu, dim)
+    # A^T.y + E^T.mu = sign.c, both sides times m.cden
+    for lhs, cj in zip(total, c):
+        if lhs * cden != sign * cj * m:
             raise InternalConsistencyError("dual stationarity fails")
-    for yi, ax, (_, rhs) in zip(y, le_dots, system.le):
-        if yi != 0 and ax != rhs:
+    for yi, ax, (_, b, _) in zip(y, le_dots, le):
+        if yi != 0 and ax != b * xden:
             raise InternalConsistencyError("complementary slackness fails")
-    dual_val = _rhs_combination(system, y, mu)
+    # c.x = cx / (cden.xden) and b.y + d.mu = dual_val / m;
     # sense == "min": c.x == -(b.y + d.mu); sense == "max": c.x == b.y + d.mu
-    expected = -dual_val if sense == "min" else dual_val
-    cx = dot(c, x)
-    if cx != expected:
+    cx = sum(map(mul, c, x))
+    cx_den = cden * xden
+    if cx * m != sign * dual_val * cx_den:
         raise InternalConsistencyError("strong duality fails")
-    if cx != out.objective_value:
+    value = out.objective_value
+    if value is None or cx * value.denominator != value.numerator * cx_den:
         raise InternalConsistencyError("objective value mismatch")
 
 

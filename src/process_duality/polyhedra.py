@@ -35,6 +35,7 @@ from .rational import (
     dot,
     is_zero_vec,
     matvec,
+    quotients,
     vadd,
     vec,
     zeros,
@@ -58,17 +59,6 @@ class HRow:
         return HRow(
             tuple(x / c for x in self.normal), self.offset / c, self.rel
         )
-
-
-def _canon_ray(r: Vec) -> Vec:
-    lead = next(x for x in r if x != 0)
-    c = abs(lead)
-    return tuple(x / c for x in r)
-
-
-def _canon_line(l: Vec) -> Vec:
-    lead = next(x for x in l if x != 0)
-    return tuple(x / lead for x in l)
 
 
 @dataclass(frozen=True)
@@ -346,10 +336,12 @@ def _hrep_to_vrep(dim: int, rows: tuple[HRow, ...]) -> VRep:
     """Homogenize, run double description, split by the t coordinate.
 
     `cone_dd` returns its lines in reduced row echelon form and its rays
-    reduced modulo them, each a primitive integer vector.  Lines have t = 0
+    reduced modulo them, each a primitive integer tuple.  Lines have t = 0
     and the t column is last, so dropping it keeps that form: the recession
-    rays and the vertices come out already reduced, and only the leading
-    coefficient scaling and the division by t remain.
+    rays and the vertices come out already reduced.  Each canonical entry is
+    then one Fraction x / c built from the integers: c is a line's leading
+    entry, the absolute value of a recession ray's leading entry, or a
+    vertex's t.
     """
     ineq = []
     eq = []
@@ -364,13 +356,13 @@ def _hrep_to_vrep(dim: int, rows: tuple[HRow, ...]) -> VRep:
     for l in lines:
         if l[dim] != 0:
             raise InternalConsistencyError("homogenization line with t != 0")
-        rec_lines.append(_canon_line(l[:dim]))
+        rec_lines.append(quotients(l[:dim], next(x for x in l if x)))
     for r in rays:
         t = r[dim]
         if t > 0:
-            vertices.append(tuple(x / t for x in r[:dim]))
+            vertices.append(quotients(r[:dim], t))
         else:
-            rec_rays.append(_canon_ray(r[:dim]))
+            rec_rays.append(quotients(r[:dim], abs(next(x for x in r if x))))
     if not vertices:
         return VRep()
     return VRep(
@@ -379,7 +371,13 @@ def _hrep_to_vrep(dim: int, rows: tuple[HRow, ...]) -> VRep:
 
 
 def _vrep_to_hrep(dim: int, vrep: VRep) -> tuple[HRow, ...]:
-    """Facets via the polar of the homogenization cone."""
+    """Facets via the polar of the homogenization cone.
+
+    Each polar generator (a, b) is a primitive integer tuple; its row
+    a.x <= -b (or = -b) is divided by the leading coefficient of a, in
+    absolute value for an inequality, one Fraction per entry (the sign rule
+    of `HRow.scaled_canonical`).
+    """
     ineq = [v + (ONE,) for v in vrep.vertices]
     ineq += [r + (ZERO,) for r in vrep.rays]
     eq = [l + (ZERO,) for l in vrep.lines]
@@ -387,15 +385,18 @@ def _vrep_to_hrep(dim: int, vrep: VRep) -> tuple[HRow, ...]:
     lines, rays = cone_dd(dim + 1, [tuple(g) for g in ineq], [tuple(g) for g in eq])
     rows = []
     for r in rays:
-        a, b = r[:dim], r[dim]
-        if is_zero_vec(a):
+        a = r[:dim]
+        lead = next((x for x in a if x), 0)
+        if not lead:
             continue  # 0.x <= -b with b <= 0: trivial
-        rows.append(HRow(a, -b, LE).scaled_canonical())
+        c = abs(lead)
+        rows.append(HRow(quotients(a, c), Fraction(-r[dim], c), LE))
     for l in lines:
-        a, b = l[:dim], l[dim]
-        if is_zero_vec(a):
+        a = l[:dim]
+        lead = next((x for x in a if x), 0)
+        if not lead:
             raise InternalConsistencyError("trivial equality in polar")
-        rows.append(HRow(a, -b, EQ).scaled_canonical())
+        rows.append(HRow(quotients(a, lead), Fraction(-l[dim], lead), EQ))
     return tuple(sorted(set(rows)))
 
 
@@ -418,8 +419,8 @@ def polar_cone(k: PolyhedralCone, sign: str = "negative") -> PolyhedralCone:
     if sign not in ("negative", "positive"):
         raise ValueError(f"unknown polar sign {sign!r}")
     lines, rays = cone_dd(k.dim, list(k.generators), list(k.lineality))
-    if sign == "positive":
-        rays = [tuple(-x for x in r) for r in rays]
+    c = -1 if sign == "positive" else 1
+    rays = [quotients(r, c) for r in rays]
     return PolyhedralCone.from_generators(k.dim, rays, lines)
 
 

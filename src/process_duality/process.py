@@ -24,7 +24,7 @@ from .polyhedra import (
     Polyhedron,
     PolyhedralCone,
 )
-from .rational import Vec, dot, is_zero_vec, vec, vsub, zeros
+from .rational import Vec, dot, is_zero_vec, quotients, vec, vsub, zeros
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,10 @@ def separator_cone(graph_w, y0) -> SeparatorCone:
     lines, rays = cone_dd(dim, ineq, eq)
     seps = []
     for r in rays:
+        r = quotients(r, 1)
         seps.append(Separator(r[:z_dim], r[z_dim:]))
     for l in lines:
+        l = quotients(l, 1)
         seps.append(Separator(l[:z_dim], l[z_dim:]))
         seps.append(Separator(tuple(-x for x in l[:z_dim]), tuple(-x for x in l[z_dim:])))
     return SeparatorCone(z_dim, len(y0), y0, tuple(seps))

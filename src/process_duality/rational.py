@@ -39,6 +39,13 @@ def vec(values: Iterable) -> Vec:
     return tuple(rat(v) for v in values)
 
 
+def quotients(ints: Iterable[int], c: int) -> Vec:
+    """The exact quotients x / c of integers x by a nonzero integer c."""
+    if c == 1:
+        return tuple(map(Fraction, ints))
+    return tuple(Fraction(x, c) for x in ints)
+
+
 def zeros(n: int) -> Vec:
     return (ZERO,) * n
 

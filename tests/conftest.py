@@ -1,14 +1,15 @@
 """Shared reference instances: the bundled worked example and two derived
 ones, criterion 3's program stream with restricted boundaries and criterion
 4's finite programs; an LP oracle for membership in a finitely generated
-cone; and generator-level oracles for a polyhedron's two representations
-and for Minkowski sums."""
+cone; generator-level oracles for a polyhedron's two representations and
+for Minkowski sums; and the LP certificate check in Fraction arithmetic."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from process_duality.errors import InternalConsistencyError
 from process_duality.exactlp import LinearSystem, LpStatus, lp_solve
 from process_duality.fuzzing import (
     random_affine_instance,
@@ -27,7 +28,7 @@ from process_duality.polyhedra import (
     BoundaryRestrictedPolyhedron,
     Polyhedron,
 )
-from process_duality.rational import ONE, ZERO, is_zero_vec, vadd, vec
+from process_duality.rational import ONE, ZERO, dot, is_zero_vec, vadd, vec
 
 
 @pytest.fixture
@@ -236,3 +237,81 @@ def minkowski_sum():
         )
 
     return total
+
+
+def _combination(system, y, mu):
+    """A^T.y + E^T.mu, summed over the nonzero multipliers only."""
+    total = [ZERO] * system.dim
+    for rows, weights in ((system.le, y), (system.eq, mu)):
+        for (normal, _), w in zip(rows, weights):
+            if w:
+                for j, a in enumerate(normal):
+                    if a:
+                        total[j] += w * a
+    return total
+
+
+def _rhs_combination(system, y, mu):
+    """b.y + d.mu."""
+    value = sum((w * rhs for (_, rhs), w in zip(system.le, y) if w), ZERO)
+    return value + sum((w * rhs for (_, rhs), w in zip(system.eq, mu) if w), ZERO)
+
+
+def _fits(system, y, mu):
+    return (y is not None and mu is not None
+            and len(y) == len(system.le) and len(mu) == len(system.eq))
+
+
+def _fraction_verify_outcome(objective, system, sense, out):
+    if out.status is LpStatus.INFEASIBLE:
+        y, mu = out.farkas_le, out.farkas_eq
+        if not _fits(system, y, mu):
+            raise InternalConsistencyError("infeasible outcome without a Farkas vector")
+        if any(v < 0 for v in y):
+            raise InternalConsistencyError("negative Farkas multiplier on an LE row")
+        if any(v != 0 for v in _combination(system, y, mu)):
+            raise InternalConsistencyError("Farkas combination of the rows is not zero")
+        if _rhs_combination(system, y, mu) >= 0:
+            raise InternalConsistencyError("Farkas right-hand side is not negative")
+        return
+    if out.status is not LpStatus.OPTIMAL:
+        return
+    c = vec(objective)
+    x = out.primal_point
+    le_dots = [dot(normal, x) for normal, _ in system.le]
+    for ax, (_, rhs) in zip(le_dots, system.le):
+        if ax > rhs:
+            raise InternalConsistencyError("primal point violates an LE row")
+    for normal, rhs in system.eq:
+        if dot(normal, x) != rhs:
+            raise InternalConsistencyError("primal point violates an EQ row")
+    y = out.dual_le
+    mu = out.dual_eq
+    if not _fits(system, y, mu):
+        raise InternalConsistencyError("optimal outcome without a dual per row")
+    if any(v < 0 for v in y):
+        raise InternalConsistencyError("negative dual on an LE row")
+    sign = -1 if sense == "min" else 1
+    for lhs, cj in zip(_combination(system, y, mu), c):
+        if lhs != sign * cj:
+            raise InternalConsistencyError("dual stationarity fails")
+    for yi, ax, (_, rhs) in zip(y, le_dots, system.le):
+        if yi != 0 and ax != rhs:
+            raise InternalConsistencyError("complementary slackness fails")
+    dual_val = _rhs_combination(system, y, mu)
+    # sense == "min": c.x == -(b.y + d.mu); sense == "max": c.x == b.y + d.mu
+    expected = -dual_val if sense == "min" else dual_val
+    cx = dot(c, x)
+    if cx != expected:
+        raise InternalConsistencyError("strong duality fails")
+    if cx != out.objective_value:
+        raise InternalConsistencyError("objective value mismatch")
+
+
+@pytest.fixture(scope="session")
+def fraction_verify_outcome():
+    """(objective, system, sense, outcome) -> the LP certificate check in
+    Fraction arithmetic, with the package check's messages and order: row
+    feasibility, multiplier signs, stationarity (or the Farkas combination),
+    complementary slackness, strong duality and the objective value."""
+    return _fraction_verify_outcome

@@ -344,6 +344,69 @@ class TestHenigEta:
         assert seen["points"] > 100
         assert seen["at_delta"] > 0
 
+    def test_pointedness_from_rows_matches_the_lineality_route(
+        self, monkeypatch, criterion_3_program
+    ):
+        """K_eta's pointedness read off the rank of its rows decides every
+        admissibility check as K_eta's lineality space did, with one double
+        description run fewer per check."""
+        admissible = certify_module._henig_admissible
+        dd = polyhedra_module.cone_dd
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return dd(*args)
+
+        def lineality_route(cone_a, base, eta):
+            gens = [
+                tuple(x + eta * s for x, s in zip(v, corner))
+                for v in base.vrep.vertices
+                for corner in product((1, -1), repeat=base.dim)
+            ]
+            k = PolyhedralCone.from_generators(base.dim, gens)
+            if k.lineality:
+                return False
+            meet = cone_a.with_rows(
+                [(tuple(-x for x in r.normal), 0, LE) for r in k.inequalities()]
+            )
+            return not meet.vrep.rays and not meet.vrep.lines
+
+        verdicts = []
+
+        def checked(cone_a, base, eta):
+            base.vrep
+            before = calls[0]
+            got = admissible(cone_a, base, eta)
+            rows_route = calls[0] - before
+            before = calls[0]
+            assert got == lineality_route(cone_a, base, eta)
+            assert rows_route == calls[0] - before - 1
+            verdicts.append(got)
+            return got
+
+        monkeypatch.setattr(polyhedra_module, "cone_dd", counted)
+        monkeypatch.setattr(certify_module, "_henig_admissible", checked)
+        for i in range(40):
+            if i in (3, 5):
+                continue
+            ctx = ProgramContext(criterion_3_program(i))
+            try:
+                _, points, _ = minimal_frontier_points(ctx)
+            except EmptyFeasibleError:
+                continue
+            for y0 in points:
+                certify_multiplier(ctx, y0)
+        assert verdicts.count(True) > 50 and False in verdicts
+
+    def test_dilation_with_a_line_is_refused(self):
+        orthant = PolyhedralCone.from_generators(2, [(1, 0), (0, 1)])
+        # cone of (+-1, 0) + eta * ball is a half-plane: not pointed
+        segment = Polyhedron.from_vrep(2, [(1, 0), (-1, 0)])
+        assert not certify_module._henig_admissible(orthant, segment, F(1, 2))
+        point = Polyhedron.from_vrep(2, [(1, 1)])
+        assert certify_module._henig_admissible(orthant, point, F(1, 4))
+
     def test_refused_checks_raise(self, monkeypatch, planar_i3):
         y0 = (F(1, 2), F(1, 2))
         assert certify_multiplier(planar_i3, y0).status_P0.witnesses["he_eta"]

@@ -119,6 +119,60 @@ def test_corrupted_farkas_vector_raises(farkas_le, farkas_eq):
         verify_outcome((1,), s, "min", out)
 
 
+# Rows whose denominators have lcm 6, 3, 4, 105 and 15, so each row is scaled
+# by its own factor; the optimum lies on row 0 and the equality, with duals
+# 1 and 2.
+FRACTIONAL = LinearSystem(
+    2,
+    le=[((F(1, 2), F(1, 3)), F(5, 6)), ((F(-2, 3), 0), 0), ((0, F(-1, 4)), 0),
+        ((F(3, 5), F(-1, 7)), F(2, 3))],
+    eq=[((F(1, 3), F(-1, 5)), F(1, 15))],
+)
+FRACTIONAL_OBJECTIVE = (F(-7, 6), F(1, 15))
+
+
+@pytest.mark.parametrize(
+    "corruption,message",
+    [
+        (dict(primal_point=(F(1), F(2))), "primal point violates an LE row"),
+        (dict(primal_point=(F(0), F(0))), "primal point violates an EQ row"),
+        (dict(dual_le=(F(1), F(0), F(0))), "optimal outcome without a dual per row"),
+        (dict(dual_le=(F(1), F(-1, 3), F(0), F(0))), "negative dual on an LE row"),
+        (dict(dual_le=(F(2), F(0), F(0), F(0))), "dual stationarity fails"),
+        (dict(dual_eq=(F(5, 2),)), "dual stationarity fails"),
+        # feasible and on the equality, but row 0 (dual 1) is not tight
+        (dict(primal_point=(F(1, 5), F(0))), "complementary slackness fails"),
+        (dict(objective_value=F(-29, 30) + F(1, 7)), "objective value mismatch"),
+        (dict(objective_value=None), "objective value mismatch"),
+    ],
+)
+def test_corrupted_optimal_certificate_raises(corruption, message,
+                                              fraction_verify_outcome):
+    out = lp_solve(FRACTIONAL_OBJECTIVE, FRACTIONAL)
+    assert out.primal_point == (F(17, 19), F(22, 19))
+    assert (out.dual_le, out.dual_eq) == ((F(1), F(0), F(0), F(0)), (F(2),))
+    bad = replace(out, **corruption)
+    for check in (verify_outcome, fraction_verify_outcome):
+        with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+            check(FRACTIONAL_OBJECTIVE, FRACTIONAL, "min", bad)
+
+
+def test_strong_duality_failure_raises(monkeypatch):
+    """With feasible rows, signed multipliers, stationarity and
+    complementary slackness, b.y + d.mu = -c.x follows, so no corrupted
+    outcome reaches this identity; a dual value off by one does."""
+    out = lp_solve(FRACTIONAL_OBJECTIVE, FRACTIONAL)
+    combine = exactlp_module._integer_combination
+
+    def off_by_one(rows, weights, dim):
+        total, rhs, m = combine(rows, weights, dim)
+        return total, rhs + m, m
+
+    monkeypatch.setattr(exactlp_module, "_integer_combination", off_by_one)
+    with pytest.raises(InternalConsistencyError, match="^strong duality fails$"):
+        verify_outcome(FRACTIONAL_OBJECTIVE, FRACTIONAL, "min", out)
+
+
 def test_artificial_basic_after_phase_one_is_driven_out(monkeypatch):
     # -x1 - x2 = 0 on the box [0, 3]^2: phase 1 ends at value 0 with the
     # row's artificial still basic, and the pivot that drives it out has a
@@ -336,3 +390,57 @@ def test_random_lp_with_equalities_matches_brute_force(case):
     else:
         assert out.status is LpStatus.OPTIMAL
         assert out.objective_value == oracle
+
+
+def _raised(check, objective, system, sense, out):
+    """The message `check` raises on the outcome, or None."""
+    try:
+        check(objective, system, sense, out)
+    except InternalConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def perturbed_certificates(draw):
+    """A `bounded_lp_with_equalities` case, its rows optionally each times
+    a positive rational, solved; then one entry of the certificate (the
+    point, the value, a dual or a Farkas multiplier) moved by a small
+    rational, possibly 0."""
+    objective, system, sense = draw(bounded_lp_with_equalities())
+    if draw(st.booleans()):
+        factor = st.builds(F, st.integers(1, 6), st.integers(1, 6))
+
+        def scaled(rows):
+            factors = draw(st.lists(factor, min_size=len(rows), max_size=len(rows)))
+            return tuple((tuple(f * a for a in n), f * b)
+                         for (n, b), f in zip(rows, factors))
+
+        system = LinearSystem(system.dim, scaled(system.le), scaled(system.eq))
+    out = lp_solve(objective, system, sense)
+    if out.status is LpStatus.OPTIMAL:
+        fields = ["primal_point", "objective_value", "dual_le", "dual_eq"]
+    else:
+        fields = ["farkas_le", "farkas_eq"]
+    name = draw(st.sampled_from(fields))
+    delta = F(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+    value = getattr(out, name)
+    if name == "objective_value":
+        value += delta
+    else:
+        i = draw(st.integers(0, len(value) - 1))
+        value = value[:i] + (value[i] + delta,) + value[i + 1 :]
+    return objective, system, sense, out, replace(out, **{name: value})
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_certificates())
+def test_integer_check_raises_exactly_when_the_fraction_check_does(
+    fraction_verify_outcome, case
+):
+    objective, system, sense, out, bad = case
+    assert _raised(verify_outcome, objective, system, sense, out) is None
+    assert _raised(fraction_verify_outcome, objective, system, sense, out) is None
+    assert _raised(verify_outcome, objective, system, sense, bad) == _raised(
+        fraction_verify_outcome, objective, system, sense, bad
+    )

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from importlib import resources
 from itertools import combinations
 from math import gcd, lcm
 
@@ -15,9 +16,19 @@ from process_duality._dd import (
     _reduce_mod_lines,
     cone_dd,
 )
+from process_duality.certify import (
+    ProgramContext,
+    certify_multiplier,
+    minimal_frontier_points,
+)
 from process_duality.errors import DimensionMismatch, InternalConsistencyError
 from process_duality.exactlp import LpStatus, lp_solve
-from process_duality.model import _order_rows_for_g, w0_cells, w0_image_points
+from process_duality.model import (
+    _order_rows_for_g,
+    graph_closure,
+    w0_cells,
+    w0_image_points,
+)
 from process_duality.polyhedra import (
     EQ,
     LE,
@@ -34,6 +45,8 @@ from process_duality.polyhedra import (
     polar_cone,
     project,
 )
+from process_duality.problemfile import load_problem
+from process_duality.process import separator_cone
 from process_duality.rational import ONE, ZERO, Vec, dot, is_zero_vec, vec, zeros
 
 
@@ -760,3 +773,57 @@ class TestIntegerHelpers:
             got = _integer_direction(v)
             assert got == fraction_direction(v), v
             assert all(type(x) is int for x in got)
+
+
+def non_fractions(*sets):
+    """Every entry of the sets' canonical rows and generators, and of the
+    given vectors, whose type is not exactly Fraction."""
+    bad = []
+    for x in sets:
+        if isinstance(x, Polyhedron):
+            entries = [e for r in x.hrep for e in r.normal + (r.offset,)]
+            v = x.vrep
+            entries += [e for g in v.vertices + v.rays + v.lines for e in g]
+        else:
+            entries = list(x)
+        bad += [e for e in entries if type(e) is not F]
+    return bad
+
+
+class TestFractionBoundary:
+    """Double description runs on integers, and every canonical entry built
+    from it is a Fraction: an int has `.numerator` too and prints the same
+    in reports, so a leak would pass every golden test."""
+
+    def test_criterion_5_cones(self):
+        for i in range(300):
+            dim, rows = criterion5_cone(i)
+            k = PolyhedralCone.from_normals(dim, rows)
+            # a polyhedron with the same normals and nonzero offsets
+            p = Polyhedron.from_hrep(dim, [(n, 1 + j % 3, LE) for j, n in enumerate(rows)])
+            sets = [k, p, dd_convert(p, "VtoH"), dd_convert(p, "HtoV")]
+            for sign in ("negative", "positive"):
+                polar = polar_cone(k, sign)
+                sets += [polar, *polar.generators, *polar.lineality]
+            cs = cone_structure(k)
+            if cs.base is not None:
+                sets += [cs.base, cs.functional]
+            assert non_fractions(*sets) == [], i
+
+    @pytest.mark.parametrize("name", ["worked_example", "i3", "scalar_i2"])
+    def test_bundled_instances(self, name):
+        path = resources.files("process_duality").joinpath(f"instances/{name}.json")
+        ctx = ProgramContext(load_problem(str(path)))
+        closure = graph_closure(ctx.program)
+        _, points, _ = minimal_frontier_points(ctx)
+        assert points
+        sets = [ctx.program.omega.closure, closure]
+        for y0 in points:
+            cert = certify_multiplier(ctx, y0)
+            for s in (separator_cone(closure, y0), cert.separators):
+                assert s.generators
+                for h in s.generators:
+                    sets += [h.z_star, h.y_star]
+            graph = cert.process.graph
+            sets += [graph, polar_cone(graph), cert.dual_image]
+        assert non_fractions(*sets) == []
