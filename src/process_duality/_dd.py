@@ -20,37 +20,28 @@ a bit mask kept up to date by bit operations rather than recomputed:
   parents do, because it is a positive combination of two values <= 0.
 
 Entry, the null space of the equalities, and the exit all stay on integers
-too: a row is scaled by the lcm of its denominators and divided by its
-content, the lineality basis is brought to a fraction-free reduced row echelon
-form (each row the primitive multiple of its reduced row, pivot positive), and
-each ray is reduced modulo that basis by integer row steps.  The output is
-that lineality basis and the sorted reduced rays, each a primitive integer
-tuple; it is unique, so downstream golden tests are reproducible whatever the
-processing order.  No Fraction is built here: each caller builds one per
-entry of its canonical form, dividing the integer entry by the leading entry,
-its absolute value, or the homogenizing coordinate (integer generators with
-a single divisor, as in the Parma Polyhedra Library; Bagnara, Hill &
-Zaffanella 2008).  The adjacency step yields only extreme rays.
+too: a row is scaled by the lcm of its denominators (`rational.integer_scaled`)
+and divided by its content (`_kernel.primitive`), the lineality basis is
+brought to a fraction-free reduced row echelon form (each row the primitive
+multiple of its reduced row, pivot positive), and each ray is reduced modulo
+that basis, both by the simplex's integer row step (`_kernel.eliminate`).
+The output is that lineality basis and the sorted reduced rays, each a
+primitive integer tuple; it is unique, so downstream golden tests are
+reproducible whatever the processing order.  No Fraction is built here: each
+caller builds one per entry of its canonical form, dividing the integer entry
+by the leading entry, its absolute value, or the homogenizing coordinate
+(integer generators with a single divisor, as in the Parma Polyhedra Library;
+Bagnara, Hill & Zaffanella 2008).  The adjacency step yields only extreme
+rays.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
-
-def _primitive(ints) -> tuple[int, ...]:
-    """Divide an integer vector by the gcd of its entries (direction kept)."""
-    g = gcd(*ints)
-    if g > 1:
-        return tuple(value // g for value in ints)
-    return tuple(ints)
-
-
-def _integer_direction(v) -> tuple[int, ...]:
-    """Primitive integer vector pointing the same way as v (ints or Fractions)."""
-    denominator = lcm(*(x.denominator for x in v))
-    return _primitive([x.numerator * (denominator // x.denominator) for x in v])
+from ._kernel import eliminate, primitive
+from .rational import integer_scaled
 
 
 def _integer_rref(rows, dim):
@@ -72,17 +63,14 @@ def _integer_rref(rows, dim):
             continue
         work[r], work[piv] = work[piv], work[r]
         prow = work[r]
-        pval = prow[col]
-        if pval < 0:
+        if prow[col] < 0:
             prow = work[r] = [-x for x in prow]
-            pval = -pval
         for i, row in enumerate(work):
-            f = row[col]
-            if f and i != r:
-                work[i] = _primitive([pval * x - f * y for x, y in zip(row, prow)])
+            if row[col] and i != r:
+                work[i] = eliminate(row, prow, col)
         pivots.append(col)
         r += 1
-    return [_primitive(row) for row in work[:r]], pivots
+    return [primitive(row) for row in work[:r]], pivots
 
 
 def _integer_null_space(rows, dim) -> list[tuple[int, ...]]:
@@ -103,7 +91,7 @@ def _integer_null_space(rows, dim) -> list[tuple[int, ...]]:
         v[c] = scale
         for row, p in zip(basis, pivots):
             v[p] = -row[c] * (scale // row[p])
-        out.append(_primitive(v))
+        out.append(primitive(v))
     return out
 
 
@@ -111,11 +99,9 @@ def _reduce_mod_lines(v, lines, pivots) -> tuple[int, ...]:
     """Primitive representative of v modulo span(lines), zero on every pivot
     column (lines as returned by `_integer_rref`); direction kept."""
     for line, p in zip(lines, pivots):
-        f = v[p]
-        if f:
-            lp = line[p]
-            v = [lp * x - f * y for x, y in zip(v, line)]
-    return _primitive(v)
+        if v[p]:
+            v = eliminate(v, line, p)
+    return primitive(v)
 
 
 def _idot(a, b) -> int:
@@ -136,8 +122,8 @@ def _adjacent(common, masks) -> bool:
 def cone_dd(dim, ineq_rows, eq_rows):
     """Lineality basis and extreme rays of {x : ineq.x <= 0, eq.x = 0}, as
     primitive integer tuples (rows given as ints or Fractions)."""
-    ineq = [_integer_direction(a) for a in ineq_rows]
-    lines = _integer_null_space([_integer_direction(a) for a in eq_rows], dim)
+    ineq = [primitive(integer_scaled(a)[0]) for a in ineq_rows]
+    lines = _integer_null_space([primitive(integer_scaled(a)[0]) for a in eq_rows], dim)
     rays: list[tuple[int, ...]] = []
     masks: list[int] = []  # bit i set: the ray lies on the i-th processed row
     bit = 1  # the bit of the row being processed
@@ -155,7 +141,7 @@ def cone_dd(dim, ineq_rows, eq_rows):
                 s0 = -s0
             # v - (a.v / s0) l0, scaled by -s0 > 0: zero on a, direction kept.
             lines = [
-                _primitive([-s0 * x + s * y for x, y in zip(l, l0)])
+                primitive([-s0 * x + s * y for x, y in zip(l, l0)])
                 for k, (l, s) in enumerate(zip(lines, vals))
                 if k != hit
             ]
@@ -164,7 +150,7 @@ def cone_dd(dim, ineq_rows, eq_rows):
             for r, m in zip(rays, masks):
                 t = _idot(a, r)
                 if t != 0:
-                    r = _primitive([-s0 * x + t * y for x, y in zip(r, l0)])
+                    r = primitive([-s0 * x + t * y for x, y in zip(r, l0)])
                     if not any(r):
                         continue
                 new_rays.append(r)
@@ -188,7 +174,7 @@ def cone_dd(dim, ineq_rows, eq_rows):
                 common = masks[p] & masks[q]
                 if not _adjacent(common, masks):
                     continue
-                combo = _primitive([sp * x - sq * y for x, y in zip(rays[q], rp)])
+                combo = primitive([sp * x - sq * y for x, y in zip(rays[q], rp)])
                 if any(combo):
                     new_rays.append(combo)
                     new_masks.append(common | bit)

@@ -1,14 +1,23 @@
-"""Fraction-free pivot kernel of the exact simplex.
+"""Fraction-free integer kernel of the exact simplex and double description.
 
 A tableau is a list of rows of Python ints; the objective row comes last.
 Every constraint row is a positive integer multiple of its Gauss-Jordan row,
 so each sign and each ratio the simplex reads is the rational tableau's.  The
 last column holds the objective row's positive denominator and is 0 in every
 constraint row, so one update step serves both kinds of row (Edmonds 1967,
-Bareiss 1968: integer-preserving elimination).
+Bareiss 1968: integer-preserving elimination).  Double description reduces
+its lineality basis with the same step and keeps every vector `primitive`.
 """
 
 from math import gcd
+
+
+def primitive(ints) -> tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries (direction kept)."""
+    g = gcd(*ints)
+    if g > 1:
+        return tuple(x // g for x in ints)
+    return tuple(ints)
 
 
 def eliminate(row, prow, e):
@@ -19,13 +28,8 @@ def eliminate(row, prow, e):
     a = prow[e]
     f = row[e]
     if a == 1:
-        new = [x - f * y for x, y in zip(row, prow)]
-    else:
-        new = [a * x - f * y for x, y in zip(row, prow)]
-    g = gcd(*new)
-    if g > 1:
-        new = [x // g for x in new]
-    return new
+        return primitive([x - f * y for x, y in zip(row, prow)])
+    return primitive([a * x - f * y for x, y in zip(row, prow)])
 
 
 def pivot(rows, r, e):

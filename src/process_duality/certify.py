@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-from ._dd import _integer_direction, _integer_rref
+from ._dd import _integer_rref
 from .errors import (
     EmptyFeasibleError,
     InternalConsistencyError,
@@ -67,6 +67,7 @@ from .rational import (
     box_corners,
     dot,
     inf_norm,
+    integer_scaled,
     vadd,
     vec,
     vsub,
@@ -237,7 +238,7 @@ def _henig_admissible(cone_a: PolyhedralCone, base: Polyhedron,
     corners = [tuple(eta * s for s in c) for c in box_corners(base.dim)]
     gens = [vadd(v, c) for v in base.vrep.vertices for c in corners]
     k = PolyhedralCone.from_generators(base.dim, gens)
-    normals = [_integer_direction(r.normal) for r in k.hrep]
+    normals = [integer_scaled(r.normal)[0] for r in k.hrep]
     _, pivots = _integer_rref(normals, k.dim)
     return len(pivots) == k.dim and _cone_is_zero(
         cone_a.with_rows([(tuple(-x for x in r.normal), ZERO, LE)
@@ -358,7 +359,7 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
     if ghe:
         witnesses["ghe_via"] = "he" if he else "pos"
 
-    bounded_part = cone_a.intersect(yplus.ball_minus)
+    bounded_part = cone_a.with_rows(yplus.ball_minus.hrep)
     se = not bounded_part.vrep.rays and not bounded_part.vrep.lines
     if se:
         rho = max(

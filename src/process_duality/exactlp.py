@@ -36,7 +36,7 @@ from typing import Optional
 
 from . import _kernel
 from .errors import DimensionMismatch, InternalConsistencyError
-from .rational import ONE, ZERO, Vec, rat, vec
+from .rational import ONE, ZERO, Vec, integer_scaled, rat, vec
 
 Row = tuple[Vec, Fraction]
 
@@ -183,11 +183,10 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
         raise DimensionMismatch(f"objective width {len(c)} != dimension {n}")
     cmin = c if sense == "min" else tuple(-x for x in c)
 
-    rows = [(normal, rhs, "le") for normal, rhs in system.le]
-    rows += [(normal, rhs, "eq") for normal, rhs in system.eq]
+    rows = _integer_rows(system.le + system.eq)
     m = len(rows)
     n_le = len(system.le)
-    flipped = [rhs < 0 for _, rhs, _ in rows]
+    flipped = [b < 0 for _, b, _ in rows]
 
     # Columns: x+ (n), x- (n), one slack per LE row, artificials as needed,
     # then the right-hand side and the objective denominator.  A row's initial
@@ -195,29 +194,27 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
     art_start = 2 * n + n_le
     init_col = []
     n_art = 0
-    for i, (_, _, kind) in enumerate(rows):
-        if kind == "eq" or flipped[i]:
+    for i in range(m):
+        if i >= n_le or flipped[i]:
             init_col.append(art_start + n_art)
             n_art += 1
         else:
             init_col.append(2 * n + i)
     width = art_start + n_art
 
-    # Each row of the flipped standard form, scaled by the lcm of its
-    # denominators: a primitive integer row.
+    # Each row of the flipped standard form, times its row's scale s.
     tab = []
-    for i, (normal, rhs, kind) in enumerate(rows):
-        scale = lcm(rhs.denominator, *(v.denominator for v in normal))
-        sign = -scale if flipped[i] else scale
+    for i, (a, b, scale) in enumerate(rows):
+        sign = -1 if flipped[i] else 1
         line = [0] * (width + 2)
-        for j, v in enumerate(normal):
-            if v:
-                line[j] = q = sign * v.numerator // v.denominator
-                line[n + j] = -q
-        if kind == "le":
-            line[2 * n + i] = sign
+        for j, q in enumerate(a):
+            if q:
+                line[j] = sign * q
+                line[n + j] = -sign * q
+        if i < n_le:
+            line[2 * n + i] = sign * scale
         line[init_col[i]] = scale
-        line[width] = sign * rhs.numerator // rhs.denominator
+        line[width] = sign * b
         tab.append(line)
     basis = list(init_col)
 
@@ -253,12 +250,10 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
     basis = [basis[i] for i in kept]
 
     # Phase 2 objective over the current basis.
-    cden = lcm(*(v.denominator for v in cmin))
+    cints, cden = integer_scaled(cmin)
     cost = [0] * (width + 2)
-    for j, v in enumerate(cmin):
-        if v:
-            cost[j] = q = v.numerator * cden // v.denominator
-            cost[n + j] = -q
+    cost[:n] = cints
+    cost[n:2 * n] = [-q for q in cints]
     cost[-1] = cden
     tab.append(_objective_row(cost, tab, basis))
     if not _simplex(tab, basis, art_start):
@@ -283,42 +278,34 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
     return result
 
 
-def _integer_rows(rows) -> list[tuple[list[int], int, int]]:
+def _integer_rows(rows) -> list[tuple[tuple[int, ...], int, int]]:
     """Each row (normal, rhs) as (s.normal, s.rhs, s) with s > 0 the lcm of
     its own denominators, so the scaled row is integer and keeps its sign."""
     out = []
     for normal, rhs in rows:
-        s = lcm(rhs.denominator, *(v.denominator for v in normal))
-        if s == 1:
-            out.append(([v.numerator for v in normal], rhs.numerator, 1))
-        else:
-            a = [v.numerator * (s // v.denominator) for v in normal]
-            out.append((a, rhs.numerator * (s // rhs.denominator), s))
+        ints, s = integer_scaled(normal + (rhs,))
+        out.append((ints[:-1], ints[-1], s))
     return out
-
-
-def _integer_point(x) -> tuple[list[int], int]:
-    """(X, D) with D > 0 and X / D = x."""
-    d = lcm(*(v.denominator for v in x))
-    return [v.numerator * (d // v.denominator) for v in x], d
 
 
 def _integer_combination(rows, weights, dim) -> tuple[list[int], int, int]:
     """(A^T.W, b.W, M) over integer rows (a, b, s) with M > 0 and
     W_i / M = weights_i / s_i, so A^T.W / M and b.W / M are the weighted
-    sums of the rows as given.  Zero weights are skipped."""
-    dens = [w.denominator * s if w else 1 for w, (_, _, s) in zip(weights, rows)]
-    m = lcm(*dens)
+    sums of the rows as given: the weights over their common denominator d,
+    each times S / s_i for S the lcm of the scales, and M = d.S.  Zero
+    weights are skipped."""
+    ints, d = integer_scaled(weights)
+    scale = lcm(*(s for w, (_, _, s) in zip(ints, rows) if w))
     total = [0] * dim
     rhs = 0
-    for w, den, (a, b, _) in zip(weights, dens, rows):
+    for w, (a, b, s) in zip(ints, rows):
         if w:
-            k = w.numerator * (m // den)
+            k = w * (scale // s)
             rhs += k * b
             for j, aj in enumerate(a):
                 if aj:
                     total[j] += k * aj
-    return total, rhs, m
+    return total, rhs, d * scale
 
 
 def _fits(system: LinearSystem, y, mu) -> bool:
@@ -350,8 +337,8 @@ def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
         return
     if out.status is not LpStatus.OPTIMAL:
         return
-    c, cden = _integer_point(vec(objective))
-    x, xden = _integer_point(out.primal_point)
+    c, cden = integer_scaled(vec(objective))
+    x, xden = integer_scaled(out.primal_point)
     if len(x) != dim:
         raise DimensionMismatch(f"primal point of length {len(x)} in dimension {dim}")
     le = _integer_rows(system.le)
@@ -386,7 +373,7 @@ def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
     if cx * m != sign * dual_val * cx_den:
         raise InternalConsistencyError("strong duality fails")
     value = out.objective_value
-    if value is None or cx * value.denominator != value.numerator * cx_den:
+    if value is None or value * cx_den != cx:
         raise InternalConsistencyError("objective value mismatch")
 
 

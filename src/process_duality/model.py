@@ -29,6 +29,7 @@ from .polyhedra import (
     ConeStructure,
     Polyhedron,
     PolyhedralCone,
+    _coerce_point,
     as_cells,
     cell_of_polyhedron,
     cone_structure,
@@ -274,21 +275,14 @@ def feasible_region(p: Program, z):
     x-space; finite programs return the tuple of feasible point ids.
     """
     if isinstance(p, AffineVectorProgram):
-        z = _coerce(p.z_dim, z)
+        z = _coerce_point(p.z_dim, z)
         return p.omega.with_rows(_order_rows_for_g(p, z))
-    z = _coerce(p.z_dim, z)
+    z = _coerce_point(p.z_dim, z)
     return tuple(
         pt.point_id
         for pt in p.points
         if any(p.z_plus.contains(vsub(z, gv)) for gv in pt.g_values)
     )
-
-
-def _coerce(dim, z) -> Vec:
-    z = vec(z)
-    if len(z) != dim:
-        raise DimensionMismatch(f"vector of length {len(z)}, expected {dim}")
-    return z
 
 
 # -- the graph of the upper image -------------------------------------------

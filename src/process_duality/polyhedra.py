@@ -100,12 +100,10 @@ class Polyhedron:
     @staticmethod
     def from_vrep(dim, vertices=(), rays=(), lines=()) -> "Polyhedron":
         vertices = tuple(_coerce_point(dim, v) for v in vertices)
-        rays = tuple(
-            _coerce_point(dim, r) for r in rays if not is_zero_vec(vec(r))
-        )
-        lines = tuple(
-            _coerce_point(dim, l) for l in lines if not is_zero_vec(vec(l))
-        )
+        rays = (_coerce_point(dim, r) for r in rays)
+        rays = tuple(r for r in rays if not is_zero_vec(r))
+        lines = (_coerce_point(dim, l) for l in lines)
+        lines = tuple(l for l in lines if not is_zero_vec(l))
         if not vertices:
             if rays or lines:
                 raise InternalConsistencyError(
@@ -239,14 +237,6 @@ class Polyhedron:
         return f"Polyhedron(dim={self.dim})"
 
     # -- geometry --------------------------------------------------------
-
-    def intersect(self, *others: "Polyhedron") -> "Polyhedron":
-        rows = list(self._any_hrep())
-        for o in others:
-            if o.dim != self.dim:
-                raise DimensionMismatch("intersection of different dimensions")
-            rows += list(o._any_hrep())
-        return Polyhedron.from_hrep(self.dim, rows)
 
     def with_rows(self, rows) -> "Polyhedron":
         return Polyhedron.from_hrep(self.dim, tuple(self._any_hrep()) + _coerce_rows(self.dim, rows))
@@ -623,7 +613,7 @@ class BoundaryRestrictedPolyhedron:
             on = next((fr for fr in pending if _on_hyperplane(closure, fr)), None)
             if on is None:
                 break
-            closure = closure.intersect(on.retained)
+            closure = closure.with_rows(on.retained._any_hrep())
             pending = [
                 fr for fr in pending
                 if (fr.normal, fr.offset) != (on.normal, on.offset)

@@ -158,10 +158,7 @@ def lagrange_process(s: SeparatorCone) -> LagrangeProcess:
     if s.empty_flag:
         graph = PolyhedralCone.from_polyhedron(Polyhedron.full_space(dim))
         return LagrangeProcess(s.z_dim, s.y_dim, graph, s)
-    normals = []
-    for h in s.generators:
-        half = halfspace_process(h)
-        normals.extend(r.normal for r in half.inequalities())
+    normals = [n for h in s.generators for n, _ in halfspace_process(h).system().le]
     graph = PolyhedralCone.from_normals(dim, ineq_normals=normals)
     return LagrangeProcess(s.z_dim, s.y_dim, graph, s)
 

@@ -2,12 +2,15 @@
 
 All geometry in this package runs on `fractions.Fraction`: lowest terms,
 positive denominator, no rounding ever.  Vectors are tuples of Fractions,
-matrices are tuples of row tuples.
+matrices are tuples of row tuples.  The integer kernels (the simplex and
+double description) are entered through `integer_scaled` and left through
+`quotients`; no other module reads a numerator or a denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
@@ -37,6 +40,16 @@ def fmt(value: Fraction) -> str:
 
 def vec(values: Iterable) -> Vec:
     return tuple(rat(v) for v in values)
+
+
+def integer_scaled(values) -> tuple[tuple[int, ...], int]:
+    """(ints, d) with d > 0 the lcm of the denominators of `values` (ints or
+    Fractions), so that ints / d == values: the one place where a rational
+    vector becomes integers (`quotients` is its inverse)."""
+    d = lcm(*(x.denominator for x in values))
+    if d == 1:
+        return tuple(x.numerator for x in values), 1
+    return tuple(x.numerator * (d // x.denominator) for x in values), d
 
 
 def quotients(ints: Iterable[int], c: int) -> Vec:

@@ -25,6 +25,23 @@ def test_no_module_reads_the_environment():
     assert readers == []
 
 
+def test_only_rational_reads_numerators_and_denominators():
+    """A rational vector becomes integers in one place: no module but
+    `rational` reads a `numerator` or `denominator` attribute."""
+    package = Path(process_duality.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    assert sources
+    readers = [
+        (path.name, node.lineno, node.attr)
+        for path in sources
+        if path.name != "rational.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("numerator", "denominator")
+    ]
+    assert readers == []
+
+
 def _unused_imports(tree):
     """Names a module imports but never reads.  A module's `__all__` counts
     as a read of every name it lists, so re-exports are uses."""

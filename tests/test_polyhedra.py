@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from process_duality._dd import (
-    _integer_direction,
     _integer_null_space,
     _integer_rref,
     _reduce_mod_lines,
     cone_dd,
 )
+from process_duality._kernel import primitive
 from process_duality.certify import (
     ProgramContext,
     certify_multiplier,
@@ -47,7 +47,16 @@ from process_duality.polyhedra import (
 )
 from process_duality.problemfile import load_problem
 from process_duality.process import separator_cone
-from process_duality.rational import ONE, ZERO, Vec, dot, is_zero_vec, vec, zeros
+from process_duality.rational import (
+    ONE,
+    ZERO,
+    Vec,
+    dot,
+    integer_scaled,
+    is_zero_vec,
+    vec,
+    zeros,
+)
 
 
 def orthant(n):
@@ -206,6 +215,14 @@ class TestMembership:
     def test_member_dimension(self):
         with pytest.raises(DimensionMismatch):
             member(orthant(2), (1, 1, 1))
+
+    def test_zero_generator_of_wrong_width_is_refused(self):
+        for gens in (dict(rays=[(0, 0, 0)]), dict(lines=[(0,)])):
+            with pytest.raises(DimensionMismatch):
+                Polyhedron.from_vrep(2, [(0, 0)], **gens)
+        # a zero generator of the right width is still dropped
+        origin = Polyhedron.from_vrep(2, [(0, 0)], rays=[(0, 0)], lines=[(0, 0)])
+        assert (origin.vrep.rays, origin.vrep.lines) == ((), ())
 
 
 def per_cell_lp(obj, x):
@@ -721,7 +738,8 @@ def random_row_system(rng):
 
 
 class TestIntegerHelpers:
-    """The integer helpers of `_dd` against the Fraction reference above."""
+    """The integer helpers of `_dd`, `_kernel` and `rational` against the
+    Fraction reference above."""
 
     def test_integer_rref_is_primitive_rref(self):
         rng = random.Random(1618)
@@ -770,7 +788,9 @@ class TestIntegerHelpers:
                 )
             )
         for v in cases:
-            got = _integer_direction(v)
+            ints, d = integer_scaled(v)
+            assert d > 0 and tuple(F(x, d) for x in ints) == v, v
+            got = primitive(ints)
             assert got == fraction_direction(v), v
             assert all(type(x) is int for x in got)
 
