@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Optional, Union
 
 from ._dd import _integer_rref
@@ -148,8 +149,14 @@ def _require_member(a: SetLike, y0: Vec):
 def _facet_rows_at(yplus: OrderCone, y0: Vec):
     """Y_+'s facet rows shifted to y0, as (-n, -n.y0) per facet normal n:
     y - y0 lies in -Y_+ iff every row holds, in -Int Y_+ iff every row
-    holds strictly."""
-    return [(tuple(-x for x in n), -dot(n, y0)) for n in yplus.facet_normals()]
+    holds strictly.  The negated normals are the order cone's own; y0 is
+    written over one denominator d and each n.y0 is read off Y_+'s integer
+    facet row (s.n, 0, s) as one Fraction (s.n).(d.y0) / (s.d)."""
+    x, d = integer_scaled(y0)
+    return [
+        (neg, Fraction(-sum(map(mul, a, x)), s * d))
+        for neg, (a, _, s) in zip(yplus.negated_normals, yplus.integer_facets)
+    ]
 
 
 def is_weak_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:

@@ -12,9 +12,10 @@ Every outcome but UNBOUNDED carries a certificate that is re-checked exactly
 before it is returned: OPTIMAL is checked for row feasibility, dual signs,
 stationarity, complementary slackness and strong duality; INFEASIBLE carries a
 Farkas vector, read off the phase-1 objective row the same way as the duals.
-The check runs on integers and recomputes its own scaling, independently of
-the tableau: each row is multiplied by the lcm of its own denominators, the
-point is written over one common denominator, and the multipliers, each
+The check runs on integers and reads the system, never the tableau: each row
+is the system's own integer form, the row times the lcm of its own
+denominators, which is computed once per system and also seeds the tableau;
+the point is written over one common denominator, and the multipliers, each
 divided by its row's scale, over another.  Every identity, scaled by these
 positive integers, is then an integer identity with the same truth value
 (Applegate, Cook, Dash & Espinoza 2007, "Exact solutions to linear
@@ -30,13 +31,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Optional
 
 from . import _kernel
 from .errors import DimensionMismatch, InternalConsistencyError
-from .rational import ONE, ZERO, Vec, integer_scaled, rat, vec
+from .rational import (
+    ONE,
+    ZERO,
+    Vec,
+    integer_holds,
+    integer_rows,
+    integer_scaled,
+    rat,
+    vec,
+)
 
 Row = tuple[Vec, Fraction]
 
@@ -82,6 +93,17 @@ class LinearSystem:
         object.__setattr__(out, "eq", self.eq + _rows(self.dim, eq))
         object.__setattr__(out, "strict", self.strict + _rows(self.dim, strict))
         return out
+
+    @cached_property
+    def integer_form(self):
+        """(le, eq, strict) as `integer_rows`, each row times the lcm of its
+        own denominators; computed on first read and kept with the system."""
+        return integer_rows(self.le), integer_rows(self.eq), integer_rows(self.strict)
+
+    def holds_at(self, x, d) -> bool:
+        """Do all rows hold at the point x / d (integers x, d > 0), the
+        strict rows strictly?"""
+        return integer_holds(x, d, *self.integer_form)
 
 
 @dataclass(frozen=True)
@@ -183,7 +205,8 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
         raise DimensionMismatch(f"objective width {len(c)} != dimension {n}")
     cmin = c if sense == "min" else tuple(-x for x in c)
 
-    rows = _integer_rows(system.le + system.eq)
+    le, eq, _ = system.integer_form
+    rows = le + eq
     m = len(rows)
     n_le = len(system.le)
     flipped = [b < 0 for _, b, _ in rows]
@@ -278,16 +301,6 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
     return result
 
 
-def _integer_rows(rows) -> list[tuple[tuple[int, ...], int, int]]:
-    """Each row (normal, rhs) as (s.normal, s.rhs, s) with s > 0 the lcm of
-    its own denominators, so the scaled row is integer and keeps its sign."""
-    out = []
-    for normal, rhs in rows:
-        ints, s = integer_scaled(normal + (rhs,))
-        out.append((ints[:-1], ints[-1], s))
-    return out
-
-
 def _integer_combination(rows, weights, dim) -> tuple[list[int], int, int]:
     """(A^T.W, b.W, M) over integer rows (a, b, s) with M > 0 and
     W_i / M = weights_i / s_i, so A^T.W / M and b.W / M are the weighted
@@ -318,9 +331,10 @@ def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
     """Exact certificate check of an OPTIMAL or INFEASIBLE outcome; raises on
     any violated identity.  UNBOUNDED outcomes carry no certificate.
 
-    Every identity is checked on integers: each row times the lcm of its own
-    denominators, the point over one common denominator, and the multipliers,
-    each divided by its row's scale, over another."""
+    Every identity is checked on integers: each row as the system's
+    `integer_form`, the row times the lcm of its own denominators, the point
+    over one common denominator, and the multipliers, each divided by its
+    row's scale, over another."""
     dim = system.dim
     if out.status is LpStatus.INFEASIBLE:
         y, mu = out.farkas_le, out.farkas_eq
@@ -328,8 +342,8 @@ def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
             raise InternalConsistencyError("infeasible outcome without a Farkas vector")
         if any(v < 0 for v in y):
             raise InternalConsistencyError("negative Farkas multiplier on an LE row")
-        rows = _integer_rows(system.le + system.eq)
-        total, rhs, _ = _integer_combination(rows, y + mu, dim)
+        le, eq, _ = system.integer_form
+        total, rhs, _ = _integer_combination(le + eq, y + mu, dim)
         if any(total):
             raise InternalConsistencyError("Farkas combination of the rows is not zero")
         if rhs >= 0:
@@ -341,8 +355,7 @@ def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
     x, xden = integer_scaled(out.primal_point)
     if len(x) != dim:
         raise DimensionMismatch(f"primal point of length {len(x)} in dimension {dim}")
-    le = _integer_rows(system.le)
-    eq = _integer_rows(system.eq)
+    le, eq, _ = system.integer_form
     # a.x <= b and a.x = b, each times s.xden > 0
     le_dots = [sum(map(mul, a, x)) for a, _, _ in le]
     for ax, (_, b, _) in zip(le_dots, le):

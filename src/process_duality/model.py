@@ -34,7 +34,20 @@ from .polyhedra import (
     cell_of_polyhedron,
     cone_structure,
 )
-from .rational import Mat, Vec, box_corners, dot, matvec, vadd, vec, vsub, zeros
+from .rational import (
+    Mat,
+    Vec,
+    box_corners,
+    dot,
+    integer_holds,
+    integer_rows,
+    integer_scaled,
+    matvec,
+    vadd,
+    vec,
+    vsub,
+    zeros,
+)
 
 OmegaLike = Union[Polyhedron, BoundaryRestrictedPolyhedron]
 
@@ -45,12 +58,12 @@ class OrderCone:
     The cone must have nonempty interior (a standing structural requirement,
     validated once here via a strict LP) and must be a proper subset of its
     space, otherwise minimality would be vacuous.  Its `structure` (the
-    bounded base of a pointed cone) and `ball_minus` are built on first read
-    and kept.
+    bounded base of a pointed cone), `ball_minus`, and its facets as
+    `integer_facets` and `negated_normals` are built on first read and kept.
     """
 
     __slots__ = ("cone", "ambient_dim", "interior_witness", "_structure",
-                 "_ball_minus")
+                 "_ball_minus", "_integer_facets", "_negated_normals")
 
     def __init__(self, cone: PolyhedralCone):
         if not cone.hrep:
@@ -113,6 +126,29 @@ class OrderCone:
     def facet_normals(self) -> tuple[Vec, ...]:
         return tuple(r.normal for r in self.cone.inequalities())
 
+    @property
+    def integer_facets(self):
+        """The facet rows n.w <= 0 as `integer_rows`, in `facet_normals`
+        order."""
+        try:
+            return self._integer_facets
+        except AttributeError:
+            self._integer_facets = integer_rows(
+                (n, 0) for n in self.facet_normals()
+            )
+            return self._integer_facets
+
+    @property
+    def negated_normals(self) -> tuple[Vec, ...]:
+        """-n for each facet normal n, in `facet_normals` order."""
+        try:
+            return self._negated_normals
+        except AttributeError:
+            self._negated_normals = tuple(
+                tuple(-x for x in n) for n in self.facet_normals()
+            )
+            return self._negated_normals
+
     def contains(self, w) -> bool:
         return self.cone.member(w)
 
@@ -120,7 +156,8 @@ class OrderCone:
         w = vec(w)
         if len(w) != self.ambient_dim:
             raise DimensionMismatch("interior test in wrong dimension")
-        return all(dot(n, w) < 0 for n in self.facet_normals())
+        x, d = integer_scaled(w)
+        return integer_holds(x, d, strict=self.integer_facets)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,9 @@ from .rational import (
     Mat,
     Vec,
     dot,
+    integer_holds,
+    integer_rows,
+    integer_scaled,
     is_zero_vec,
     matvec,
     quotients,
@@ -74,10 +77,11 @@ class Polyhedron:
     Representations are computed lazily: constructing from rows defers the
     facet recomputation until `.hrep` is first read, and vice versa.  The
     canonical forms are unique per set, so equality and hashing compare the
-    canonical H-representation.
+    canonical H-representation.  The integer form of the rows that decide
+    membership is also computed on first use and kept.
     """
 
-    __slots__ = ("dim", "_raw_hrep", "_raw_vrep", "_hrep", "_vrep")
+    __slots__ = ("dim", "_raw_hrep", "_raw_vrep", "_hrep", "_vrep", "_ints")
 
     def __init__(self, dim, raw_hrep=None, raw_vrep=None, hrep=None, vrep=None):
         self.dim = dim
@@ -85,6 +89,7 @@ class Polyhedron:
         self._raw_vrep = raw_vrep
         self._hrep = hrep
         self._vrep = vrep
+        self._ints = None
 
     # -- construction ----------------------------------------------------
 
@@ -187,26 +192,22 @@ class Polyhedron:
             eq=tuple((r.normal, r.offset) for r in rows if r.rel == EQ),
         )
 
+    def _scaled_member(self, x, d) -> bool:
+        """Is x / d in the set, for integers x and d > 0 (d = 0: is the
+        direction x in the recession cone)?  The integer form of the rows of
+        `_any_hrep` is made on the first test and kept."""
+        if self._ints is None:
+            self._ints = self.system().integer_form
+        return integer_holds(x, d, *self._ints)
+
     def member(self, x) -> bool:
-        x = _coerce_point(self.dim, x)
-        for row in self._any_hrep():
-            v = dot(row.normal, x)
-            if row.rel == LE and v > row.offset:
-                return False
-            if row.rel == EQ and v != row.offset:
-                return False
-        return True
+        """Is x in the set?  x is written over one denominator and every row
+        is decided by one integer dot."""
+        return self._scaled_member(*integer_scaled(_coerce_point(self.dim, x)))
 
     def ray_member(self, r) -> bool:
-        """Is r in the recession cone?"""
-        r = _coerce_point(self.dim, r)
-        for row in self._any_hrep():
-            v = dot(row.normal, r)
-            if row.rel == LE and v > 0:
-                return False
-            if row.rel == EQ and v != 0:
-                return False
-        return True
+        """Is r in the recession cone?  Decided as `member` with d = 0."""
+        return self._scaled_member(integer_scaled(_coerce_point(self.dim, r))[0], 0)
 
     def contains_poly(self, other: "Polyhedron") -> bool:
         if other.is_empty:
@@ -535,7 +536,7 @@ class BoundaryRestrictedPolyhedron:
     that exact intersection with further rows stays representable.
     """
 
-    __slots__ = ("closure", "restrictions")
+    __slots__ = ("closure", "restrictions", "_slices")
 
     def __init__(self, closure: Polyhedron, restrictions: Sequence[BoundaryRestriction]):
         if closure.is_empty and restrictions:
@@ -569,6 +570,7 @@ class BoundaryRestrictedPolyhedron:
             canon.append(fr)
         self.closure = closure
         self.restrictions = tuple(canon)
+        self._slices = integer_rows((fr.normal, fr.offset) for fr in canon)
 
     @staticmethod
     def from_facet_indices(closure: Polyhedron, pairs) -> "BoundaryRestrictedPolyhedron":
@@ -591,11 +593,13 @@ class BoundaryRestrictedPolyhedron:
         return not any(c.is_feasible() for c in as_cells(self))
 
     def member(self, x) -> bool:
-        x = _coerce_point(self.dim, x)
-        if not self.closure.member(x):
+        """x over one denominator, decided on the integer rows of the
+        closure, of each restricted hyperplane and of its retained set."""
+        x, d = integer_scaled(_coerce_point(self.dim, x))
+        if not self.closure._scaled_member(x, d):
             return False
-        for fr in self.restrictions:
-            if dot(fr.normal, x) == fr.offset and not fr.retained.member(x):
+        for fr, row in zip(self.restrictions, self._slices):
+            if integer_holds(x, d, eq=(row,)) and not fr.retained._scaled_member(x, d):
                 return False
         return True
 
@@ -646,9 +650,11 @@ class Cell:
     {M.u + o : u satisfies system (strict rows strictly)}.
     Every exact set query on boundary-restricted data is pulled back
     through cells, so nothing non-closed is ever projected.  An identity
-    cell (M = I, o = 0) is answered on its own rows, and a point cell, one
-    whose rows are exactly y_i = v_i, by evaluation at its `point` v.
-    `is_identity` and `point` are computed on first read and kept.
+    cell (M = I, o = 0) is answered on its own rows, by integer evaluation
+    at the point written over one denominator, and a point cell, one whose
+    rows are exactly y_i = v_i, by evaluation at its `point` v.
+    `is_identity` and `point` are computed on first read and kept, and so is
+    the integer form of the rows, by the system.
     """
 
     system: LinearSystem
@@ -712,16 +718,11 @@ class Cell:
         """Is x = M.u + o for some u of the system?
 
         An identity cell (M = I, o = 0) checks x against its rows directly,
-        strict rows strictly, as `Polyhedron.member` does; any other cell
-        solves one strict LP."""
+        strict rows strictly, in integers as `Polyhedron.member` does; any
+        other cell solves one strict LP."""
         x = _coerce_point(self.target_dim, x)
         if self.is_identity:
-            s = self.system
-            return (
-                all(dot(n, x) <= r for n, r in s.le)
-                and all(dot(n, x) == r for n, r in s.eq)
-                and all(dot(n, x) < r for n, r in s.strict)
-            )
+            return self.system.holds_at(*integer_scaled(x))
         eye = _identity(len(x))
         return self.with_target_rows(
             eq=[(eye[i], x[i]) for i in range(len(x))]
@@ -808,9 +809,18 @@ class Emptiness:
 
 
 def _holds_at(v: Vec, cells, strict_rows) -> bool:
-    """Is v in every cell and strictly inside every half-space n.y < r?"""
-    return all(dot(n, v) < r for n, r in strict_rows) and all(
-        c.member(v) for c in cells
+    """Is v in every cell and strictly inside every half-space n.y < r, the
+    half-spaces given as `integer_rows`?
+
+    v is written over one denominator once.  The point cell whose `point` is
+    v is skipped, as it is {v} by construction; every other identity cell
+    tests its integer rows at v, and any other cell solves its strict LP."""
+    x, d = integer_scaled(v)
+    if not integer_holds(x, d, strict=strict_rows):
+        return False
+    return all(
+        c.point is v or (c.system.holds_at(x, d) if c.is_identity else c.member(v))
+        for c in cells
     )
 
 
@@ -831,10 +841,11 @@ def intersect_empty(parts, strict_halfspaces=()) -> Emptiness:
         raise DimensionMismatch("intersection parts in different dimensions")
     target = dims.pop()
     strict_rows = [(vec(n), Fraction(r)) for n, r in strict_halfspaces]
+    strict_ints = integer_rows(strict_rows)
     for combo in product(*groups):
         v = next((c.point for c in combo if c.point is not None), None)
         if v is not None:
-            if _holds_at(v, combo, strict_rows):
+            if _holds_at(v, combo, strict_ints):
                 return Emptiness(False, v)
             continue
         # identity cells constrain the shared target variables directly

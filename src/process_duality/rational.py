@@ -5,12 +5,18 @@ positive denominator, no rounding ever.  Vectors are tuples of Fractions,
 matrices are tuples of row tuples.  The integer kernels (the simplex and
 double description) are entered through `integer_scaled` and left through
 `quotients`; no other module reads a numerator or a denominator.
+
+The integer forms of rows and points are made here too.  A row set becomes
+`integer_rows` once, where its owner keeps it, and a point becomes
+`integer_scaled` once per test; `integer_holds` then decides every row at the
+point by one integer dot, with no Fraction built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
@@ -50,6 +56,31 @@ def integer_scaled(values) -> tuple[tuple[int, ...], int]:
     if d == 1:
         return tuple(x.numerator for x in values), 1
     return tuple(x.numerator * (d // x.denominator) for x in values), d
+
+
+def integer_rows(rows) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """Each row (normal, rhs) as (s.normal, s.rhs, s) with s > 0 the lcm of
+    its own denominators, so the scaled row is integer and keeps its sign."""
+    out = []
+    for normal, rhs in rows:
+        ints, s = integer_scaled(normal + (rhs,))
+        out.append((ints[:-1], ints[-1], s))
+    return tuple(out)
+
+
+def integer_holds(x, d, le=(), eq=(), strict=()) -> bool:
+    """Does every row hold at the point x / d, for `x` integers and d > 0:
+    n.(x / d) <= r for each `le` row, = r for each `eq` row and < r for each
+    `strict` row, the rows given as `integer_rows` (s.n, s.r, s)?
+
+    n.y <= r iff (s.n).(d.y) <= (s.r).d, as s, d > 0, and the same for = and
+    <.  With d = 0 the rows are tested on the direction x of the recession
+    cone: (s.n).x <= 0, and = 0 on the eq rows."""
+    return (
+        all(sum(map(mul, a, x)) <= b * d for a, b, _ in le)
+        and all(sum(map(mul, a, x)) == b * d for a, b, _ in eq)
+        and all(sum(map(mul, a, x)) < b * d for a, b, _ in strict)
+    )
 
 
 def quotients(ints: Iterable[int], c: int) -> Vec:

@@ -2,7 +2,8 @@
 ones, criterion 3's program stream with restricted boundaries and criterion
 4's finite programs; an LP oracle for membership in a finitely generated
 cone; generator-level oracles for a polyhedron's two representations and
-for Minkowski sums; and the LP certificate check in Fraction arithmetic."""
+for Minkowski sums; and the LP certificate check and membership by row
+evaluation, both in Fraction arithmetic."""
 
 import random
 from fractions import Fraction as F
@@ -315,3 +316,55 @@ def fraction_verify_outcome():
     feasibility, multiplier signs, stationarity (or the Farkas combination),
     complementary slackness, strong duality and the objective value."""
     return _fraction_verify_outcome
+
+
+class _FractionMember:
+    """Membership by Fraction dot products, row by row: the evaluation that
+    `Polyhedron.member`, `ray_member`, an identity `Cell.member`,
+    `BoundaryRestrictedPolyhedron.member` and `polyhedra._holds_at` make in
+    integers."""
+
+    def __call__(self, obj, x):
+        """x in a Polyhedron, a boundary-restricted set or an identity cell."""
+        x = vec(x)
+        if isinstance(obj, Polyhedron):
+            return all(
+                dot(r.normal, x) <= r.offset if r.rel == LE
+                else dot(r.normal, x) == r.offset
+                for r in obj._any_hrep()
+            )
+        if isinstance(obj, BoundaryRestrictedPolyhedron):
+            return self(obj.closure, x) and all(
+                dot(fr.normal, x) != fr.offset or self(fr.retained, x)
+                for fr in obj.restrictions
+            )
+        assert obj.is_identity
+        s = obj.system
+        return (
+            all(dot(n, x) <= r for n, r in s.le)
+            and all(dot(n, x) == r for n, r in s.eq)
+            and all(dot(n, x) < r for n, r in s.strict)
+        )
+
+    def ray(self, p, r):
+        """r in the recession cone of the Polyhedron p."""
+        r = vec(r)
+        return all(
+            dot(row.normal, r) <= 0 if row.rel == LE else dot(row.normal, r) == 0
+            for row in p._any_hrep()
+        )
+
+    def holds_at(self, v, cells, strict_rows):
+        """v in every cell (an LP for a cell that is not an identity cell)
+        and strictly inside every half-space (normal, rhs) of strict_rows."""
+        return all(dot(vec(n), v) < r for n, r in strict_rows) and all(
+            self(c, v) if c.is_identity else c.member(v) for c in cells
+        )
+
+
+@pytest.fixture(scope="session")
+def fraction_member():
+    """(set, x) -> membership decided by Fraction row evaluation, with
+    `.ray(p, r)` for the recession cone and `.holds_at(v, cells, rows)` for
+    a point against cells and open half-spaces."""
+    return _FractionMember()

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction as F
 from importlib import resources
 from itertools import product
@@ -11,6 +12,7 @@ import pytest
 from process_duality import certify as certify_module
 from process_duality import model as model_module
 from process_duality import polyhedra as polyhedra_module
+from process_duality import rational as rational_module
 from process_duality.certify import (
     ProgramContext,
     brute_force_status,
@@ -558,6 +560,33 @@ class TestStrictLpCounts:
                 assert count(member, cells, y0) == 0
                 assert count(is_minimal, cells, y0, p.y_plus) == 0
                 assert count(is_weak_minimal, cells, y0, p.y_plus) == 0
+                minimal += is_minimal(cells, y0, p.y_plus)
+                weak += is_weak_minimal(cells, y0, p.y_plus)
+        assert 0 < minimal < weak
+
+    def test_point_cells_build_no_fraction_dot(
+        self, monkeypatch, criterion_4_program
+    ):
+        """On point cells, membership, minimality and weak minimality are
+        decided by integer evaluation: a Fraction dot product, in `rational`
+        or through any from-import of it, raises."""
+        programs = [criterion_4_program(i) for i in range(40)]
+        fraction_dot = rational_module.dot
+
+        def refuse(*args):
+            raise AssertionError("Fraction dot product on the minimality path")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "process_duality" and (
+                getattr(module, "dot", None) is fraction_dot
+            ):
+                monkeypatch.setattr(module, "dot", refuse)
+        assert polyhedra_module.dot is refuse and rational_module.dot is refuse
+        minimal = weak = 0
+        for p in programs:
+            cells = w0_cells(p)
+            for y0 in w0_image_points(p):
+                assert member(cells, y0)
                 minimal += is_minimal(cells, y0, p.y_plus)
                 weak += is_weak_minimal(cells, y0, p.y_plus)
         assert 0 < minimal < weak

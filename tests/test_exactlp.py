@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from process_duality import _kernel
 from process_duality import exactlp as exactlp_module
+from process_duality import rational as rational_module
 from process_duality.errors import DimensionMismatch, InternalConsistencyError
 from process_duality.exactlp import (
     LinearSystem,
@@ -155,6 +156,43 @@ def test_corrupted_optimal_certificate_raises(corruption, message,
     for check in (verify_outcome, fraction_verify_outcome):
         with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
             check(FRACTIONAL_OBJECTIVE, FRACTIONAL, "min", bad)
+
+
+@pytest.mark.parametrize(
+    "extra,status",
+    [
+        ((), LpStatus.OPTIMAL),
+        # x, y >= 0 and x/2 + y/3 <= -1
+        ((((F(1, 2), F(1, 3)), F(-1)),), LpStatus.INFEASIBLE),
+    ],
+)
+def test_each_row_is_scaled_once_per_lp(monkeypatch, extra, status):
+    """The tableau and `verify_outcome` read the system's one integer form:
+    one `lp_solve`, its certificate check included, scales each system row
+    once, and scales no other vector of the rows' width."""
+    scaled = rational_module.integer_scaled
+    seen = []
+
+    def counted(values):
+        seen.append(tuple(values))
+        return scaled(values)
+
+    verify = exactlp_module.verify_outcome
+    checked = []
+
+    def verified(objective, system, sense, out):
+        checked.append(out.status)
+        return verify(objective, system, sense, out)
+
+    monkeypatch.setattr(rational_module, "integer_scaled", counted)
+    monkeypatch.setattr(exactlp_module, "integer_scaled", counted)
+    monkeypatch.setattr(exactlp_module, "verify_outcome", verified)
+    system = LinearSystem(2, FRACTIONAL.le + extra, FRACTIONAL.eq)
+    assert lp_solve(FRACTIONAL_OBJECTIVE, system).status is status
+    assert checked == [status]
+    rows = [normal + (rhs,) for normal, rhs in system.le + system.eq]
+    assert [seen.count(row) for row in rows] == [1] * len(rows)
+    assert sum(len(v) == 3 for v in seen) == len(rows)
 
 
 def test_strong_duality_failure_raises(monkeypatch):

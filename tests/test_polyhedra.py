@@ -18,11 +18,12 @@ from process_duality._dd import (
 from process_duality._kernel import primitive
 from process_duality.certify import (
     ProgramContext,
+    _facet_rows_at,
     certify_multiplier,
     minimal_frontier_points,
 )
 from process_duality.errors import DimensionMismatch, InternalConsistencyError
-from process_duality.exactlp import LpStatus, lp_solve
+from process_duality.exactlp import LinearSystem, LpStatus, lp_solve
 from process_duality.model import (
     _order_rows_for_g,
     graph_closure,
@@ -34,9 +35,12 @@ from process_duality.polyhedra import (
     LE,
     BoundaryRestriction,
     BoundaryRestrictedPolyhedron,
+    Cell,
     Polyhedron,
     PolyhedralCone,
+    _holds_at,
     as_cells,
+    cell_of_polyhedron,
     closure_generators,
     cone_structure,
     dd_convert,
@@ -52,6 +56,7 @@ from process_duality.rational import (
     ZERO,
     Vec,
     dot,
+    integer_rows,
     integer_scaled,
     is_zero_vec,
     vec,
@@ -847,3 +852,175 @@ class TestFractionBoundary:
             graph = cert.process.graph
             sets += [graph, polar_cone(graph), cert.dual_image]
         assert non_fractions(*sets) == []
+
+
+def fractional_points(points):
+    """Each point moved by +-1/k in alternate coordinates, and scaled by
+    (k - 1)/k, for k = 2, 3 and 7."""
+    out = []
+    for v in map(vec, points):
+        for k in (2, 3, 7):
+            out.append(tuple(x + F((-1) ** j, k) for j, x in enumerate(v)))
+            out.append(tuple(x * F(k - 1, k) for x in v))
+    return out
+
+
+def point_cell(v):
+    """The point cell {v}, built from the unit rows y_i = v_i."""
+    n = len(v)
+    rows = [(tuple(int(j == i) for j in range(n)), x, EQ) for i, x in enumerate(v)]
+    cell = cell_of_polyhedron(Polyhedron.from_hrep(n, rows))
+    assert cell.point == vec(v)
+    return cell
+
+
+class TestIntegerMembership:
+    """Membership is decided in integers, each row set scaled once and each
+    point written over one denominator; it agrees with the row-by-row
+    Fraction evaluation it replaced (`fraction_member`)."""
+
+    def test_criterion_3_programs(self, criterion_3_program, fraction_member):
+        seen = dict.fromkeys(("member", "outside", "ray", "not ray", "holds"), 0)
+        for i in range(40):
+            omega = criterion_3_program(i).omega
+            closure = omega.closure
+            verts = closure.vrep.vertices[:4]
+            points = probes(verts) + fractional_points(verts)
+            cells = as_cells(omega)
+            polys = [closure] + [c.closure_image() for c in cells]
+            directions = list(closure.vrep.rays + closure.vrep.lines)
+            directions += [tuple(-x for x in d) for d in directions]
+            directions += [tuple(a - b for a, b in zip(u, verts[0])) for u in points]
+            strict = [(r.normal, r.offset) for r in closure.inequalities()]
+            for y in points:
+                for a in polys + [omega]:
+                    expected = fraction_member(a, y)
+                    assert a.member(y) == expected, (i, a, y)
+                    seen["member" if expected else "outside"] += 1
+                for c in cells:
+                    assert c.member(y) == fraction_member(c, y), (i, c, y)
+                at = point_cell(y)
+                for c in cells:
+                    for rows in ((), strict):
+                        expected = fraction_member.holds_at(at.point, (at, c), rows)
+                        assert _holds_at(at.point, (at, c), integer_rows(rows)) == expected
+                        seen["holds"] += expected
+            for r in directions:
+                for a in polys:
+                    expected = fraction_member.ray(a, r)
+                    assert a.ray_member(r) == expected, (i, a, r)
+                    seen["ray" if expected else "not ray"] += 1
+        assert seen["member"] > 200 and seen["outside"] > 200
+        assert seen["ray"] > 100 and seen["not ray"] > 100 and seen["holds"] > 50
+
+    def test_criterion_4_programs(self, criterion_4_program, fraction_member):
+        seen = dict.fromkeys(
+            ("member", "in y0 - Int Y+", "in y0 - Y+, off y0", "feasible", "interior"), 0
+        )
+        for i in range(60):
+            p = criterion_4_program(i)
+            yplus, zplus = p.y_plus, p.z_plus
+            cells = w0_cells(p)
+            images = list(dict.fromkeys(fv for pt in p.points for fv in pt.f_values))
+            for y in images:
+                for c in cells:
+                    expected = fraction_member(c, y)
+                    assert c.member(y) == expected
+                    seen["member"] += expected
+            for pt in p.points:
+                for gv in pt.g_values:
+                    w = tuple(-x for x in gv)
+                    expected = fraction_member(zplus.cone, w)
+                    assert zplus.contains(w) == expected
+                    seen["feasible"] += expected
+                    interior = all(dot(n, w) < 0 for n in zplus.facet_normals())
+                    assert zplus.strictly_contains(w) == interior
+                    seen["interior"] += interior
+            for y0 in images:
+                rows = _facet_rows_at(yplus, y0)
+                assert rows == [
+                    (tuple(-x for x in n), -dot(n, y0)) for n in yplus.facet_normals()
+                ]
+                below_y0 = cell_of_polyhedron(
+                    Polyhedron.from_hrep(yplus.ambient_dim, [(n, r, LE) for n, r in rows])
+                )
+                total = [(tuple(map(sum, zip(*(n for n, _ in rows)))),
+                          sum(r for _, r in rows))]
+                for c in cells:
+                    # the tests of `is_weak_minimal` and `is_minimal` at y0
+                    v = c.point
+                    inside = fraction_member.holds_at(v, (c,), rows)
+                    assert _holds_at(v, (c,), integer_rows(rows)) == inside
+                    below = fraction_member.holds_at(v, (c, below_y0), total)
+                    assert _holds_at(v, (c, below_y0), integer_rows(total)) == below
+                    seen["in y0 - Int Y+"] += inside
+                    seen["in y0 - Y+, off y0"] += below
+        assert all(n > 20 for n in seen.values()), seen
+
+    def test_edge_cases(self, fraction_member):
+        empty = Polyhedron.empty(2)  # 0.x <= -1
+        plane = Polyhedron.from_hrep(
+            2, [((F(1, 2), F(1, 3)), F(5, 6), EQ), ((1, 0), 4, LE)]
+        )
+        mixed = Polyhedron.from_hrep(
+            2, [((F(1, 2), F(2, 3)), F(5, 7), LE), ((F(-3, 4), 1), F(1, 9), LE)]
+        )
+        cases = {
+            (empty, (0, 0)): False,
+            (empty, (F(1, 3), 5)): False,
+            (plane, (1, 1)): True,
+            (plane, (F(1, 3), 2)): True,
+            (plane, (1, F(1, 2))): False,
+            (plane, (5, F(-5, 4))): False,
+            (mixed, (F(1, 3), F(1, 7))): True,
+            (mixed, (F(1, 3), F(3, 7))): False,  # -1/4 + 3/7 = 5/28 > 1/9
+            (mixed, (F(2, 3), F(4, 7))): True,  # 1/3 + 8/21 = 5/7, on row 1
+            (mixed, (F(2, 3), F(9, 14))): False,
+            (mixed, (0, F(1, 9))): True,  # on row 2
+            (mixed, (F(-4, 27), 0)): True,  # on row 2
+            (mixed, (0, F(2, 17))): False,
+        }
+        for (a, y), expected in cases.items():
+            assert a.member(y) == fraction_member(a, y) == expected, (a, y)
+        rays = {
+            (empty, (1, 0)): True,
+            (empty, (0, 0)): True,
+            (plane, (2, -3)): False,
+            (plane, (-2, 3)): True,
+            (plane, (F(-1, 2), F(3, 4))): True,
+            (plane, (1, 1)): False,
+            (mixed, (F(-1, 2), F(-3, 8))): True,
+            (mixed, (F(-4, 3), -1)): True,  # along row 2
+            (mixed, (0, F(1, 5))): False,
+        }
+        for (a, r), expected in rays.items():
+            assert a.ray_member(r) == fraction_member.ray(a, r) == expected, (a, r)
+        # (2/3)x - (1/7)y < 1/5 and x/3 + y/5 = 1/10 on an identity cell
+        cell = Cell(
+            LinearSystem(
+                2, eq=[((F(1, 3), F(1, 5)), F(1, 10))],
+                strict=[((F(2, 3), F(-1, 7)), F(1, 5))],
+            ),
+            ((ONE, ZERO), (ZERO, ONE)),
+            zeros(2),
+        )
+        assert cell.is_identity and cell.point is None
+        cell_cases = {
+            (F(3, 10), 0): False,  # on the strict row's boundary
+            (F(3, 11), F(1, 22)): True,
+            (F(9, 20), F(-1, 4)): False,  # on the eq row, past the strict row
+            (F(3, 10), F(1, 100)): False,  # off the eq row
+        }
+        for y, expected in cell_cases.items():
+            assert cell.member(y) == fraction_member(cell, y) == expected, y
+            at = point_cell(y)
+            for rows in ((), [((F(1, 2), F(-2, 3)), F(1, 6))]):
+                assert _holds_at(at.point, (at, cell), integer_rows(rows)) == (
+                    fraction_member.holds_at(at.point, (at, cell), rows)
+                )
+        # the point on the strict row's boundary is excluded by a strict
+        # half-space too, and a point cell is skipped only for its own point
+        edge = point_cell((F(3, 10), 0))
+        assert not _holds_at(edge.point, (edge,), integer_rows(cell.system.strict))
+        assert not _holds_at(edge.point, (edge, point_cell((F(3, 10), F(1, 7)))), ())
+        assert _holds_at(edge.point, (edge, point_cell((F(3, 10), 0))), ())
