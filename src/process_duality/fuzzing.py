@@ -19,7 +19,6 @@ from typing import Optional
 from . import process as _process
 from .certify import ProgramContext, certify_multiplier, minimal_frontier_points
 from .errors import EmptyFeasibleError, ProcessDualityError
-from .exactlp import LinearSystem, strict_feasible
 from .model import (
     AffineVectorProgram,
     DiscretePoint,
@@ -48,13 +47,11 @@ def random_order_cone(rng: random.Random, dim: int, max_gens: int = 6) -> OrderC
                 normals.append(n)
         if not normals:
             continue
-        feas = strict_feasible(
-            LinearSystem(dim, strict=tuple((vec(n), 0) for n in normals))
-        )
-        if not feas.feasible:
-            continue
         cone = PolyhedralCone.from_normals(dim, ineq_normals=normals)
-        if not cone.hrep:  # degenerated to the whole space
+        # The rows are homogeneous, so {x : n.x < 0 for every n} is nonempty
+        # exactly when the cone is full-dimensional: no canonical equality.
+        # A nonzero normal keeps the cone a proper subset of the space.
+        if cone.equalities():
             continue
         if len(cone.generators) + 2 * len(cone.lineality) > max_gens:
             continue

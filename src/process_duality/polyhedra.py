@@ -6,7 +6,9 @@ minimal V-representation (vertices, extreme rays, lineality basis).  The
 canonical form scales each inequality row and each ray so that the first
 nonzero coefficient is +-1 (positive leading sign where the sign is free)
 and sorts everything lexicographically, which makes golden tests and report
-output reproducible.
+output reproducible.  Because the forms are unique, a set built by duality
+may carry both from the start: `polar_cone` runs one double description for
+its generators and reads its rows off the input cone's own generators.
 
 `BoundaryRestrictedPolyhedron` represents a closed polyhedron minus some of
 its facets, each replaced by a retained closed sub-polyhedron.  Such sets are
@@ -406,13 +408,32 @@ def dd_convert(p: Polyhedron, direction: str) -> Polyhedron:
 
 
 def polar_cone(k: PolyhedralCone, sign: str = "negative") -> PolyhedralCone:
-    """Negative polar {e : <e,g> <= 0 for all generators}, or its negation."""
+    """Negative polar {e : <e,g> <= 0 for all generators}, or its negation,
+    with both canonical representations from one double description.
+
+    The generators come from `cone_dd` on k's generators and lineality, made
+    canonical by the rules of `_hrep_to_vrep`: a line is divided by its
+    leading entry, a ray by the absolute value of its leading entry (negated
+    for the positive polar).  The rows need no double description, by
+    Minkowski-Weyl duality (Rockafellar, Convex Analysis, sections 14 and 19):
+    the polar's facets are the extreme rays of k, and its equalities span the
+    lineality space of k.  k's canonical rays have leading entry +-1 and its
+    lineality basis is in reduced row echelon form with pivots 1, which is
+    exactly the canonical form of those rows, so sorting them gives the rows
+    `_vrep_to_hrep` would compute.
+    """
     if sign not in ("negative", "positive"):
         raise ValueError(f"unknown polar sign {sign!r}")
     lines, rays = cone_dd(k.dim, list(k.generators), list(k.lineality))
     c = -1 if sign == "positive" else 1
-    rays = [quotients(r, c) for r in rays]
-    return PolyhedralCone.from_generators(k.dim, rays, lines)
+    vrep = VRep(
+        (zeros(k.dim),),
+        tuple(sorted(quotients(r, c * abs(next(x for x in r if x))) for r in rays)),
+        tuple(sorted(quotients(l, next(x for x in l if x)) for l in lines)),
+    )
+    rows = [HRow(tuple(c * x for x in g), ZERO, LE) for g in k.generators]
+    rows += [HRow(l, ZERO, EQ) for l in k.lineality]
+    return PolyhedralCone(k.dim, hrep=tuple(sorted(rows)), vrep=vrep)
 
 
 def project(p: Polyhedron, keep: Sequence[int]) -> Polyhedron:

@@ -1,7 +1,8 @@
 """Shared reference instances: the bundled worked example and two derived
 ones, criterion 3's program stream with restricted boundaries and criterion
 4's finite programs; an LP oracle for membership in a finitely generated
-cone; generator-level oracles for a polyhedron's two representations and
+cone; the order-cone generator with its strict-LP interior filter;
+generator-level oracles for a polyhedron's two representations and
 for Minkowski sums; and the LP certificate check and membership by row
 evaluation, both in Fraction arithmetic."""
 
@@ -11,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from process_duality.errors import InternalConsistencyError
-from process_duality.exactlp import LinearSystem, LpStatus, lp_solve
+from process_duality.exactlp import LinearSystem, LpStatus, lp_solve, strict_feasible
 from process_duality.fuzzing import (
     random_affine_instance,
     random_discrete_instance,
@@ -28,6 +29,7 @@ from process_duality.polyhedra import (
     LE,
     BoundaryRestrictedPolyhedron,
     Polyhedron,
+    PolyhedralCone,
 )
 from process_duality.rational import ONE, ZERO, dot, is_zero_vec, vadd, vec
 
@@ -151,6 +153,45 @@ def criterion_4_program():
     a set-valued one for odd i (the `minimality` benchmark workload draws its
     programs the same way)."""
     return _criterion_4_program
+
+
+def _lp_filter_order_cone(rng, dim, max_gens=6):
+    """`fuzzing.random_order_cone` as it was when a strict LP on the raw
+    normals decided whether a draw has nonempty interior."""
+    for _ in range(60):
+        nrows = rng.randint(1, max(1, 2 * dim))
+        normals = []
+        for _ in range(nrows):
+            n = tuple(rng.randint(-3, 3) for _ in range(dim))
+            if any(n):
+                normals.append(n)
+        if not normals:
+            continue
+        feas = strict_feasible(
+            LinearSystem(dim, strict=tuple((vec(n), 0) for n in normals))
+        )
+        if not feas.feasible:
+            continue
+        cone = PolyhedralCone.from_normals(dim, ineq_normals=normals)
+        if not cone.hrep:  # degenerated to the whole space
+            continue
+        if len(cone.generators) + 2 * len(cone.lineality) > max_gens:
+            continue
+        return OrderCone(cone)
+    return OrderCone(
+        PolyhedralCone.from_normals(
+            dim, ineq_normals=[tuple(-int(i == j) for j in range(dim)) for i in range(dim)]
+        )
+    )
+
+
+@pytest.fixture(scope="session")
+def lp_filter_order_cone():
+    """(rng, dim, max_gens=6) -> a random order cone drawn as
+    `fuzzing.random_order_cone` draws it, with each draw's interior decided
+    by a strict-feasibility LP on its raw normals instead of by the
+    canonical rows."""
+    return _lp_filter_order_cone
 
 
 def _in_cone(dim, target, rays, lines):

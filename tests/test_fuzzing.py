@@ -25,6 +25,19 @@ def test_order_cone_generator_cap():
         assert len(c.generators) + 2 * len(c.lineality) <= 6
 
 
+def test_order_cone_generator_matches_lp_filter(lp_filter_order_cone):
+    """Deciding the interior from the canonical rows keeps every draw: the
+    same cone, interior witness and generator state as the strict-LP filter."""
+    for dim in range(1, 5):
+        for seed in range(300):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            got = random_order_cone(rng, dim)
+            want = lp_filter_order_cone(oracle_rng, dim)
+            assert got.cone == want.cone, (dim, seed)
+            assert got.interior_witness == want.interior_witness, (dim, seed)
+            assert rng.getstate() == oracle_rng.getstate(), (dim, seed)
+
+
 def test_defect_injection_restores_kernel():
     original = process_mod.halfspace_process
     with injected_defect("sign-flip-halfspace"):

@@ -15,6 +15,7 @@ from process_duality._dd import (
     _reduce_mod_lines,
     cone_dd,
 )
+from process_duality import polyhedra
 from process_duality._kernel import primitive
 from process_duality.certify import (
     ProgramContext,
@@ -127,6 +128,68 @@ class TestPolar:
                     a * g[0] + b * g[1] >= 0 for g in k.generators
                 ) and all(a * l[0] + b * l[1] == 0 for l in k.lineality)
                 assert in_polar == p.member(w)
+
+
+def polar_test_cones():
+    """Criterion-5 cones for three seeds, the zero cone and the full space in
+    each dimension, and cones with lineality of every dimension below 3."""
+    for seed in (31337, 5, 7):
+        for i in range(150):
+            yield PolyhedralCone.from_normals(*criterion5_cone(i, seed))
+    for dim in range(1, 5):
+        yield PolyhedralCone.from_generators(dim)
+        yield PolyhedralCone.from_normals(dim)
+    yield PolyhedralCone.from_generators(3, rays=[(1, 2, 0)], lines=[(0, 1, 1)])
+    yield PolyhedralCone.from_generators(3, rays=[(1, 0, 0), (0, -1, 3)], lines=[(2, 0, -1)])
+    yield PolyhedralCone.from_generators(3, lines=[(1, 1, 0), (0, 1, -2)])
+    yield PolyhedralCone.from_normals(4, ineq_normals=[(1, -1, 0, 2)], eq_normals=[(0, 0, 1, 1)])
+
+
+class TestPolarForms:
+    """`polar_cone` takes its generators from one double description and its
+    rows from the input's own canonical generators (Minkowski-Weyl duality).
+    Both must be the canonical forms of the polar that double description
+    computes from scratch."""
+
+    def test_forms_are_canonical(self):
+        seen = 0
+        for k in polar_test_cones():
+            for sign, c in (("negative", 1), ("positive", -1)):
+                p = polar_cone(k, sign)
+                # the polar by definition, as rows
+                by_definition = PolyhedralCone.from_normals(
+                    k.dim, [tuple(c * x for x in g) for g in k.generators], k.lineality
+                )
+                assert p.hrep == by_definition.hrep, (k.hrep, sign)
+                assert p.vrep == by_definition.vrep, (k.hrep, sign)
+                assert p.hrep == PolyhedralCone.from_generators(k.dim, p.generators, p.lineality).hrep
+                assert p.vrep == Polyhedron.from_hrep(k.dim, p.hrep).vrep
+                seen += bool(k.lineality)
+        assert seen > 100
+
+    @pytest.fixture
+    def dd_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cone_dd(*args)
+
+        monkeypatch.setattr(polyhedra, "cone_dd", counted)
+        return calls
+
+    def test_one_double_description(self, dd_calls):
+        for k in polar_test_cones():
+            k.hrep, k.vrep
+            for sign in ("negative", "positive"):
+                dd_calls.clear()
+                p = polar_cone(k, sign)
+                assert len(dd_calls) == 1
+                p.hrep, p.vrep
+                assert len(dd_calls) == 1
+            dd_calls.clear()
+            assert polar_cone(polar_cone(k)) == k
+            assert len(dd_calls) == 2
 
 
 class TestProject:
@@ -573,9 +636,10 @@ def test_project_commutes_with_membership(data, draws):
     assert has_lift == q.member(x)
 
 
-def criterion5_cone(i):
-    """The i-th random cone of acceptance criterion 5: dim and rows of A.x <= 0."""
-    rng = random.Random(31337 * 1_000_003 + i)
+def criterion5_cone(i, seed=31337):
+    """The i-th random cone of acceptance criterion 5 (drawn from another
+    stream for another seed): dim and rows of A.x <= 0."""
+    rng = random.Random(seed * 1_000_003 + i)
     dim = rng.randint(1, 4)
     rows = []
     for _ in range(rng.randint(1, 6)):
