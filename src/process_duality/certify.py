@@ -44,9 +44,9 @@ from .polyhedra import (
     Cell,
     Polyhedron,
     PolyhedralCone,
-    cell_of_polyhedron,
     closure_generators,
     cone_structure,
+    identity_cell,
     intersect_empty,
     l1_minimal_point,
     member,
@@ -188,12 +188,12 @@ def is_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
 
 
 def _is_minimal(a: SetLike, y0: Vec, yplus: OrderCone) -> bool:
-    """is_minimal for a y0 already known to be a member of A."""
+    """is_minimal for a y0 already known to be a member of A.  y0 - Y_+ is
+    the identity cell made by `identity_cell` from the rows of
+    `_facet_rows_at`, in their order; no `Polyhedron` is built for it."""
     dim = yplus.ambient_dim
     rows = _facet_rows_at(yplus, y0)
-    below = cell_of_polyhedron(
-        Polyhedron.from_hrep(dim, [(n, r, LE) for n, r in rows])
-    )
+    below = identity_cell(LinearSystem(dim, le=tuple(rows)))
     normal, offset = zeros(dim), ZERO
     for n, r in rows:
         normal, offset = vadd(normal, n), offset + r

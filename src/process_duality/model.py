@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import (
     DimensionMismatch,
     EmptyProgramError,
     InternalConsistencyError,
+    NotMemberError,
     ProcessDualityError,
 )
 from .exactlp import LinearSystem, strict_feasible
@@ -30,9 +32,10 @@ from .polyhedra import (
     Polyhedron,
     PolyhedralCone,
     _coerce_point,
+    _identity,
     as_cells,
-    cell_of_polyhedron,
     cone_structure,
+    identity_cell,
 )
 from .rational import (
     Mat,
@@ -248,7 +251,12 @@ class DiscretePoint:
 
 
 class SetValuedProgram:
-    """Finite set-valued program; feasibility is G(x) meets (z - Z_+)."""
+    """Finite set-valued program; feasibility is G(x) meets (z - Z_+).
+
+    A program does not change once built, so the f values of its points
+    feasible at z = 0 (`w0_values`) are found on first read and kept with
+    it: `w0_cells` and `w0_image_points` share one walk over W(0).
+    """
 
     kind = "setvalued"
 
@@ -280,6 +288,14 @@ class SetValuedProgram:
     @property
     def z_dim(self):
         return self.z_plus.ambient_dim
+
+    @cached_property
+    def w0_values(self) -> tuple[Vec, ...]:
+        """The f values of the points feasible at z = 0, in point order."""
+        feas = set(feasible_region(self, zeros(self.z_dim)))
+        return tuple(
+            fv for pt in self.points if pt.point_id in feas for fv in pt.f_values
+        )
 
 
 class DiscreteVectorProgram(SetValuedProgram):
@@ -460,34 +476,35 @@ def slater_point(p: Program):
 # -- image cells of W(0) and membership --------------------------------------
 
 
-def _w0_values(p: SetValuedProgram) -> list[Vec]:
-    """The f values of the points feasible at z = 0, in point order."""
-    feas = set(feasible_region(p, zeros(p.z_dim)))
-    return [fv for pt in p.points if pt.point_id in feas for fv in pt.f_values]
-
-
 def w0_cells(p: Program) -> tuple[Cell, ...]:
-    """Exact cell decomposition of W(0) = f(feasible set at z = 0) in Y."""
+    """Exact cell decomposition of W(0) = f(feasible set at z = 0) in Y.
+
+    A finite program gives one point cell {fv} per value of `w0_values`,
+    made by `identity_cell` from the unit rows y_i = fv_i, listed in the
+    order of its canonical H-representation, so neither a `Polyhedron` nor
+    a double description is built."""
     if isinstance(p, AffineVectorProgram):
         lam0 = feasible_region(p, zeros(p.z_dim))
         return tuple(
             c.compose(p.f.matrix, p.f.offset) for c in as_cells(lam0)
         )
     n = p.y_dim
-    # {fv} from the unit rows y_i = fv_i, listed in the order of its
-    # canonical H-representation, so no double description is run
-    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    unit = _identity(n)
     return tuple(
-        cell_of_polyhedron(
-            Polyhedron.from_hrep(n, [(unit[i], fv[i], EQ) for i in reversed(range(n))])
+        identity_cell(
+            LinearSystem(n, eq=tuple((unit[i], fv[i]) for i in reversed(range(n))))
         )
-        for fv in _w0_values(p)
+        for fv in p.w0_values
     )
 
 
 def w0_image_points(p: Program) -> tuple[Vec, ...]:
-    """Finite programs: the exact image point set of W(0), deduplicated."""
-    return tuple(dict.fromkeys(_w0_values(p)))
+    """The exact image point set of W(0) of a finite program, deduplicated,
+    read off the program's `w0_values`; an affine program has no finite
+    image set and raises NotMemberError."""
+    if isinstance(p, AffineVectorProgram):
+        raise NotMemberError("W(0) image points need a finite program")
+    return tuple(dict.fromkeys(p.w0_values))
 
 
 # -- convex relaxation for finite programs -----------------------------------

@@ -303,7 +303,11 @@ class PolyhedralCone(Polyhedron):
 
 
 def _coerce_point(dim, x) -> Vec:
-    x = vec(x)
+    return _of_dim(dim, vec(x))
+
+
+def _of_dim(dim, x: Vec) -> Vec:
+    """x, an already coerced point, once its length is checked to be dim."""
     if len(x) != dim:
         raise DimensionMismatch(f"point of length {len(x)} in dimension {dim}")
     return x
@@ -672,10 +676,11 @@ class Cell:
     Every exact set query on boundary-restricted data is pulled back
     through cells, so nothing non-closed is ever projected.  An identity
     cell (M = I, o = 0) is answered on its own rows, by integer evaluation
-    at the point written over one denominator, and a point cell, one whose
-    rows are exactly y_i = v_i, by evaluation at its `point` v.
-    `is_identity` and `point` are computed on first read and kept, and so is
-    the integer form of the rows, by the system.
+    at the point written over one denominator.  A point cell, one whose rows
+    are exactly y_i = v_i, decides membership by comparison with its `point`
+    v and emptiness by evaluation at v.  `identity_cell` makes an identity
+    cell from its rows.  `is_identity` and `point` are computed on first
+    read and kept, and so is the integer form of the rows, by the system.
     """
 
     system: LinearSystem
@@ -738,10 +743,17 @@ class Cell:
     def member(self, x) -> bool:
         """Is x = M.u + o for some u of the system?
 
-        An identity cell (M = I, o = 0) checks x against its rows directly,
-        strict rows strictly, in integers as `Polyhedron.member` does; any
-        other cell solves one strict LP."""
-        x = _coerce_point(self.target_dim, x)
+        A point cell compares x with its `point`, which is exact because the
+        cell is {v} by construction.  Any other identity cell (M = I, o = 0)
+        checks x against its rows directly, strict rows strictly, in
+        integers as `Polyhedron.member` does; any other cell solves one
+        strict LP."""
+        return self._member(_coerce_point(self.target_dim, x))
+
+    def _member(self, x: Vec) -> bool:
+        """`member` for an x already coerced into the target space."""
+        if self.point is not None:
+            return x == self.point
         if self.is_identity:
             return self.system.holds_at(*integer_scaled(x))
         eye = _identity(len(x))
@@ -783,8 +795,14 @@ def _identity(dim) -> Mat:
     return tuple(tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim))
 
 
+def identity_cell(system: LinearSystem) -> Cell:
+    """The identity cell (M = I, o = 0) of the solution set of `system`,
+    made straight from its rows, which it keeps as given and in order."""
+    return Cell(system, _identity(system.dim), zeros(system.dim))
+
+
 def cell_of_polyhedron(p: Polyhedron) -> Cell:
-    return Cell(p.system(), _identity(p.dim), zeros(p.dim))
+    return identity_cell(p.system())
 
 
 def as_cells(obj) -> tuple[Cell, ...]:
@@ -813,7 +831,7 @@ def as_cells(obj) -> tuple[Cell, ...]:
                     else:
                         sys_ = sys_.extended(strict=[(fr.normal, fr.offset)])
                 if ok:
-                    cells.append(Cell(sys_, _identity(obj.dim), zeros(obj.dim)))
+                    cells.append(identity_cell(sys_))
         return tuple(cells)
     if isinstance(obj, Cell):
         return (obj,)
@@ -914,10 +932,16 @@ def intersect_empty(parts, strict_halfspaces=()) -> Emptiness:
 def member(obj, x) -> bool:
     """Exact membership in a Polyhedron, a BoundaryRestrictedPolyhedron or a
     Cell, each of which answers for itself, or in the union of a sequence of
-    them."""
+    them.  In a union x is coerced once and every cell of it answers on that
+    one vector, a point cell by comparison with its point."""
     if isinstance(obj, (Polyhedron, BoundaryRestrictedPolyhedron, Cell)):
         return obj.member(x)
-    return any(member(piece, x) for piece in obj)
+    x = vec(x)
+    return any(
+        piece._member(_of_dim(piece.target_dim, x)) if isinstance(piece, Cell)
+        else member(piece, x)
+        for piece in obj
+    )
 
 
 def closure_generators(obj):

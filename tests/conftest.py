@@ -3,14 +3,16 @@ ones, criterion 3's program stream with restricted boundaries and criterion
 4's finite programs; an LP oracle for membership in a finitely generated
 cone; the order-cone generator with its strict-LP interior filter;
 generator-level oracles for a polyhedron's two representations and
-for Minkowski sums; and the LP certificate check and membership by row
-evaluation, both in Fraction arithmetic."""
+for Minkowski sums; the LP certificate check and membership by row
+evaluation, both in Fraction arithmetic; and identity cells built through a
+`Polyhedron`."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from process_duality.certify import _facet_rows_at
 from process_duality.errors import InternalConsistencyError
 from process_duality.exactlp import LinearSystem, LpStatus, lp_solve, strict_feasible
 from process_duality.fuzzing import (
@@ -26,10 +28,12 @@ from process_duality.model import (
     affine_map,
 )
 from process_duality.polyhedra import (
+    EQ,
     LE,
     BoundaryRestrictedPolyhedron,
     Polyhedron,
     PolyhedralCone,
+    cell_of_polyhedron,
 )
 from process_duality.rational import ONE, ZERO, dot, is_zero_vec, vadd, vec
 
@@ -409,3 +413,32 @@ def fraction_member():
     `.ray(p, r)` for the recession cone and `.holds_at(v, cells, rows)` for
     a point against cells and open half-spaces."""
     return _FractionMember()
+
+
+class _PolyhedronCells:
+    """Identity cells made by `cell_of_polyhedron` from a `Polyhedron` built
+    on their rows, the way `w0_cells` made its point cells and `is_minimal`
+    its cell y0 - Y_+ before both were built straight from their rows."""
+
+    def point(self, v):
+        """{v} from the unit rows y_i = v_i, last coordinate first."""
+        n = len(v)
+        unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        return cell_of_polyhedron(
+            Polyhedron.from_hrep(n, [(unit[i], v[i], EQ) for i in reversed(range(n))])
+        )
+
+    def below(self, yplus, y0):
+        """y0 - Y_+ on Y_+'s facet rows shifted to y0."""
+        rows = _facet_rows_at(yplus, vec(y0))
+        return cell_of_polyhedron(
+            Polyhedron.from_hrep(yplus.ambient_dim, [(n, r, LE) for n, r in rows])
+        )
+
+
+@pytest.fixture(scope="session")
+def polyhedron_cells():
+    """`.point(v)` -> the point cell {v} and `.below(yplus, y0)` -> the
+    cell y0 - Y_+, each built through `Polyhedron.from_hrep` and
+    `cell_of_polyhedron`."""
+    return _PolyhedronCells()

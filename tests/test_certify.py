@@ -509,6 +509,59 @@ class TestWorkDoneOnce:
         # the filter's verdict, then minimality in M; W(0) is not asked again
         assert (frontier, calls[0]) == (45, 90)
 
+    def test_minimality_loop_does_each_piece_of_work_once(
+        self, count, monkeypatch, criterion_4_program
+    ):
+        """The loop of the `minimality` benchmark item walks W(0) once per
+        program, builds no Polyhedron, runs no LP, and a point cell decides
+        membership without writing the point over one denominator."""
+        calls = dict.fromkeys(
+            ("feasible_region", "from_hrep", "cell_of_polyhedron", "integer_scaled"), 0
+        )
+
+        def counted(name, fn):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return run
+
+        originals = {
+            "cell_of_polyhedron": polyhedra_module.cell_of_polyhedron,
+            "integer_scaled": rational_module.integer_scaled,
+        }
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "process_duality":
+                for attr, fn in originals.items():
+                    if getattr(module, attr, None) is fn:
+                        monkeypatch.setattr(module, attr, counted(attr, fn))
+        monkeypatch.setattr(model_module, "feasible_region",
+                            counted("feasible_region", model_module.feasible_region))
+        monkeypatch.setattr(Polyhedron, "from_hrep",
+                            staticmethod(counted("from_hrep", Polyhedron.from_hrep)))
+
+        def minimality_item(p):
+            cells = w0_cells(p)
+            for y0 in w0_image_points(p):
+                is_minimal(cells, y0, p.y_plus)
+                is_weak_minimal(cells, y0, p.y_plus)
+
+        asked = 0
+        for i in range(40):
+            p = criterion_4_program(i)
+            calls.update(dict.fromkeys(calls, 0))
+            assert count(minimality_item, p) == 0
+            assert calls["feasible_region"] == 1, i
+            assert (calls["from_hrep"], calls["cell_of_polyhedron"]) == (0, 0), i
+            cells = w0_cells(p)
+            assert all(c.point is not None for c in cells)
+            for y0 in w0_image_points(p):
+                calls["integer_scaled"] = 0
+                assert member(cells, y0)
+                assert [c.member(y0) for c in cells] == [c.point == y0 for c in cells]
+                assert calls["integer_scaled"] == 0, (i, y0)
+                asked += 1
+        assert asked > 60
+
 
 @pytest.fixture
 def count(monkeypatch):
@@ -614,6 +667,77 @@ class TestStrictLpCounts:
                 )
                 classified += 1
         assert classified > 10
+
+
+class TestDirectIdentityCells:
+    """The point cells of `w0_cells` and the cell y0 - Y_+ of `is_minimal`,
+    built straight from their rows, equal the cells built through a
+    `Polyhedron` (`polyhedron_cells`): the same rows in the same order, the
+    same map, point and identity flag."""
+
+    @staticmethod
+    def same(new, old):
+        assert new.system.le == old.system.le
+        assert new.system.eq == old.system.eq
+        assert new.system.strict == old.system.strict
+        assert (new.matrix, new.offset) == (old.matrix, old.offset)
+        assert (new.point, new.is_identity) == (old.point, old.is_identity)
+
+    @staticmethod
+    def below_cells(monkeypatch):
+        """A list that collects the cell y0 - Y_+ of every `is_minimal`."""
+        seen = []
+        decide = certify_module.intersect_empty
+
+        def recorded(parts, strict_halfspaces=()):
+            if len(parts) == 2:
+                seen.append(parts[1])
+            return decide(parts, strict_halfspaces)
+
+        monkeypatch.setattr(certify_module, "intersect_empty", recorded)
+        return seen
+
+    def test_criterion_4_programs(self, monkeypatch, criterion_4_program,
+                                  polyhedron_cells):
+        seen = self.below_cells(monkeypatch)
+        points = belows = 0
+        for i in range(60):
+            p = criterion_4_program(i)
+            cells = w0_cells(p)
+            assert len(cells) == len(p.w0_values)
+            for cell, fv in zip(cells, p.w0_values):
+                self.same(cell, polyhedron_cells.point(fv))
+                points += 1
+            for y0 in w0_image_points(p):
+                seen.clear()
+                is_minimal(cells, y0, p.y_plus)
+                assert len(seen) == 1
+                self.same(seen[0], polyhedron_cells.below(p.y_plus, y0))
+                belows += 1
+        assert points > 90 and belows > 90
+
+    @pytest.mark.parametrize("yplus", [
+        OrderCone.from_generators(1, [(1,)]),
+        OrderCone.from_generators(1, [(-1,)]),
+        OrderCone.from_generators(2, [(1, 0), (0, 1)]),
+        OrderCone.from_generators(2, [(2, -1), (-1, 2)]),
+        OrderCone.from_generators(3, identity(3)),
+        OrderCone.from_generators(3, [(1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)]),
+        OrderCone.from_generators(2, [(1, 0), (-1, 0), (0, 1)]),
+        OrderCone.from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1)]),
+    ], ids=["r-plus", "r-minus", "orthant", "wide-cone", "orthant-3d",
+            "four-rays-3d", "halfplane-line", "wedge-line-3d"])
+    def test_order_cones(self, monkeypatch, yplus, polyhedron_cells):
+        dim = yplus.ambient_dim
+        seen = self.below_cells(monkeypatch)
+        corners = [tuple(F(c) for c in corner) for corner in product((-1, 1), repeat=dim)]
+        for y0 in corners + [zeros(dim), tuple(F(k + 1, 3) for k in range(dim))]:
+            a = (polyhedron_cells.point(y0),)
+            seen.clear()
+            assert is_minimal(a, y0, yplus)
+            assert len(seen) == 1
+            self.same(seen[0], polyhedron_cells.below(yplus, y0))
+            assert seen[0].point is None and seen[0].is_identity
 
 
 def per_combo_lp(parts, strict_halfspaces=()):

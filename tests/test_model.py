@@ -5,7 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from process_duality.errors import EmptyProgramError, InternalConsistencyError
+from process_duality.errors import (
+    EmptyProgramError,
+    InternalConsistencyError,
+    NotMemberError,
+    ProcessDualityError,
+)
 from process_duality.exactlp import LinearSystem, LpStatus, lp_solve, strict_feasible
 from process_duality.model import (
     _facet_trace,
@@ -24,6 +29,7 @@ from process_duality.model import (
     slater_point,
     upper_image_graph,
     w0_cells,
+    w0_image_points,
 )
 from process_duality.polyhedra import (
     EQ,
@@ -286,6 +292,23 @@ class TestSimplexRelaxation:
         assert member(cells, (2, F(1, 2)))
         assert not member(cells, (2, 0))
         assert not member(cells, (0, 2))
+
+
+class TestW0ImagePoints:
+    def test_finite_program(self, three_point_discrete):
+        p = three_point_discrete
+        assert p.w0_values == tuple(pt.f_value for pt in p.points)
+        assert w0_image_points(p) == p.w0_values
+        # kept with the program: the second read is the same tuple
+        assert p.w0_values is p.w0_values
+
+    def test_an_affine_program_has_no_image_point_set(
+        self, scalar_i2, planar_i3, worked_example
+    ):
+        for p in (scalar_i2, planar_i3, worked_example):
+            with pytest.raises(NotMemberError, match="need a finite program") as err:
+                w0_image_points(p)
+            assert isinstance(err.value, ProcessDualityError)
 
 
 def lifted_facet_trace(cell, phi, krays, klines, normal, offset):

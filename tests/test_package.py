@@ -112,3 +112,31 @@ def test_every_function_has_a_caller():
                 and not (node.name.startswith("__") and node.name.endswith("__"))
             ]
     assert [d for d in defined if d[2] not in refs] == []
+
+
+MODULE_MEMOS = {"lru_cache", "cache"}
+
+
+def test_no_module_level_memo():
+    """Caches live on the object they belong to (a program, a
+    `ProgramContext`, a `LinearSystem`, an `OrderCone`): no module uses
+    `functools.lru_cache` or `functools.cache`, under any name."""
+    package = Path(process_duality.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    assert sources
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {
+            a.asname or a.name
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for a in node.names if a.name == "functools"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [(path.name, node.lineno, a.name)
+                          for a in node.names if a.name in MODULE_MEMOS]
+            elif (isinstance(node, ast.Attribute) and node.attr in MODULE_MEMOS
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                found.append((path.name, node.lineno, node.attr))
+    assert found == []
