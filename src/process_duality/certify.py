@@ -279,17 +279,29 @@ def _henig_distance(rays, lines, base: Polyhedron) -> Fraction:
 def _henig_eta(cone_a: PolyhedralCone, rays, lines, base: Polyhedron) -> Fraction:
     """The largest admissible eta = 2^-k, k < 64, for the Henig witness.
 
-    Every eta < delta (`_henig_distance`) is admissible and every eta > delta
-    is not; eta = delta can go either way, so it is checked, then eta/2.
+    Every eta > delta (`_henig_distance`) is inadmissible, and every eta <
+    delta is admissible by the distance LP alone, whose optimum
+    `verify_outcome` has re-checked exactly:
+    - d = 0 lies in C = cone(rays) + span(lines), so ||b||_inf >= delta > eta
+      for every b in the base.  Then 0 is not in S = base + eta * B_inf, a
+      compact convex set, so K_eta = cone(S) is closed and pointed.
+    - If 0 != x in C cap (-K_eta), then -x = lambda * (b + eta * u) with
+      lambda > 0, b in the base and ||u||_inf <= 1.  x / lambda is in C and
+      ||x / lambda + b||_inf <= eta < delta, against the minimality of delta.
+    So the largest 2^-k <= min(delta, 1) is returned without double
+    description when it is below delta.  A tie eta = delta can go either way
+    and is decided by `_henig_admissible`; when it fails, eta/2 < delta is.
     """
     delta = _henig_distance(rays, lines, base)
     eta = ONE
     for k in range(64):
-        if eta <= delta:
-            tries = (eta, eta / 2) if eta == delta and k < 63 else (eta,)
-            for e in tries:
-                if _henig_admissible(cone_a, base, e):
-                    return e
+        if eta < delta:
+            return eta
+        if eta == delta:
+            if _henig_admissible(cone_a, base, eta):
+                return eta
+            if k < 63:
+                return eta / 2
             break
         eta /= 2
     raise InternalConsistencyError(
@@ -314,8 +326,10 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone,
     One LP gives delta = min ||d + b||_inf over d in C and b in the base:
     every eta < delta is admissible and every eta > delta is not.  eta =
     delta can go either way (Y = R, Y_+ = R_+ and C = R_+ give delta = 1 and
-    a pointed K_1), so the largest 2^-k <= min(delta, 1) is checked by
-    double description, and when it equals delta and fails, half of it is.
+    a pointed K_1).  So he_eta is the largest 2^-k <= min(delta, 1), taken
+    from the LP alone when it is below delta; only when it equals delta is
+    it checked by double description, and when that check fails he_eta is
+    half of it, which is below delta.
 
     `closure` is `closure_generators(a)` when the caller already has it.
     """

@@ -26,7 +26,7 @@ from .certify import (
 )
 from .errors import NotInW0Error, ProblemFormatError, ProcessDualityError
 from .fuzzing import DEFECTS, run_fuzz
-from .polyhedra import Polyhedron, member
+from .polyhedra import Polyhedron, _of_dim, member
 from .problemfile import _emit_hrep, _emit_vec, instance_hash, load_problem
 from .process import SeparatorCone, lagrange_process, separator_cone
 from .rational import fmt, parse_vector
@@ -170,13 +170,28 @@ def _load(path):
         raise ProblemFormatError(path, "is a directory")
 
 
+def _y0(args, problem):
+    """--y0 as a point of the problem's objective space Y."""
+    try:
+        y0 = parse_vector(args.y0)
+    except (ValueError, ZeroDivisionError):
+        raise ProblemFormatError("--y0", f"not a rational vector: {args.y0!r}")
+    return _of_dim(problem.y_dim, y0)
+
+
+def _limit(args):
+    if args.limit < 0:
+        raise ProblemFormatError("--limit", "expected a nonnegative integer")
+    return args.limit
+
+
 def _y0_list(ctx, args):
     if args.frontier:
-        _, points, truncated = minimal_frontier_points(ctx, args.limit)
+        _, points, truncated = minimal_frontier_points(ctx, _limit(args))
         return list(points), truncated
     if args.y0 is None:
         raise ProblemFormatError("--y0", "either --y0 or --frontier is required")
-    return [parse_vector(args.y0)], False
+    return [_y0(args, ctx.program)], False
 
 
 def cmd_certify(args) -> int:
@@ -205,7 +220,7 @@ def cmd_process(args) -> int:
     problem = _load(args.problem)
     if args.y0 is None:
         raise ProblemFormatError("--y0", "required for the process command")
-    y0 = parse_vector(args.y0)
+    y0 = _y0(args, problem)
     ctx = ProgramContext(problem)
     if not member(ctx.cells, y0):
         raise NotInW0Error(f"{args.y0} is not attained by a feasible point")
@@ -235,7 +250,7 @@ def cmd_classify(args) -> int:
     problem = _load(args.problem)
     if args.y0 is None:
         raise ProblemFormatError("--y0", "required for the classify command")
-    y0 = parse_vector(args.y0)
+    y0 = _y0(args, problem)
     payload = {
         "report": "classification",
         "tool": TOOL,
@@ -265,15 +280,15 @@ def cmd_classify(args) -> int:
 def cmd_frontier(args) -> int:
     problem = _load(args.problem)
     if args.side == "P":
-        frontier = minimal_frontier(problem, args.limit)
+        frontier = minimal_frontier(problem, _limit(args))
     else:
         if args.y0 is None:
             raise ProblemFormatError(
                 "--y0", "the dual-side frontier needs the y0 that builds L"
             )
-        y0 = parse_vector(args.y0)
+        y0 = _y0(args, problem)
         L = lagrange_process(separator_cone(ProgramContext(problem).graph, y0))
-        frontier = dual_frontier(problem, L, args.limit)
+        frontier = dual_frontier(problem, L, _limit(args))
     payload = {
         "report": "frontier",
         "tool": TOOL,
@@ -291,7 +306,10 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
+    try:
+        dims = tuple(int(d) for d in args.dims.split(","))
+    except ValueError:
+        dims = ()
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise ProblemFormatError("--dims", "expected dx,dy,dz positive integers")
     report = run_fuzz(args.seed, args.count, dims, defect=args.inject_defect)

@@ -313,6 +313,36 @@ def halving_loop_eta(cone_a, base):
     raise AssertionError("no admissible eta")
 
 
+def _certify_frontiers(programs):
+    """certify_multiplier, both sides with witnesses, at every minimal
+    frontier point of each program that has one."""
+    for p in programs:
+        ctx = ProgramContext(p)
+        try:
+            _, points, _ = minimal_frontier_points(ctx)
+        except EmptyFeasibleError:
+            continue
+        for y0 in points:
+            certify_multiplier(ctx, y0)
+
+
+def _henig_searches(monkeypatch, programs):
+    """(cone_a, base, eta, delta) of every Henig witness search that
+    `_certify_frontiers(programs)` runs."""
+    chosen = certify_module._henig_eta
+    searches = []
+
+    def recorded(cone_a, rays, lines, base):
+        eta = chosen(cone_a, rays, lines, base)
+        delta = certify_module._henig_distance(rays, lines, base)
+        searches.append((cone_a, base, eta, delta))
+        return eta
+
+    monkeypatch.setattr(certify_module, "_henig_eta", recorded)
+    _certify_frontiers(programs)
+    return searches
+
+
 class TestHenigEta:
     """The Henig witness eta read off the distance LP is the halving loop's."""
 
@@ -349,10 +379,13 @@ class TestHenigEta:
     def test_pointedness_from_rows_matches_the_lineality_route(
         self, monkeypatch, criterion_3_program
     ):
-        """K_eta's pointedness read off the rank of its rows decides every
-        admissibility check as K_eta's lineality space did, with one double
-        description run fewer per check."""
+        """K_eta's pointedness read off the rank of its rows decides
+        admissibility as K_eta's lineality space did, with one double
+        description run fewer per check, at every eta the search considers:
+        a tie eta = delta, and the eta it returns below delta."""
         admissible = certify_module._henig_admissible
+        programs = [criterion_3_program(i) for i in range(40) if i not in (3, 5)]
+        searches = _henig_searches(monkeypatch, programs)
         dd = polyhedra_module.cone_dd
         calls = [0]
 
@@ -374,32 +407,61 @@ class TestHenigEta:
             )
             return not meet.vrep.rays and not meet.vrep.lines
 
+        monkeypatch.setattr(polyhedra_module, "cone_dd", counted)
         verdicts = []
+        for cone_a, base, eta, delta in searches:
+            # eta = delta / 2 <= 1/2 is returned only after a failed tie
+            for e in {eta, delta} if eta * 2 == delta <= 1 else {eta}:
+                base.vrep
+                before = calls[0]
+                got = admissible(cone_a, base, e)
+                rows_route = calls[0] - before
+                before = calls[0]
+                assert got == lineality_route(cone_a, base, e)
+                assert rows_route == calls[0] - before - 1
+                verdicts.append(got)
+        assert verdicts.count(True) > 50 and False in verdicts
+
+    def test_every_eta_below_delta_is_admissible_by_double_description(
+        self, monkeypatch, criterion_3_program
+    ):
+        """The distance LP alone proves every eta < delta admissible; double
+        description agrees wherever the search returned such an eta."""
+        programs = [criterion_3_program(i) for i in range(60) if i not in (3, 5)]
+        programs += [_bundled(n) for n in ("worked_example", "i3", "scalar_i2")]
+        below = [
+            (cone_a, base, eta)
+            for cone_a, base, eta, delta in _henig_searches(monkeypatch, programs)
+            if eta < delta
+        ]
+        assert len(below) >= 60
+        for cone_a, base, eta in below:
+            assert certify_module._henig_admissible(cone_a, base, eta)
+
+    def test_double_description_runs_only_at_ties(
+        self, monkeypatch, criterion_3_program
+    ):
+        """`_henig_admissible` is called only with eta equal to the delta
+        just computed."""
+        distance = certify_module._henig_distance
+        admissible = certify_module._henig_admissible
+        deltas, etas = [], []
+
+        def recorded(rays, lines, base):
+            deltas.append(distance(rays, lines, base))
+            return deltas[-1]
 
         def checked(cone_a, base, eta):
-            base.vrep
-            before = calls[0]
-            got = admissible(cone_a, base, eta)
-            rows_route = calls[0] - before
-            before = calls[0]
-            assert got == lineality_route(cone_a, base, eta)
-            assert rows_route == calls[0] - before - 1
-            verdicts.append(got)
-            return got
+            etas.append(eta)
+            assert eta == deltas[-1]
+            return admissible(cone_a, base, eta)
 
-        monkeypatch.setattr(polyhedra_module, "cone_dd", counted)
+        monkeypatch.setattr(certify_module, "_henig_distance", recorded)
         monkeypatch.setattr(certify_module, "_henig_admissible", checked)
-        for i in range(40):
-            if i in (3, 5):
-                continue
-            ctx = ProgramContext(criterion_3_program(i))
-            try:
-                _, points, _ = minimal_frontier_points(ctx)
-            except EmptyFeasibleError:
-                continue
-            for y0 in points:
-                certify_multiplier(ctx, y0)
-        assert verdicts.count(True) > 50 and False in verdicts
+        _certify_frontiers(
+            criterion_3_program(i) for i in range(40) if i not in (3, 5)
+        )
+        assert etas and len(etas) < len(deltas)
 
     def test_dilation_with_a_line_is_refused(self):
         orthant = PolyhedralCone.from_generators(2, [(1, 0), (0, 1)])
@@ -409,11 +471,29 @@ class TestHenigEta:
         point = Polyhedron.from_vrep(2, [(1, 1)])
         assert certify_module._henig_admissible(orthant, point, F(1, 4))
 
-    def test_refused_checks_raise(self, monkeypatch, planar_i3):
+    def test_a_refused_tie_falls_back_to_half_of_it(self, monkeypatch, r_plus,
+                                                    orthant2):
+        calls = []
+
+        def refused(cone_a, base, eta):
+            calls.append(eta)
+            return False
+
+        monkeypatch.setattr(certify_module, "_henig_admissible", refused)
+        # C = Y_+ = R_+: delta = 1, a tie that double description passes
+        tie = Polyhedron.from_vrep(1, [(0,)], [(1,)])
+        assert classify_proper(tie, (0,), r_plus).witnesses["he_eta"] == F(1, 2)
+        assert calls == [F(1)]
+        # C = cone{(-2, 1)}: delta = 1/3, so eta = 1/4 with no check
+        strict = Polyhedron.from_vrep(2, [(0, 0)], [(-2, 1)])
+        assert classify_proper(strict, (0, 0), orthant2).witnesses["he_eta"] == F(1, 4)
+        assert calls == [F(1)]
+
+    def test_no_candidate_below_delta_raises(self, monkeypatch, planar_i3):
         y0 = (F(1, 2), F(1, 2))
         assert certify_multiplier(planar_i3, y0).status_P0.witnesses["he_eta"]
-        monkeypatch.setattr(certify_module, "_henig_admissible",
-                            lambda cone_a, base, eta: False)
+        monkeypatch.setattr(certify_module, "_henig_distance",
+                            lambda rays, lines, base: F(1, 2**70))
         with pytest.raises(InternalConsistencyError,
                            match="dilation witness not found"):
             certify_multiplier(planar_i3, y0)

@@ -241,3 +241,38 @@ class TestFuzz:
         doc = json.loads(out)
         assert doc["ok"] is False
         assert doc["counterexample"]["problem"]
+
+
+class TestMalformedArguments:
+    """Each malformed argument is one `error:` line on stderr and exit 2."""
+
+    def check(self, capsys, argv, message):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_y0_not_a_number(self, capsys, instance_path):
+        self.check(capsys, ["classify", instance_path("i3"), "--y0", "abc"],
+                   "--y0: not a rational vector: 'abc'")
+
+    def test_y0_with_zero_denominator(self, capsys, instance_path):
+        self.check(capsys, ["process", instance_path("i3"), "--y0", "1/0,1"],
+                   "--y0: not a rational vector: '1/0,1'")
+
+    def test_dims_not_integers(self, capsys):
+        self.check(capsys, ["fuzz", "--dims", "a,b,c"],
+                   "--dims: expected dx,dy,dz positive integers")
+
+    def test_short_y0_for_the_dual_frontier(self, capsys, instance_path):
+        # a short y0 would split Graph(W) into the wrong (z, y) parts
+        self.check(capsys,
+                   ["frontier", instance_path("i3"), "--side", "D", "--y0", "1/2"],
+                   "DimensionMismatch: point of length 1 in dimension 2")
+
+    def test_negative_limit_for_certify(self, capsys, instance_path):
+        self.check(capsys,
+                   ["certify", instance_path("i3"), "--frontier", "--limit", "-1"],
+                   "--limit: expected a nonnegative integer")
+
+    def test_negative_limit_for_frontier(self, capsys, instance_path):
+        self.check(capsys, ["frontier", instance_path("i3"), "--limit", "-1"],
+                   "--limit: expected a nonnegative integer")
