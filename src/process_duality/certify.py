@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Optional, Union
 
 from ._dd import _integer_rref
@@ -147,16 +146,17 @@ def _require_member(a: SetLike, y0: Vec):
 
 
 def _facet_rows_at(yplus: OrderCone, y0: Vec):
-    """Y_+'s facet rows shifted to y0, as (-n, -n.y0) per facet normal n:
-    y - y0 lies in -Y_+ iff every row holds, in -Int Y_+ iff every row
-    holds strictly.  The negated normals are the order cone's own; y0 is
-    written over one denominator d and each n.y0 is read off Y_+'s integer
-    facet row (s.n, 0, s) as one Fraction (s.n).(d.y0) / (s.d)."""
-    x, d = integer_scaled(y0)
-    return [
-        (neg, Fraction(-sum(map(mul, a, x)), s * d))
-        for neg, (a, _, s) in zip(yplus.negated_normals, yplus.integer_facets)
-    ]
+    """Y_+'s facet rows shifted to y0, as (-n, -n.y0) per facet normal n,
+    and the same rows as `integer_rows`: y - y0 lies in -Y_+ iff every row
+    holds, in -Int Y_+ iff every row holds strictly.  The integer rows are
+    `OrderCone.below_rows`, read off Y_+'s integer facet rows; the negated
+    normals are the order cone's own, and each -n.y0 is one Fraction, an
+    integer row's right-hand side over its scale."""
+    ints = yplus.below_rows(y0)
+    rows = tuple(
+        (neg, Fraction(r, s)) for neg, (_, r, s) in zip(yplus.negated_normals, ints)
+    )
+    return rows, ints
 
 
 def is_weak_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
@@ -167,8 +167,14 @@ def is_weak_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
 
 
 def _is_weak_minimal(a: SetLike, y0: Vec, yplus: OrderCone) -> bool:
-    """is_weak_minimal for a y0 already known to be a member of A."""
-    return intersect_empty([a], _facet_rows_at(yplus, y0)).empty
+    """is_weak_minimal for a y0 already known to be a member of A.
+    y0 - Int Y_+ is the identity cell on the rows of `_facet_rows_at`, all
+    strict, whose integer form is the one those rows came with."""
+    rows, ints = _facet_rows_at(yplus, y0)
+    below = identity_cell(LinearSystem.with_integer_form(
+        ((), (), ints), yplus.ambient_dim, strict=rows
+    ))
+    return intersect_empty([a, below]).empty
 
 
 def is_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
@@ -190,10 +196,11 @@ def is_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
 def _is_minimal(a: SetLike, y0: Vec, yplus: OrderCone) -> bool:
     """is_minimal for a y0 already known to be a member of A.  y0 - Y_+ is
     the identity cell made by `identity_cell` from the rows of
-    `_facet_rows_at`, in their order; no `Polyhedron` is built for it."""
+    `_facet_rows_at`, in their order, which keep the integer form they came
+    with; no `Polyhedron` is built for it."""
     dim = yplus.ambient_dim
-    rows = _facet_rows_at(yplus, y0)
-    below = identity_cell(LinearSystem(dim, le=tuple(rows)))
+    rows, ints = _facet_rows_at(yplus, y0)
+    below = identity_cell(LinearSystem.with_integer_form((ints, (), ()), dim, le=rows))
     normal, offset = zeros(dim), ZERO
     for n, r in rows:
         normal, offset = vadd(normal, n), offset + r
@@ -367,7 +374,7 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
     rays_a = [vsub(v, y0) for v in verts if vsub(v, y0) != zeros(dim)] + list(rays)
     cone_a = PolyhedralCone.from_generators(dim, rays=rays_a, lines=list(lines))
     meet = cone_a.with_rows(
-        [(n, r, LE) for n, r in _facet_rows_at(yplus, zeros(dim))]
+        [(n, ZERO, LE) for n in yplus.negated_normals]
     )
     he = _cone_is_zero(meet)
 

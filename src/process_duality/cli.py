@@ -179,15 +179,26 @@ def _y0(args, problem):
     return _of_dim(problem.y_dim, y0)
 
 
-def _limit(args):
-    if args.limit < 0:
-        raise ProblemFormatError("--limit", "expected a nonnegative integer")
-    return args.limit
+def _w0_point(args, ctx):
+    """--y0 as a point of W(0); NotInW0Error for a y0 that no feasible
+    point attains, before anything is built at it."""
+    y0 = _y0(args, ctx.program)
+    if not member(ctx.cells, y0):
+        raise NotInW0Error(f"{args.y0} is not attained by a feasible point")
+    return y0
+
+
+def _nonnegative(option, value):
+    if value < 0:
+        raise ProblemFormatError(option, "expected a nonnegative integer")
+    return value
 
 
 def _y0_list(ctx, args):
     if args.frontier:
-        _, points, truncated = minimal_frontier_points(ctx, _limit(args))
+        _, points, truncated = minimal_frontier_points(
+            ctx, _nonnegative("--limit", args.limit)
+        )
         return list(points), truncated
     if args.y0 is None:
         raise ProblemFormatError("--y0", "either --y0 or --frontier is required")
@@ -220,10 +231,8 @@ def cmd_process(args) -> int:
     problem = _load(args.problem)
     if args.y0 is None:
         raise ProblemFormatError("--y0", "required for the process command")
-    y0 = _y0(args, problem)
     ctx = ProgramContext(problem)
-    if not member(ctx.cells, y0):
-        raise NotInW0Error(f"{args.y0} is not attained by a feasible point")
+    y0 = _w0_point(args, ctx)
     s = separator_cone(ctx.graph, y0)
     L = lagrange_process(s)
     payload = {
@@ -280,15 +289,15 @@ def cmd_classify(args) -> int:
 def cmd_frontier(args) -> int:
     problem = _load(args.problem)
     if args.side == "P":
-        frontier = minimal_frontier(problem, _limit(args))
+        frontier = minimal_frontier(problem, _nonnegative("--limit", args.limit))
     else:
         if args.y0 is None:
             raise ProblemFormatError(
                 "--y0", "the dual-side frontier needs the y0 that builds L"
             )
-        y0 = _y0(args, problem)
-        L = lagrange_process(separator_cone(ProgramContext(problem).graph, y0))
-        frontier = dual_frontier(problem, L, _limit(args))
+        ctx = ProgramContext(problem)
+        L = lagrange_process(separator_cone(ctx.graph, _w0_point(args, ctx)))
+        frontier = dual_frontier(problem, L, _nonnegative("--limit", args.limit))
     payload = {
         "report": "frontier",
         "tool": TOOL,
@@ -312,7 +321,8 @@ def cmd_fuzz(args) -> int:
         dims = ()
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise ProblemFormatError("--dims", "expected dx,dy,dz positive integers")
-    report = run_fuzz(args.seed, args.count, dims, defect=args.inject_defect)
+    count = _nonnegative("--count", args.count)
+    report = run_fuzz(args.seed, count, dims, defect=args.inject_defect)
     payload = {
         "report": "fuzz",
         "tool": TOOL,

@@ -94,6 +94,20 @@ class LinearSystem:
         object.__setattr__(out, "strict", self.strict + _rows(self.dim, strict))
         return out
 
+    @staticmethod
+    def with_integer_form(integer_form, dim, le=(), eq=(), strict=()) -> "LinearSystem":
+        """The system of rows already coerced, tuples of (Vec, Fraction)
+        rows, whose `integer_form` the caller has made, each integer row a
+        positive multiple of its row as in `integer_rows` (the multiple
+        need not be the least one): no row is coerced or scaled again."""
+        out = object.__new__(LinearSystem)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "le", le)
+        object.__setattr__(out, "eq", eq)
+        object.__setattr__(out, "strict", strict)
+        object.__setattr__(out, "integer_form", integer_form)
+        return out
+
     @cached_property
     def integer_form(self):
         """(le, eq, strict) as `integer_rows`, each row times the lcm of its

@@ -31,7 +31,7 @@ from .model import (
 from .polyhedra import LE, Polyhedron, PolyhedralCone
 from .problemfile import emit_problem
 from .process import Separator, halfspace_process
-from .rational import Vec, fmt_vector, vec, zeros
+from .rational import Vec, fmt_vector
 
 
 def random_order_cone(rng: random.Random, dim: int, max_gens: int = 6) -> OrderCone:
@@ -64,17 +64,9 @@ def random_order_cone(rng: random.Random, dim: int, max_gens: int = 6) -> OrderC
     )
 
 
-def _interior_vector(cone: OrderCone) -> Vec:
-    w = zeros(cone.ambient_dim)
-    for g in cone.generators:
-        w = tuple(a + b for a, b in zip(w, g))
-    if not cone.strictly_contains(w):
-        w = vec(cone.interior_witness)
-    return w
-
-
 def random_affine_instance(rng: random.Random, dims=(2, 2, 1)) -> AffineVectorProgram:
-    """Box-with-cuts Omega, integer affine maps, Slater point enforced at 0."""
+    """Box-with-cuts Omega, integer affine maps, Slater point enforced at 0:
+    g(0) = -w for Z_+'s `interior_witness` w, the sum of its extreme rays."""
     dx, dy, dz = dims
     rows = []
     for j in range(dx):
@@ -94,8 +86,7 @@ def random_affine_instance(rng: random.Random, dims=(2, 2, 1)) -> AffineVectorPr
         [rng.randint(-2, 2) for _ in range(dy)],
     )
     g_matrix = [[rng.randint(-2, 2) for _ in range(dx)] for _ in range(dz)]
-    w = _interior_vector(z_plus)
-    g = affine_map(g_matrix, tuple(-x for x in w))
+    g = affine_map(g_matrix, tuple(-x for x in z_plus.interior_witness))
     return AffineVectorProgram(omega, f, g, y_plus, z_plus)
 
 

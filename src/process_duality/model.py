@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import (
@@ -48,7 +49,6 @@ from .rational import (
     matvec,
     vadd,
     vec,
-    vsub,
     zeros,
 )
 
@@ -58,10 +58,16 @@ OmegaLike = Union[Polyhedron, BoundaryRestrictedPolyhedron]
 class OrderCone:
     """Full-dimensional polyhedral order cone with a cached interior witness.
 
-    The cone must have nonempty interior (a standing structural requirement,
-    validated once here via a strict LP) and must be a proper subset of its
-    space, otherwise minimality would be vacuous.  Its `structure` (the
-    bounded base of a pointed cone), `ball_minus`, and its facets as
+    The cone must have nonempty interior (a standing structural requirement)
+    and must be a proper subset of its space, otherwise minimality would be
+    vacuous.  Both are read off the canonical forms: a cone with no facet
+    row is the whole space, and one with a canonical equality is flat.  The
+    interior is then certified by a witness checked exactly, with no LP: the
+    sum of the canonical extreme rays satisfies every integer facet row
+    strictly.  It always does: the cone is full-dimensional, so no facet
+    normal n is orthogonal to every ray, while n.r <= 0 on each, hence n.r
+    < 0 on some ray and n.(sum of rays) < 0.  Its `structure` (the bounded
+    base of a pointed cone), `ball_minus`, and its facets as
     `integer_facets` and `negated_normals` are built on first read and kept.
     """
 
@@ -75,17 +81,14 @@ class OrderCone:
             )
         if cone.equalities():
             raise InternalConsistencyError("order cone has empty interior")
-        res = strict_feasible(
-            LinearSystem(
-                cone.dim,
-                strict=tuple((r.normal, r.offset) for r in cone.inequalities()),
-            )
-        )
-        if not res.feasible:
-            raise InternalConsistencyError("order cone has empty interior")
         self.cone = cone
         self.ambient_dim = cone.dim
-        self.interior_witness = res.witness
+        w = zeros(cone.dim)
+        for g in cone.generators:
+            w = vadd(w, g)
+        if not self.strictly_contains(w):
+            raise InternalConsistencyError("order cone has empty interior")
+        self.interior_witness = w
 
     @staticmethod
     def from_generators(dim: int, rays) -> "OrderCone":
@@ -151,6 +154,19 @@ class OrderCone:
                 tuple(-x for x in n) for n in self.facet_normals()
             )
             return self._negated_normals
+
+    def below_rows(self, y0: Vec):
+        """The rows of y0 - K as `integer_rows`, read off `integer_facets`
+        in their order with no Fraction built: y is in y0 - K iff n.(y0 - y)
+        <= 0 for every facet normal n, that is (-n).y <= -n.y0.  With y0 =
+        x / d over one denominator and the facet row (s.n, 0, s), the row
+        (-n, -n.y0) times s.d is (-d.s.n, -(s.n).x, s.d).  y is in y0 - Int K
+        iff every row holds strictly."""
+        x, d = integer_scaled(y0)
+        return tuple(
+            (tuple(-d * c for c in a), -sum(map(mul, a, x)), s * d)
+            for a, _, s in self.integer_facets
+        )
 
     def contains(self, w) -> bool:
         return self.cone.member(w)
@@ -325,16 +341,19 @@ def feasible_region(p: Program, z):
     """The feasible set at level z.
 
     Affine programs return a Polyhedron or BoundaryRestrictedPolyhedron in
-    x-space; finite programs return the tuple of feasible point ids.
+    x-space; finite programs return the tuple of feasible point ids.  A
+    point is feasible when z - g is in Z_+ for one of its g values, that is
+    when g is in z - Z_+: each g is written over one denominator and tested
+    on the integer rows of z - Z_+ (`OrderCone.below_rows`), made once.
     """
     if isinstance(p, AffineVectorProgram):
         z = _coerce_point(p.z_dim, z)
         return p.omega.with_rows(_order_rows_for_g(p, z))
-    z = _coerce_point(p.z_dim, z)
+    rows = p.z_plus.below_rows(_coerce_point(p.z_dim, z))
     return tuple(
         pt.point_id
         for pt in p.points
-        if any(p.z_plus.contains(vsub(z, gv)) for gv in pt.g_values)
+        if any(integer_holds(*integer_scaled(gv), le=rows) for gv in pt.g_values)
     )
 
 

@@ -546,6 +546,29 @@ class BoundaryRestriction:
         return BoundaryRestriction(row.normal, row.offset, self.retained)
 
 
+def _generator_witness(p: Polyhedron, row, strict: bool) -> bool:
+    """Is a point of the nonempty p on the hyperplane of the integer row
+    (a, b, s) (`strict` False), or strictly inside it (`strict` True), among
+    the vertices of p's generators and, when strict, the first vertex plus
+    each ray?  The row must be valid for p.  Each candidate is checked
+    exactly: on or inside the row by integer evaluation, in p by `member`.
+
+    The answer is complete.  Every point of p is a convex combination of
+    the vertices plus a nonnegative one of the rays plus a line part, and
+    a.l = 0 on the lines, a.v <= b on the vertices and a.r <= 0 on the rays.
+    So p meets the hyperplane iff some vertex lies on it, and has a point
+    strictly inside iff some vertex does or some ray has a.r < 0."""
+    v = p._any_vrep()
+    cands = v.vertices
+    if strict:
+        cands += tuple(vadd(v.vertices[0], r) for r in v.rays)
+    on, inside = ((), (row,)) if strict else ((row,), ())
+    return any(
+        integer_holds(*integer_scaled(w), eq=on, strict=inside) and p.member(w)
+        for w in cands
+    )
+
+
 def _on_hyperplane(p: Polyhedron, fr: BoundaryRestriction) -> bool:
     """Does p lie on the hyperplane normal.x = offset of fr?"""
     hyper = Polyhedron.from_hrep(p.dim, [(fr.normal, fr.offset, EQ)])
@@ -564,9 +587,15 @@ class BoundaryRestrictedPolyhedron:
     __slots__ = ("closure", "restrictions", "_slices")
 
     def __init__(self, closure: Polyhedron, restrictions: Sequence[BoundaryRestriction]):
+        """Each restricted row must be valid for the closure, with its
+        retained set inside its slice, and must not be an implicit equality
+        of the closure.  The last is certified by a point of the closure
+        strictly inside the row, read off the closure's generators
+        (`_generator_witness`); only when none is found does a strict LP
+        decide, whose "no" carries a Farkas certificate checked exactly."""
         if closure.is_empty and restrictions:
             raise InternalConsistencyError("restrictions on an empty closure")
-        canon = []
+        canon, slices = [], []
         for fr in restrictions:
             fr = fr.canonical()
             if fr.retained.dim != closure.dim:
@@ -585,17 +614,21 @@ class BoundaryRestrictedPolyhedron:
                     raise InternalConsistencyError(
                         "retained set leaves its restricted slice"
                     )
-            off = strict_feasible(
-                closure.system().extended(strict=[(fr.normal, fr.offset)])
-            )
-            if not off.feasible:
+            (row,) = integer_rows([(fr.normal, fr.offset)])
+            if not (
+                _generator_witness(closure, row, strict=True)
+                or strict_feasible(
+                    closure.system().extended(strict=[(fr.normal, fr.offset)])
+                ).feasible
+            ):
                 raise InternalConsistencyError(
                     "restricted row is an implicit equality of the closure"
                 )
             canon.append(fr)
+            slices.append(row)
         self.closure = closure
         self.restrictions = tuple(canon)
-        self._slices = integer_rows((fr.normal, fr.offset) for fr in canon)
+        self._slices = tuple(slices)
 
     @staticmethod
     def from_facet_indices(closure: Polyhedron, pairs) -> "BoundaryRestrictedPolyhedron":
@@ -630,7 +663,14 @@ class BoundaryRestrictedPolyhedron:
 
     def with_rows(self, rows):
         """Exact intersection with closed rows: a Polyhedron once no
-        restricted slice is left in reach, else a boundary-restricted set."""
+        restricted slice is left in reach, else a boundary-restricted set.
+
+        A restricted slice is kept when its hyperplane meets the new
+        closure.  Its row is valid there, so the meet is a face, and a
+        nonempty face holds a vertex: a vertex on the hyperplane certifies
+        the slice (`_generator_witness`).  A slice with none is dropped once
+        a strict LP agrees, its "no" carrying a Farkas certificate checked
+        exactly."""
         closure = self.closure.with_rows(rows)
         pending = [
             BoundaryRestriction(r.normal, r.offset, r.retained.with_rows(rows))
@@ -651,7 +691,10 @@ class BoundaryRestrictedPolyhedron:
             return closure
         keep = [
             fr for fr in pending
-            if strict_feasible(
+            if _generator_witness(
+                closure, integer_rows([(fr.normal, fr.offset)])[0], strict=False
+            )
+            or strict_feasible(
                 closure.system().extended(eq=[(fr.normal, fr.offset)])
             ).feasible
         ]
@@ -797,8 +840,12 @@ def _identity(dim) -> Mat:
 
 def identity_cell(system: LinearSystem) -> Cell:
     """The identity cell (M = I, o = 0) of the solution set of `system`,
-    made straight from its rows, which it keeps as given and in order."""
-    return Cell(system, _identity(system.dim), zeros(system.dim))
+    made straight from its rows, which it keeps as given and in order.  It
+    is an identity cell by construction, so `is_identity` is set, not
+    computed."""
+    cell = Cell(system, _identity(system.dim), zeros(system.dim))
+    cell.__dict__["is_identity"] = True
+    return cell
 
 
 def cell_of_polyhedron(p: Polyhedron) -> Cell:

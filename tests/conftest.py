@@ -1,23 +1,28 @@
 """Shared reference instances: the bundled worked example and two derived
 ones, criterion 3's program stream with restricted boundaries and criterion
 4's finite programs; an LP oracle for membership in a finitely generated
-cone; the order-cone generator with its strict-LP interior filter;
+cone; the order-cone generator with its strict-LP interior filter, and the
+affine-instance generator with its ray-sum-or-LP interior vector;
 generator-level oracles for a polyhedron's two representations and
 for Minkowski sums; the LP certificate check and membership by row
-evaluation, both in Fraction arithmetic; and identity cells built through a
-`Polyhedron`."""
+evaluation, both in Fraction arithmetic; identity cells built through a
+`Polyhedron`; the strict-LP route that certified restricted rows and kept
+restricted slices; and a recorder of the strict LPs that building order
+cones and boundary-restricted sets runs."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from process_duality import model, polyhedra
 from process_duality.certify import _facet_rows_at
 from process_duality.errors import InternalConsistencyError
 from process_duality.exactlp import LinearSystem, LpStatus, lp_solve, strict_feasible
 from process_duality.fuzzing import (
     random_affine_instance,
     random_discrete_instance,
+    random_order_cone,
     random_setvalued_instance,
 )
 from process_duality.model import (
@@ -30,9 +35,11 @@ from process_duality.model import (
 from process_duality.polyhedra import (
     EQ,
     LE,
+    BoundaryRestriction,
     BoundaryRestrictedPolyhedron,
     Polyhedron,
     PolyhedralCone,
+    _on_hyperplane,
     cell_of_polyhedron,
 )
 from process_duality.rational import ONE, ZERO, dot, is_zero_vec, vadd, vec
@@ -187,6 +194,144 @@ def _lp_filter_order_cone(rng, dim, max_gens=6):
             dim, ineq_normals=[tuple(-int(i == j) for j in range(dim)) for i in range(dim)]
         )
     )
+
+
+def _old_affine_instance(rng, dims=(2, 2, 1)):
+    """`fuzzing.random_affine_instance` as it was when g(0) = -w took w as
+    the sum of Z_+'s canonical extreme rays if that lies strictly inside
+    Z_+, and else as a strict-feasibility LP's interior point."""
+    dx, dy, dz = dims
+    rows = []
+    for j in range(dx):
+        hi = tuple(int(j == k) for k in range(dx))
+        lo = tuple(-int(j == k) for k in range(dx))
+        rows.append((hi, rng.randint(1, 3), LE))
+        rows.append((lo, rng.randint(1, 3), LE))
+    for _ in range(rng.randint(0, 2)):
+        normal = tuple(rng.randint(-2, 2) for _ in range(dx))
+        if any(normal):
+            rows.append((normal, rng.randint(1, 4), LE))
+    omega = Polyhedron.from_hrep(dx, rows)
+    y_plus = random_order_cone(rng, dy)
+    z_plus = random_order_cone(rng, dz)
+    f = affine_map(
+        [[rng.randint(-2, 2) for _ in range(dx)] for _ in range(dy)],
+        [rng.randint(-2, 2) for _ in range(dy)],
+    )
+    g_matrix = [[rng.randint(-2, 2) for _ in range(dx)] for _ in range(dz)]
+    w = (ZERO,) * dz
+    for r in z_plus.generators:
+        w = vadd(w, r)
+    if not z_plus.strictly_contains(w):
+        w = strict_feasible(LinearSystem(
+            dz, strict=tuple((n, 0) for n in z_plus.facet_normals())
+        )).witness
+    g = affine_map(g_matrix, tuple(-x for x in w))
+    return AffineVectorProgram(omega, f, g, y_plus, z_plus)
+
+
+@pytest.fixture(scope="session")
+def old_affine_instance():
+    """(rng, dims) -> a random affine instance drawn as
+    `fuzzing.random_affine_instance` draws it, with the Slater offset taken
+    from the ray sum of Z_+ or, should that fail, from a strict LP."""
+    return _old_affine_instance
+
+
+class _LpRoute:
+    """The strict-LP decisions that `BoundaryRestrictedPolyhedron` made
+    before generator witnesses certified them, with `exactlp.strict_feasible`
+    called directly."""
+
+    @staticmethod
+    def strictly_inside(closure, normal, offset):
+        """Has the closure a point with normal.x < offset?  False exactly
+        when the valid row is an implicit equality of the closure."""
+        return strict_feasible(
+            closure.system().extended(strict=[(normal, offset)])
+        ).feasible
+
+    @staticmethod
+    def meets(closure, normal, offset):
+        """Does the hyperplane normal.x = offset meet the closure?"""
+        return strict_feasible(
+            closure.system().extended(eq=[(normal, offset)])
+        ).feasible
+
+    def with_rows(self, brp, rows):
+        """(`BoundaryRestrictedPolyhedron.with_rows(rows)` by the LP keep
+        filter, the number of slices that filter dropped)."""
+        closure = brp.closure.with_rows(rows)
+        pending = [
+            BoundaryRestriction(r.normal, r.offset, r.retained.with_rows(rows))
+            for r in brp.restrictions
+        ]
+        while not closure.is_empty:
+            on = next((fr for fr in pending if _on_hyperplane(closure, fr)), None)
+            if on is None:
+                break
+            closure = closure.with_rows(on.retained._any_hrep())
+            pending = [
+                fr for fr in pending
+                if (fr.normal, fr.offset) != (on.normal, on.offset)
+            ]
+        if closure.is_empty:
+            return closure, 0
+        keep = [fr for fr in pending if self.meets(closure, fr.normal, fr.offset)]
+        dropped = len(pending) - len(keep)
+        if not keep:
+            return closure, dropped
+        return BoundaryRestrictedPolyhedron(closure, keep), dropped
+
+
+@pytest.fixture(scope="session")
+def lp_route():
+    """`.strictly_inside(closure, n, r)` and `.meets(closure, n, r)`, the
+    strict LPs that once decided whether a restricted row is an implicit
+    equality and whether a restricted slice is kept, and `.with_rows(brp,
+    rows)` -> (the intersection by that keep filter, slices it dropped)."""
+    return _LpRoute()
+
+
+class _StrictLpRecorder:
+    """The outcome (feasible or not) of every strict LP that runs inside
+    `OrderCone.__init__`, `BoundaryRestrictedPolyhedron.__init__` or
+    `BoundaryRestrictedPolyhedron.with_rows`."""
+
+    def __init__(self, monkeypatch):
+        self.depth = 0
+        self.outcomes = []
+        solve = polyhedra.strict_feasible
+
+        def recorded(system):
+            out = solve(system)
+            if self.depth:
+                self.outcomes.append(out.feasible)
+            return out
+
+        monkeypatch.setattr(polyhedra, "strict_feasible", recorded)
+        monkeypatch.setattr(model, "strict_feasible", recorded)
+        for owner, name in ((OrderCone, "__init__"),
+                            (BoundaryRestrictedPolyhedron, "__init__"),
+                            (BoundaryRestrictedPolyhedron, "with_rows")):
+            monkeypatch.setattr(owner, name, self.watched(getattr(owner, name)))
+
+    def watched(self, fn):
+        def call(*args, **kwargs):
+            self.depth += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.depth -= 1
+        return call
+
+
+@pytest.fixture
+def strict_lp_recorder(monkeypatch):
+    """A recorder whose `.outcomes` lists, in order, the feasibility of each
+    strict LP run while an order cone or a boundary-restricted set is built
+    or intersected with rows."""
+    return _StrictLpRecorder(monkeypatch)
 
 
 @pytest.fixture(scope="session")
@@ -430,7 +575,7 @@ class _PolyhedronCells:
 
     def below(self, yplus, y0):
         """y0 - Y_+ on Y_+'s facet rows shifted to y0."""
-        rows = _facet_rows_at(yplus, vec(y0))
+        rows, _ = _facet_rows_at(yplus, vec(y0))
         return cell_of_polyhedron(
             Polyhedron.from_hrep(yplus.ambient_dim, [(n, r, LE) for n, r in rows])
         )

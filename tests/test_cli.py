@@ -276,3 +276,14 @@ class TestMalformedArguments:
     def test_negative_limit_for_frontier(self, capsys, instance_path):
         self.check(capsys, ["frontier", instance_path("i3"), "--limit", "-1"],
                    "--limit: expected a nonnegative integer")
+
+    def test_dual_frontier_outside_w0(self, capsys, instance_path):
+        # L is built at y0, so a y0 outside W(0) is refused as process and
+        # certify refuse it
+        self.check(capsys,
+                   ["frontier", instance_path("i3"), "--side", "D", "--y0=-5,-5"],
+                   "NotInW0Error: -5,-5 is not attained by a feasible point")
+
+    def test_negative_count_for_fuzz(self, capsys):
+        self.check(capsys, ["fuzz", "--count", "-3", "--dims", "1,1,1"],
+                   "--count: expected a nonnegative integer")

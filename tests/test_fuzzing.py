@@ -38,6 +38,17 @@ def test_order_cone_generator_matches_lp_filter(lp_filter_order_cone):
             assert rng.getstate() == oracle_rng.getstate(), (dim, seed)
 
 
+def test_affine_instances_match_the_old_generator(old_affine_instance):
+    """g(0) = -(Z_+'s interior witness) is the problem the ray-sum-or-LP
+    route made, byte for byte, with the same generator state after it."""
+    for dims in ((1, 1, 1), (2, 2, 2), (3, 3, 3), (2, 1, 3), (1, 3, 2)):
+        for seed in range(300):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            got = emit_problem(random_affine_instance(rng, dims))
+            assert got == emit_problem(old_affine_instance(oracle_rng, dims)), (dims, seed)
+            assert rng.getstate() == oracle_rng.getstate(), (dims, seed)
+
+
 def test_defect_injection_restores_kernel():
     original = process_mod.halfspace_process
     with injected_defect("sign-flip-halfspace"):

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from process_duality.certify import _facet_rows_at
 from process_duality.errors import (
     EmptyProgramError,
     InternalConsistencyError,
@@ -39,7 +40,8 @@ from process_duality.polyhedra import (
     as_cells,
     member,
 )
-from process_duality.rational import ZERO, dot, zeros
+from process_duality.fuzzing import random_order_cone
+from process_duality.rational import ZERO, dot, vsub, zeros
 
 
 class TestOrderCone:
@@ -60,6 +62,47 @@ class TestOrderCone:
         assert not c.is_pointed
         assert c.contains((5, 0))
         assert not c.strictly_contains((5, 0))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_interior_witness_is_the_ray_sum(self, dim):
+        """The witness is the sum of the canonical extreme rays, strictly
+        inside on every facet row, and the strict LP that once supplied it
+        agrees that the interior is nonempty."""
+        lined = 0
+        for seed in range(150):
+            c = random_order_cone(random.Random(seed), dim)
+            total = zeros(dim)
+            for r in c.generators:
+                total = tuple(a + b for a, b in zip(total, r))
+            assert c.interior_witness == total, seed
+            assert all(dot(n, total) < 0 for n in c.facet_normals()), seed
+            assert strict_feasible(LinearSystem(
+                dim, strict=tuple((n, 0) for n in c.facet_normals())
+            )).feasible, seed
+            lined += bool(c.lineality)
+        assert dim == 1 or lined > 0
+
+    def test_below_rows_are_the_shifted_facets_scaled(self, criterion_4_program):
+        """Each integer row of y0 - Y_+ is a positive multiple of (-n, -n.y0),
+        the Fraction row `_facet_rows_at` gives, at integer and fractional y0."""
+        for i in range(40):
+            yplus = criterion_4_program(i).y_plus
+            rng = random.Random(i)
+            for _ in range(3):
+                y0 = tuple(
+                    F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(yplus.ambient_dim)
+                )
+                rows, ints = _facet_rows_at(yplus, y0)
+                want = [(tuple(-x for x in n), -dot(n, y0)) for n in yplus.facet_normals()]
+                assert list(rows) == want and ints == yplus.below_rows(y0)
+                for (n, r), (a, b, scale) in zip(want, ints):
+                    assert scale > 0 and a == tuple(scale * x for x in n) and b == scale * r
+
+    def test_a_failed_witness_check_raises(self, monkeypatch):
+        monkeypatch.setattr(OrderCone, "strictly_contains", lambda self, w: False)
+        with pytest.raises(InternalConsistencyError,
+                           match="order cone has empty interior"):
+            OrderCone.from_generators(2, [(1, 0), (0, 1)])
 
 
 class TestFeasibleRegion:
@@ -104,6 +147,28 @@ class TestFeasibleRegion:
         p = SetValuedProgram(pts, orthant2, r_plus)
         # a is feasible at z=0 because one of its G-values meets (0 - R_+)
         assert feasible_region(p, (0,)) == ("a",)
+
+    def test_finite_programs_match_the_fraction_route(self, criterion_4_program):
+        """Each g tested on the integer rows of z - Z_+ gives the points
+        whose z - g, formed in Fractions, lies in Z_+."""
+        feasible = infeasible = 0
+        for i in range(100):
+            p = criterion_4_program(i)
+            rng = random.Random(i)
+            levels = [zeros(p.z_dim)] + [
+                tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(p.z_dim))
+                for _ in range(3)
+            ]
+            for z in levels:
+                want = tuple(
+                    pt.point_id for pt in p.points
+                    if any(p.z_plus.contains(vsub(z, g)) for g in pt.g_values)
+                )
+                got = feasible_region(p, z)
+                assert got == want, (i, z)
+                feasible += len(got)
+                infeasible += len(p.points) - len(got)
+        assert feasible > 300 and infeasible > 300, (feasible, infeasible)
 
 
 class TestUpperImageGraph:

@@ -26,6 +26,7 @@ from process_duality.certify import (
 from process_duality.errors import DimensionMismatch, InternalConsistencyError
 from process_duality.exactlp import LinearSystem, LpStatus, lp_solve
 from process_duality.model import (
+    OrderCone,
     _order_rows_for_g,
     graph_closure,
     w0_cells,
@@ -60,6 +61,7 @@ from process_duality.rational import (
     integer_rows,
     integer_scaled,
     is_zero_vec,
+    vadd,
     vec,
     zeros,
 )
@@ -536,6 +538,129 @@ class TestWithRows:
         assert isinstance(cut, Polyhedron) and cut.is_empty
 
 
+def supporting_rows(p):
+    """Rows n.x <= r valid for the nonempty p: n is a facet normal, the sum
+    of two in a row, or either sign of an equality normal, and r is the
+    largest n.v over p's vertices (the row touches p) or that plus one (it
+    does not)."""
+    ineq = [r.normal for r in p.inequalities()]
+    normals = ineq + [vadd(a, b) for a, b in zip(ineq, ineq[1:])]
+    for r in p.equalities():
+        normals += [r.normal, tuple(-x for x in r.normal)]
+    verts = p.vrep.vertices
+    for n in normals:
+        if is_zero_vec(n):
+            continue
+        top = max(dot(n, v) for v in verts)
+        yield n, top
+        yield n, top + 1
+
+
+def witness_test_sets(criterion_3_program):
+    """Closures of criterion-3 Omegas 0-59, each also cut down to a flat
+    set through one of its vertices, and the closed graphs of programs
+    0-9 with at most 24 rows, which have rays and lines."""
+    for i in range(60):
+        p = criterion_3_program(i)
+        closure = p.omega.closure
+        yield closure
+        v = closure.vrep.vertices[i % len(closure.vrep.vertices)]
+        n = tuple((i + j) % 3 - 1 for j in range(closure.dim))
+        if any(n):
+            yield closure.with_rows([(n, dot(vec(n), v), EQ)])
+        if i < 10:
+            graph = graph_closure(p)
+            if len(graph.hrep) <= 24:
+                yield graph
+
+
+class TestGeneratorWitnesses:
+    """A restricted row is certified not to be an implicit equality, and a
+    restricted slice to meet the closure, by a generator of the closure
+    checked exactly; a strict LP runs only where no generator is a witness,
+    and then answers "no"."""
+
+    def test_verdicts_match_the_lp_route(self, criterion_3_program, lp_route):
+        seen = dict.fromkeys(("inside", "equality", "meets", "misses"), 0)
+        for p in witness_test_sets(criterion_3_program):
+            for n, r in supporting_rows(p):
+                (row,) = integer_rows([(n, r)])
+                inside = lp_route.strictly_inside(p, n, r)
+                assert polyhedra._generator_witness(p, row, strict=True) == inside
+                meets = lp_route.meets(p, n, r)
+                assert polyhedra._generator_witness(p, row, strict=False) == meets
+                fr = BoundaryRestriction(n, r, Polyhedron.empty(p.dim))
+                if inside:
+                    BoundaryRestrictedPolyhedron(p, [fr])
+                else:
+                    with pytest.raises(InternalConsistencyError,
+                                       match="implicit equality"):
+                        BoundaryRestrictedPolyhedron(p, [fr])
+                seen["inside" if inside else "equality"] += 1
+                seen["meets" if meets else "misses"] += 1
+        assert all(k > 50 for k in seen.values()), seen
+
+    def test_building_runs_no_lp(self, strict_lp_recorder, criterion_3_program):
+        restricted = 0
+        for i in range(60):
+            restricted += isinstance(
+                criterion_3_program(i).omega, BoundaryRestrictedPolyhedron
+            )
+        for name in ("worked_example", "i3", "scalar_i2"):
+            load_problem(str(
+                resources.files("process_duality").joinpath(f"instances/{name}.json")
+            ))
+        assert strict_lp_recorder.outcomes == []
+        assert restricted >= 10
+
+    def test_with_rows_runs_an_lp_only_on_dropped_slices(
+        self, strict_lp_recorder, criterion_3_program, lp_route, worked_example
+    ):
+        programs = [criterion_3_program(i) for i in range(60)] + [worked_example]
+        kept = dropped = 0
+        for i, p in enumerate(programs):
+            if not isinstance(p.omega, BoundaryRestrictedPolyhedron):
+                continue
+            rng = random.Random(i)
+            cuts = [_order_rows_for_g(p, zeros(p.z_dim))]
+            cuts += [
+                _order_rows_for_g(p, vec(rng.randint(-2, 2) for _ in range(p.z_dim)))
+                for _ in range(3)
+            ]
+            # one cut just short of each restricted hyperplane drops its slice
+            cuts += [[(fr.normal, fr.offset - F(1, 2), LE)] for fr in p.omega.restrictions]
+            for rows in cuts:
+                strict_lp_recorder.outcomes.clear()
+                got = p.omega.with_rows(rows)
+                lps = list(strict_lp_recorder.outcomes)
+                want, lp_drops = lp_route.with_rows(p.omega, rows)
+                assert type(got) is type(want)
+                if isinstance(got, BoundaryRestrictedPolyhedron):
+                    assert got.closure == want.closure
+                    assert got.restrictions == want.restrictions
+                    kept += len(got.restrictions)
+                else:
+                    assert got == want
+                assert lps == [False] * lp_drops
+                dropped += lp_drops
+        assert kept > 20 and dropped > 10, (kept, dropped)
+
+    def test_refusals_still_raise(self, strict_lp_recorder):
+        for gens in ([(1, 0)], [(1, 0, 0), (0, 1, 0)], [(1, 1, 0), (0, 0, 1)]):
+            with pytest.raises(InternalConsistencyError,
+                               match="order cone has empty interior"):
+                OrderCone.from_generators(len(gens[0]), gens)
+        assert strict_lp_recorder.outcomes == []
+        # the line y = 0 lies on its restricted row: no generator is a
+        # witness, and the LP's "no" is the refusal
+        line = Polyhedron.from_hrep(2, [((0, 1), 0, LE), ((0, -1), 0, LE)])
+        with pytest.raises(InternalConsistencyError, match="implicit equality"):
+            BoundaryRestrictedPolyhedron(
+                line, [BoundaryRestriction((0, -1), 0, Polyhedron.empty(2))]
+            )
+        assert strict_lp_recorder.outcomes == [False]
+
+
 class TestIntersectEmpty:
     def test_minimality_core_of_worked_example(self):
         D = D_set()
@@ -1001,10 +1126,14 @@ class TestIntegerMembership:
                     assert zplus.strictly_contains(w) == interior
                     seen["interior"] += interior
             for y0 in images:
-                rows = _facet_rows_at(yplus, y0)
-                assert rows == [
+                rows, ints = _facet_rows_at(yplus, y0)
+                assert list(rows) == [
                     (tuple(-x for x in n), -dot(n, y0)) for n in yplus.facet_normals()
                 ]
+                # each integer row is a positive multiple of its row
+                assert len(ints) == len(rows)
+                for (n, r), (a, b, s) in zip(rows, ints):
+                    assert s > 0 and a == tuple(s * x for x in n) and b == s * r
                 below_y0 = cell_of_polyhedron(
                     Polyhedron.from_hrep(yplus.ambient_dim, [(n, r, LE) for n, r in rows])
                 )
