@@ -4,8 +4,8 @@
 {x : A.x <= 0, E.x = 0}.  Equalities seed the initial lineality space;
 inequalities are processed one at a time, consuming lineality directions
 first (the classical projection step) and then combining adjacent ray pairs
-(combinatorial zero-set adjacency, as in Fukuda & Prodon, "Double description
-method revisited", 1996).
+(combinatorial zero-set adjacency behind a cardinality test, as in Fukuda &
+Prodon, "Double description method revisited", 1996).
 
 The loop runs on primitive integer vectors: every row and every initial line
 is rescaled at entry by a positive factor, which leaves the cone unchanged,
@@ -121,9 +121,17 @@ def _adjacent(common, masks) -> bool:
 
 def cone_dd(dim, ineq_rows, eq_rows):
     """Lineality basis and extreme rays of {x : ineq.x <= 0, eq.x = 0}, as
-    primitive integer tuples (rows given as ints or Fractions)."""
+    primitive integer tuples (rows given as ints or Fractions).
+
+    Before the `_adjacent` scan a pair is dropped when its common zero set
+    has fewer than k0 - |lines| - 2 rows, k0 the dimension left by the
+    equalities (the cardinality test of Fukuda & Prodon 1996).  The test
+    only drops pairs that are not adjacent: the face spanned by an adjacent
+    pair is the lineality space plus two dimensions, cut out of the k0-space
+    by its common zero rows, which so number at least k0 - |lines| - 2."""
     ineq = [primitive(integer_scaled(a)[0]) for a in ineq_rows]
     lines = _integer_null_space([primitive(integer_scaled(a)[0]) for a in eq_rows], dim)
+    k0 = len(lines)
     rays: list[tuple[int, ...]] = []
     masks: list[int] = []  # bit i set: the ray lies on the i-th processed row
     bit = 1  # the bit of the row being processed
@@ -162,6 +170,7 @@ def cone_dd(dim, ineq_rows, eq_rows):
             continue
         # All lines orthogonal to the new constraint: split rays by sign.
         signs = [_idot(a, r) for r in rays]
+        need = k0 - len(lines) - 2
         new_rays = []
         new_masks = []
         for p, sp in enumerate(signs):
@@ -172,7 +181,7 @@ def cone_dd(dim, ineq_rows, eq_rows):
                 if sq >= 0:
                     continue
                 common = masks[p] & masks[q]
-                if not _adjacent(common, masks):
+                if common.bit_count() < need or not _adjacent(common, masks):
                     continue
                 combo = primitive([sp * x - sq * y for x, y in zip(rays[q], rp)])
                 if any(combo):

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional, Union
 
 from ._dd import _integer_rref
@@ -197,14 +198,18 @@ def _is_minimal(a: SetLike, y0: Vec, yplus: OrderCone) -> bool:
     """is_minimal for a y0 already known to be a member of A.  y0 - Y_+ is
     the identity cell made by `identity_cell` from the rows of
     `_facet_rows_at`, in their order, which keep the integer form they came
-    with; no `Polyhedron` is built for it."""
-    dim = yplus.ambient_dim
+    with; no `Polyhedron` is built for it.  The strict row's normal, the
+    sum of the rows' normals, does not depend on y0 and is Y_+'s own
+    `negated_normal_sum`; its offset, the sum of the rows' offsets r / s
+    over their integer forms (a, r, s), is taken over the lcm of the
+    scales s, in integers."""
     rows, ints = _facet_rows_at(yplus, y0)
-    below = identity_cell(LinearSystem.with_integer_form((ints, (), ()), dim, le=rows))
-    normal, offset = zeros(dim), ZERO
-    for n, r in rows:
-        normal, offset = vadd(normal, n), offset + r
-    return intersect_empty([a, below], [(normal, offset)]).empty
+    below = identity_cell(LinearSystem.with_integer_form(
+        (ints, (), ()), yplus.ambient_dim, le=rows
+    ))
+    scale = lcm(*(s for _, _, s in ints))
+    offset = Fraction(sum(r * (scale // s) for _, r, s in ints), scale)
+    return intersect_empty([a, below], [(yplus.negated_normal_sum, offset)]).empty
 
 
 # -- proper efficiency --------------------------------------------------------

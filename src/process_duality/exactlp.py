@@ -8,10 +8,13 @@ is that of the rational tableau.  The basic point is read off the final
 constraint rows, the dual multipliers off the final objective row at each
 row's initial basic column.
 
-Every outcome but UNBOUNDED carries a certificate that is re-checked exactly
-before it is returned: OPTIMAL is checked for row feasibility, dual signs,
-stationarity, complementary slackness and strong duality; INFEASIBLE carries a
-Farkas vector, read off the phase-1 objective row the same way as the duals.
+Every outcome carries a certificate that is re-checked exactly before it is
+returned: OPTIMAL is checked for row feasibility, dual signs, stationarity,
+complementary slackness and strong duality; INFEASIBLE carries a Farkas
+vector, read off the phase-1 objective row the same way as the duals;
+UNBOUNDED carries a feasible point and a recession ray along which the
+objective improves, read off the phase-2 entering column with no positive
+entry.
 The check runs on integers and reads the system, never the tableau: each row
 is the system's own integer form, the row times the lcm of its own
 denominators, which is computed once per system and also seeds the tableau;
@@ -124,7 +127,8 @@ class LinearSystem:
 class LpOutcome:
     """OPTIMAL carries the point, the value and the duals; INFEASIBLE carries
     a Farkas vector: farkas_le >= 0, A^T.farkas_le + E^T.farkas_eq = 0 and
-    b.farkas_le + d.farkas_eq < 0."""
+    b.farkas_le + d.farkas_eq < 0; UNBOUNDED carries a feasible point and a
+    recession ray d: A.d <= 0, E.d = 0 and c.d < 0 (min) / > 0 (max)."""
 
     status: LpStatus
     primal_point: Optional[Vec] = None
@@ -133,6 +137,7 @@ class LpOutcome:
     dual_eq: Optional[Vec] = None
     farkas_le: Optional[Vec] = None
     farkas_eq: Optional[Vec] = None
+    ray: Optional[Vec] = None
 
 
 @dataclass(frozen=True)
@@ -144,8 +149,9 @@ class StrictFeasibility:
         return self.feasible
 
 
-def _simplex(tab, basis, limit) -> bool:
-    """Bland's rule on columns below `limit`; False when unbounded.
+def _simplex(tab, basis, limit) -> Optional[int]:
+    """Bland's rule on columns below `limit`; None at an optimum, else the
+    entering column that no row bounds (no positive entry): unbounded.
 
     Entering: the lowest column with a negative reduced cost.  Leaving: the
     minimum ratio rhs_i / tab[i][e] over tab[i][e] > 0, ties to the smallest
@@ -156,7 +162,7 @@ def _simplex(tab, basis, limit) -> bool:
         obj = tab[m]
         e = next((j for j in range(limit) if obj[j] < 0), -1)
         if e < 0:
-            return True
+            return None
         best = -1
         for i in range(m):
             a = tab[i][e]
@@ -170,7 +176,7 @@ def _simplex(tab, basis, limit) -> bool:
                     continue
             best, best_b, best_a = i, b, a
         if best < 0:
-            return False
+            return e
         _kernel.pivot(tab, best, e)
         basis[best] = e
 
@@ -207,7 +213,8 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
     face) and the dual multipliers certify optimality exactly:
     dual_le >= 0, A^T.dual_le + E^T.dual_eq = -c (min) / +c (max), exact
     complementary slackness, and equal primal and dual objective values.
-    On INFEASIBLE the outcome carries an exactly checked Farkas vector.
+    On INFEASIBLE the outcome carries an exactly checked Farkas vector, and
+    on UNBOUNDED an exactly checked feasible point and improving ray.
     """
     if sense not in ("min", "max"):
         raise ValueError(f"unknown sense {sense!r}")
@@ -260,7 +267,7 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
     cost[art_start:width] = [1] * n_art
     cost[-1] = 1
     tab.append(_objective_row(cost, tab, basis))
-    if not _simplex(tab, basis, width):
+    if _simplex(tab, basis, width) is not None:
         raise InternalConsistencyError("phase 1 cannot be unbounded")
     if tab[m][width] != 0:
         init_cost = [int(col >= art_start) for col in init_col]
@@ -293,15 +300,18 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
     cost[n:2 * n] = [-q for q in cints]
     cost[-1] = cden
     tab.append(_objective_row(cost, tab, basis))
-    if not _simplex(tab, basis, art_start):
-        return LpOutcome(LpStatus.UNBOUNDED)
+    e = _simplex(tab, basis, art_start)
 
-    point = [ZERO] * n
-    for row, b in zip(tab, basis):
-        if b < n:
-            point[b] = Fraction(row[width], row[b])
-        elif b < 2 * n:
-            point[b - n] -= Fraction(row[width], row[b])
+    point = _read_x(tab, basis, n, lambda row, b: Fraction(row[width], row[b]))
+    if e is not None:
+        # Column e enters at rate 1, so basic column b moves at -row[e] / row[b]
+        # >= 0 (each row is a positive multiple of its Gauss-Jordan row).
+        ray = _read_x(tab, basis, n, lambda row, b: Fraction(-row[e], row[b]))
+        if e < 2 * n:
+            ray[e % n] += ONE if e < n else -ONE
+        result = LpOutcome(LpStatus.UNBOUNDED, tuple(point), ray=tuple(ray))
+        verify_outcome(c, system, sense, result)
+        return result
     obj = tab[-1]
     value_min = Fraction(-obj[width], obj[-1])
     value = value_min if sense == "min" else -value_min
@@ -313,6 +323,18 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
                        tuple(y[:n_le]), tuple(y[n_le:]))
     verify_outcome(c, system, sense, result)
     return result
+
+
+def _read_x(tab, basis, n, value) -> list[Fraction]:
+    """x = x+ - x- over the basic columns of the constraint rows, basic
+    column b taking value(row, b); nonbasic columns are 0."""
+    x = [ZERO] * n
+    for row, b in zip(tab, basis):
+        if b < n:
+            x[b] += value(row, b)
+        elif b < 2 * n:
+            x[b - n] -= value(row, b)
+    return x
 
 
 def _integer_combination(rows, weights, dim) -> tuple[list[int], int, int]:
@@ -342,8 +364,9 @@ def _fits(system: LinearSystem, y, mu) -> bool:
 
 
 def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
-    """Exact certificate check of an OPTIMAL or INFEASIBLE outcome; raises on
-    any violated identity.  UNBOUNDED outcomes carry no certificate.
+    """Exact certificate check of an outcome; raises on any violated
+    identity.  An UNBOUNDED outcome's point must satisfy every row and its
+    ray d must have A.d <= 0, E.d = 0 and c.d < 0 (min) / > 0 (max).
 
     Every identity is checked on integers: each row as the system's
     `integer_form`, the row times the lcm of its own denominators, the point
@@ -363,8 +386,9 @@ def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
         if rhs >= 0:
             raise InternalConsistencyError("Farkas right-hand side is not negative")
         return
-    if out.status is not LpStatus.OPTIMAL:
-        return
+    unbounded = out.status is LpStatus.UNBOUNDED
+    if unbounded and (out.primal_point is None or out.ray is None):
+        raise InternalConsistencyError("unbounded outcome without a point and a ray")
     c, cden = integer_scaled(vec(objective))
     x, xden = integer_scaled(out.primal_point)
     if len(x) != dim:
@@ -378,13 +402,25 @@ def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
     for a, b, _ in eq:
         if sum(map(mul, a, x)) != b * xden:
             raise InternalConsistencyError("primal point violates an EQ row")
+    sign = -1 if sense == "min" else 1
+    if unbounded:
+        # the ray over one denominator: A.d <= 0, E.d = 0, sign.c.d > 0
+        d, _ = integer_scaled(out.ray)
+        if len(d) != dim:
+            raise DimensionMismatch(f"ray of length {len(d)} in dimension {dim}")
+        if any(sum(map(mul, a, d)) > 0 for a, _, _ in le):
+            raise InternalConsistencyError("ray leaves an LE row")
+        if any(sum(map(mul, a, d)) != 0 for a, _, _ in eq):
+            raise InternalConsistencyError("ray leaves an EQ row")
+        if sign * sum(map(mul, c, d)) <= 0:
+            raise InternalConsistencyError("ray does not improve the objective")
+        return
     y = out.dual_le
     mu = out.dual_eq
     if not _fits(system, y, mu):
         raise InternalConsistencyError("optimal outcome without a dual per row")
     if any(v < 0 for v in y):
         raise InternalConsistencyError("negative dual on an LE row")
-    sign = -1 if sense == "min" else 1
     total, dual_val, m = _integer_combination(le + eq, y + mu, dim)
     # A^T.y + E^T.mu = sign.c, both sides times m.cden
     for lhs, cj in zip(total, c):

@@ -22,7 +22,7 @@ from .errors import (
     NotMemberError,
     ProcessDualityError,
 )
-from .exactlp import LinearSystem, strict_feasible
+from .exactlp import strict_feasible
 from .polyhedra import (
     EQ,
     LE,
@@ -33,10 +33,9 @@ from .polyhedra import (
     Polyhedron,
     PolyhedralCone,
     _coerce_point,
-    _identity,
     as_cells,
     cone_structure,
-    identity_cell,
+    point_cell,
 )
 from .rational import (
     Mat,
@@ -68,11 +67,13 @@ class OrderCone:
     normal n is orthogonal to every ray, while n.r <= 0 on each, hence n.r
     < 0 on some ray and n.(sum of rays) < 0.  Its `structure` (the bounded
     base of a pointed cone), `ball_minus`, and its facets as
-    `integer_facets` and `negated_normals` are built on first read and kept.
+    `integer_facets`, `negated_normals` and their sum `negated_normal_sum`
+    are built on first read and kept.
     """
 
     __slots__ = ("cone", "ambient_dim", "interior_witness", "_structure",
-                 "_ball_minus", "_integer_facets", "_negated_normals")
+                 "_ball_minus", "_integer_facets", "_negated_normals",
+                 "_negated_normal_sum")
 
     def __init__(self, cone: PolyhedralCone):
         if not cone.hrep:
@@ -154,6 +155,19 @@ class OrderCone:
                 tuple(-x for x in n) for n in self.facet_normals()
             )
             return self._negated_normals
+
+    @property
+    def negated_normal_sum(self) -> Vec:
+        """The sum of `negated_normals`, -N for N the sum of the facet
+        normals (the zero vector when there is no facet)."""
+        try:
+            return self._negated_normal_sum
+        except AttributeError:
+            total = zeros(self.ambient_dim)
+            for n in self.negated_normals:
+                total = vadd(total, n)
+            self._negated_normal_sum = total
+            return total
 
     def below_rows(self, y0: Vec):
         """The rows of y0 - K as `integer_rows`, read off `integer_facets`
@@ -499,22 +513,16 @@ def w0_cells(p: Program) -> tuple[Cell, ...]:
     """Exact cell decomposition of W(0) = f(feasible set at z = 0) in Y.
 
     A finite program gives one point cell {fv} per value of `w0_values`,
-    made by `identity_cell` from the unit rows y_i = fv_i, listed in the
-    order of its canonical H-representation, so neither a `Polyhedron` nor
-    a double description is built."""
+    made by `point_cell`, which keeps fv and fv over one denominator with
+    the cell; its unit rows y_i = fv_i come in the order of its canonical
+    H-representation.  Neither a `Polyhedron`, a double description nor
+    the matrix I of the cell is built."""
     if isinstance(p, AffineVectorProgram):
         lam0 = feasible_region(p, zeros(p.z_dim))
         return tuple(
             c.compose(p.f.matrix, p.f.offset) for c in as_cells(lam0)
         )
-    n = p.y_dim
-    unit = _identity(n)
-    return tuple(
-        identity_cell(
-            LinearSystem(n, eq=tuple((unit[i], fv[i]) for i in reversed(range(n))))
-        )
-        for fv in p.w0_values
-    )
+    return tuple(point_cell(fv) for fv in p.w0_values)
 
 
 def w0_image_points(p: Program) -> tuple[Vec, ...]:

@@ -721,9 +721,12 @@ class Cell:
     cell (M = I, o = 0) is answered on its own rows, by integer evaluation
     at the point written over one denominator.  A point cell, one whose rows
     are exactly y_i = v_i, decides membership by comparison with its `point`
-    v and emptiness by evaluation at v.  `identity_cell` makes an identity
-    cell from its rows.  `is_identity` and `point` are computed on first
-    read and kept, and so is the integer form of the rows, by the system.
+    v and emptiness by evaluation at v, read in integers off its
+    `integer_point`.  `identity_cell` makes an identity cell from its rows,
+    and `point_cell` a point cell from its point; neither builds M, which an
+    identity cell makes on its first read.  `is_identity`, `point` and
+    `integer_point` are computed on first read and kept, unless the cell was
+    built with them, and so is the integer form of the rows, by the system.
     """
 
     system: LinearSystem
@@ -737,6 +740,14 @@ class Cell:
     @property
     def lift_dim(self) -> int:
         return self.system.dim
+
+    def __getattr__(self, name):
+        """The matrix I of an identity cell made without one, built on its
+        first read and kept; every other attribute is looked up as usual."""
+        if name != "matrix":
+            raise AttributeError(name)
+        self.__dict__["matrix"] = _identity(self.target_dim)
+        return self.matrix
 
     @cached_property
     def is_identity(self) -> bool:
@@ -766,6 +777,12 @@ class Cell:
                 return None
             v[at[0]] = r
         return tuple(v)
+
+    @cached_property
+    def integer_point(self):
+        """(x, d) with `point` = x / d over one denominator, as
+        `integer_scaled`; None when the cell is not a point cell."""
+        return None if self.point is None else integer_scaled(self.point)
 
     def with_target_rows(self, le=(), eq=(), strict=()) -> "Cell":
         pull = lambda rows: tuple(
@@ -842,9 +859,28 @@ def identity_cell(system: LinearSystem) -> Cell:
     """The identity cell (M = I, o = 0) of the solution set of `system`,
     made straight from its rows, which it keeps as given and in order.  It
     is an identity cell by construction, so `is_identity` is set, not
-    computed."""
-    cell = Cell(system, _identity(system.dim), zeros(system.dim))
-    cell.__dict__["is_identity"] = True
+    computed, and M is built only if it is read (`Cell.__getattr__`)."""
+    cell = object.__new__(Cell)
+    cell.__dict__.update(
+        system=system, offset=zeros(system.dim), is_identity=True
+    )
+    return cell
+
+
+def point_cell(v) -> Cell:
+    """The point cell {v}: the identity cell on the unit rows y_i = v_i,
+    last coordinate first, with `point` v and `integer_point` (x, d) set
+    from v written over one denominator.  The rows keep the integer form
+    (d.e_i, x_i, d), a positive multiple of each row's `integer_rows` form,
+    so the system coerces and scales nothing again."""
+    v = vec(v)
+    x, d = integer_scaled(v)
+    n = len(v)
+    order = range(n - 1, -1, -1)
+    eq = tuple((tuple(ONE if j == i else ZERO for j in range(n)), v[i]) for i in order)
+    ints = tuple((tuple(d if j == i else 0 for j in range(n)), x[i], d) for i in order)
+    cell = identity_cell(LinearSystem.with_integer_form(((), ints, ()), n, eq=eq))
+    cell.__dict__.update(point=v, integer_point=(x, d))
     return cell
 
 
@@ -898,10 +934,11 @@ def _holds_at(v: Vec, cells, strict_rows) -> bool:
     """Is v in every cell and strictly inside every half-space n.y < r, the
     half-spaces given as `integer_rows`?
 
-    v is written over one denominator once.  The point cell whose `point` is
-    v is skipped, as it is {v} by construction; every other identity cell
-    tests its integer rows at v, and any other cell solves its strict LP."""
-    x, d = integer_scaled(v)
+    v must be the `point` of a point cell of `cells`, and v over one
+    denominator is that cell's `integer_point`, kept with it.  That cell is
+    skipped, as it is {v} by construction; every other identity cell tests
+    its integer rows at v, and any other cell solves its strict LP."""
+    x, d = next(c for c in cells if c.point is v).integer_point
     if not integer_holds(x, d, strict=strict_rows):
         return False
     return all(

@@ -7,15 +7,23 @@ generator-level oracles for a polyhedron's two representations and
 for Minkowski sums; the LP certificate check and membership by row
 evaluation, both in Fraction arithmetic; identity cells built through a
 `Polyhedron`; the strict-LP route that certified restricted rows and kept
-restricted slices; and a recorder of the strict LPs that building order
-cones and boundary-restricted sets runs."""
+restricted slices; a recorder of the strict LPs that building order
+cones and boundary-restricted sets runs; and double description without
+its cardinality prefilter."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from process_duality import model, polyhedra
+from process_duality import _dd, model, polyhedra
+from process_duality._dd import (
+    _idot,
+    _integer_null_space,
+    _integer_rref,
+    _reduce_mod_lines,
+)
+from process_duality._kernel import primitive
 from process_duality.certify import _facet_rows_at
 from process_duality.errors import InternalConsistencyError
 from process_duality.exactlp import LinearSystem, LpStatus, lp_solve, strict_feasible
@@ -42,7 +50,15 @@ from process_duality.polyhedra import (
     _on_hyperplane,
     cell_of_polyhedron,
 )
-from process_duality.rational import ONE, ZERO, dot, is_zero_vec, vadd, vec
+from process_duality.rational import (
+    ONE,
+    ZERO,
+    dot,
+    integer_scaled,
+    is_zero_vec,
+    vadd,
+    vec,
+)
 
 
 @pytest.fixture
@@ -587,3 +603,68 @@ def polyhedron_cells():
     cell y0 - Y_+, each built through `Polyhedron.from_hrep` and
     `cell_of_polyhedron`."""
     return _PolyhedronCells()
+
+
+def _unfiltered_cone_dd(dim, ineq_rows, eq_rows):
+    """`_dd.cone_dd` as it was before the cardinality prefilter: every pair
+    of rays on opposite sides of the new row goes to the `_adjacent` scan,
+    looked up on `_dd` at each call."""
+    ineq = [primitive(integer_scaled(a)[0]) for a in ineq_rows]
+    lines = _integer_null_space([primitive(integer_scaled(a)[0]) for a in eq_rows], dim)
+    rays, masks, bit = [], [], 1
+    for a in ineq:
+        if not any(a):
+            continue
+        vals = [_idot(a, l) for l in lines]
+        hit = next((k for k, s in enumerate(vals) if s != 0), None)
+        if hit is not None:
+            l0, s0 = lines[hit], vals[hit]
+            if s0 > 0:
+                l0, s0 = tuple(-x for x in l0), -s0
+            lines = [
+                primitive([-s0 * x + s * y for x, y in zip(l, l0)])
+                for k, (l, s) in enumerate(zip(lines, vals))
+                if k != hit
+            ]
+            new_rays, new_masks = [], []
+            for r, m in zip(rays, masks):
+                t = _idot(a, r)
+                if t != 0:
+                    r = primitive([-s0 * x + t * y for x, y in zip(r, l0)])
+                    if not any(r):
+                        continue
+                new_rays.append(r)
+                new_masks.append(m | bit)
+            rays, masks = new_rays + [l0], new_masks + [bit - 1]
+            bit <<= 1
+            continue
+        signs = [_idot(a, r) for r in rays]
+        new_rays, new_masks = [], []
+        for p, sp in enumerate(signs):
+            if sp <= 0:
+                continue
+            for q, sq in enumerate(signs):
+                if sq >= 0:
+                    continue
+                common = masks[p] & masks[q]
+                if not _dd._adjacent(common, masks):
+                    continue
+                combo = primitive([sp * x - sq * y for x, y in zip(rays[q], rays[p])])
+                if any(combo):
+                    new_rays.append(combo)
+                    new_masks.append(common | bit)
+        kept = [i for i, s in enumerate(signs) if s <= 0]
+        rays = [rays[i] for i in kept] + new_rays
+        masks = [masks[i] | (bit if signs[i] == 0 else 0) for i in kept] + new_masks
+        bit <<= 1
+    lines, pivots = _integer_rref(lines, dim)
+    reduced = {_reduce_mod_lines(r, lines, pivots) for r in rays}
+    reduced.discard((0,) * dim)
+    return lines, sorted(reduced)
+
+
+@pytest.fixture(scope="session")
+def unfiltered_cone_dd():
+    """(dim, ineq_rows, eq_rows) -> `cone_dd`'s (lines, rays) computed with
+    no cardinality prefilter, the zero-set scan deciding every pair."""
+    return _unfiltered_cone_dd

@@ -642,6 +642,52 @@ class TestWorkDoneOnce:
                 asked += 1
         assert asked > 60
 
+    def test_point_cells_keep_their_integer_form(
+        self, monkeypatch, criterion_4_program
+    ):
+        """Point cells are built with their point over one denominator and
+        without the matrix I, so the verdicts at each y0 write no W(0)
+        point over one denominator again and build no I; the strict row of
+        `is_minimal` takes its normal from Y_+ itself."""
+        calls = dict.fromkeys(("integer_scaled", "_identity"), 0)
+        for name in calls:
+            fn = getattr(polyhedra_module, name)
+
+            def run(*args, name=name, fn=fn):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(polyhedra_module, name, run)
+        normals = []
+        decide = certify_module.intersect_empty
+
+        def recorded(parts, strict_halfspaces=()):
+            normals.extend(n for n, _ in strict_halfspaces)
+            return decide(parts, strict_halfspaces)
+
+        monkeypatch.setattr(certify_module, "intersect_empty", recorded)
+        asked = 0
+        for i in range(40):
+            p = criterion_4_program(i)
+            p.w0_values  # the walk of W(0), counted elsewhere
+            calls.update(dict.fromkeys(calls, 0))
+            cells = w0_cells(p)
+            assert calls == {"integer_scaled": len(cells), "_identity": 0}, i
+            assert all(c.integer_point is not None for c in cells)
+            calls.update(dict.fromkeys(calls, 0))
+            verdicts = []
+            for y0 in w0_image_points(p):
+                normals.clear()
+                verdicts.append((is_minimal(cells, y0, p.y_plus),
+                                 is_weak_minimal(cells, y0, p.y_plus)))
+                assert len(normals) == 1 and normals[0] is p.y_plus.negated_normal_sum
+            assert calls == {"integer_scaled": 0, "_identity": 0}, i
+            for y0, verdict in zip(w0_image_points(p), verdicts):
+                bf = brute_force_status(p, y0)
+                assert verdict == (bf.minimal, bf.weak_minimal), (i, y0)
+                asked += 1
+        assert asked > 60
+
 
 @pytest.fixture
 def count(monkeypatch):

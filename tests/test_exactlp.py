@@ -11,6 +11,7 @@ from process_duality import _kernel
 from process_duality import exactlp as exactlp_module
 from process_duality import rational as rational_module
 from process_duality.errors import DimensionMismatch, InternalConsistencyError
+from process_duality.rational import dot, vec
 from process_duality.exactlp import (
     LinearSystem,
     LpStatus,
@@ -242,8 +243,62 @@ def test_duplicated_equality_row_is_dropped_with_dual_zero():
     verify_outcome((-1, 0), s, "min", out)
 
 
+# Unbounded LPs: (objective, system, sense).  The recession cone of the
+# feasible set is spanned by the expected improving directions.
+UNBOUNDED = [
+    ((1,), LinearSystem(1), "min"),
+    ((1, -1), LinearSystem(2, le=[((1, 1), 3), ((-1, 0), 0)]), "max"),
+    # x - y <= 1/2 and y + z = 2: x falls along (-1, 0, 0)
+    ((1, 2, 0), LinearSystem(3, le=[((1, -1, 0), F(1, 2))], eq=[((0, 1, 1), 2)]),
+     "min"),
+    # a flipped row (-x <= -2) and fractional rows, bounded in x, y falls
+    ((F(1, 3), F(1, 2)),
+     LinearSystem(2, le=[((-1, 0), -2), ((F(1, 2), 0), 3), ((F(-1, 3), F(1, 4)), 1)]),
+     "min"),
+]
+
+
 def test_unbounded():
-    assert lp_solve((1,), LinearSystem(1)).status is LpStatus.UNBOUNDED
+    """Each outcome carries a feasible point and a recession ray along which
+    the objective improves, checked here by Fraction evaluation."""
+    for objective, system, sense in UNBOUNDED:
+        out = lp_solve(objective, system, sense)
+        assert out.status is LpStatus.UNBOUNDED
+        x, d = out.primal_point, out.ray
+        assert all(dot(n, x) <= b for n, b in system.le)
+        assert all(dot(n, x) == b for n, b in system.eq)
+        assert all(dot(n, d) <= 0 for n, _ in system.le)
+        assert all(dot(n, d) == 0 for n, _ in system.eq)
+        gain = dot(vec(objective), d)
+        assert gain < 0 if sense == "min" else gain > 0
+        verify_outcome(objective, system, sense, out)
+
+
+def test_unbounded_ray_is_read_off_the_entering_column():
+    assert lp_solve((1,), LinearSystem(1)).ray == (F(-1),)
+    out = lp_solve(*UNBOUNDED[1])
+    assert (out.primal_point, out.ray) == ((F(3), F(0)), (F(1), F(-1)))
+
+
+@pytest.mark.parametrize(
+    "corruption,message",
+    [
+        (dict(ray=(F(0), F(1), F(-1))), "ray does not improve the objective"),
+        (dict(ray=(F(0), F(0), F(0))), "ray does not improve the objective"),
+        (dict(ray=(F(-1), F(-2), F(0))), "ray leaves an LE row"),
+        (dict(ray=(F(-1), F(0), F(1))), "ray leaves an EQ row"),
+        (dict(primal_point=(F(1), F(0), F(2))), "primal point violates an LE row"),
+        (dict(primal_point=(F(0), F(0), F(1))), "primal point violates an EQ row"),
+        (dict(ray=None), "unbounded outcome without a point and a ray"),
+        (dict(primal_point=None), "unbounded outcome without a point and a ray"),
+    ],
+)
+def test_corrupted_ray_raises(corruption, message):
+    objective, system, sense = UNBOUNDED[2]
+    out = lp_solve(objective, system, sense)
+    assert out.ray == (F(-1), F(0), F(0))
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        verify_outcome(objective, system, sense, replace(out, **corruption))
 
 
 def test_dimension_mismatch():

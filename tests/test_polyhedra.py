@@ -15,7 +15,7 @@ from process_duality._dd import (
     _reduce_mod_lines,
     cone_dd,
 )
-from process_duality import polyhedra
+from process_duality import _dd, polyhedra
 from process_duality._kernel import primitive
 from process_duality.certify import (
     ProgramContext,
@@ -906,6 +906,73 @@ class TestConeDd:
             assert repr(got) == repr(expected), (dim, ineq, eq)
 
 
+def prefilter_test_inputs(criterion_3_program):
+    """Every `cone_dd` input met while reading both canonical forms of the
+    graph closures of criterion-3 programs 0-59; the rows of criterion-5
+    cones 0-149 and of their duals; and the inputs of `from_vrep` sets in
+    dims 1-4 with duplicate vertices, rays and lines, read as rows and back
+    as generators."""
+    inputs = []
+
+    def recorded(*args):
+        inputs.append(args)
+        return cone_dd(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedra, "cone_dd", recorded)
+        for i in range(60):
+            closure = graph_closure(criterion_3_program(i))
+            closure.hrep, closure.vrep
+            Polyhedron.from_hrep(closure.dim, closure.hrep).vrep
+        rng = random.Random(16180)
+        for _ in range(150):
+            dim = rng.randint(1, 4)
+            point = lambda: tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+            verts = [point() for _ in range(rng.randint(1, 5))]
+            verts += rng.sample(verts, rng.randint(0, len(verts)))
+            rays = [point() for _ in range(rng.randint(0, 3))]
+            lines = [point() for _ in range(rng.randint(0, 2))]
+            p = Polyhedron.from_vrep(dim, verts, rays, lines)
+            p.hrep
+            Polyhedron.from_hrep(dim, p.hrep).vrep
+    for i in range(150):
+        dim, rows = criterion5_cone(i)
+        inputs.append((dim, rows, []))
+        lines, rays = cone_dd(dim, rows, [])
+        inputs.append((dim, [tuple(-x for x in r) for r in rays], lines))
+    return inputs
+
+
+class TestCardinalityPrefilter:
+    """`cone_dd` skips a pair whose common zero set is smaller than
+    k0 - |lines| - 2 before the `_adjacent` scan; its output is the
+    unfiltered double description's (`unfiltered_cone_dd`)."""
+
+    def test_matches_the_unfiltered_double_description(
+        self, monkeypatch, criterion_3_program, unfiltered_cone_dd
+    ):
+        inputs = prefilter_test_inputs(criterion_3_program)
+        assert len(inputs) > 1000
+        scans = [0]
+        adjacent = _dd._adjacent
+
+        def counted(common, masks):
+            scans[0] += 1
+            return adjacent(common, masks)
+
+        monkeypatch.setattr(_dd, "_adjacent", counted)
+        filtered = unfiltered = 0
+        for args in inputs:
+            scans[0] = 0
+            got = cone_dd(*args)
+            filtered += scans[0]
+            scans[0] = 0
+            assert got == unfiltered_cone_dd(*args), args
+            unfiltered += scans[0]
+        # the prefilter decides some pairs that the scan decided before
+        assert filtered < unfiltered
+
+
 def random_row_system(rng):
     """Rational rows with zero rows, repeated rows and combinations of earlier
     rows, beside the same rows as integers times a nonzero integer factor
@@ -1217,3 +1284,109 @@ class TestIntegerMembership:
         assert not _holds_at(edge.point, (edge,), integer_rows(cell.system.strict))
         assert not _holds_at(edge.point, (edge, point_cell((F(3, 10), F(1, 7)))), ())
         assert _holds_at(edge.point, (edge, point_cell((F(3, 10), 0))), ())
+
+
+def unit_row_cell(v):
+    """The point cell {v} as `w0_cells` made it before `point_cell`: the
+    identity cell over the unit rows y_i = v_i, last coordinate first, in a
+    `LinearSystem` that coerces and scales the rows itself."""
+    n = len(v)
+    unit = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
+    return polyhedra.identity_cell(
+        LinearSystem(n, eq=tuple((unit[i], v[i]) for i in reversed(range(n))))
+    )
+
+
+class TestPointCell:
+    """`point_cell(v)` is the identity cell on the unit rows y_i = v_i that
+    `w0_cells` built before (`unit_row_cell`), with its point and the point's
+    integer form set when it is built: the same rows, the same answers."""
+
+    @staticmethod
+    def same_cell(new, old, v):
+        assert (new.point, new.is_identity) == (old.point, old.is_identity) == (v, True)
+        assert new.integer_point == integer_scaled(v)
+        assert (new.system.le, new.system.eq, new.system.strict) == (
+            old.system.le, old.system.eq, old.system.strict
+        )
+        assert (new.matrix, new.offset) == (old.matrix, old.offset)
+        le, eq, strict = new.system.integer_form
+        assert le == strict == () and len(eq) == len(old.system.eq)
+        # each integer row is a positive multiple of its `integer_rows` row
+        for (a, b, s), (a0, b0, s0) in zip(eq, integer_rows(old.system.eq)):
+            k, rest = divmod(s, s0)
+            assert k > 0 and rest == 0
+            assert (a, b) == (tuple(k * x for x in a0), k * b0)
+
+    def test_criterion_4_programs(self, criterion_4_program):
+        seen = dict.fromkeys(("member", "outside", "empty", "nonempty"), 0)
+        for i in range(200):
+            p = criterion_4_program(i)
+            yplus, dim = p.y_plus, p.y_dim
+            images = list(dict.fromkeys(fv for pt in p.points for fv in pt.f_values))
+            new = [polyhedra.point_cell(v) for v in images]
+            old = [unit_row_cell(v) for v in images]
+            for a, b, v in zip(new, old, images):
+                self.same_cell(a, b, v)
+            probes = images + [tuple(x + F(1, 3) for x in v) for v in images]
+            for y in probes:
+                expected = member(old, y)
+                assert member(new, y) == expected, (i, y)
+                assert [c.member(y) for c in new] == [c.member(y) for c in old]
+                seen["member" if expected else "outside"] += 1
+            for y0 in images:
+                rows, _ = _facet_rows_at(yplus, y0)
+                below = polyhedra.identity_cell(LinearSystem(dim, le=rows))
+                inside = polyhedra.identity_cell(LinearSystem(dim, strict=rows))
+                total = [(yplus.negated_normal_sum, sum(r for _, r in rows))]
+                for parts_new, parts_old, strict in (
+                    ([new, below], [old, below], total),
+                    ([new, inside], [old, inside], ()),
+                ):
+                    expected = intersect_empty(parts_old, strict)
+                    assert intersect_empty(parts_new, strict) == expected, (i, y0)
+                    seen["empty" if expected.empty else "nonempty"] += 1
+                    for a, b in zip(new, old):
+                        assert intersect_empty([a] + parts_new[1:], strict) == (
+                            intersect_empty([b] + parts_old[1:], strict)
+                        )
+        assert all(n > 100 for n in seen.values()), seen
+
+    def test_rows_and_integer_form(self):
+        cell = polyhedra.point_cell((F(1, 2), -3, F(5, 4)))
+        assert cell.point == (F(1, 2), F(-3), F(5, 4))
+        assert cell.integer_point == ((2, -12, 5), 4)
+        assert cell.system.eq == (
+            ((ZERO, ZERO, ONE), F(5, 4)),
+            ((ZERO, ONE, ZERO), F(-3)),
+            ((ONE, ZERO, ZERO), F(1, 2)),
+        )
+        # over the one denominator 4, not each row's own
+        assert cell.system.integer_form[1] == (
+            ((0, 0, 4), 5, 4), ((0, 4, 0), -12, 4), ((4, 0, 0), 2, 4),
+        )
+        assert cell.matrix == ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
+        assert cell.offset == zeros(3)
+
+    def test_identity_matrix_is_built_only_when_read(self, monkeypatch):
+        built = []
+        identity = polyhedra._identity
+
+        def counted(dim):
+            built.append(dim)
+            return identity(dim)
+
+        monkeypatch.setattr(polyhedra, "_identity", counted)
+        cell = polyhedra.point_cell((1, 2))
+        below = polyhedra.identity_cell(LinearSystem(2, le=[((1, 0), 3)]))
+        assert cell.is_identity and below.is_identity and built == []
+        assert intersect_empty([cell, below], [((0, 1), 3)]) == (
+            polyhedra.Emptiness(False, (F(1), F(2)))
+        )
+        assert built == []
+        assert cell.matrix == below.matrix == ((ONE, ZERO), (ZERO, ONE))
+        assert cell.matrix is cell.matrix and built == [2, 2]
+        # a cell built with its matrix never makes one
+        moved = Cell(below.system, below.matrix, (ONE, ZERO))
+        assert not moved.is_identity and moved.matrix is below.matrix
+        assert built == [2, 2]
