@@ -353,7 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_y0=True):
         p.add_argument("problem", help="problem file (JSON)")
         if needs_y0:
-            p.add_argument("--y0", help="candidate value, e.g. '0/1,0/1'")
+            p.add_argument(
+                "--y0",
+                help="candidate value, e.g. '0/1,0/1'; write a negative first "
+                "coordinate as --y0=-1/1,0/1 (a bare -1/1 reads as an option)",
+            )
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--text", dest="json", action="store_false",
                        help="text output (default)")

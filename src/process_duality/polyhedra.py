@@ -10,6 +10,12 @@ output reproducible.  Because the forms are unique, a set built by duality
 may carry both from the start: `polar_cone` runs one double description for
 its generators and reads its rows off the input cone's own generators.
 
+A set that is not a cone is converted on its homogenization, one coordinate
+more.  A cone (every row offset 0, or the origin its only vertex) is
+converted in its own dimension: its generators, and the rows read off its
+polar's generators, come from `_cone_generators`, the helper `polar_cone`
+uses.
+
 `BoundaryRestrictedPolyhedron` represents a closed polyhedron minus some of
 its facets, each replaced by a retained closed sub-polyhedron.  Such sets are
 handled exactly throughout via a decomposition into relatively open cells,
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from ._dd import cone_dd
@@ -329,17 +336,45 @@ def _coerce_rows(dim, rows) -> tuple[HRow, ...]:
     return tuple(out)
 
 
-def _hrep_to_vrep(dim: int, rows: tuple[HRow, ...]) -> VRep:
-    """Homogenize, run double description, split by the t coordinate.
+def _cone_generators(dim: int, ineq, eq, c: int = 1):
+    """Canonical (rays, lines) of the cone {x : ineq.x <= 0, eq.x = 0}, each
+    sorted, from one `cone_dd` run in dimension dim.
 
     `cone_dd` returns its lines in reduced row echelon form and its rays
-    reduced modulo them, each a primitive integer tuple.  Lines have t = 0
-    and the t column is last, so dropping it keeps that form: the recession
-    rays and the vertices come out already reduced.  Each canonical entry is
-    then one Fraction x / c built from the integers: c is a line's leading
-    entry, the absolute value of a recession ray's leading entry, or a
-    vertex's t.
+    reduced modulo them, each a primitive integer tuple, so one Fraction per
+    entry makes them canonical: a line is divided by its leading entry, a ray
+    by c times the absolute value of its leading entry (c = -1 negates every
+    ray, as the positive polar needs).
     """
+    lines, rays = cone_dd(dim, ineq, eq)
+    return (
+        tuple(sorted(quotients(r, c * abs(next(x for x in r if x))) for r in rays)),
+        tuple(sorted(quotients(l, next(x for x in l if x)) for l in lines)),
+    )
+
+
+def _hrep_to_vrep(dim: int, rows: tuple[HRow, ...]) -> VRep:
+    """Canonical generators of the rows' solution set.
+
+    A cone, every row with offset 0, is converted in its own dimension: its
+    only vertex is the origin and its rays and lines are `_cone_generators`
+    of its normals.  Any other set is homogenized, {(x, t) : a.x <= b.t,
+    t >= 0}, and its double description split by the t coordinate.  Lines
+    have t = 0 and the t column is last, so dropping it keeps `cone_dd`'s
+    form: the recession rays and the vertices come out already reduced.
+    Each canonical entry is then one Fraction x / c built from the integers:
+    c is a line's leading entry, the absolute value of a recession ray's
+    leading entry, or a vertex's t.  For a cone the lift is the cone times
+    t >= 0, whose generators are the cone's with t = 0 and the vertex (0, 1),
+    so both routes give the same form.
+    """
+    if all(not row.offset for row in rows):
+        rays, lines = _cone_generators(
+            dim,
+            [row.normal for row in rows if row.rel == LE],
+            [row.normal for row in rows if row.rel == EQ],
+        )
+        return VRep((zeros(dim),), rays, lines)
     ineq = []
     eq = []
     for row in rows:
@@ -368,18 +403,26 @@ def _hrep_to_vrep(dim: int, rows: tuple[HRow, ...]) -> VRep:
 
 
 def _vrep_to_hrep(dim: int, vrep: VRep) -> tuple[HRow, ...]:
-    """Facets via the polar of the homogenization cone.
+    """Canonical rows of a nonempty set, from the polar of its generators.
 
-    Each polar generator (a, b) is a primitive integer tuple; its row
-    a.x <= -b (or = -b) is divided by the leading coefficient of a, in
-    absolute value for an inequality, one Fraction per entry (the sign rule
-    of `HRow.scaled_canonical`).
+    A cone, the origin its only vertex, is converted in its own dimension:
+    its rows are the polar's generators, `_cone_generators` of its rays and
+    lines, each ray a facet a.x <= 0 and each line an equality a.x = 0.
+    Any other set takes the polar of its homogenization cone,
+    {(a, b) : a.v + b <= 0, a.r <= 0, a.l = 0}.  Each polar generator (a, b)
+    is a primitive integer tuple; its row a.x <= -b (or = -b) is divided by
+    the leading coefficient of a, in absolute value for an inequality, one
+    Fraction per entry (the sign rule of `HRow.scaled_canonical`, which for
+    b = 0 is `_cone_generators`' rule, so both routes give the same rows).
     """
+    if all(not any(v) for v in vrep.vertices):
+        rays, lines = _cone_generators(dim, vrep.rays, vrep.lines)
+        rows = [HRow(r, ZERO, LE) for r in rays] + [HRow(l, ZERO, EQ) for l in lines]
+        return tuple(sorted(rows))
     ineq = [v + (ONE,) for v in vrep.vertices]
     ineq += [r + (ZERO,) for r in vrep.rays]
     eq = [l + (ZERO,) for l in vrep.lines]
-    # Polar of cone{(v,1),(r,0),(l,0)}: {(a,b) : a.v + b <= 0, a.r <= 0, a.l = 0}
-    lines, rays = cone_dd(dim + 1, [tuple(g) for g in ineq], [tuple(g) for g in eq])
+    lines, rays = cone_dd(dim + 1, ineq, eq)
     rows = []
     for r in rays:
         a = r[:dim]
@@ -415,10 +458,8 @@ def polar_cone(k: PolyhedralCone, sign: str = "negative") -> PolyhedralCone:
     """Negative polar {e : <e,g> <= 0 for all generators}, or its negation,
     with both canonical representations from one double description.
 
-    The generators come from `cone_dd` on k's generators and lineality, made
-    canonical by the rules of `_hrep_to_vrep`: a line is divided by its
-    leading entry, a ray by the absolute value of its leading entry (negated
-    for the positive polar).  The rows need no double description, by
+    The generators are `_cone_generators` of k's generators and lineality,
+    negated for the positive polar.  The rows need no double description, by
     Minkowski-Weyl duality (Rockafellar, Convex Analysis, sections 14 and 19):
     the polar's facets are the extreme rays of k, and its equalities span the
     lineality space of k.  k's canonical rays have leading entry +-1 and its
@@ -428,16 +469,13 @@ def polar_cone(k: PolyhedralCone, sign: str = "negative") -> PolyhedralCone:
     """
     if sign not in ("negative", "positive"):
         raise ValueError(f"unknown polar sign {sign!r}")
-    lines, rays = cone_dd(k.dim, list(k.generators), list(k.lineality))
     c = -1 if sign == "positive" else 1
-    vrep = VRep(
-        (zeros(k.dim),),
-        tuple(sorted(quotients(r, c * abs(next(x for x in r if x))) for r in rays)),
-        tuple(sorted(quotients(l, next(x for x in l if x)) for l in lines)),
-    )
+    rays, lines = _cone_generators(k.dim, k.generators, k.lineality, c)
     rows = [HRow(tuple(c * x for x in g), ZERO, LE) for g in k.generators]
     rows += [HRow(l, ZERO, EQ) for l in k.lineality]
-    return PolyhedralCone(k.dim, hrep=tuple(sorted(rows)), vrep=vrep)
+    return PolyhedralCone(
+        k.dim, hrep=tuple(sorted(rows)), vrep=VRep((zeros(k.dim),), rays, lines)
+    )
 
 
 def project(p: Polyhedron, keep: Sequence[int]) -> Polyhedron:
@@ -483,8 +521,16 @@ def cone_structure(k: PolyhedralCone) -> ConeStructure:
     h = positive_functional(k.dim, rays)
     if h is None:
         raise InternalConsistencyError("pointed cone without positive functional")
-    base = Polyhedron.from_vrep(k.dim, [tuple(x / dot(h, r) for x in r) for r in rays])
-    return ConeStructure(0, True, True, base, h)
+    # With h = hx / hd and r = rx / rd over one denominator each, the base
+    # vertex r / (h.r) has entries rx_j.hd / (hx.rx): one integer dot per
+    # ray and one Fraction per entry
+    hx, hd = integer_scaled(h)
+    verts = []
+    for r in rays:
+        rx = integer_scaled(r)[0]
+        s = sum(map(mul, hx, rx))
+        verts.append(tuple(Fraction(x * hd, s) for x in rx))
+    return ConeStructure(0, True, True, Polyhedron.from_vrep(k.dim, verts), h)
 
 
 def positive_functional(dim, ge_one, ge_zero=(), eq_zero=()) -> Optional[Vec]:

@@ -8,8 +8,9 @@ for Minkowski sums; the LP certificate check and membership by row
 evaluation, both in Fraction arithmetic; identity cells built through a
 `Polyhedron`; the strict-LP route that certified restricted rows and kept
 restricted slices; a recorder of the strict LPs that building order
-cones and boundary-restricted sets runs; and double description without
-its cardinality prefilter."""
+cones and boundary-restricted sets runs; double description without
+its cardinality prefilter; and the H/V conversions that lift every set,
+cones included, to its homogenization."""
 
 import random
 from fractions import Fraction as F
@@ -22,6 +23,7 @@ from process_duality._dd import (
     _integer_null_space,
     _integer_rref,
     _reduce_mod_lines,
+    cone_dd,
 )
 from process_duality._kernel import primitive
 from process_duality.certify import _facet_rows_at
@@ -45,8 +47,10 @@ from process_duality.polyhedra import (
     LE,
     BoundaryRestriction,
     BoundaryRestrictedPolyhedron,
+    HRow,
     Polyhedron,
     PolyhedralCone,
+    VRep,
     _on_hyperplane,
     cell_of_polyhedron,
 )
@@ -56,8 +60,10 @@ from process_duality.rational import (
     dot,
     integer_scaled,
     is_zero_vec,
+    quotients,
     vadd,
     vec,
+    zeros,
 )
 
 
@@ -668,3 +674,62 @@ def unfiltered_cone_dd():
     """(dim, ineq_rows, eq_rows) -> `cone_dd`'s (lines, rays) computed with
     no cardinality prefilter, the zero-set scan deciding every pair."""
     return _unfiltered_cone_dd
+
+
+class _LiftedConversions:
+    """`polyhedra._hrep_to_vrep` and `_vrep_to_hrep` as they were when every
+    set, a cone too, was converted through its homogenization: one
+    `cone_dd` in dimension dim + 1, split by the t coordinate."""
+
+    @staticmethod
+    def hrep_to_vrep(dim, rows):
+        ineq, eq = [], []
+        for row in rows:
+            (ineq if row.rel == LE else eq).append(row.normal + (-row.offset,))
+        ineq.append(zeros(dim) + (-ONE,))  # t >= 0
+        lines, rays = cone_dd(dim + 1, ineq, eq)
+        vertices, rec_rays, rec_lines = [], [], []
+        for l in lines:
+            if l[dim] != 0:
+                raise InternalConsistencyError("homogenization line with t != 0")
+            rec_lines.append(quotients(l[:dim], next(x for x in l if x)))
+        for r in rays:
+            t = r[dim]
+            if t > 0:
+                vertices.append(quotients(r[:dim], t))
+            else:
+                rec_rays.append(quotients(r[:dim], abs(next(x for x in r if x))))
+        if not vertices:
+            return VRep()
+        return VRep(
+            tuple(sorted(vertices)), tuple(sorted(rec_rays)), tuple(sorted(rec_lines))
+        )
+
+    @staticmethod
+    def vrep_to_hrep(dim, vrep):
+        ineq = [v + (ONE,) for v in vrep.vertices]
+        ineq += [r + (ZERO,) for r in vrep.rays]
+        eq = [l + (ZERO,) for l in vrep.lines]
+        lines, rays = cone_dd(dim + 1, ineq, eq)
+        rows = []
+        for r in rays:
+            a = r[:dim]
+            lead = next((x for x in a if x), 0)
+            if not lead:
+                continue  # 0.x <= -b with b <= 0: trivial
+            c = abs(lead)
+            rows.append(HRow(quotients(a, c), F(-r[dim], c), LE))
+        for l in lines:
+            a = l[:dim]
+            lead = next((x for x in a if x), 0)
+            if not lead:
+                raise InternalConsistencyError("trivial equality in polar")
+            rows.append(HRow(quotients(a, lead), F(-l[dim], lead), EQ))
+        return tuple(sorted(set(rows)))
+
+
+@pytest.fixture(scope="session")
+def lifted_conversions():
+    """`.hrep_to_vrep(dim, rows)` and `.vrep_to_hrep(dim, vrep)`: the
+    canonical forms computed on the homogenization, for any set."""
+    return _LiftedConversions()

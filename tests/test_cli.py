@@ -284,6 +284,19 @@ class TestMalformedArguments:
                    ["frontier", instance_path("i3"), "--side", "D", "--y0=-5,-5"],
                    "NotInW0Error: -5,-5 is not attained by a feasible point")
 
+    def test_negative_first_coordinate_in_the_equals_form(self, capsys, instance_path):
+        # --y0=-1/1 reaches the vector parser, which refuses its length
+        self.check(capsys, ["classify", instance_path("i3"), "--y0=-1/1"],
+                   "DimensionMismatch: point of length 1 in dimension 2")
+
+    def test_negative_first_coordinate_after_a_space_reads_as_an_option(
+        self, capsys, instance_path
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main(["classify", instance_path("i3"), "--y0", "-1/1,-3/1"])
+        assert exit_.value.code == 2
+        assert "argument --y0: expected one argument" in capsys.readouterr().err
+
     def test_negative_count_for_fuzz(self, capsys):
         self.check(capsys, ["fuzz", "--count", "-3", "--dims", "1,1,1"],
                    "--count: expected a nonnegative integer")

@@ -25,6 +25,7 @@ from process_duality.certify import (
 )
 from process_duality.errors import DimensionMismatch, InternalConsistencyError
 from process_duality.exactlp import LinearSystem, LpStatus, lp_solve
+from process_duality.fuzzing import random_order_cone
 from process_duality.model import (
     OrderCone,
     _order_rows_for_g,
@@ -132,6 +133,19 @@ class TestPolar:
                 assert in_polar == p.member(w)
 
 
+@pytest.fixture
+def dd_calls(monkeypatch):
+    """The argument tuples of every `cone_dd` call made by `polyhedra`."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cone_dd(*args)
+
+    monkeypatch.setattr(polyhedra, "cone_dd", counted)
+    return calls
+
+
 def polar_test_cones():
     """Criterion-5 cones for three seeds, the zero cone and the full space in
     each dimension, and cones with lineality of every dimension below 3."""
@@ -169,17 +183,6 @@ class TestPolarForms:
                 seen += bool(k.lineality)
         assert seen > 100
 
-    @pytest.fixture
-    def dd_calls(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return cone_dd(*args)
-
-        monkeypatch.setattr(polyhedra, "cone_dd", counted)
-        return calls
-
     def test_one_double_description(self, dd_calls):
         for k in polar_test_cones():
             k.hrep, k.vrep
@@ -192,6 +195,111 @@ class TestPolarForms:
             dd_calls.clear()
             assert polar_cone(polar_cone(k)) == k
             assert len(dd_calls) == 2
+
+
+def cone_conversion_inputs():
+    """(dim, rows) and (dim, vertices, rays, lines) of cones: both forms of
+    `polar_test_cones()`; criterion-5 cones 0-149 as drawn, and their duals
+    as generators; `fuzzing.random_order_cone` draws in dims 1-4; and random
+    homogeneous row sets with EQ rows, zero-normal rows, duplicated rows or
+    no rows at all, and random generator sets whose only vertex is the
+    origin (given once or twice), with and without rays and lines."""
+    hsets, vsets = [], []
+    for k in polar_test_cones():
+        hsets.append((k.dim, k.hrep))
+        vsets.append((k.dim, [zeros(k.dim)], k.generators, k.lineality))
+    for i in range(150):
+        dim, rows = criterion5_cone(i)
+        hsets.append((dim, [(n, 0, LE) for n in rows]))
+        lines, rays = cone_dd(dim, rows, [])
+        vsets.append((dim, [zeros(dim)], [tuple(-x for x in r) for r in rays], lines))
+    rng = random.Random(2022)
+    for dim in range(1, 5):
+        for _ in range(25):
+            cone = random_order_cone(rng, dim).cone
+            hsets.append((dim, cone.hrep))
+            vsets.append((dim, [zeros(dim)], cone.generators, cone.lineality))
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        point = lambda: tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim))
+        rows = [(point(), 0, rng.choice((LE, LE, EQ))) for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.3:
+            rows.append((zeros(dim), 0, rng.choice((LE, EQ))))
+        if rows and rng.random() < 0.3:
+            rows.append(rng.choice(rows))
+        hsets.append((dim, rows))
+        rays = [point() for _ in range(rng.randint(0, 4))]
+        lines = [point() for _ in range(rng.randint(0, 2))]
+        vsets.append((dim, [zeros(dim)] * rng.randint(1, 2), rays, lines))
+    return hsets, vsets
+
+
+class TestConeConversions:
+    """A cone's conversions run one double description in the cone's own
+    dimension (`polyhedra._cone_generators`), not on its homogenization."""
+
+    def test_matches_the_lifted_conversions(self, lifted_conversions):
+        hsets, vsets = cone_conversion_inputs()
+        assert len(hsets) > 1000 and len(vsets) > 1000
+        cones = []
+        for dim, rows in hsets:
+            p = Polyhedron.from_hrep(dim, rows)
+            expected = lifted_conversions.hrep_to_vrep(dim, p._raw_hrep)
+            assert repr(p.vrep) == repr(expected), (dim, rows)
+            cones.append(p)
+        for dim, vertices, rays, lines in vsets:
+            p = Polyhedron.from_vrep(dim, vertices, rays, lines)
+            expected = lifted_conversions.vrep_to_hrep(dim, p._raw_vrep)
+            assert repr(p.hrep) == repr(expected), (dim, rays, lines)
+            cones.append(p)
+        # the bounded base from integer forms is the one built with Fractions
+        bases = 0
+        for p in cones:
+            k = PolyhedralCone.from_polyhedron(p)
+            cs = cone_structure(k)
+            if cs.base is None:
+                continue
+            h = cs.functional
+            expected = Polyhedron.from_vrep(
+                k.dim, [tuple(x / dot(h, r) for x in r) for r in k.generators]
+            )
+            assert repr(cs.base.vrep) == repr(expected.vrep), k.hrep
+            assert repr(cs.base.hrep) == repr(expected.hrep), k.hrep
+            bases += 1
+        assert bases > 500
+
+    def test_double_description_runs_in_the_cone_dimension(self, dd_calls):
+        def built(make):
+            """The dims of the DDs that building and reading both forms run."""
+            dd_calls.clear()
+            k = make()
+            k.hrep, k.vrep
+            k.hrep, k.vrep
+            return [args[0] for args in dd_calls]
+
+        seen = 0
+        for k in polar_test_cones():
+            dim = k.dim
+            rows = k.hrep
+            gens = k.generators, k.lineality
+            normals = (
+                [r.normal for r in rows if r.rel == LE],
+                [r.normal for r in rows if r.rel == EQ],
+            )
+            # one conversion on first read of each form, none after
+            assert built(lambda: PolyhedralCone.from_normals(dim, *normals)) == [dim] * 2
+            assert built(lambda: PolyhedralCone.from_generators(dim, *gens)) == [dim] * 2
+            by_rows = lambda: PolyhedralCone.from_polyhedron(Polyhedron.from_hrep(dim, rows))
+            assert built(by_rows) == [dim] * 2
+            # the origin given twice is still the only vertex
+            by_gens = lambda: PolyhedralCone.from_polyhedron(
+                Polyhedron.from_vrep(dim, [zeros(dim)] * 2, *gens)
+            )
+            assert built(by_gens) == [dim] * 2
+            seen += 1
+        assert seen > 400
+        # a set with a vertex off the origin is still converted on its lift
+        assert built(lambda: Polyhedron.from_vrep(2, [(1, 0)], [(0, 1)])) == [3] * 2
 
 
 class TestProject:
