@@ -7,14 +7,14 @@ canonical form scales each inequality row and each ray so that the first
 nonzero coefficient is +-1 (positive leading sign where the sign is free)
 and sorts everything lexicographically, which makes golden tests and report
 output reproducible.  Because the forms are unique, a set built by duality
-may carry both from the start: `polar_cone` runs one double description for
-its generators and reads its rows off the input cone's own generators.
+may carry both from the start: `polar_cone` runs no double description, as
+by Minkowski-Weyl duality its rows are the input cone's generators and its
+generators the input cone's rows.
 
 A set that is not a cone is converted on its homogenization, one coordinate
 more.  A cone (every row offset 0, or the origin its only vertex) is
 converted in its own dimension: its generators, and the rows read off its
-polar's generators, come from `_cone_generators`, the helper `polar_cone`
-uses.
+polar's generators, come from `_cone_generators`.
 
 `BoundaryRestrictedPolyhedron` represents a closed polyhedron minus some of
 its facets, each replaced by a retained closed sub-polyhedron.  Such sets are
@@ -336,19 +336,20 @@ def _coerce_rows(dim, rows) -> tuple[HRow, ...]:
     return tuple(out)
 
 
-def _cone_generators(dim: int, ineq, eq, c: int = 1):
+def _cone_generators(dim: int, ineq, eq):
     """Canonical (rays, lines) of the cone {x : ineq.x <= 0, eq.x = 0}, each
     sorted, from one `cone_dd` run in dimension dim.
 
     `cone_dd` returns its lines in reduced row echelon form and its rays
     reduced modulo them, each a primitive integer tuple, so one Fraction per
     entry makes them canonical: a line is divided by its leading entry, a ray
-    by c times the absolute value of its leading entry (c = -1 negates every
-    ray, as the positive polar needs).
+    by the absolute value of its leading entry.  Canonical cone rows have
+    the same form (`HRow.scaled_canonical`), which is why `polar_cone` can
+    read a polar's generators off them.
     """
     lines, rays = cone_dd(dim, ineq, eq)
     return (
-        tuple(sorted(quotients(r, c * abs(next(x for x in r if x))) for r in rays)),
+        tuple(sorted(quotients(r, abs(next(x for x in r if x))) for r in rays)),
         tuple(sorted(quotients(l, next(x for x in l if x)) for l in lines)),
     )
 
@@ -456,25 +457,36 @@ def dd_convert(p: Polyhedron, direction: str) -> Polyhedron:
 
 def polar_cone(k: PolyhedralCone, sign: str = "negative") -> PolyhedralCone:
     """Negative polar {e : <e,g> <= 0 for all generators}, or its negation,
-    with both canonical representations from one double description.
+    with both canonical representations read off k's own, and no double
+    description.
 
-    The generators are `_cone_generators` of k's generators and lineality,
-    negated for the positive polar.  The rows need no double description, by
-    Minkowski-Weyl duality (Rockafellar, Convex Analysis, sections 14 and 19):
-    the polar's facets are the extreme rays of k, and its equalities span the
-    lineality space of k.  k's canonical rays have leading entry +-1 and its
-    lineality basis is in reduced row echelon form with pivots 1, which is
-    exactly the canonical form of those rows, so sorting them gives the rows
-    `_vrep_to_hrep` would compute.
+    By Minkowski-Weyl duality (Rockafellar, Convex Analysis, sections 14 and
+    19) the polar's facets are the extreme rays of k and its equalities span
+    the lineality space of k; its extreme rays are the facet normals of k and
+    its lineality space is spanned by the equality normals of k.  Canonical
+    rays have leading entry +-1 and are reduced modulo the lineality basis,
+    which is in reduced row echelon form with pivots 1; canonical rows are
+    scaled and reduced the same way.  So each form of the polar is the other
+    form of k, sorted (negated for the positive polar; negation reverses
+    lexicographic order).  A form k lacks is computed on first read.  A set
+    with a row offset other than 0, the empty set included, is not a cone
+    and is refused.
     """
     if sign not in ("negative", "positive"):
         raise ValueError(f"unknown polar sign {sign!r}")
-    c = -1 if sign == "positive" else 1
-    rays, lines = _cone_generators(k.dim, k.generators, k.lineality, c)
-    rows = [HRow(tuple(c * x for x in g), ZERO, LE) for g in k.generators]
-    rows += [HRow(l, ZERO, EQ) for l in k.lineality]
+    rows = k.hrep
+    if any(r.offset for r in rows):
+        raise InternalConsistencyError("not a cone")
+    v = k.vrep
+    rays = tuple(r.normal for r in rows if r.rel == LE)
+    gens = v.rays
+    if sign == "positive":
+        rays = tuple(tuple(-x for x in r) for r in reversed(rays))
+        gens = [tuple(-x for x in g) for g in gens]
+    lines = tuple(r.normal for r in rows if r.rel == EQ)
+    polar_rows = [HRow(g, ZERO, LE) for g in gens] + [HRow(l, ZERO, EQ) for l in v.lines]
     return PolyhedralCone(
-        k.dim, hrep=tuple(sorted(rows)), vrep=VRep((zeros(k.dim),), rays, lines)
+        k.dim, hrep=tuple(sorted(polar_rows)), vrep=VRep((zeros(k.dim),), rays, lines)
     )
 
 

@@ -9,8 +9,9 @@ evaluation, both in Fraction arithmetic; identity cells built through a
 `Polyhedron`; the strict-LP route that certified restricted rows and kept
 restricted slices; a recorder of the strict LPs that building order
 cones and boundary-restricted sets runs; double description without
-its cardinality prefilter; and the H/V conversions that lift every set,
-cones included, to its homogenization."""
+its cardinality prefilter; the H/V conversions that lift every set,
+cones included, to its homogenization; and the polar cone with its
+generators from a double description."""
 
 import random
 from fractions import Fraction as F
@@ -733,3 +734,26 @@ def lifted_conversions():
     """`.hrep_to_vrep(dim, rows)` and `.vrep_to_hrep(dim, vrep)`: the
     canonical forms computed on the homogenization, for any set."""
     return _LiftedConversions()
+
+
+def _dd_polar_cone(k, sign="negative"):
+    """The polar as `polyhedra.polar_cone` built it when it ran its own
+    double description: rows from k's generators, generators from one
+    `cone_dd` of k's generators and lineality (rays negated for the
+    positive polar)."""
+    c = -1 if sign == "positive" else 1
+    lines, rays = cone_dd(k.dim, k.generators, k.lineality)
+    rays = tuple(sorted(quotients(r, c * abs(next(x for x in r if x))) for r in rays))
+    lines = tuple(sorted(quotients(l, next(x for x in l if x)) for l in lines))
+    rows = [HRow(tuple(c * x for x in g), ZERO, LE) for g in k.generators]
+    rows += [HRow(l, ZERO, EQ) for l in k.lineality]
+    return PolyhedralCone(
+        k.dim, hrep=tuple(sorted(rows)), vrep=VRep((zeros(k.dim),), rays, lines)
+    )
+
+
+@pytest.fixture(scope="session")
+def dd_polar_cone():
+    """(k, sign) -> the polar of the cone k with its generators from a
+    double description of k's generators, not read off k's rows."""
+    return _dd_polar_cone

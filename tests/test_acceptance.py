@@ -301,8 +301,15 @@ def test_criterion_5_geometry_kernel_invariants():
         # double-description round-trip is a canonical involution
         assert dd_convert(dd_convert(k, "HtoV"), "VtoH") == k
 
-        # polar involution returns the original closed cone
+        # polar involution returns the original closed cone; each polar is
+        # the one defined by rows, whose forms come from fresh DDs
         assert polar_cone(polar_cone(k, "negative"), "negative") == k
+        for sign, c in (("negative", 1), ("positive", -1)):
+            by_definition = PolyhedralCone.from_normals(
+                dim, [tuple(c * x for x in g) for g in k.generators], k.lineality
+            )
+            polar = polar_cone(k, sign)
+            assert (polar.hrep, polar.vrep) == (by_definition.hrep, by_definition.vrep)
 
         # bounded base iff a strictly positive functional exists (independent
         # route: strict-feasibility LP on the generators)

@@ -41,6 +41,7 @@ from process_duality.polyhedra import (
     Cell,
     Polyhedron,
     PolyhedralCone,
+    VRep,
     _holds_at,
     as_cells,
     cell_of_polyhedron,
@@ -162,10 +163,10 @@ def polar_test_cones():
 
 
 class TestPolarForms:
-    """`polar_cone` takes its generators from one double description and its
-    rows from the input's own canonical generators (Minkowski-Weyl duality).
-    Both must be the canonical forms of the polar that double description
-    computes from scratch."""
+    """`polar_cone` reads both forms of the polar off the input's own
+    canonical forms (Minkowski-Weyl duality): its rows are k's generators,
+    its generators k's rows.  Both must be the canonical forms of the polar
+    that double description computes from scratch."""
 
     def test_forms_are_canonical(self):
         seen = 0
@@ -183,18 +184,66 @@ class TestPolarForms:
                 seen += bool(k.lineality)
         assert seen > 100
 
-    def test_one_double_description(self, dd_calls):
+    def test_no_double_description(self, dd_calls):
         for k in polar_test_cones():
             k.hrep, k.vrep
+            dd_calls.clear()
             for sign in ("negative", "positive"):
+                p = polar_cone(k, sign)
+                p.hrep, p.vrep
+            assert polar_cone(polar_cone(k)) == k
+            assert dd_calls == []
+
+    def test_lazy_forms_cost_no_more_than_reading_them(self, dd_calls, dd_polar_cone):
+        """A cone holding rows only, generators only or both: its polar runs
+        just the double descriptions that reading k's missing forms needs
+        (2, 2 and 0; the polar's own double description made these 3, 3
+        and 1), and equals the polar whose generators come from a double
+        description."""
+
+        def check(make, most):
+            for sign in ("negative", "positive"):
+                k = make()
                 dd_calls.clear()
                 p = polar_cone(k, sign)
-                assert len(dd_calls) == 1
-                p.hrep, p.vrep
-                assert len(dd_calls) == 1
-            dd_calls.clear()
-            assert polar_cone(polar_cone(k)) == k
-            assert len(dd_calls) == 2
+                used = len(dd_calls)
+                fresh = make()
+                dd_calls.clear()
+                fresh.hrep, fresh.vrep
+                assert used == len(dd_calls) <= most, (k.hrep, sign)
+                expected = dd_polar_cone(k, sign)
+                assert repr(p.hrep) == repr(expected.hrep), (k.hrep, sign)
+                assert repr(p.vrep) == repr(expected.vrep), (k.hrep, sign)
+
+        hsets, vsets = cone_conversion_inputs()
+        for dim, rows in hsets:
+            rows = polyhedra._coerce_rows(dim, rows)
+            ineq = [r.normal for r in rows if r.rel == LE]
+            eq = [r.normal for r in rows if r.rel == EQ]
+            check(lambda: PolyhedralCone.from_normals(dim, ineq, eq), 2)
+            check(lambda: PolyhedralCone.from_polyhedron(Polyhedron.from_hrep(dim, rows)), 0)
+        for dim, vertices, rays, lines in vsets:
+            check(lambda: PolyhedralCone.from_generators(dim, rays, lines), 2)
+            by_gens = lambda: Polyhedron.from_vrep(dim, vertices, rays, lines)
+            check(lambda: PolyhedralCone.from_polyhedron(by_gens()), 0)
+        # as `polar_test_cones` builds them, a fresh copy for each read
+        seen = 0
+        for copies in zip(*(polar_test_cones() for _ in range(4))):
+            copies = iter(copies)
+            check(lambda: next(copies), 2)
+            seen += 1
+        assert seen > 400
+
+    def test_refuses_a_non_cone(self):
+        shifted = [
+            Polyhedron.from_vrep(2, [(1, 0)], [(0, 1)]),
+            # typed as a cone, with the vertex (1,) off the origin
+            PolyhedralCone(1, raw_vrep=VRep(((F(1),),), ((F(1),),))),
+        ]
+        for k in shifted + [Polyhedron.empty(2)]:
+            for sign in ("negative", "positive"):
+                with pytest.raises(InternalConsistencyError, match="not a cone"):
+                    polar_cone(k, sign)
 
 
 def cone_conversion_inputs():
@@ -828,6 +877,13 @@ def test_polar_involution(data):
     k = PolyhedralCone.from_polyhedron(base)
     kk = polar_cone(polar_cone(k, "negative"), "negative")
     assert kk == k
+    # the polar by definition, with both forms from fresh DDs
+    for sign, c in (("negative", 1), ("positive", -1)):
+        by_definition = PolyhedralCone.from_normals(
+            dim, [tuple(c * x for x in g) for g in k.generators], k.lineality
+        )
+        polar = polar_cone(k, sign)
+        assert (polar.hrep, polar.vrep) == (by_definition.hrep, by_definition.vrep)
 
 
 @settings(max_examples=60, deadline=None)
