@@ -1,11 +1,14 @@
 """Minimality tests, proper-efficiency classification, dual image, and the
 theorem harness.
 
-All decisions are exact.  Weak minimality and minimality reduce to
-emptiness tests over the cell decomposition of the set under test, so
-boundary-restricted and finite-union sets are handled without approximation:
-a strict-feasibility LP per combination of cells, or an evaluation where a
-cell is a single point, as every cell of a finite program's W(0) is.
+All decisions are exact.  Weak minimality and minimality at y0 ask whether
+the set under test meets a region of y0 - Y_+, decided cell by cell over its
+cell decomposition, so boundary-restricted and finite-union sets are handled
+without approximation.  A point cell, as every cell of a finite program's
+W(0) is, is decided by one integer evaluation at its point of Y_+'s rows at
+y0, with nothing built for y0 - Y_+; the other cells (of affine and
+boundary-restricted programs, and of dual images) by an emptiness test with
+y0 - Y_+ as a cell, a strict-feasibility LP per combination of cells.
 The proper-efficiency notions are decided on closures, which is equivalent
 for these notions because they only involve closed conic hulls and open
 dilations.
@@ -68,6 +71,7 @@ from .rational import (
     box_corners,
     dot,
     inf_norm,
+    integer_holds,
     integer_scaled,
     vadd,
     vec,
@@ -146,6 +150,32 @@ def _require_member(a: SetLike, y0: Vec):
         raise NotMemberError(f"{y0} is not a member of the set under test")
 
 
+def _read_once(a: SetLike) -> SetLike:
+    """A, with an iterable of pieces made a tuple, so that an iterator or a
+    generator is read once and every test after it sees all of A."""
+    if isinstance(a, (Polyhedron, BoundaryRestrictedPolyhedron, Cell)):
+        return a
+    return tuple(a)
+
+
+def _point_split(a: SetLike):
+    """(points, rest): the `integer_point` (x, d) of every point cell among
+    the pieces of A, and A's other pieces.  rest is A itself when A has no
+    point cell, and () when A has nothing else."""
+    if not isinstance(a, tuple):
+        return (), a
+    points = tuple(
+        c.integer_point for c in a if isinstance(c, Cell) and c.point is not None
+    )
+    if not points:
+        return (), a
+    if len(points) == len(a):
+        return points, ()
+    return points, tuple(
+        c for c in a if not isinstance(c, Cell) or c.point is None
+    )
+
+
 def _facet_rows_at(yplus: OrderCone, y0: Vec):
     """Y_+'s facet rows shifted to y0, as (-n, -n.y0) per facet normal n,
     and the same rows as `integer_rows`: y - y0 lies in -Y_+ iff every row
@@ -161,55 +191,82 @@ def _facet_rows_at(yplus: OrderCone, y0: Vec):
 
 
 def is_weak_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
-    """A meets (y0 - Int Y_+) nowhere; y0 must be a member of A."""
-    y0 = vec(y0)
+    """A meets (y0 - Int Y_+) nowhere; y0 must be a member of A.  A point
+    cell of A is decided by one integer evaluation, any other cell by one
+    strict LP."""
+    a, y0 = _read_once(a), vec(y0)
     _require_member(a, y0)
     return _is_weak_minimal(a, y0, yplus)
 
 
 def _is_weak_minimal(a: SetLike, y0: Vec, yplus: OrderCone) -> bool:
     """is_weak_minimal for a y0 already known to be a member of A.
-    y0 - Int Y_+ is the identity cell on the rows of `_facet_rows_at`, all
-    strict, whose integer form is the one those rows came with."""
+
+    A point v = x / d of a point cell lies in y0 - Int Y_+ iff every row of
+    `OrderCone.below_rows` holds strictly at (x, d), its `integer_point`;
+    nothing is built for y0 - Int Y_+.  Only when A has another cell is
+    y0 - Int Y_+ made, as the identity cell on the rows of `_facet_rows_at`,
+    all strict, whose integer form is the one those rows came with, and
+    those cells are tested by `intersect_empty`."""
+    points, rest = _point_split(a)
+    if points:
+        rows = yplus.below_rows(y0)
+        if any(integer_holds(x, d, strict=rows) for x, d in points):
+            return False
+        if not rest:
+            return True
     rows, ints = _facet_rows_at(yplus, y0)
     below = identity_cell(LinearSystem.with_integer_form(
         ((), (), ints), yplus.ambient_dim, strict=rows
     ))
-    return intersect_empty([a, below]).empty
+    return intersect_empty([rest, below]).empty
 
 
 def is_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
     """A cap (y0 - Y_+) lies inside y0 + Y_+; y0 must be a member of A.
 
-    One emptiness test per cell of A: on y0 - Y_+ every facet term
-    n.(y - y0) is >= 0, so some term is > 0 iff their sum N.(y - y0) is,
-    and the region with N.(y - y0) > 0 must be empty (Ecker & Kouada 1975).
-    With no facets N = 0, the strict row 0 > 0 is infeasible and y0 is
-    minimal.  y0 - Y_+ enters as an identity cell on Y_+'s own facet rows,
-    so a point cell of A is decided by evaluation and any other cell by one
-    strict LP.
+    On y0 - Y_+ every facet term n.(y - y0) is >= 0, so some term is > 0
+    iff their sum N.(y - y0) is, and the region of y0 - Y_+ with
+    N.(y - y0) > 0 must miss A (Ecker & Kouada 1975).  With no facets
+    N = 0, the strict row 0 > 0 is infeasible and y0 is minimal.  A point
+    cell of A, as every cell of a finite program's W(0) is, is decided by
+    one integer evaluation of Y_+'s rows at its point; any other cell by
+    one strict LP.
     """
-    y0 = vec(y0)
+    a, y0 = _read_once(a), vec(y0)
     _require_member(a, y0)
     return _is_minimal(a, y0, yplus)
 
 
 def _is_minimal(a: SetLike, y0: Vec, yplus: OrderCone) -> bool:
-    """is_minimal for a y0 already known to be a member of A.  y0 - Y_+ is
-    the identity cell made by `identity_cell` from the rows of
-    `_facet_rows_at`, in their order, which keep the integer form they came
-    with; no `Polyhedron` is built for it.  The strict row's normal, the
-    sum of the rows' normals, does not depend on y0 and is Y_+'s own
-    `negated_normal_sum`; its offset, the sum of the rows' offsets r / s
-    over their integer forms (a, r, s), is taken over the lcm of the
-    scales s, in integers."""
+    """is_minimal for a y0 already known to be a member of A.
+
+    A point v = x / d of a point cell breaks minimality iff, at (x, d), its
+    `integer_point`, every row of `OrderCone.minimality_rows` holds: the
+    rows of y0 - Y_+ and, strictly, the summed row, whose normal Y_+ keeps
+    in integers and whose right-hand side is one integer dot with y0.
+    Nothing is built for y0 - Y_+.  Only when A has another cell is y0 -
+    Y_+ made, as the identity cell from the rows of `_facet_rows_at` in
+    their order, which keep the integer form they came with, and those
+    cells are tested by `intersect_empty` with the strict row N.(y - y0) >
+    0: its normal is Y_+'s own `negated_normal_sum`, and its offset, the
+    sum of the rows' offsets r / s over their integer forms (a, r, s), is
+    taken over the lcm of the scales s, in integers."""
+    points, rest = _point_split(a)
+    if points:
+        rows, summed = yplus.minimality_rows(y0)
+        strict = (summed,)
+        if any(integer_holds(x, d, le=rows, strict=strict) for x, d in points):
+            return False
+        if not rest:
+            return True
     rows, ints = _facet_rows_at(yplus, y0)
     below = identity_cell(LinearSystem.with_integer_form(
         (ints, (), ()), yplus.ambient_dim, le=rows
     ))
     scale = lcm(*(s for _, _, s in ints))
     offset = Fraction(sum(r * (scale // s) for _, r, s in ints), scale)
-    return intersect_empty([a, below], [(yplus.negated_normal_sum, offset)]).empty
+    return intersect_empty([rest, below], [(yplus.negated_normal_sum, offset)]).empty
 
 
 # -- proper efficiency --------------------------------------------------------
@@ -345,7 +402,7 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone,
 
     `closure` is `closure_generators(a)` when the caller already has it.
     """
-    y0 = vec(y0)
+    a, y0 = _read_once(a), vec(y0)
     _require_member(a, y0)
     return _classify(a, y0, yplus, closure=closure)
 

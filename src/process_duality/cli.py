@@ -399,8 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command.  The parser is built on the first call and read by
+    every later one in the process: parsing keeps no state in it."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ProblemFormatError as e:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 from typing import Sequence, Union
 
@@ -67,13 +68,14 @@ class OrderCone:
     normal n is orthogonal to every ray, while n.r <= 0 on each, hence n.r
     < 0 on some ray and n.(sum of rays) < 0.  Its `structure` (the bounded
     base of a pointed cone), `ball_minus`, and its facets as
-    `integer_facets`, `negated_normals` and their sum `negated_normal_sum`
-    are built on first read and kept.
+    `integer_facets`, `negated_normals` and their sum `negated_normal_sum`,
+    that sum also in integers as `integer_normal_sum`, are built on first
+    read and kept.
     """
 
     __slots__ = ("cone", "ambient_dim", "interior_witness", "_structure",
                  "_ball_minus", "_integer_facets", "_negated_normals",
-                 "_negated_normal_sum")
+                 "_negated_normal_sum", "_integer_normal_sum")
 
     def __init__(self, cone: PolyhedralCone):
         if not cone.hrep:
@@ -169,14 +171,52 @@ class OrderCone:
             self._negated_normal_sum = total
             return total
 
+    @property
+    def integer_normal_sum(self):
+        """`negated_normal_sum` in integers, (m, t) with m = t.(-N) and t > 0
+        the lcm of the scales s of `integer_facets`: the sum of their
+        normals s.n, each times t / s, negated, with no Fraction built."""
+        try:
+            return self._integer_normal_sum
+        except AttributeError:
+            facets = self.integer_facets
+            t = lcm(*(s for _, _, s in facets))
+            m = tuple(
+                -sum(a[j] * (t // s) for a, _, s in facets)
+                for j in range(self.ambient_dim)
+            )
+            self._integer_normal_sum = (m, t)
+            return self._integer_normal_sum
+
     def below_rows(self, y0: Vec):
         """The rows of y0 - K as `integer_rows`, read off `integer_facets`
         in their order with no Fraction built: y is in y0 - K iff n.(y0 - y)
         <= 0 for every facet normal n, that is (-n).y <= -n.y0.  With y0 =
         x / d over one denominator and the facet row (s.n, 0, s), the row
         (-n, -n.y0) times s.d is (-d.s.n, -(s.n).x, s.d).  y is in y0 - Int K
-        iff every row holds strictly."""
-        x, d = integer_scaled(y0)
+        iff every row holds strictly.  A y0 of another dimension than K's
+        raises DimensionMismatch."""
+        return self._rows_below(*self._scaled(y0))
+
+    def minimality_rows(self, y0: Vec):
+        """(`below_rows(y0)`, s) for s the strict row N.(y - y0) > 0 in
+        integers, N the sum of the facet normals.  On y0 - K every term
+        n.(y - y0) is >= 0, so y in y0 - K is outside y0 + K iff s holds at
+        y (Ecker & Kouada 1975).  s is (-N).y < (-N).y0 times t.d for y0 =
+        x / d and `integer_normal_sum` (m, t): (d.m, m.x, t.d)."""
+        x, d = self._scaled(y0)
+        m, t = self.integer_normal_sum
+        return self._rows_below(x, d), (tuple(d * c for c in m), sum(map(mul, m, x)), t * d)
+
+    def _scaled(self, y0: Vec):
+        if len(y0) != self.ambient_dim:
+            raise DimensionMismatch(
+                f"point of length {len(y0)} against an order cone in dimension "
+                f"{self.ambient_dim}"
+            )
+        return integer_scaled(y0)
+
+    def _rows_below(self, x, d):
         return tuple(
             (tuple(-d * c for c in a), -sum(map(mul, a, x)), s * d)
             for a, _, s in self.integer_facets

@@ -76,11 +76,16 @@ def integer_holds(x, d, le=(), eq=(), strict=()) -> bool:
     n.y <= r iff (s.n).(d.y) <= (s.r).d, as s, d > 0, and the same for = and
     <.  With d = 0 the rows are tested on the direction x of the recession
     cone: (s.n).x <= 0, and = 0 on the eq rows."""
-    return (
-        all(sum(map(mul, a, x)) <= b * d for a, b, _ in le)
-        and all(sum(map(mul, a, x)) == b * d for a, b, _ in eq)
-        and all(sum(map(mul, a, x)) < b * d for a, b, _ in strict)
-    )
+    for a, b, _ in le:
+        if sum(map(mul, a, x)) > b * d:
+            return False
+    for a, b, _ in eq:
+        if sum(map(mul, a, x)) != b * d:
+            return False
+    for a, b, _ in strict:
+        if sum(map(mul, a, x)) >= b * d:
+            return False
+    return True
 
 
 def quotients(ints: Iterable[int], c: int) -> Vec:

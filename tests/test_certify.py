@@ -27,6 +27,7 @@ from process_duality.certify import (
 )
 from process_duality.cli import _emit_certificate, main
 from process_duality.errors import (
+    DimensionMismatch,
     EmptyFeasibleError,
     InternalConsistencyError,
     NotInW0Error,
@@ -118,6 +119,40 @@ class TestMinimal:
     def test_requires_membership(self, orthant2):
         with pytest.raises(NotMemberError):
             is_minimal(halfplane(), (0, -1), orthant2)
+
+
+class TestPublicEntries:
+    """`is_minimal`, `is_weak_minimal` and `classify_proper` read A once,
+    whatever iterable it comes in, and refuse an order cone of another
+    dimension than A's."""
+
+    @pytest.mark.parametrize("once", [iter, lambda cells: (c for c in cells)],
+                             ids=["iterator", "generator"])
+    def test_one_shot_iterables(self, orthant2, r_plus, once):
+        p = DiscreteVectorProgram(
+            [DiscretePoint("a", (F(-1), F(-1)), (F(0),)),
+             DiscretePoint("b", (F(0), F(0)), (F(0),))],
+            orthant2, r_plus,
+        )
+        cells, y0 = w0_cells(p), (F(0), F(0))
+        bf = brute_force_status(p, y0)
+        assert (bf.minimal, bf.weak_minimal) == (False, False)
+        assert is_minimal(once(cells), y0, p.y_plus) is False
+        assert is_weak_minimal(once(cells), y0, p.y_plus) is False
+        status = classify_proper(once(cells), y0, p.y_plus)
+        assert (status.minimal, status.weak_minimal) == (False, False)
+        whole = classify_proper(cells, y0, p.y_plus)
+        assert (status, status.witnesses) == (whole, whole.witnesses)
+
+    @pytest.mark.parametrize("fn", [is_minimal, is_weak_minimal, classify_proper])
+    def test_order_cone_of_another_dimension(self, fn):
+        cells = tuple(polyhedra_module.point_cell(v) for v in ((0, 0), (1, -1)))
+        yplus = OrderCone.from_generators(3, identity(3))
+        with pytest.raises(DimensionMismatch):
+            fn(cells, (0, 0), yplus)
+        for rows in (yplus.below_rows, yplus.minimality_rows):
+            with pytest.raises(DimensionMismatch):
+                rows((F(0), F(0)))
 
 
 def per_facet_is_minimal(a, y0, yplus):
@@ -647,8 +682,9 @@ class TestWorkDoneOnce:
     ):
         """Point cells are built with their point over one denominator and
         without the matrix I, so the verdicts at each y0 write no W(0)
-        point over one denominator again and build no I; the strict row of
-        `is_minimal` takes its normal from Y_+ itself."""
+        point over one denominator again, build no I and no cell for
+        y0 - Y_+; the strict row of `is_minimal` takes its normal from Y_+
+        itself, kept in integers once per cone."""
         calls = dict.fromkeys(("integer_scaled", "_identity"), 0)
         for name in calls:
             fn = getattr(polyhedra_module, name)
@@ -658,14 +694,16 @@ class TestWorkDoneOnce:
                 return fn(*args)
 
             monkeypatch.setattr(polyhedra_module, name, run)
-        normals = []
-        decide = certify_module.intersect_empty
+        emptiness = spy(monkeypatch, certify_module, "intersect_empty")
+        summed = []
+        rows_of = OrderCone.minimality_rows
 
-        def recorded(parts, strict_halfspaces=()):
-            normals.extend(n for n, _ in strict_halfspaces)
-            return decide(parts, strict_halfspaces)
+        def recorded(yplus, y0):
+            out = rows_of(yplus, y0)
+            summed.append((yplus, vec(y0), out[1]))
+            return out
 
-        monkeypatch.setattr(certify_module, "intersect_empty", recorded)
+        monkeypatch.setattr(OrderCone, "minimality_rows", recorded)
         asked = 0
         for i in range(40):
             p = criterion_4_program(i)
@@ -677,16 +715,37 @@ class TestWorkDoneOnce:
             calls.update(dict.fromkeys(calls, 0))
             verdicts = []
             for y0 in w0_image_points(p):
-                normals.clear()
+                summed.clear()
                 verdicts.append((is_minimal(cells, y0, p.y_plus),
                                  is_weak_minimal(cells, y0, p.y_plus)))
-                assert len(normals) == 1 and normals[0] is p.y_plus.negated_normal_sum
+                assert emptiness == []
+                assert len(summed) == 1 and summed[0][0] is p.y_plus
+                m, t = p.y_plus.integer_normal_sum
+                assert p.y_plus.integer_normal_sum[0] is m
+                assert t > 0 and m == tuple(t * c for c in p.y_plus.negated_normal_sum)
+                x, d = rational_module.integer_scaled(y0)
+                assert summed[0][2] == (tuple(d * c for c in m), sum(
+                    a * b for a, b in zip(m, x)), t * d)
             assert calls == {"integer_scaled": 0, "_identity": 0}, i
             for y0, verdict in zip(w0_image_points(p), verdicts):
                 bf = brute_force_status(p, y0)
                 assert verdict == (bf.minimal, bf.weak_minimal), (i, y0)
                 asked += 1
         assert asked > 60
+
+
+def spy(monkeypatch, module, name):
+    """The list of the argument tuples of every call of `module.name`,
+    which still runs."""
+    seen = []
+    fn = getattr(module, name)
+
+    def recorded(*args):
+        seen.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return seen
 
 
 @pytest.fixture
@@ -796,10 +855,14 @@ class TestStrictLpCounts:
 
 
 class TestDirectIdentityCells:
-    """The point cells of `w0_cells` and the cell y0 - Y_+ of `is_minimal`,
-    built straight from their rows, equal the cells built through a
-    `Polyhedron` (`polyhedron_cells`): the same rows in the same order, the
-    same map, point and identity flag."""
+    """The point cells of `w0_cells`, built straight from their rows, equal
+    the cells built through a `Polyhedron` (`polyhedron_cells`): the same
+    rows in the same order, the same map, point and identity flag.  The
+    rows that `is_minimal` and `is_weak_minimal` test them against, Y_+'s
+    integer rows at y0, are the rows of the cell y0 - Y_+ built through a
+    Polyhedron, each times a positive integer, in the same order; the
+    verdicts are those of `per_combo_lp` on that cell, and no cell is built
+    for y0 - Y_+ nor tested by `intersect_empty`."""
 
     @staticmethod
     def same(new, old):
@@ -810,22 +873,40 @@ class TestDirectIdentityCells:
         assert (new.point, new.is_identity) == (old.point, old.is_identity)
 
     @staticmethod
-    def below_cells(monkeypatch):
-        """A list that collects the cell y0 - Y_+ of every `is_minimal`."""
+    def scaled(ints, below):
+        """Each integer row (a, b, s) is the row (n, r) of the cell `below`
+        times s > 0, in order, and `below` is those rows and nothing else."""
+        rows = below.system.le
+        assert below.system.eq == () and below.system.strict == ()
+        assert below.is_identity and below.point is None
+        assert len(ints) == len(rows) > 0
+        for (a, b, s), (n, r) in zip(ints, rows):
+            assert s > 0 and a == tuple(s * x for x in n) and b == s * r
+
+    @staticmethod
+    def rows_read(monkeypatch):
+        """A list that collects the integer rows of y0 - Y_+ that every
+        `is_minimal` and `is_weak_minimal` reads."""
         seen = []
-        decide = certify_module.intersect_empty
+        below_rows, minimality_rows = OrderCone.below_rows, OrderCone.minimality_rows
 
-        def recorded(parts, strict_halfspaces=()):
-            if len(parts) == 2:
-                seen.append(parts[1])
-            return decide(parts, strict_halfspaces)
+        def below(yplus, y0):
+            seen.append(below_rows(yplus, y0))
+            return seen[-1]
 
-        monkeypatch.setattr(certify_module, "intersect_empty", recorded)
+        def minimality(yplus, y0):
+            out = minimality_rows(yplus, y0)
+            seen.append(out[0])
+            return out
+
+        monkeypatch.setattr(OrderCone, "below_rows", below)
+        monkeypatch.setattr(OrderCone, "minimality_rows", minimality)
         return seen
 
     def test_criterion_4_programs(self, monkeypatch, criterion_4_program,
                                   polyhedron_cells):
-        seen = self.below_cells(monkeypatch)
+        seen = self.rows_read(monkeypatch)
+        emptiness = spy(monkeypatch, certify_module, "intersect_empty")
         points = belows = 0
         for i in range(60):
             p = criterion_4_program(i)
@@ -836,9 +917,13 @@ class TestDirectIdentityCells:
                 points += 1
             for y0 in w0_image_points(p):
                 seen.clear()
-                is_minimal(cells, y0, p.y_plus)
-                assert len(seen) == 1
-                self.same(seen[0], polyhedron_cells.below(p.y_plus, y0))
+                verdicts = (is_minimal(cells, y0, p.y_plus),
+                            is_weak_minimal(cells, y0, p.y_plus))
+                assert len(seen) == 2 and emptiness == []
+                below = polyhedron_cells.below(p.y_plus, y0)
+                for ints in seen:
+                    self.scaled(ints, below)
+                assert verdicts == lp_verdicts(cells, y0, p.y_plus, below), (i, y0)
                 belows += 1
         assert points > 90 and belows > 90
 
@@ -855,15 +940,30 @@ class TestDirectIdentityCells:
             "four-rays-3d", "halfplane-line", "wedge-line-3d"])
     def test_order_cones(self, monkeypatch, yplus, polyhedron_cells):
         dim = yplus.ambient_dim
-        seen = self.below_cells(monkeypatch)
+        seen = self.rows_read(monkeypatch)
+        emptiness = spy(monkeypatch, certify_module, "intersect_empty")
         corners = [tuple(F(c) for c in corner) for corner in product((-1, 1), repeat=dim)]
         for y0 in corners + [zeros(dim), tuple(F(k + 1, 3) for k in range(dim))]:
             a = (polyhedron_cells.point(y0),)
             seen.clear()
-            assert is_minimal(a, y0, yplus)
-            assert len(seen) == 1
-            self.same(seen[0], polyhedron_cells.below(yplus, y0))
-            assert seen[0].point is None and seen[0].is_identity
+            assert is_minimal(a, y0, yplus) and is_weak_minimal(a, y0, yplus)
+            assert len(seen) == 2 and emptiness == []
+            below = polyhedron_cells.below(yplus, y0)
+            for ints in seen:
+                self.scaled(ints, below)
+            assert lp_verdicts(a, y0, yplus, below) == (True, True)
+
+
+def lp_verdicts(a, y0, yplus, below):
+    """(Min, WMin) of y0 in A by `per_combo_lp`, for `below` the cell
+    y0 - Y_+ on Y_+'s facet rows shifted to y0: A misses the part of it with
+    N.(y - y0) > 0, N the sum of the facet normals, and the cell on the same
+    rows taken strictly, y0 - Int Y_+."""
+    rows = below.system.le
+    inside = Cell(LinearSystem(yplus.ambient_dim, strict=rows), below.matrix,
+                  below.offset)
+    total = [(yplus.negated_normal_sum, sum(r for _, r in rows))]
+    return per_combo_lp([a, below], total).empty, per_combo_lp([a, inside]).empty
 
 
 def per_combo_lp(parts, strict_halfspaces=()):
@@ -933,30 +1033,52 @@ class TestPointCells:
         return got, count(intersect_empty, parts, strict)
 
     def test_minimality_combos_match_the_lp_oracle(
-        self, monkeypatch, criterion_4_program
+        self, monkeypatch, criterion_4_program, polyhedron_cells
     ):
-        asked = []
-        decide = certify_module.intersect_empty
-
-        def recorded(parts, strict_halfspaces=()):
-            asked.append((parts, strict_halfspaces))
-            return decide(parts, strict_halfspaces)
-
-        monkeypatch.setattr(certify_module, "intersect_empty", recorded)
+        emptiness = spy(monkeypatch, certify_module, "intersect_empty")
         answers = {True: 0, False: 0}
         for i in range(60):
             p = criterion_4_program(i)
             cells = w0_cells(p)
             for y0 in w0_image_points(p):
-                asked.clear()
-                is_minimal(cells, y0, p.y_plus)
-                is_weak_minimal(cells, y0, p.y_plus)
-                assert len(asked) == 2
-                for parts, strict in asked:
-                    got = decide(parts, strict)
-                    assert got == per_combo_lp(parts, strict), (i, y0)
-                    answers[got.empty] += 1
+                got = (is_minimal(cells, y0, p.y_plus),
+                       is_weak_minimal(cells, y0, p.y_plus))
+                assert emptiness == []
+                below = polyhedron_cells.below(p.y_plus, y0)
+                assert got == lp_verdicts(cells, y0, p.y_plus, below), (i, y0)
+                for empty in got:
+                    answers[empty] += 1
         assert answers[True] > 100 and answers[False] > 60
+
+    def test_points_mixed_with_a_composed_cell(
+        self, monkeypatch, count, polyhedron_cells
+    ):
+        """A union of point cells and the segment of
+        `test_point_with_a_composed_cell` is decided on its points by
+        evaluation and on the segment by `intersect_empty`, with the
+        verdicts of `per_combo_lp`."""
+        segment = cell_of_polyhedron(
+            Polyhedron.from_hrep(1, [((1,), 1, LE), ((-1,), 0, LE)])
+        ).compose(((1,), (2,)), (0, 0))
+        points = [(F(1, 2), 1), (F(1, 2), F(1, 2)), (1, 0), (0, 3), (F(3, 4), F(1, 2))]
+        a = tuple(point_cell(v) for v in points) + (segment,)
+        emptiness = spy(monkeypatch, certify_module, "intersect_empty")
+        answers = set()
+        for yplus in (OrderCone.from_generators(2, identity(2)),
+                      OrderCone.from_generators(2, [(2, -1), (-1, 2)]),
+                      OrderCone.from_generators(2, [(1, 0), (-1, 0), (0, 1)])):
+            for y0 in points + [(0, 0), (F(1, 4), F(1, 2)), (1, 2)]:
+                y0 = vec(y0)
+                emptiness.clear()
+                got = (is_minimal(a, y0, yplus), is_weak_minimal(a, y0, yplus))
+                below = polyhedron_cells.below(yplus, y0)
+                assert got == lp_verdicts(a, y0, yplus, below), (yplus, y0)
+                # the segment alone reaches intersect_empty, at most once a test
+                assert all(parts[0][0] == (segment,) for parts in emptiness)
+                assert len(emptiness) <= 2
+                assert count(is_minimal, a, y0, yplus) <= 2
+                answers.add(got)
+        assert answers == {(True, True), (False, True), (False, False)}
 
     def test_point_on_a_strict_rows_boundary(self, count):
         v = point_cell((1, 2))
@@ -1027,9 +1149,14 @@ class TestPointCells:
     def test_ignoring_strict_rows_breaks_criterion_4(
         self, monkeypatch, criterion_4_program
     ):
-        holds = polyhedra_module._holds_at
-        monkeypatch.setattr(polyhedra_module, "_holds_at",
-                            lambda v, cells, strict_rows: holds(v, cells, ()))
+        """Minimality read off the rows of y0 - Y_+ alone, without the
+        summed strict row, gives wrong verdicts."""
+        holds = rational_module.integer_holds
+        monkeypatch.setattr(
+            certify_module, "integer_holds",
+            lambda x, d, le=(), eq=(), strict=(): holds(x, d, le, eq,
+                                                        () if le else strict),
+        )
         wrong = 0
         for i in range(60):
             p = criterion_4_program(i)

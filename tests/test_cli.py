@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from process_duality import cli as cli_module
 from process_duality.cli import main
 
 
@@ -173,6 +174,33 @@ class TestClassify:
         assert st["minimal"] and st["weak_minimal"] and st["pos"]
         assert st["he"] and st["se"]  # cone(A - y0) = {0} for a single point
         assert all(rep["transfer"].values())
+
+
+class TestParser:
+    def test_one_parser_prints_what_fresh_parsers_print(
+        self, capsys, monkeypatch, instance_path
+    ):
+        """Calls that alternate between options through the one parser of
+        the process print, and exit with, what a fresh parser gives each."""
+        we, i3 = instance_path("worked_example"), instance_path("i3")
+        calls = [
+            ["certify", we, "--y0", "0/1,0/1", "--json"],
+            ["certify", we, "--y0", "0/1,0/1", "--text"],
+            ["classify", i3, "--y0", "1/2,1/2", "--side", "P"],
+            ["classify", i3, "--y0", "1/2,1/2"],
+        ] * 2
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli_module, "_parser", None)
+            fresh.append(run(capsys, argv))
+        assert len({out for _, out, _ in fresh}) == 4
+        built = []
+        build = cli_module.build_parser
+        monkeypatch.setattr(cli_module, "build_parser",
+                            lambda: built.append(1) or build())
+        monkeypatch.setattr(cli_module, "_parser", None)
+        assert [run(capsys, argv) for argv in calls] == fresh
+        assert built == [1]
 
 
 class TestFrontier:
