@@ -4,9 +4,10 @@ theorem harness.
 All decisions are exact.  Weak minimality and minimality at y0 ask whether
 the set under test meets a region of y0 - Y_+, decided cell by cell over its
 cell decomposition, so boundary-restricted and finite-union sets are handled
-without approximation.  A point cell, as every cell of a finite program's
-W(0) is, is decided by one integer evaluation at its point of Y_+'s rows at
-y0, with nothing built for y0 - Y_+; the other cells (of affine and
+without approximation.  This module is the one place where a point is
+evaluated: a `PointCell`, as every cell of a finite program's W(0) is, is
+decided by one integer evaluation of Y_+'s rows at y0 at its point, with
+nothing built for y0 - Y_+; the other cells (of affine and
 boundary-restricted programs, and of dual images) by an emptiness test with
 y0 - Y_+ as a cell, a strict-feasibility LP per combination of cells.
 The proper-efficiency notions are decided on closures, which is equivalent
@@ -45,6 +46,7 @@ from .polyhedra import (
     LE,
     BoundaryRestrictedPolyhedron,
     Cell,
+    PointCell,
     Polyhedron,
     PolyhedralCone,
     closure_generators,
@@ -159,21 +161,19 @@ def _read_once(a: SetLike) -> SetLike:
 
 
 def _point_split(a: SetLike):
-    """(points, rest): the `integer_point` (x, d) of every point cell among
-    the pieces of A, and A's other pieces.  rest is A itself when A has no
-    point cell, and () when A has nothing else."""
-    if not isinstance(a, tuple):
+    """(points, rest): the `integer_point` (x, d) of every `PointCell` among
+    the pieces of A, a bare cell being A's one piece, and A's other pieces.
+    rest is A itself when A has no point cell, and () when A has nothing
+    else."""
+    pieces = (a,) if isinstance(a, Cell) else a
+    if not isinstance(pieces, tuple):
         return (), a
-    points = tuple(
-        c.integer_point for c in a if isinstance(c, Cell) and c.point is not None
-    )
+    points = tuple(c.integer_point for c in pieces if isinstance(c, PointCell))
     if not points:
         return (), a
-    if len(points) == len(a):
+    if len(points) == len(pieces):
         return points, ()
-    return points, tuple(
-        c for c in a if not isinstance(c, Cell) or c.point is None
-    )
+    return points, tuple(c for c in pieces if not isinstance(c, PointCell))
 
 
 def _facet_rows_at(yplus: OrderCone, y0: Vec):
@@ -191,9 +191,9 @@ def _facet_rows_at(yplus: OrderCone, y0: Vec):
 
 
 def is_weak_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
-    """A meets (y0 - Int Y_+) nowhere; y0 must be a member of A.  A point
-    cell of A is decided by one integer evaluation, any other cell by one
-    strict LP."""
+    """A meets (y0 - Int Y_+) nowhere; y0 must be a member of A.  A
+    `PointCell` of A is decided by one integer evaluation, any other cell by
+    one strict LP."""
     a, y0 = _read_once(a), vec(y0)
     _require_member(a, y0)
     return _is_weak_minimal(a, y0, yplus)
@@ -202,12 +202,13 @@ def is_weak_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
 def _is_weak_minimal(a: SetLike, y0: Vec, yplus: OrderCone) -> bool:
     """is_weak_minimal for a y0 already known to be a member of A.
 
-    A point v = x / d of a point cell lies in y0 - Int Y_+ iff every row of
-    `OrderCone.below_rows` holds strictly at (x, d), its `integer_point`;
-    nothing is built for y0 - Int Y_+.  Only when A has another cell is
-    y0 - Int Y_+ made, as the identity cell on the rows of `_facet_rows_at`,
-    all strict, whose integer form is the one those rows came with, and
-    those cells are tested by `intersect_empty`."""
+    The point v = x / d of a `PointCell` lies in y0 - Int Y_+ iff every row
+    of `OrderCone.below_rows` holds strictly at (x, d), its `integer_point`;
+    nothing is built for y0 - Int Y_+.  Only when A has a piece other than
+    its point cells (`_point_split`) is y0 - Int Y_+ made, as the identity
+    cell on the rows of `_facet_rows_at`, all strict, whose integer form is
+    the one those rows came with, and those pieces are tested by
+    `intersect_empty`."""
     points, rest = _point_split(a)
     if points:
         rows = yplus.below_rows(y0)
@@ -228,10 +229,10 @@ def is_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
     On y0 - Y_+ every facet term n.(y - y0) is >= 0, so some term is > 0
     iff their sum N.(y - y0) is, and the region of y0 - Y_+ with
     N.(y - y0) > 0 must miss A (Ecker & Kouada 1975).  With no facets
-    N = 0, the strict row 0 > 0 is infeasible and y0 is minimal.  A point
-    cell of A, as every cell of a finite program's W(0) is, is decided by
-    one integer evaluation of Y_+'s rows at its point; any other cell by
-    one strict LP.
+    N = 0, the strict row 0 > 0 is infeasible and y0 is minimal.  A
+    `PointCell` of A, as every cell of a finite program's W(0) is, is
+    decided by one integer evaluation of Y_+'s rows at its point; any other
+    cell by one strict LP.
     """
     a, y0 = _read_once(a), vec(y0)
     _require_member(a, y0)
@@ -241,17 +242,18 @@ def is_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
 def _is_minimal(a: SetLike, y0: Vec, yplus: OrderCone) -> bool:
     """is_minimal for a y0 already known to be a member of A.
 
-    A point v = x / d of a point cell breaks minimality iff, at (x, d), its
-    `integer_point`, every row of `OrderCone.minimality_rows` holds: the
+    The point v = x / d of a `PointCell` breaks minimality iff, at (x, d),
+    its `integer_point`, every row of `OrderCone.minimality_rows` holds: the
     rows of y0 - Y_+ and, strictly, the summed row, whose normal Y_+ keeps
     in integers and whose right-hand side is one integer dot with y0.
-    Nothing is built for y0 - Y_+.  Only when A has another cell is y0 -
-    Y_+ made, as the identity cell from the rows of `_facet_rows_at` in
-    their order, which keep the integer form they came with, and those
-    cells are tested by `intersect_empty` with the strict row N.(y - y0) >
-    0: its normal is Y_+'s own `negated_normal_sum`, and its offset, the
-    sum of the rows' offsets r / s over their integer forms (a, r, s), is
-    taken over the lcm of the scales s, in integers."""
+    Nothing is built for y0 - Y_+.  Only when A has a piece other than its
+    point cells (`_point_split`) is y0 - Y_+ made, as the identity cell
+    from the rows of `_facet_rows_at` in their order, which keep the integer
+    form they came with, and those pieces are tested by `intersect_empty`
+    with the strict row N.(y - y0) > 0: its normal is Y_+'s own
+    `negated_normal_sum`, and its offset, the sum of the rows' offsets r / s
+    over their integer forms (a, r, s), is taken over the lcm of the scales
+    s, in integers."""
     points, rest = _point_split(a)
     if points:
         rows, summed = yplus.minimality_rows(y0)

@@ -259,7 +259,8 @@ def cmd_classify(args) -> int:
     problem = _load(args.problem)
     if args.y0 is None:
         raise ProblemFormatError("--y0", "required for the classify command")
-    y0 = _y0(args, problem)
+    ctx = ProgramContext(problem)
+    y0 = _w0_point(args, ctx)
     payload = {
         "report": "classification",
         "tool": TOOL,
@@ -267,7 +268,6 @@ def cmd_classify(args) -> int:
         "y0": _emit_vec(y0),
         "side": args.side,
     }
-    ctx = ProgramContext(problem)
     if args.side in ("P", "both"):
         payload["status_P"] = _emit_status(
             classify_proper(ctx.cells, y0, problem.y_plus, closure=ctx.closure)

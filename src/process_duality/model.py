@@ -73,10 +73,6 @@ class OrderCone:
     read and kept.
     """
 
-    __slots__ = ("cone", "ambient_dim", "interior_witness", "_structure",
-                 "_ball_minus", "_integer_facets", "_negated_normals",
-                 "_negated_normal_sum", "_integer_normal_sum")
-
     def __init__(self, cone: PolyhedralCone):
         if not cone.hrep:
             raise InternalConsistencyError(
@@ -109,84 +105,56 @@ class OrderCone:
     def is_pointed(self) -> bool:
         return not self.cone.lineality
 
-    @property
+    @cached_property
     def structure(self) -> ConeStructure:
-        try:
-            return self._structure
-        except AttributeError:
-            self._structure = cone_structure(self.cone)
-            return self._structure
+        return cone_structure(self.cone)
 
-    @property
+    @cached_property
     def ball_minus(self) -> Polyhedron:
         """B - Y_+ for the unit infinity-norm ball B, from its generators;
         its facets are computed on their first read and kept with it."""
-        try:
-            return self._ball_minus
-        except AttributeError:
-            self._ball_minus = Polyhedron.from_vrep(
-                self.ambient_dim,
-                vertices=box_corners(self.ambient_dim),
-                rays=[tuple(-x for x in g) for g in self.generators],
-                lines=self.lineality,
-            )
-            return self._ball_minus
+        return Polyhedron.from_vrep(
+            self.ambient_dim,
+            vertices=box_corners(self.ambient_dim),
+            rays=[tuple(-x for x in g) for g in self.generators],
+            lines=self.lineality,
+        )
 
     def facet_normals(self) -> tuple[Vec, ...]:
         return tuple(r.normal for r in self.cone.inequalities())
 
-    @property
+    @cached_property
     def integer_facets(self):
         """The facet rows n.w <= 0 as `integer_rows`, in `facet_normals`
         order."""
-        try:
-            return self._integer_facets
-        except AttributeError:
-            self._integer_facets = integer_rows(
-                (n, 0) for n in self.facet_normals()
-            )
-            return self._integer_facets
+        return integer_rows((n, 0) for n in self.facet_normals())
 
-    @property
+    @cached_property
     def negated_normals(self) -> tuple[Vec, ...]:
         """-n for each facet normal n, in `facet_normals` order."""
-        try:
-            return self._negated_normals
-        except AttributeError:
-            self._negated_normals = tuple(
-                tuple(-x for x in n) for n in self.facet_normals()
-            )
-            return self._negated_normals
+        return tuple(tuple(-x for x in n) for n in self.facet_normals())
 
-    @property
+    @cached_property
     def negated_normal_sum(self) -> Vec:
         """The sum of `negated_normals`, -N for N the sum of the facet
         normals (the zero vector when there is no facet)."""
-        try:
-            return self._negated_normal_sum
-        except AttributeError:
-            total = zeros(self.ambient_dim)
-            for n in self.negated_normals:
-                total = vadd(total, n)
-            self._negated_normal_sum = total
-            return total
+        total = zeros(self.ambient_dim)
+        for n in self.negated_normals:
+            total = vadd(total, n)
+        return total
 
-    @property
+    @cached_property
     def integer_normal_sum(self):
         """`negated_normal_sum` in integers, (m, t) with m = t.(-N) and t > 0
         the lcm of the scales s of `integer_facets`: the sum of their
         normals s.n, each times t / s, negated, with no Fraction built."""
-        try:
-            return self._integer_normal_sum
-        except AttributeError:
-            facets = self.integer_facets
-            t = lcm(*(s for _, _, s in facets))
-            m = tuple(
-                -sum(a[j] * (t // s) for a, _, s in facets)
-                for j in range(self.ambient_dim)
-            )
-            self._integer_normal_sum = (m, t)
-            return self._integer_normal_sum
+        facets = self.integer_facets
+        t = lcm(*(s for _, _, s in facets))
+        m = tuple(
+            -sum(a[j] * (t // s) for a, _, s in facets)
+            for j in range(self.ambient_dim)
+        )
+        return m, t
 
     def below_rows(self, y0: Vec):
         """The rows of y0 - K as `integer_rows`, read off `integer_facets`
@@ -553,10 +521,9 @@ def w0_cells(p: Program) -> tuple[Cell, ...]:
     """Exact cell decomposition of W(0) = f(feasible set at z = 0) in Y.
 
     A finite program gives one point cell {fv} per value of `w0_values`,
-    made by `point_cell`, which keeps fv and fv over one denominator with
-    the cell; its unit rows y_i = fv_i come in the order of its canonical
-    H-representation.  Neither a `Polyhedron`, a double description nor
-    the matrix I of the cell is built."""
+    a `PointCell` made by `point_cell`, which keeps fv and fv over one
+    denominator with the cell.  Neither a `Polyhedron`, a double
+    description, the cell's rows nor the matrix I is built."""
     if isinstance(p, AffineVectorProgram):
         lam0 = feasible_region(p, zeros(p.z_dim))
         return tuple(

@@ -777,19 +777,20 @@ class Cell:
     Every exact set query on boundary-restricted data is pulled back
     through cells, so nothing non-closed is ever projected.  An identity
     cell (M = I, o = 0) is answered on its own rows, by integer evaluation
-    at the point written over one denominator.  A point cell, one whose rows
-    are exactly y_i = v_i, decides membership by comparison with its `point`
-    v and emptiness by evaluation at v, read in integers off its
-    `integer_point`.  `identity_cell` makes an identity cell from its rows,
-    and `point_cell` a point cell from its point; neither builds M, which an
-    identity cell makes on its first read.  `is_identity`, `point` and
-    `integer_point` are computed on first read and kept, unless the cell was
-    built with them, and so is the integer form of the rows, by the system.
+    at the point written over one denominator.  `identity_cell` makes an
+    identity cell from its rows without building M, which it makes on its
+    first read.  `is_identity` is computed on first read and kept, unless
+    the cell was built with it, and so is the integer form of the rows, by
+    the system.  `point` and `integer_point` are None: only a `PointCell`
+    has them.
     """
 
     system: LinearSystem
     matrix: Mat
     offset: Vec
+
+    point = None
+    integer_point = None
 
     @property
     def target_dim(self) -> int:
@@ -818,30 +819,6 @@ class Cell:
             for j in range(n)
         )
 
-    @cached_property
-    def point(self) -> Optional[Vec]:
-        """v for a point cell, an identity cell whose system is exactly the
-        n unit equalities y_i = v_i in some order; None for any other cell.
-        Scaled rows, a repeated coordinate or any LE or strict row make it
-        not a point cell, even where the set is a single point."""
-        s = self.system
-        n = self.target_dim
-        if s.le or s.strict or len(s.eq) != n or not self.is_identity:
-            return None
-        v = [None] * n
-        for normal, r in s.eq:
-            at = [j for j, x in enumerate(normal) if x != 0]
-            if len(at) != 1 or normal[at[0]] != 1 or v[at[0]] is not None:
-                return None
-            v[at[0]] = r
-        return tuple(v)
-
-    @cached_property
-    def integer_point(self):
-        """(x, d) with `point` = x / d over one denominator, as
-        `integer_scaled`; None when the cell is not a point cell."""
-        return None if self.point is None else integer_scaled(self.point)
-
     def with_target_rows(self, le=(), eq=(), strict=()) -> "Cell":
         pull = lambda rows: tuple(
             (_pullback(self.matrix, c), Fraction(r) - dot(vec(c), self.offset))
@@ -861,17 +838,13 @@ class Cell:
     def member(self, x) -> bool:
         """Is x = M.u + o for some u of the system?
 
-        A point cell compares x with its `point`, which is exact because the
-        cell is {v} by construction.  Any other identity cell (M = I, o = 0)
-        checks x against its rows directly, strict rows strictly, in
-        integers as `Polyhedron.member` does; any other cell solves one
-        strict LP."""
+        An identity cell (M = I, o = 0) checks x against its rows directly,
+        strict rows strictly, in integers as `Polyhedron.member` does; any
+        other cell solves one strict LP."""
         return self._member(_coerce_point(self.target_dim, x))
 
     def _member(self, x: Vec) -> bool:
         """`member` for an x already coerced into the target space."""
-        if self.point is not None:
-            return x == self.point
         if self.is_identity:
             return self.system.holds_at(*integer_scaled(x))
         eye = _identity(len(x))
@@ -925,20 +898,45 @@ def identity_cell(system: LinearSystem) -> Cell:
     return cell
 
 
-def point_cell(v) -> Cell:
-    """The point cell {v}: the identity cell on the unit rows y_i = v_i,
-    last coordinate first, with `point` v and `integer_point` (x, d) set
-    from v written over one denominator.  The rows keep the integer form
-    (d.e_i, x_i, d), a positive multiple of each row's `integer_rows` form,
-    so the system coerces and scales nothing again."""
+class PointCell(Cell):
+    """The cell {v} of one point v, as every cell of a finite program's
+    W(0) is, made by `point_cell` with its `point` v and its
+    `integer_point` (x, d), v over one denominator.  It answers from them:
+    `member` by comparison with v, `is_feasible` with True and
+    `closure_image` with the polyhedron whose one vertex is v.  Its system,
+    the identity cell's unit rows y_i = v_i, is built only if it is read."""
+
+    is_identity = True
+
+    @cached_property
+    def system(self) -> LinearSystem:
+        """The unit rows y_i = v_i, last coordinate first, in the integer
+        form (d.e_i, x_i, d), a positive multiple of each row's
+        `integer_rows` form, so the system coerces and scales nothing
+        again."""
+        v, (x, d) = self.point, self.integer_point
+        n = len(v)
+        order = range(n - 1, -1, -1)
+        eq = tuple((tuple(ONE if j == i else ZERO for j in range(n)), v[i]) for i in order)
+        ints = tuple((tuple(d if j == i else 0 for j in range(n)), x[i], d) for i in order)
+        return LinearSystem.with_integer_form(((), ints, ()), n, eq=eq)
+
+    def _member(self, x: Vec) -> bool:
+        return x == self.point
+
+    def is_feasible(self) -> bool:
+        return True
+
+    def closure_image(self) -> Polyhedron:
+        return Polyhedron(len(self.point), vrep=VRep((self.point,)))
+
+
+def point_cell(v) -> PointCell:
+    """The point cell {v}, with v and v over one denominator set, and
+    neither its rows nor the matrix I built."""
     v = vec(v)
-    x, d = integer_scaled(v)
-    n = len(v)
-    order = range(n - 1, -1, -1)
-    eq = tuple((tuple(ONE if j == i else ZERO for j in range(n)), v[i]) for i in order)
-    ints = tuple((tuple(d if j == i else 0 for j in range(n)), x[i], d) for i in order)
-    cell = identity_cell(LinearSystem.with_integer_form(((), ints, ()), n, eq=eq))
-    cell.__dict__.update(point=v, integer_point=(x, d))
+    cell = object.__new__(PointCell)
+    cell.__dict__.update(point=v, integer_point=integer_scaled(v), offset=zeros(len(v)))
     return cell
 
 
@@ -988,31 +986,12 @@ class Emptiness:
         return self.empty
 
 
-def _holds_at(v: Vec, cells, strict_rows) -> bool:
-    """Is v in every cell and strictly inside every half-space n.y < r, the
-    half-spaces given as `integer_rows`?
-
-    v must be the `point` of a point cell of `cells`, and v over one
-    denominator is that cell's `integer_point`, kept with it.  That cell is
-    skipped, as it is {v} by construction; every other identity cell tests
-    its integer rows at v, and any other cell solves its strict LP."""
-    x, d = next(c for c in cells if c.point is v).integer_point
-    if not integer_holds(x, d, strict=strict_rows):
-        return False
-    return all(
-        c.point is v or (c.system.holds_at(x, d) if c.is_identity else c.member(v))
-        for c in cells
-    )
-
-
 def intersect_empty(parts, strict_halfspaces=()) -> Emptiness:
     """Exact emptiness of the intersection of parts and open half-spaces.
 
-    Parts may be Polyhedron, BoundaryRestrictedPolyhedron, or cells.  A
-    combination of cells with a point cell in it is {v} or empty, for the
-    cell's point v: it is decided by evaluation, v itself the witness.  Any
-    other combination is tested with one strict-feasibility LP on the joint
-    lifted system.
+    Parts may be Polyhedron, BoundaryRestrictedPolyhedron, or cells.  Each
+    combination of cells, one from each part, is tested with one
+    strict-feasibility LP on the joint lifted system.
     """
     groups = [as_cells(p) for p in parts]
     if any(not g for g in groups):
@@ -1022,13 +1001,7 @@ def intersect_empty(parts, strict_halfspaces=()) -> Emptiness:
         raise DimensionMismatch("intersection parts in different dimensions")
     target = dims.pop()
     strict_rows = [(vec(n), Fraction(r)) for n, r in strict_halfspaces]
-    strict_ints = integer_rows(strict_rows)
     for combo in product(*groups):
-        v = next((c.point for c in combo if c.point is not None), None)
-        if v is not None:
-            if _holds_at(v, combo, strict_ints):
-                return Emptiness(False, v)
-            continue
         # identity cells constrain the shared target variables directly
         offset_of = []
         pos = target
@@ -1075,7 +1048,7 @@ def member(obj, x) -> bool:
     """Exact membership in a Polyhedron, a BoundaryRestrictedPolyhedron or a
     Cell, each of which answers for itself, or in the union of a sequence of
     them.  In a union x is coerced once and every cell of it answers on that
-    one vector, a point cell by comparison with its point."""
+    one vector, a `PointCell` by comparison with its point."""
     if isinstance(obj, (Polyhedron, BoundaryRestrictedPolyhedron, Cell)):
         return obj.member(x)
     x = vec(x)

@@ -534,8 +534,8 @@ def fraction_verify_outcome():
 class _FractionMember:
     """Membership by Fraction dot products, row by row: the evaluation that
     `Polyhedron.member`, `ray_member`, an identity `Cell.member`,
-    `BoundaryRestrictedPolyhedron.member` and `polyhedra._holds_at` make in
-    integers."""
+    `BoundaryRestrictedPolyhedron.member` and the point tests of `certify`
+    make in integers."""
 
     def __call__(self, obj, x):
         """x in a Polyhedron, a boundary-restricted set or an identity cell."""

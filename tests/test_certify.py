@@ -67,6 +67,7 @@ from process_duality.polyhedra import (
     BoundaryRestrictedPolyhedron,
     Cell,
     Emptiness,
+    PointCell,
     Polyhedron,
     PolyhedralCone,
     as_cells,
@@ -74,6 +75,7 @@ from process_duality.polyhedra import (
     closure_generators,
     intersect_empty,
     member,
+    point_cell,
 )
 from process_duality.problemfile import emit_problem, load_problem
 from process_duality.process import (
@@ -857,7 +859,7 @@ class TestStrictLpCounts:
 class TestDirectIdentityCells:
     """The point cells of `w0_cells`, built straight from their rows, equal
     the cells built through a `Polyhedron` (`polyhedron_cells`): the same
-    rows in the same order, the same map, point and identity flag.  The
+    rows in the same order, the same map and identity flag.  The
     rows that `is_minimal` and `is_weak_minimal` test them against, Y_+'s
     integer rows at y0, are the rows of the cell y0 - Y_+ built through a
     Polyhedron, each times a positive integer, in the same order; the
@@ -870,7 +872,7 @@ class TestDirectIdentityCells:
         assert new.system.eq == old.system.eq
         assert new.system.strict == old.system.strict
         assert (new.matrix, new.offset) == (old.matrix, old.offset)
-        assert (new.point, new.is_identity) == (old.point, old.is_identity)
+        assert new.is_identity == old.is_identity
 
     @staticmethod
     def scaled(ints, below):
@@ -944,7 +946,7 @@ class TestDirectIdentityCells:
         emptiness = spy(monkeypatch, certify_module, "intersect_empty")
         corners = [tuple(F(c) for c in corner) for corner in product((-1, 1), repeat=dim)]
         for y0 in corners + [zeros(dim), tuple(F(k + 1, 3) for k in range(dim))]:
-            a = (polyhedron_cells.point(y0),)
+            a = (point_cell(y0),)
             seen.clear()
             assert is_minimal(a, y0, yplus) and is_weak_minimal(a, y0, yplus)
             assert len(seen) == 2 and emptiness == []
@@ -1016,14 +1018,9 @@ def identity_cell(dim, le=(), eq=()):
                 zeros(dim))
 
 
-def point_cell(v):
-    return identity_cell(len(v), eq=[(u, x) for u, x in zip(identity(len(v)), v)])
-
-
 class TestPointCells:
-    """A combination of cells with a point cell in it is decided by
-    evaluation at the point, with the answer and the witness of the joint
-    strict LP."""
+    """A combination of cells with a point cell in it gets the answer and
+    the witness of the joint strict LP (`per_combo_lp`)."""
 
     def agrees(self, count, parts, strict=()):
         """intersect_empty's answer, checked against the oracle, and the
@@ -1082,19 +1079,19 @@ class TestPointCells:
 
     def test_point_on_a_strict_rows_boundary(self, count):
         v = point_cell((1, 2))
-        assert self.agrees(count, [v], [((1, 0), 1)]) == (Emptiness(True), 0)
-        assert self.agrees(count, [v], [((1, 0), 2), ((0, 1), 3)]) == (
-            Emptiness(False, (1, 2)), 0
+        assert self.agrees(count, [v], [((1, 0), 1)])[0] == Emptiness(True)
+        assert self.agrees(count, [v], [((1, 0), 2), ((0, 1), 3)])[0] == (
+            Emptiness(False, (1, 2))
         )
 
     def test_point_on_an_eq_row(self, count):
         v = point_cell((1, 2))
         line = Polyhedron.from_hrep(2, [((1, 1), 3, EQ)])
         other = Polyhedron.from_hrep(2, [((1, 1), 4, EQ)])
-        assert self.agrees(count, [v, line]) == (Emptiness(False, (1, 2)), 0)
-        assert self.agrees(count, [v, other]) == (Emptiness(True), 0)
-        assert self.agrees(count, [line, v], [((1, -1), 0)]) == (
-            Emptiness(False, (1, 2)), 0
+        assert self.agrees(count, [v, line])[0] == Emptiness(False, (1, 2))
+        assert self.agrees(count, [v, other])[0] == Emptiness(True)
+        assert self.agrees(count, [line, v], [((1, -1), 0)])[0] == (
+            Emptiness(False, (1, 2))
         )
 
     def test_point_with_a_composed_cell(self, count):
@@ -1107,23 +1104,16 @@ class TestPointCells:
         on, off = point_cell((F(1, 2), 1)), point_cell((F(1, 2), F(1, 2)))
         assert self.agrees(count, [on, segment]) == (Emptiness(False, (F(1, 2), 1)), 1)
         assert self.agrees(count, [off, segment]) == (Emptiness(True), 1)
-        # a strict row that fails at the point needs no LP
-        assert self.agrees(count, [segment, on], [((0, 1), 1)]) == (Emptiness(True), 0)
+        assert self.agrees(count, [segment, on], [((0, 1), 1)])[0] == Emptiness(True)
 
     def test_two_point_cells(self, count):
         a, b = point_cell((1, 2)), point_cell((2, 1))
-        assert self.agrees(count, [a, b]) == (Emptiness(True), 0)
-        assert self.agrees(count, [a, point_cell((1, 2))]) == (
-            Emptiness(False, (1, 2)), 0
+        assert self.agrees(count, [a, b])[0] == Emptiness(True)
+        assert self.agrees(count, [a, point_cell((1, 2))])[0] == (
+            Emptiness(False, (1, 2))
         )
         # a union meets a point where one of its pieces is that point
-        assert self.agrees(count, [(a, b), b]) == (Emptiness(False, (2, 1)), 0)
-
-    def test_unit_rows_in_reversed_order(self, count):
-        v = identity_cell(2, eq=[((0, 1), 2), ((1, 0), 1)])
-        assert v.point == (1, 2)
-        assert self.agrees(count, [v], [((-1, 0), 0)]) == (Emptiness(False, (1, 2)), 0)
-        assert self.agrees(count, [v], [((0, 1), 2)]) == (Emptiness(True), 0)
+        assert self.agrees(count, [(a, b), b])[0] == Emptiness(False, (2, 1))
 
     @pytest.mark.parametrize("cell", [
         identity_cell(2, eq=[((1, 0), 1), ((1, 0), 1)]),
@@ -1139,12 +1129,6 @@ class TestPointCells:
             assert lps == 1
             answers.add(got.empty)
         assert answers == {True, False}
-
-    def test_flags_are_computed_once(self):
-        v = point_cell((1, 2))
-        assert v.is_identity and v.point == (1, 2)
-        assert v.__dict__["is_identity"] is True
-        assert v.__dict__["point"] == (1, 2)
 
     def test_ignoring_strict_rows_breaks_criterion_4(
         self, monkeypatch, criterion_4_program
@@ -1168,6 +1152,108 @@ class TestPointCells:
                     or is_weak_minimal(cells, y0, p.y_plus) != bf.weak_minimal
                 )
         assert wrong > 0
+
+
+def spy_everywhere(monkeypatch, fn):
+    """The list of the argument tuples of every call of fn through any
+    binding of its name in the package's modules; every call still runs."""
+    seen = []
+
+    def recorded(*args):
+        seen.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "process_duality" and (
+            getattr(module, fn.__name__, None) is fn
+        ):
+            monkeypatch.setattr(module, fn.__name__, recorded)
+    return seen
+
+
+class TestPointCellType:
+    """The cells of a finite program's W(0) are `PointCell`s, built with
+    their point: the closure of W(0) is read off the points with no double
+    description, the frontier is found with no strict LP, a bare point cell
+    is decided by `certify` alone, and no verdict builds a cell's rows."""
+
+    def test_closure_runs_no_double_description(
+        self, monkeypatch, criterion_4_program, polyhedron_cells
+    ):
+        dd = spy_everywhere(monkeypatch, polyhedra_module.cone_dd)
+        points = oracle_dd = 0
+        for i in range(200):
+            p = criterion_4_program(i)
+            ctx = ProgramContext(p)
+            assert all(isinstance(c, PointCell) for c in ctx.cells)
+            dd.clear()
+            closure = ctx.closure
+            assert dd == [], i
+            expected = closure_generators(
+                [polyhedron_cells.point(v).closure_image() for v in p.w0_values]
+            )
+            assert closure == expected, i
+            oracle_dd += len(dd)
+            points += len(p.w0_values)
+        assert points > 300 and oracle_dd >= 3 * points
+
+    def test_frontier_points_run_no_strict_lp(self, monkeypatch, criterion_4_program):
+        lps = spy_everywhere(monkeypatch, strict_feasible)
+        found = 0
+        for i in range(200):
+            p = criterion_4_program(i)
+            if not p.w0_values:
+                continue
+            ctx = ProgramContext(p)
+            lps.clear()
+            cells, points, _ = minimal_frontier_points(ctx)
+            assert lps == [], i
+            assert all(v in ctx.minimal for v in points)
+            for v, minimal in ctx.minimal.items():
+                assert minimal == brute_force_status(p, v).minimal, (i, v)
+            assert all("system" not in c.__dict__ for c in cells), i
+            found += len(points)
+        assert found > 100
+
+    def test_bare_point_cell(self, monkeypatch, criterion_4_program, polyhedron_cells):
+        lps = spy_everywhere(monkeypatch, strict_feasible)
+        emptiness = spy(monkeypatch, certify_module, "intersect_empty")
+        asked = refused = 0
+        for i in range(200):
+            p = criterion_4_program(i)
+            for cell in w0_cells(p):
+                v = cell.point
+                lps.clear()
+                verdicts = (is_minimal(cell, v, p.y_plus),
+                            is_weak_minimal(cell, v, p.y_plus))
+                assert lps == [] and emptiness == [], (i, v)
+                assert "system" not in cell.__dict__
+                below = polyhedron_cells.below(p.y_plus, v)
+                assert verdicts == lp_verdicts(cell, v, p.y_plus, below) == (True, True)
+                for y0 in w0_image_points(p):
+                    if y0 != v:
+                        with pytest.raises(NotMemberError):
+                            is_minimal(cell, y0, p.y_plus)
+                        refused += 1
+                asked += 1
+        assert asked > 300 and refused > 300
+
+    def test_verdicts_build_no_rows(self, criterion_4_program, polyhedron_cells):
+        classified = 0
+        for i in range(60):
+            p = criterion_4_program(i)
+            ctx = ProgramContext(p)
+            cells = ctx.cells
+            for y0 in w0_image_points(p):
+                assert member(cells, y0)
+                classify_proper(cells, y0, p.y_plus, closure=ctx.closure)
+                classified += 1
+            assert all("system" not in c.__dict__ for c in cells), i
+            # read, the rows are those of the unit-row identity cell
+            for c in cells:
+                assert c.system.eq == polyhedron_cells.point(c.point).system.eq
+                assert c.system.le == c.system.strict == ()
+        assert classified > 90
 
 
 class TestCertify:

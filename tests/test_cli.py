@@ -1,5 +1,6 @@
 """CLI contract: exit codes, canonical reports, determinism."""
 
+import hashlib
 import json
 from importlib import resources
 
@@ -7,6 +8,7 @@ import pytest
 
 from process_duality import cli as cli_module
 from process_duality.cli import main
+from process_duality.problemfile import emit_problem
 
 
 @pytest.fixture
@@ -249,6 +251,50 @@ class TestFrontier:
         assert doc["count"] == 0 and doc["minimal_points"] == []
 
 
+# sha256 of the stdout of `frontier --json` and of `classify --side both
+# --json` at the first and the last value of W(0), for the criterion-4
+# programs with a nonempty W(0) among programs 0-11, recorded before point
+# cells were built as their own type
+FINITE_PROGRAM_REPORTS = [
+    (1, "frontier", "fe8f36dd48f176574ce54f3d15c94dcc5e7ccf6258ee73164d90371f823e8429"),
+    (1, "-1/1,-3/1,-1/1", "06ed58d1441fc50d8cef9b4b08686a31121553bb55919e9e35e776e447d35c17"),
+    (4, "frontier", "15147387cc76fe48423019f4d3505938bc179f7ffe3ad67896cda7dfae6ce2f9"),
+    (4, "0/1,2/1,0/1", "02a87122026ae7c20b187df3cc1b3eabf427c6b59dc3e78dae1e8c4f26879fcc"),
+    (5, "frontier", "1777b29984229dee8547136d739a7b39e6f47d12d894f5f5d38736b7f1de045f"),
+    (5, "0/1,-1/1", "14fd3db97c8e400fa632b118ebd94591654d0664c3aee7b63b915c698cb2ba5d"),
+    (5, "3/1,0/1", "d4f46b957fcb3455592d4129aa1da5109b1747a2e4f8282aabffc8e2766faae0"),
+    (6, "frontier", "ca8f595cc0ebb83f2a6f1c2733eb0685aa3b4d6657ad6d2f719239fad8ee94a1"),
+    (6, "-2/1,-2/1", "e1ce089950fafe2cbef10fe0cde69ae5f77f3c5fefe90b24c9706b0be81b8b6d"),
+    (6, "3/1,3/1", "15025b6569691d48dbafef32be6c607e6cf5fc55d2885e2c9180d6ccc0a55fa9"),
+    (8, "frontier", "beeac08d5ccec7a6b8e8667540f1746c788c55130aebef0084675e971da64081"),
+    (8, "0/1", "65f25260533ba03cb27f11d95ef7a2f6484aa806fdbea411b8d00c7aaa4331a3"),
+    (8, "-2/1", "6827abe58ad856ef2f7835a61ba097f8309f096b6ff2e8384538e090ad33252b"),
+    (10, "frontier", "e3c8c87a5e3d7a1cb88525cf5a4a6bface1a4b73fc019320c4fe636676f9f8ad"),
+    (10, "-2/1,-3/1,2/1", "a903b1e66970dea4833bd64d9305f881c8c8f898b44e204ed0f6e89e46cf7e4d"),
+    (10, "3/1,-3/1,0/1", "f3680bcdd8605386f2d187f4e4efb1b393513389cb0aec8170ca70878c9f79aa"),
+    (11, "frontier", "024c3db6357733b57bfd4d3faa1aeaade2d41b44b8ed0e3150ee4d4cfc535abd"),
+    (11, "-2/1,-3/1", "f7874cacfc7714c233b2ba5e371cb3daaaf49402210a439f6f6ed6669e0843ea"),
+    (11, "1/1,-2/1", "51ec192dad122f694ffdf6120c03a04ff4fb89c9692196e6e6f5af58fbda81e7"),
+]
+
+
+class TestFiniteProgramReports:
+    """The full JSON reports of `frontier` and `classify --side both` on
+    finite programs, pinned by the sha256 of their stdout."""
+
+    @pytest.mark.parametrize("i, y0, digest", FINITE_PROGRAM_REPORTS)
+    def test_report_digest(self, capsys, tmp_path, criterion_4_program, i, y0, digest):
+        path = tmp_path / f"program_{i}.json"
+        path.write_text(emit_problem(criterion_4_program(i)))
+        if y0 == "frontier":
+            argv = ["frontier", str(path), "--json"]
+        else:
+            argv = ["classify", str(path), f"--y0={y0}", "--side", "both", "--json"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestFuzz:
     def test_small_clean_run(self, capsys):
         code, out, _ = run(capsys, ["fuzz", "--seed", "1", "--count", "3"])
@@ -304,6 +350,13 @@ class TestMalformedArguments:
     def test_negative_limit_for_frontier(self, capsys, instance_path):
         self.check(capsys, ["frontier", instance_path("i3"), "--limit", "-1"],
                    "--limit: expected a nonnegative integer")
+
+    def test_dual_classification_outside_w0(self, capsys, instance_path):
+        # --side D builds L at y0, as process and frontier --side D do
+        self.check(capsys,
+                   ["classify", instance_path("worked_example"), "--y0=1/2,0",
+                    "--side", "D"],
+                   "NotInW0Error: 1/2,0 is not attained by a feasible point")
 
     def test_dual_frontier_outside_w0(self, capsys, instance_path):
         # L is built at y0, so a y0 outside W(0) is refused as process and

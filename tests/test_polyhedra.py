@@ -42,7 +42,6 @@ from process_duality.polyhedra import (
     Polyhedron,
     PolyhedralCone,
     VRep,
-    _holds_at,
     as_cells,
     cell_of_polyhedron,
     closure_generators,
@@ -50,6 +49,7 @@ from process_duality.polyhedra import (
     dd_convert,
     intersect_empty,
     member,
+    point_cell,
     polar_cone,
     project,
 )
@@ -60,6 +60,7 @@ from process_duality.rational import (
     ZERO,
     Vec,
     dot,
+    integer_holds,
     integer_rows,
     integer_scaled,
     is_zero_vec,
@@ -1285,13 +1286,14 @@ def fractional_points(points):
     return out
 
 
-def point_cell(v):
-    """The point cell {v}, built from the unit rows y_i = v_i."""
-    n = len(v)
-    rows = [(tuple(int(j == i) for j in range(n)), x, EQ) for i, x in enumerate(v)]
-    cell = cell_of_polyhedron(Polyhedron.from_hrep(n, rows))
-    assert cell.point == vec(v)
-    return cell
+def holds_at(at, cell, rows):
+    """Is the point of the point cell `at` in `cell`, an identity cell, and
+    strictly inside every half-space (normal, rhs) of rows?  Decided by
+    `integer_holds` on the point's `integer_point`."""
+    x, d = at.integer_point
+    return integer_holds(x, d, strict=integer_rows(rows)) and integer_holds(
+        x, d, *cell.system.integer_form
+    )
 
 
 class TestIntegerMembership:
@@ -1323,7 +1325,7 @@ class TestIntegerMembership:
                 for c in cells:
                     for rows in ((), strict):
                         expected = fraction_member.holds_at(at.point, (at, c), rows)
-                        assert _holds_at(at.point, (at, c), integer_rows(rows)) == expected
+                        assert holds_at(at, c, rows) == expected
                         seen["holds"] += expected
             for r in directions:
                 for a in polys:
@@ -1372,11 +1374,11 @@ class TestIntegerMembership:
                           sum(r for _, r in rows))]
                 for c in cells:
                     # the tests of `is_weak_minimal` and `is_minimal` at y0
-                    v = c.point
+                    v, (x, d) = c.point, c.integer_point
                     inside = fraction_member.holds_at(v, (c,), rows)
-                    assert _holds_at(v, (c,), integer_rows(rows)) == inside
+                    assert integer_holds(x, d, strict=integer_rows(rows)) == inside
                     below = fraction_member.holds_at(v, (c, below_y0), total)
-                    assert _holds_at(v, (c, below_y0), integer_rows(total)) == below
+                    assert holds_at(c, below_y0, total) == below
                     seen["in y0 - Int Y+"] += inside
                     seen["in y0 - Y+, off y0"] += below
         assert all(n > 20 for n in seen.values()), seen
@@ -1439,15 +1441,16 @@ class TestIntegerMembership:
             assert cell.member(y) == fraction_member(cell, y) == expected, y
             at = point_cell(y)
             for rows in ((), [((F(1, 2), F(-2, 3)), F(1, 6))]):
-                assert _holds_at(at.point, (at, cell), integer_rows(rows)) == (
+                assert holds_at(at, cell, rows) == (
                     fraction_member.holds_at(at.point, (at, cell), rows)
                 )
         # the point on the strict row's boundary is excluded by a strict
-        # half-space too, and a point cell is skipped only for its own point
+        # half-space too, and a point cell holds its own point only
         edge = point_cell((F(3, 10), 0))
-        assert not _holds_at(edge.point, (edge,), integer_rows(cell.system.strict))
-        assert not _holds_at(edge.point, (edge, point_cell((F(3, 10), F(1, 7)))), ())
-        assert _holds_at(edge.point, (edge, point_cell((F(3, 10), 0))), ())
+        x, d = edge.integer_point
+        assert not integer_holds(x, d, strict=integer_rows(cell.system.strict))
+        assert not point_cell((F(3, 10), F(1, 7))).member(edge.point)
+        assert point_cell((F(3, 10), 0)).member(edge.point)
 
 
 def unit_row_cell(v):
@@ -1464,11 +1467,12 @@ def unit_row_cell(v):
 class TestPointCell:
     """`point_cell(v)` is the identity cell on the unit rows y_i = v_i that
     `w0_cells` built before (`unit_row_cell`), with its point and the point's
-    integer form set when it is built: the same rows, the same answers."""
+    integer form set when it is built: the same rows, once read, and the
+    same answers, `intersect_empty`'s witness included."""
 
     @staticmethod
     def same_cell(new, old, v):
-        assert (new.point, new.is_identity) == (old.point, old.is_identity) == (v, True)
+        assert new.point == v and new.is_identity and old.is_identity
         assert new.integer_point == integer_scaled(v)
         assert (new.system.le, new.system.eq, new.system.strict) == (
             old.system.le, old.system.eq, old.system.strict
