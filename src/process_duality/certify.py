@@ -1,15 +1,18 @@
 """Minimality tests, proper-efficiency classification, dual image, and the
 theorem harness.
 
-All decisions are exact.  Weak minimality and minimality at y0 ask whether
-the set under test meets a region of y0 - Y_+, decided cell by cell over its
-cell decomposition, so boundary-restricted and finite-union sets are handled
+All decisions are exact.  Weak minimality and minimality at y0 ask one
+question, whether the set under test meets a region of y0 - Y_+ (`_meets`):
+y0 - Int Y_+, or y0 - Y_+ cut by the summed strict row.  The region is given
+by Y_+'s integer rows at y0 alone, decided cell by cell over the set's cell
+decomposition, so boundary-restricted and finite-union sets are handled
 without approximation.  This module is the one place where a point is
 evaluated: a `PointCell`, as every cell of a finite program's W(0) is, is
-decided by one integer evaluation of Y_+'s rows at y0 at its point, with
-nothing built for y0 - Y_+; the other cells (of affine and
+decided by one integer evaluation of the region's rows at its point, with
+nothing built for the region; the other cells (of affine and
 boundary-restricted programs, and of dual images) by an emptiness test with
-y0 - Y_+ as a cell, a strict-feasibility LP per combination of cells.
+the region as an identity cell on the same rows, a strict-feasibility LP per
+combination of cells.
 The proper-efficiency notions are decided on closures, which is equivalent
 for these notions because they only involve closed conic hulls and open
 dilations.
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Optional, Union
 
 from ._dd import _integer_rref
@@ -147,80 +149,53 @@ def _context(p) -> ProgramContext:
 # -- minimality ---------------------------------------------------------------
 
 
-def _require_member(a: SetLike, y0: Vec):
+def _member_of(a: SetLike, y0):
+    """(A, y0) for the public verdicts: an iterable of pieces made a tuple,
+    so that an iterator or a generator is read once and every test after it
+    sees all of A, and y0 a vector.  Raises NotMemberError when y0 is not a
+    member of A."""
+    if not isinstance(a, (Polyhedron, BoundaryRestrictedPolyhedron, Cell)):
+        a = tuple(a)
+    y0 = vec(y0)
     if not member(a, y0):
         raise NotMemberError(f"{y0} is not a member of the set under test")
+    return a, y0
 
 
-def _read_once(a: SetLike) -> SetLike:
-    """A, with an iterable of pieces made a tuple, so that an iterator or a
-    generator is read once and every test after it sees all of A."""
-    if isinstance(a, (Polyhedron, BoundaryRestrictedPolyhedron, Cell)):
-        return a
-    return tuple(a)
+def _meets(a: SetLike, dim: int, le=(), strict=()) -> bool:
+    """Does A meet the region of the rows `le`, and `strict` taken strictly,
+    rows given as `integer_rows` (a, b, s)?
 
-
-def _point_split(a: SetLike):
-    """(points, rest): the `integer_point` (x, d) of every `PointCell` among
-    the pieces of A, a bare cell being A's one piece, and A's other pieces.
-    rest is A itself when A has no point cell, and () when A has nothing
-    else."""
+    A `PointCell` of A, a bare cell being A's one piece, is decided by one
+    `integer_holds` at its `integer_point`, with nothing built for the
+    region.  Only when A has another piece is the region made, as the
+    identity cell on the same rows (`LinearSystem.from_integer_rows`), and
+    those pieces are tested by `intersect_empty`, one strict LP per cell."""
     pieces = (a,) if isinstance(a, Cell) else a
-    if not isinstance(pieces, tuple):
-        return (), a
-    points = tuple(c.integer_point for c in pieces if isinstance(c, PointCell))
-    if not points:
-        return (), a
-    if len(points) == len(pieces):
-        return points, ()
-    return points, tuple(c for c in pieces if not isinstance(c, PointCell))
-
-
-def _facet_rows_at(yplus: OrderCone, y0: Vec):
-    """Y_+'s facet rows shifted to y0, as (-n, -n.y0) per facet normal n,
-    and the same rows as `integer_rows`: y - y0 lies in -Y_+ iff every row
-    holds, in -Int Y_+ iff every row holds strictly.  The integer rows are
-    `OrderCone.below_rows`, read off Y_+'s integer facet rows; the negated
-    normals are the order cone's own, and each -n.y0 is one Fraction, an
-    integer row's right-hand side over its scale."""
-    ints = yplus.below_rows(y0)
-    rows = tuple(
-        (neg, Fraction(r, s)) for neg, (_, r, s) in zip(yplus.negated_normals, ints)
-    )
-    return rows, ints
+    if isinstance(pieces, tuple):
+        points = [c.integer_point for c in pieces if isinstance(c, PointCell)]
+        if any(integer_holds(x, d, le=le, strict=strict) for x, d in points):
+            return True
+        if len(points) == len(pieces):
+            return False
+        if points:
+            a = tuple(c for c in pieces if not isinstance(c, PointCell))
+    region = identity_cell(LinearSystem.from_integer_rows(dim, le=le, strict=strict))
+    return not intersect_empty([a, region]).empty
 
 
 def is_weak_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
     """A meets (y0 - Int Y_+) nowhere; y0 must be a member of A.  A
     `PointCell` of A is decided by one integer evaluation, any other cell by
     one strict LP."""
-    a, y0 = _read_once(a), vec(y0)
-    _require_member(a, y0)
-    return _is_weak_minimal(a, y0, yplus)
+    return _is_weak_minimal(*_member_of(a, y0), yplus)
 
 
 def _is_weak_minimal(a: SetLike, y0: Vec, yplus: OrderCone) -> bool:
-    """is_weak_minimal for a y0 already known to be a member of A.
-
-    The point v = x / d of a `PointCell` lies in y0 - Int Y_+ iff every row
-    of `OrderCone.below_rows` holds strictly at (x, d), its `integer_point`;
-    nothing is built for y0 - Int Y_+.  Only when A has a piece other than
-    its point cells (`_point_split`) is y0 - Int Y_+ made, as the identity
-    cell on the rows of `_facet_rows_at`, all strict, whose integer form is
-    the one those rows came with, and those pieces are tested by
-    `intersect_empty`."""
-    points, rest = _point_split(a)
-    if points:
-        rows = yplus.below_rows(y0)
-        if any(integer_holds(x, d, strict=rows) for x, d in points):
-            return False
-        if not rest:
-            return True
-    rows, ints = _facet_rows_at(yplus, y0)
-    below = identity_cell(LinearSystem.with_integer_form(
-        ((), (), ints), yplus.ambient_dim, strict=rows
-    ))
-    return intersect_empty([rest, below]).empty
+    """is_weak_minimal for a y0 already known to be a member of A: A misses
+    y0 - Int Y_+, where every row of `OrderCone.below_rows` holds
+    strictly."""
+    return not _meets(a, yplus.ambient_dim, strict=yplus.below_rows(y0))
 
 
 def is_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
@@ -234,41 +209,15 @@ def is_minimal(a: SetLike, y0, yplus: OrderCone) -> bool:
     decided by one integer evaluation of Y_+'s rows at its point; any other
     cell by one strict LP.
     """
-    a, y0 = _read_once(a), vec(y0)
-    _require_member(a, y0)
-    return _is_minimal(a, y0, yplus)
+    return _is_minimal(*_member_of(a, y0), yplus)
 
 
 def _is_minimal(a: SetLike, y0: Vec, yplus: OrderCone) -> bool:
-    """is_minimal for a y0 already known to be a member of A.
-
-    The point v = x / d of a `PointCell` breaks minimality iff, at (x, d),
-    its `integer_point`, every row of `OrderCone.minimality_rows` holds: the
-    rows of y0 - Y_+ and, strictly, the summed row, whose normal Y_+ keeps
-    in integers and whose right-hand side is one integer dot with y0.
-    Nothing is built for y0 - Y_+.  Only when A has a piece other than its
-    point cells (`_point_split`) is y0 - Y_+ made, as the identity cell
-    from the rows of `_facet_rows_at` in their order, which keep the integer
-    form they came with, and those pieces are tested by `intersect_empty`
-    with the strict row N.(y - y0) > 0: its normal is Y_+'s own
-    `negated_normal_sum`, and its offset, the sum of the rows' offsets r / s
-    over their integer forms (a, r, s), is taken over the lcm of the scales
-    s, in integers."""
-    points, rest = _point_split(a)
-    if points:
-        rows, summed = yplus.minimality_rows(y0)
-        strict = (summed,)
-        if any(integer_holds(x, d, le=rows, strict=strict) for x, d in points):
-            return False
-        if not rest:
-            return True
-    rows, ints = _facet_rows_at(yplus, y0)
-    below = identity_cell(LinearSystem.with_integer_form(
-        (ints, (), ()), yplus.ambient_dim, le=rows
-    ))
-    scale = lcm(*(s for _, _, s in ints))
-    offset = Fraction(sum(r * (scale // s) for _, r, s in ints), scale)
-    return intersect_empty([rest, below], [(yplus.negated_normal_sum, offset)]).empty
+    """is_minimal for a y0 already known to be a member of A: A misses the
+    region of `OrderCone.minimality_rows`, the rows of y0 - Y_+ and,
+    strictly, the summed row N.(y - y0) > 0, which comes last."""
+    rows, summed = yplus.minimality_rows(y0)
+    return not _meets(a, yplus.ambient_dim, le=rows, strict=(summed,))
 
 
 # -- proper efficiency --------------------------------------------------------
@@ -404,9 +353,7 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone,
 
     `closure` is `closure_generators(a)` when the caller already has it.
     """
-    a, y0 = _read_once(a), vec(y0)
-    _require_member(a, y0)
-    return _classify(a, y0, yplus, closure=closure)
+    return _classify(*_member_of(a, y0), yplus, closure=closure)
 
 
 def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True,
@@ -438,7 +385,7 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
     rays_a = [vsub(v, y0) for v in verts if vsub(v, y0) != zeros(dim)] + list(rays)
     cone_a = PolyhedralCone.from_generators(dim, rays=rays_a, lines=list(lines))
     meet = cone_a.with_rows(
-        [(n, ZERO, LE) for n in yplus.negated_normals]
+        [(tuple(-x for x in n), ZERO, LE) for n in yplus.facet_normals()]
     )
     he = _cone_is_zero(meet)
 
@@ -759,6 +706,8 @@ def _minimal_vertices(a: SetLike, hull: Polyhedron, yplus: OrderCone,
     """(points, truncated): the first `limit` vertices of `hull` that are
     members of A and minimal in A, and whether `hull` has more vertices than
     `limit`.  `verdicts` records point -> minimality for each member tested."""
+    if limit < 0:
+        raise ValueError(f"the frontier limit must be nonnegative, not {limit}")
     candidates = hull.vrep.vertices
     points = []
     for v in candidates[:limit]:

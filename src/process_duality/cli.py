@@ -17,6 +17,7 @@ from .certify import (
     Certificate,
     EfficiencyStatus,
     ProgramContext,
+    _classify,
     certify_multiplier,
     classify_proper,
     dual_frontier,
@@ -270,7 +271,7 @@ def cmd_classify(args) -> int:
     }
     if args.side in ("P", "both"):
         payload["status_P"] = _emit_status(
-            classify_proper(ctx.cells, y0, problem.y_plus, closure=ctx.closure)
+            _classify(ctx.cells, y0, problem.y_plus, closure=ctx.closure)
         )
     if args.side in ("D", "both"):
         L = lagrange_process(separator_cone(ctx.graph, y0))

@@ -48,6 +48,7 @@ from .rational import (
     integer_holds,
     integer_rows,
     integer_scaled,
+    quotients,
     rat,
     vec,
 )
@@ -98,17 +99,18 @@ class LinearSystem:
         return out
 
     @staticmethod
-    def with_integer_form(integer_form, dim, le=(), eq=(), strict=()) -> "LinearSystem":
-        """The system of rows already coerced, tuples of (Vec, Fraction)
-        rows, whose `integer_form` the caller has made, each integer row a
-        positive multiple of its row as in `integer_rows` (the multiple
-        need not be the least one): no row is coerced or scaled again."""
+    def from_integer_rows(dim, le=(), eq=(), strict=()) -> "LinearSystem":
+        """The system of rows given as `integer_rows` (a, b, s), s > 0 any
+        positive multiple, not only the least one: each row is read off as
+        (a / s, b / s) and the rows given are kept as its `integer_form`, so
+        the two forms agree by construction and nothing is scaled again."""
         out = object.__new__(LinearSystem)
         object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "le", le)
-        object.__setattr__(out, "eq", eq)
-        object.__setattr__(out, "strict", strict)
-        object.__setattr__(out, "integer_form", integer_form)
+        for name, rows in (("le", le), ("eq", eq), ("strict", strict)):
+            object.__setattr__(out, name, tuple(
+                (quotients(a, s), Fraction(b, s)) for a, b, s in rows
+            ))
+        object.__setattr__(out, "integer_form", (tuple(le), tuple(eq), tuple(strict)))
         return out
 
     @cached_property

@@ -67,10 +67,11 @@ class OrderCone:
     strictly.  It always does: the cone is full-dimensional, so no facet
     normal n is orthogonal to every ray, while n.r <= 0 on each, hence n.r
     < 0 on some ray and n.(sum of rays) < 0.  Its `structure` (the bounded
-    base of a pointed cone), `ball_minus`, and its facets as
-    `integer_facets`, `negated_normals` and their sum `negated_normal_sum`,
-    that sum also in integers as `integer_normal_sum`, are built on first
-    read and kept.
+    base of a pointed cone), `ball_minus`, its facet rows in integers
+    (`integer_facets`) and the negated sum of its facet normals in integers
+    (`integer_normal_sum`) are built on first read and kept.  The rows of
+    y0 - K are read off `integer_facets` for each y0 (`below_rows`, and with
+    the summed strict row `minimality_rows`).
     """
 
     def __init__(self, cone: PolyhedralCone):
@@ -130,24 +131,10 @@ class OrderCone:
         return integer_rows((n, 0) for n in self.facet_normals())
 
     @cached_property
-    def negated_normals(self) -> tuple[Vec, ...]:
-        """-n for each facet normal n, in `facet_normals` order."""
-        return tuple(tuple(-x for x in n) for n in self.facet_normals())
-
-    @cached_property
-    def negated_normal_sum(self) -> Vec:
-        """The sum of `negated_normals`, -N for N the sum of the facet
-        normals (the zero vector when there is no facet)."""
-        total = zeros(self.ambient_dim)
-        for n in self.negated_normals:
-            total = vadd(total, n)
-        return total
-
-    @cached_property
     def integer_normal_sum(self):
-        """`negated_normal_sum` in integers, (m, t) with m = t.(-N) and t > 0
-        the lcm of the scales s of `integer_facets`: the sum of their
-        normals s.n, each times t / s, negated, with no Fraction built."""
+        """-N, for N the sum of the facet normals, in integers: (m, t) with
+        m = t.(-N) and t > 0 the lcm of the scales s of `integer_facets`,
+        the sum of their normals s.n, each times t / s, negated."""
         facets = self.integer_facets
         t = lcm(*(s for _, _, s in facets))
         m = tuple(

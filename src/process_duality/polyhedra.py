@@ -910,16 +910,14 @@ class PointCell(Cell):
 
     @cached_property
     def system(self) -> LinearSystem:
-        """The unit rows y_i = v_i, last coordinate first, in the integer
-        form (d.e_i, x_i, d), a positive multiple of each row's
-        `integer_rows` form, so the system coerces and scales nothing
-        again."""
-        v, (x, d) = self.point, self.integer_point
-        n = len(v)
-        order = range(n - 1, -1, -1)
-        eq = tuple((tuple(ONE if j == i else ZERO for j in range(n)), v[i]) for i in order)
-        ints = tuple((tuple(d if j == i else 0 for j in range(n)), x[i], d) for i in order)
-        return LinearSystem.with_integer_form(((), ints, ()), n, eq=eq)
+        """The unit rows y_i = v_i, last coordinate first, built from their
+        integer form (d.e_i, x_i, d) for v = x / d."""
+        x, d = self.integer_point
+        n = len(x)
+        return LinearSystem.from_integer_rows(n, eq=tuple(
+            (tuple(d if j == i else 0 for j in range(n)), x[i], d)
+            for i in range(n - 1, -1, -1)
+        ))
 
     def _member(self, x: Vec) -> bool:
         return x == self.point

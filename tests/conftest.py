@@ -5,8 +5,9 @@ cone; the order-cone generator with its strict-LP interior filter, and the
 affine-instance generator with its ray-sum-or-LP interior vector;
 generator-level oracles for a polyhedron's two representations and
 for Minkowski sums; the LP certificate check and membership by row
-evaluation, both in Fraction arithmetic; identity cells built through a
-`Polyhedron`; the strict-LP route that certified restricted rows and kept
+evaluation, both in Fraction arithmetic; the Fraction rows of y0 - Y_+
+and Min's summed row; identity cells built through a `Polyhedron`; the
+strict-LP route that certified restricted rows and kept
 restricted slices; a recorder of the strict LPs that building order
 cones and boundary-restricted sets runs; double description without
 its cardinality prefilter; the H/V conversions that lift every set,
@@ -27,7 +28,6 @@ from process_duality._dd import (
     cone_dd,
 )
 from process_duality._kernel import primitive
-from process_duality.certify import _facet_rows_at
 from process_duality.errors import InternalConsistencyError
 from process_duality.exactlp import LinearSystem, LpStatus, lp_solve, strict_feasible
 from process_duality.fuzzing import (
@@ -583,6 +583,49 @@ def fraction_member():
     return _FractionMember()
 
 
+def _facet_rows_at(yplus, y0):
+    """Y_+'s facet rows shifted to y0, as (-n, -n.y0) per facet normal n,
+    and the same rows as `OrderCone.below_rows`, as `certify` built them
+    for its LP route before it read its rows off the integer ones: -n.y0 is
+    the offset r / s of the integer row (a, r, s)."""
+    ints = yplus.below_rows(vec(y0))
+    rows = tuple(
+        (tuple(-x for x in n), F(r, s))
+        for n, (_, r, s) in zip(yplus.facet_normals(), ints)
+    )
+    return rows, ints
+
+
+def _negated_normal_sum(yplus):
+    """-N for N the sum of Y_+'s facet normals, summed in Fractions."""
+    total = zeros(yplus.ambient_dim)
+    for n in yplus.facet_normals():
+        total = vadd(total, tuple(-x for x in n))
+    return total
+
+
+class _ShiftedFacets:
+    """The Fraction rows of y0 - Y_+ by the formula `certify` used for them
+    before it read them off Y_+'s integer rows at y0."""
+
+    rows_at = staticmethod(_facet_rows_at)
+    normal_sum = staticmethod(_negated_normal_sum)
+
+    def summed(self, yplus, y0):
+        """Min's strict row N.(y - y0) > 0 as (-N, the sum of the offsets
+        of the rows at y0)."""
+        rows, _ = _facet_rows_at(yplus, y0)
+        return _negated_normal_sum(yplus), sum(r for _, r in rows)
+
+
+@pytest.fixture(scope="session")
+def shifted_facets():
+    """`.rows_at(yplus, y0)` -> (Fraction rows, `below_rows`) of y0 - Y_+,
+    `.normal_sum(yplus)` -> -N and `.summed(yplus, y0)` -> Min's strict
+    row (-N, the offsets summed), each in Fraction arithmetic."""
+    return _ShiftedFacets()
+
+
 class _PolyhedronCells:
     """Identity cells made by `cell_of_polyhedron` from a `Polyhedron` built
     on their rows, the way `w0_cells` made its point cells and `is_minimal`
@@ -598,7 +641,7 @@ class _PolyhedronCells:
 
     def below(self, yplus, y0):
         """y0 - Y_+ on Y_+'s facet rows shifted to y0."""
-        rows, _ = _facet_rows_at(yplus, vec(y0))
+        rows, _ = _facet_rows_at(yplus, y0)
         return cell_of_polyhedron(
             Polyhedron.from_hrep(yplus.ambient_dim, [(n, r, LE) for n, r in rows])
         )

@@ -44,6 +44,7 @@ from process_duality.fuzzing import (
     Violation,
     check_instance,
     injected_defect,
+    random_affine_instance,
     random_discrete_instance,
     random_setvalued_instance,
 )
@@ -680,7 +681,7 @@ class TestWorkDoneOnce:
         assert asked > 60
 
     def test_point_cells_keep_their_integer_form(
-        self, monkeypatch, criterion_4_program
+        self, monkeypatch, criterion_4_program, shifted_facets
     ):
         """Point cells are built with their point over one denominator and
         without the matrix I, so the verdicts at each y0 write no W(0)
@@ -724,7 +725,9 @@ class TestWorkDoneOnce:
                 assert len(summed) == 1 and summed[0][0] is p.y_plus
                 m, t = p.y_plus.integer_normal_sum
                 assert p.y_plus.integer_normal_sum[0] is m
-                assert t > 0 and m == tuple(t * c for c in p.y_plus.negated_normal_sum)
+                assert t > 0 and m == tuple(
+                    t * c for c in shifted_facets.normal_sum(p.y_plus)
+                )
                 x, d = rational_module.integer_scaled(y0)
                 assert summed[0][2] == (tuple(d * c for c in m), sum(
                     a * b for a, b in zip(m, x)), t * d)
@@ -964,7 +967,7 @@ def lp_verdicts(a, y0, yplus, below):
     rows = below.system.le
     inside = Cell(LinearSystem(yplus.ambient_dim, strict=rows), below.matrix,
                   below.offset)
-    total = [(yplus.negated_normal_sum, sum(r for _, r in rows))]
+    total = [(tuple(map(sum, zip(*(n for n, _ in rows)))), sum(r for _, r in rows))]
     return per_combo_lp([a, below], total).empty, per_combo_lp([a, inside]).empty
 
 
@@ -1256,6 +1259,51 @@ class TestPointCellType:
         assert classified > 90
 
 
+class TestRegionLps:
+    """The LPs of Min and WMin on cells that are not points are the ones
+    y0 - Y_+ on the Fraction rows of `shifted_facets` gives: its rows in
+    facet order, LE for Min and strict for WMin, and for Min the summed row
+    (-N, the offsets summed) strict and last.  Equal systems keep every
+    pivot of these LPs."""
+
+    def test_criterion_3_frontier_candidates(
+        self, monkeypatch, criterion_3_program, shifted_facets
+    ):
+        systems = spy(monkeypatch, polyhedra_module, "strict_feasible")
+        compared = restricted = 0
+        for i in range(40):
+            ctx = ProgramContext(criterion_3_program(i))
+            try:
+                minimal_frontier_points(ctx)
+            except EmptyFeasibleError:
+                continue
+            cells, yplus = ctx.cells, ctx.program.y_plus
+            dim = yplus.ambient_dim
+            for y0 in ctx.minimal:
+                rows, _ = shifted_facets.rows_at(yplus, y0)
+                n, r = summed = shifted_facets.summed(yplus, y0)
+                for decide, region, halfspaces in (
+                    (certify_module._is_minimal, LinearSystem(dim, le=rows), [summed]),
+                    (certify_module._is_weak_minimal, LinearSystem(dim, strict=rows), []),
+                ):
+                    systems.clear()
+                    verdict = decide(cells, y0, yplus)
+                    got = [s for (s,) in systems]
+                    systems.clear()
+                    want = intersect_empty(
+                        [cells, polyhedra_module.identity_cell(region)], halfspaces
+                    )
+                    assert got and got == [s for (s,) in systems], (i, y0)
+                    assert verdict == want.empty
+                    if halfspaces:
+                        assert all(
+                            s.strict[-1] == (n + (ZERO,) * (s.dim - dim), r) for s in got
+                        )
+                    compared += len(got)
+                restricted += any(c.system.strict for c in cells)
+        assert compared > 100 and restricted > 10, (compared, restricted)
+
+
 class TestCertify:
     def test_worked_example_certificate(self, worked_example):
         cert = certify_multiplier(worked_example, (0, 0))
@@ -1401,6 +1449,24 @@ class TestFrontier:
         L = lagrange_process(separator_cone(g, (0, 0)))
         fr = dual_frontier(worked_example, L)
         assert fr.points == ()
+
+    def test_negative_limit_is_refused(self):
+        """A negative limit used to slice the candidates from the end, and
+        the frontier lost a point while it reported itself truncated."""
+        p = random_affine_instance(random.Random(0), (2, 2, 1))
+        fr = minimal_frontier(p)
+        assert len(fr.points) == 2 and not fr.truncated
+        L = lagrange_process(separator_cone(graph_closure(p), fr.points[0].point))
+        assert dual_frontier(p, L).points
+        read = lambda f: (f.points, f.truncated)
+        for entry in (
+            lambda limit: read(minimal_frontier(p, limit)),
+            lambda limit: minimal_frontier_points(p, limit)[1:],
+            lambda limit: read(dual_frontier(p, L, limit)),
+        ):
+            with pytest.raises(ValueError, match="nonnegative"):
+                entry(-1)
+            assert entry(0) == ((), True)
 
 
 class TestOracleEquivalence:

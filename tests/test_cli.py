@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from process_duality import certify as certify_module
 from process_duality import cli as cli_module
 from process_duality.cli import main
 from process_duality.problemfile import emit_problem
@@ -154,6 +155,27 @@ class TestClassify:
         doc = json.loads(out)
         assert doc["status_P"]["minimal"] is True
         assert doc["status_P"]["pos"] is False
+
+    @pytest.mark.parametrize("side, decisions", [("P", 1), ("both", 2)])
+    def test_membership_decided_once_per_set(
+        self, capsys, monkeypatch, instance_path, side, decisions
+    ):
+        """y0 in W(0) is decided once, before anything is built at y0, and
+        the P side classifies without deciding it again; the D side decides
+        y0 in M."""
+        argv = ["classify", instance_path("i3"), "--y0", "1/2,1/2", "--side", side]
+        expected = run(capsys, argv)
+        calls = []
+        for module in (cli_module, certify_module):
+            member = module.member
+
+            def counted(*args, member=member):
+                calls.append(args)
+                return member(*args)
+
+            monkeypatch.setattr(module, "member", counted)
+        assert run(capsys, argv) == expected
+        assert expected[0] == 0 and len(calls) == decisions
 
     def test_single_point_discrete(self, capsys, tmp_path):
         doc = {

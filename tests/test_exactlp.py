@@ -1,5 +1,6 @@
 """Exact LP: golden examples, a brute-force vertex oracle, and invariants."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
@@ -11,7 +12,7 @@ from process_duality import _kernel
 from process_duality import exactlp as exactlp_module
 from process_duality import rational as rational_module
 from process_duality.errors import DimensionMismatch, InternalConsistencyError
-from process_duality.rational import dot, vec
+from process_duality.rational import dot, integer_rows, vec
 from process_duality.exactlp import (
     LinearSystem,
     LpStatus,
@@ -332,6 +333,45 @@ def test_extended_coerces_only_the_added_rows(monkeypatch):
     for kind in ("le", "eq", "strict"):
         with pytest.raises(DimensionMismatch):
             base.extended(**{kind: [((1, 0, 0), 0)]})
+
+
+def test_from_integer_rows_reads_the_rows_it_keeps():
+    """A system built from `integer_rows`, the least ones or ones scaled by
+    a further positive integer (as `OrderCone.below_rows` scales by s.d and
+    a point cell's unit rows by d), has the rows of the system built from
+    the Fraction rows, keeps the rows given as its `integer_form`, and holds
+    at a point exactly where that system does."""
+    rng = random.Random(26)
+    frac = lambda: F(rng.randint(-9, 9), rng.randint(1, 6))
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        rows = {
+            kind: tuple(
+                (tuple(frac() for _ in range(dim)), frac())
+                for _ in range(rng.randint(0, top))
+            )
+            for kind, top in (("le", 3), ("eq", rng.choice((0, 1))), ("strict", 2))
+        }
+        fresh = LinearSystem(dim, **rows)
+        for k in (1, rng.randint(2, 12)):
+            given = {
+                kind: tuple(
+                    (tuple(k * c for c in a), k * b, k * s) for a, b, s in integer_rows(r)
+                )
+                for kind, r in rows.items()
+            }
+            built = LinearSystem.from_integer_rows(dim, **given)
+            assert built == fresh
+            assert all(type(x) is F for n, r in built.le + built.eq + built.strict
+                       for x in n + (r,))
+            assert built.integer_form == (given["le"], given["eq"], given["strict"])
+            for _ in range(4):
+                x, d = [rng.randint(-6, 6) for _ in range(dim)], rng.randint(1, 4)
+                holds = fresh.holds_at(x, d)
+                assert built.holds_at(x, d) == holds
+                seen[holds] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_strict_open_interval():

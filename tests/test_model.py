@@ -5,7 +5,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from process_duality.certify import _facet_rows_at
 from process_duality.errors import (
     EmptyProgramError,
     InternalConsistencyError,
@@ -82,9 +81,11 @@ class TestOrderCone:
             lined += bool(c.lineality)
         assert dim == 1 or lined > 0
 
-    def test_below_rows_are_the_shifted_facets_scaled(self, criterion_4_program):
+    def test_below_rows_are_the_shifted_facets_scaled(self, criterion_4_program,
+                                                      shifted_facets):
         """Each integer row of y0 - Y_+ is a positive multiple of (-n, -n.y0),
-        the Fraction row `_facet_rows_at` gives, at integer and fractional y0."""
+        the Fraction row `shifted_facets.rows_at` gives, at integer and
+        fractional y0."""
         for i in range(40):
             yplus = criterion_4_program(i).y_plus
             rng = random.Random(i)
@@ -92,7 +93,7 @@ class TestOrderCone:
                 y0 = tuple(
                     F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(yplus.ambient_dim)
                 )
-                rows, ints = _facet_rows_at(yplus, y0)
+                rows, ints = shifted_facets.rows_at(yplus, y0)
                 want = [(tuple(-x for x in n), -dot(n, y0)) for n in yplus.facet_normals()]
                 assert list(rows) == want and ints == yplus.below_rows(y0)
                 for (n, r), (a, b, scale) in zip(want, ints):

@@ -19,7 +19,6 @@ from process_duality import _dd, polyhedra
 from process_duality._kernel import primitive
 from process_duality.certify import (
     ProgramContext,
-    _facet_rows_at,
     certify_multiplier,
     minimal_frontier_points,
 )
@@ -1335,7 +1334,8 @@ class TestIntegerMembership:
         assert seen["member"] > 200 and seen["outside"] > 200
         assert seen["ray"] > 100 and seen["not ray"] > 100 and seen["holds"] > 50
 
-    def test_criterion_4_programs(self, criterion_4_program, fraction_member):
+    def test_criterion_4_programs(self, criterion_4_program, fraction_member,
+                                  shifted_facets):
         seen = dict.fromkeys(
             ("member", "in y0 - Int Y+", "in y0 - Y+, off y0", "feasible", "interior"), 0
         )
@@ -1359,7 +1359,7 @@ class TestIntegerMembership:
                     assert zplus.strictly_contains(w) == interior
                     seen["interior"] += interior
             for y0 in images:
-                rows, ints = _facet_rows_at(yplus, y0)
+                rows, ints = shifted_facets.rows_at(yplus, y0)
                 assert list(rows) == [
                     (tuple(-x for x in n), -dot(n, y0)) for n in yplus.facet_normals()
                 ]
@@ -1486,7 +1486,7 @@ class TestPointCell:
             assert k > 0 and rest == 0
             assert (a, b) == (tuple(k * x for x in a0), k * b0)
 
-    def test_criterion_4_programs(self, criterion_4_program):
+    def test_criterion_4_programs(self, criterion_4_program, shifted_facets):
         seen = dict.fromkeys(("member", "outside", "empty", "nonempty"), 0)
         for i in range(200):
             p = criterion_4_program(i)
@@ -1503,10 +1503,10 @@ class TestPointCell:
                 assert [c.member(y) for c in new] == [c.member(y) for c in old]
                 seen["member" if expected else "outside"] += 1
             for y0 in images:
-                rows, _ = _facet_rows_at(yplus, y0)
+                rows, _ = shifted_facets.rows_at(yplus, y0)
                 below = polyhedra.identity_cell(LinearSystem(dim, le=rows))
                 inside = polyhedra.identity_cell(LinearSystem(dim, strict=rows))
-                total = [(yplus.negated_normal_sum, sum(r for _, r in rows))]
+                total = [shifted_facets.summed(yplus, y0)]
                 for parts_new, parts_old, strict in (
                     ([new, below], [old, below], total),
                     ([new, inside], [old, inside], ()),
