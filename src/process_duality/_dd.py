@@ -33,6 +33,10 @@ by the leading entry, its absolute value, or the homogenizing coordinate
 (integer generators with a single divisor, as in the Parma Polyhedra Library;
 Bagnara, Hill & Zaffanella 2008).  The adjacency step yields only extreme
 rays.
+
+`tight_rank` gives the rows tight at a point and their rank, by the same
+integer reduced row echelon form: the test of a vertex, and of an extreme
+ray, on integer rows.
 """
 
 from __future__ import annotations
@@ -71,6 +75,20 @@ def _integer_rref(rows, dim):
         pivots.append(col)
         r += 1
     return [primitive(row) for row in work[:r]], pivots
+
+
+def tight_rank(x, d, le=(), eq=()):
+    """(tight, rank) at the point x / d, for `x` integers and d > 0 (d = 0:
+    the direction x): the normals of the rows tight there, every `eq` row
+    and each `le` row that holds with equality, and the rank of those
+    normals.  Rows are given as `rational.integer_rows` (a, b, s), and a
+    tight normal is its integer a.
+
+    A point of a polyhedron is a vertex iff the rows tight at it have rank
+    dim (Schrijver 1986, ch. 8); a cone is pointed iff the origin is one."""
+    tight = [a for a, _, _ in eq]
+    tight += [a for a, b, _ in le if _idot(a, x) == b * d]
+    return tight, len(_integer_rref(tight, len(x))[1])
 
 
 def _integer_null_space(rows, dim) -> list[tuple[int, ...]]:

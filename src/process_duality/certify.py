@@ -16,6 +16,13 @@ combination of cells.
 The proper-efficiency notions are decided on closures, which is equivalent
 for these notions because they only involve closed conic hulls and open
 dilations.
+
+The public `is_minimal` and `is_weak_minimal` always take that route.  On
+the certify path three verdicts are decided by theorem instead, each on a
+certificate checked exactly: a member of W(0) that is a vertex of
+cl W(0) + Y_+ is minimal (`_minimal_vertices`, certified by the rank of its
+tight rows), Min on a closed polyhedron is Pos, and Min implies WMin
+(`_classify`).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-from ._dd import _integer_rref
+from ._dd import tight_rank
 from .errors import (
     EmptyFeasibleError,
     InternalConsistencyError,
@@ -260,14 +267,14 @@ def _henig_admissible(cone_a: PolyhedralCone, base: Polyhedron,
                       eta: Fraction) -> bool:
     """K_eta = cone(base + eta * infinity-ball) is pointed and meets
     -cone_a only at 0, decided by double description.  K_eta is pointed iff
-    the normals of its rows span the space, which one integer rank decides
-    on the rows the double description has just produced."""
+    the origin is a vertex of it: every row is tight there, so one integer
+    rank of the rows the double description has just produced decides it
+    (`tight_rank`)."""
     corners = [tuple(eta * s for s in c) for c in box_corners(base.dim)]
     gens = [vadd(v, c) for v in base.vrep.vertices for c in corners]
     k = PolyhedralCone.from_generators(base.dim, gens)
-    normals = [integer_scaled(r.normal)[0] for r in k.hrep]
-    _, pivots = _integer_rref(normals, k.dim)
-    return len(pivots) == k.dim and _cone_is_zero(
+    le, eq, _ = k.system().integer_form
+    return tight_rank((0,) * k.dim, 1, le, eq)[1] == k.dim and _cone_is_zero(
         cone_a.with_rows([(tuple(-x for x in r.normal), ZERO, LE)
                           for r in k.inequalities()])
     )
@@ -334,7 +341,9 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone,
     """Full efficiency status of y0 in A under the Y_+ order.
 
     Minimality and weak minimality are exact on the (possibly non-closed)
-    set; the proper notions are decided on the closed conic hull
+    set.  On a closed `Polyhedron` with Y_+ pointed, Min is read off Pos
+    (Isermann 1974), and a minimal y0 is weakly minimal with no LP
+    (`_classify`).  The proper notions are decided on the closed conic hull
     C = cl cone(A - y0): Pos by LP, He by the polyhedral reduction
     C cap (-Y_+) = {0} with an explicit dilation witness, SE by boundedness
     of C cap (ball - Y_+), GHe via the Pos or He certificates.  Non-pointed
@@ -361,24 +370,41 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
     """classify_proper for a y0 already known to be a member of A; `minimal`
     is y0's minimality in A when the caller has decided it.
 
+    Two verdicts are decided by theorem, each on a certificate that is
+    checked exactly; the strict LPs of `_is_minimal` and `_is_weak_minimal`
+    decide the rest:
+    - On a closed polyhedron A with Y_+ pointed, Min is Pos.  Pos implies
+      Min, and a minimal point of a polyhedron has a strictly positive
+      supporting functional (Arrow, Barankin & Blackwell 1953; Isermann
+      1974).  The Pos LP's own certificate decides: y* when Pos holds, the
+      Farkas vector that `verify_outcome` re-checked when it does not.
+    - Min implies WMin, as Y_+ is not the whole space (`OrderCone`): a point
+      of y0 - Int Y_+ that is also in y0 + Y_+ would put 0 in Int Y_+ and
+      make Y_+ the whole space.  So WMin runs its LP only where y0 is not
+      minimal.
+
     `with_witnesses=False` skips the dilation witness search (the booleans
     are unchanged: for polyhedral data the reduction implies a pointed
     dilation exists)."""
+    pointed = yplus.is_pointed
+    if pointed:
+        dim = yplus.ambient_dim
+        verts, rays, lines = closure_generators(a) if closure is None else closure
+        # Pos: y* in Y_+^{+i} supporting cl A at y0
+        y_star = positive_functional(
+            dim, yplus.generators, [vsub(v, y0) for v in verts] + list(rays), lines
+        )
+        pos = y_star is not None
     if minimal is None:
-        minimal = _is_minimal(a, y0, yplus)
-    weak = _is_weak_minimal(a, y0, yplus)
-    if not yplus.is_pointed:
+        if pointed and isinstance(a, Polyhedron):
+            minimal = pos
+        else:
+            minimal = _is_minimal(a, y0, yplus)
+    weak = minimal or _is_weak_minimal(a, y0, yplus)
+    if not pointed:
         return EfficiencyStatus(minimal, weak).validate()
 
-    dim = yplus.ambient_dim
-    verts, rays, lines = closure_generators(a) if closure is None else closure
     witnesses: dict = {}
-
-    # Pos: y* in Y_+^{+i} supporting cl A at y0
-    y_star = positive_functional(
-        dim, yplus.generators, [vsub(v, y0) for v in verts] + list(rays), lines
-    )
-    pos = y_star is not None
     if pos:
         witnesses["pos"] = y_star
 
@@ -701,18 +727,44 @@ class Frontier:
     truncated: bool = False
 
 
+def _certified_vertex(rows, v: Vec) -> bool:
+    """True once v, a point of the polyhedron of `rows` (le, eq) given as
+    `integer_rows`, is certified a vertex of it: the rows tight at v have
+    rank dim (`tight_rank`).  Otherwise InternalConsistencyError, as only a
+    vertex of the polyhedron's canonical form is ever given."""
+    x, d = integer_scaled(v)
+    if tight_rank(x, d, *rows)[1] != len(v):
+        raise InternalConsistencyError(f"{v} is not a vertex of the upper image")
+    return True
+
+
 def _minimal_vertices(a: SetLike, hull: Polyhedron, yplus: OrderCone,
-                      limit: int, verdicts: dict):
+                      limit: int, verdicts: dict, upper: bool = False):
     """(points, truncated): the first `limit` vertices of `hull` that are
     members of A and minimal in A, and whether `hull` has more vertices than
-    `limit`.  `verdicts` records point -> minimality for each member tested."""
+    `limit`.  `verdicts` records point -> minimality for each member tested.
+
+    With `upper`, hull is cl A + Y_+, and when it has no lines a member v of
+    A among its vertices is minimal in A by theorem: if v - d is in A for
+    some d in Y_+, then v - d and v + d are both in hull, with midpoint v, so
+    d = 0.  The certificate is that v is a vertex (`_certified_vertex`), on
+    the hull's canonical rows, which its vertices were read off.  Any other
+    member is decided by `_is_minimal`: that of a hull that is not
+    cl A + Y_+, or of one with lines, as with any Y_+ that is not pointed,
+    or with W(0) = {(t, 0)} and Y_+ = R^2_+, whose canonical vertex (0, 0)
+    is in W(0) and not minimal."""
     if limit < 0:
         raise ValueError(f"the frontier limit must be nonnegative, not {limit}")
     candidates = hull.vrep.vertices
+    # any rows of hull certify its vertices; `system` holds the canonical ones
+    rows = hull.system().integer_form[:2] if upper and not hull.vrep.lines else None
     points = []
     for v in candidates[:limit]:
         if member(a, v):
-            verdicts[v] = _is_minimal(a, v, yplus)
+            if rows is None:
+                verdicts[v] = _is_minimal(a, v, yplus)
+            else:
+                verdicts[v] = _certified_vertex(rows, v)
             if verdicts[v]:
                 points.append(v)
     return tuple(points), len(candidates) > limit
@@ -720,7 +772,11 @@ def _minimal_vertices(a: SetLike, hull: Polyhedron, yplus: OrderCone,
 
 def minimal_frontier_points(p, limit: int = 10000):
     """Minimal vertices of the closed upper image at z = 0 (no classification),
-    for a program or its context, whose `minimal` records each verdict."""
+    for a program or its context, whose `minimal` records each verdict.
+
+    A member of W(0) among the vertices of upper = cl W(0) + Y_+ is minimal
+    by theorem when upper has no lines, with its vertex rank as certificate,
+    and by one strict LP per cell otherwise (`_minimal_vertices`)."""
     ctx = _context(p)
     p, cells = ctx.program, ctx.cells
     if not any(c.is_feasible() for c in cells):
@@ -732,14 +788,19 @@ def minimal_frontier_points(p, limit: int = 10000):
         list(rays) + list(p.y_plus.generators),
         list(lines) + list(p.y_plus.lineality),
     )
-    points, truncated = _minimal_vertices(cells, upper, p.y_plus, limit, ctx.minimal)
+    points, truncated = _minimal_vertices(
+        cells, upper, p.y_plus, limit, ctx.minimal, upper=True
+    )
     return cells, points, truncated
 
 
 def minimal_frontier(p: Program, limit: int = 10000) -> Frontier:
-    """Vertices of the closed upper image at z = 0, filtered by the exact
-    minimality test against W(0).  Candidate supply for y0, not a complete
-    enumeration of Min (non-closed corner points need an explicit y0)."""
+    """Vertices of the closed upper image at z = 0, filtered by minimality
+    against W(0), by theorem where the upper image has no lines and by the
+    exact strict LP otherwise (`minimal_frontier_points`).  Each point is
+    classified knowing it is minimal, so it is weakly minimal with no LP.
+    Candidate supply for y0, not a complete enumeration of Min (non-closed
+    corner points need an explicit y0)."""
     ctx = ProgramContext(p)
     cells, points, truncated = minimal_frontier_points(ctx, limit)
     out = [
@@ -751,9 +812,13 @@ def minimal_frontier(p: Program, limit: int = 10000) -> Frontier:
     return Frontier(tuple(out), truncated)
 
 
-def dual_frontier(p: Program, L: LagrangeProcess, limit: int = 10000) -> Frontier:
-    """Same vertex filter applied to the dual image M."""
-    m = dual_image(p, L)
+def dual_frontier(p, L: LagrangeProcess, limit: int = 10000) -> Frontier:
+    """Same vertex filter applied to the dual image M, for a program or its
+    context, which `dual_image` reads W(0) from.  Its hull is M's closure,
+    not M + Y_+, so each member vertex is decided by the strict LP."""
+    ctx = _context(p)
+    p = ctx.program
+    m = dual_image(ctx, L)
     verts, rays, lines = closure_generators(m)
     if not verts:
         return Frontier((), False)

@@ -298,7 +298,7 @@ def cmd_frontier(args) -> int:
             )
         ctx = ProgramContext(problem)
         L = lagrange_process(separator_cone(ctx.graph, _w0_point(args, ctx)))
-        frontier = dual_frontier(problem, L, _nonnegative("--limit", args.limit))
+        frontier = dual_frontier(ctx, L, _nonnegative("--limit", args.limit))
     payload = {
         "report": "frontier",
         "tool": TOOL,

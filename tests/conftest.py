@@ -11,8 +11,9 @@ strict-LP route that certified restricted rows and kept
 restricted slices; a recorder of the strict LPs that building order
 cones and boundary-restricted sets runs; double description without
 its cardinality prefilter; the H/V conversions that lift every set,
-cones included, to its homogenization; and the polar cone with its
-generators from a double description."""
+cones included, to its homogenization; the polar cone with its
+generators from a double description; and Min and WMin decided by
+strict LPs alone."""
 
 import random
 from fractions import Fraction as F
@@ -54,6 +55,8 @@ from process_duality.polyhedra import (
     VRep,
     _on_hyperplane,
     cell_of_polyhedron,
+    identity_cell,
+    intersect_empty,
 )
 from process_duality.rational import (
     ONE,
@@ -800,3 +803,27 @@ def dd_polar_cone():
     """(k, sign) -> the polar of the cone k with its generators from a
     double description of k's generators, not read off k's rows."""
     return _dd_polar_cone
+
+
+def _lp_minimality(a, y0, yplus):
+    """(Min, WMin) of y0 in A by strict LPs alone, as `certify` decided
+    both on every set before any verdict was taken by theorem: A misses the
+    region of `OrderCone.minimality_rows` at y0, and the region of
+    `below_rows` taken strictly, each an identity cell tested against every
+    cell of A by `intersect_empty`, point cells on their unit rows."""
+    y0 = vec(y0)
+    dim = yplus.ambient_dim
+
+    def misses(le=(), strict=()):
+        region = identity_cell(LinearSystem.from_integer_rows(dim, le=le, strict=strict))
+        return intersect_empty([a, region]).empty
+
+    rows, summed = yplus.minimality_rows(y0)
+    return misses(le=rows, strict=(summed,)), misses(strict=yplus.below_rows(y0))
+
+
+@pytest.fixture(scope="session")
+def lp_minimality():
+    """(A, y0, yplus) -> (Min, WMin) of y0 in A, each by strict LPs over
+    A's cells, with no verdict taken by theorem."""
+    return _lp_minimality

@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from importlib import resources
 from itertools import product
@@ -49,11 +50,13 @@ from process_duality.fuzzing import (
     random_setvalued_instance,
 )
 from process_duality.model import (
+    AffineVectorProgram,
     DiscretePoint,
     DiscreteVectorProgram,
     OrderCone,
     SetValuedPoint,
     SetValuedProgram,
+    affine_map,
     feasible_region,
     graph_closure,
     simplex_relaxation,
@@ -71,6 +74,7 @@ from process_duality.polyhedra import (
     PointCell,
     Polyhedron,
     PolyhedralCone,
+    VRep,
     as_cells,
     cell_of_polyhedron,
     closure_generators,
@@ -594,20 +598,39 @@ class TestWorkDoneOnce:
     def test_filter_verdicts_are_not_decided_again(
         self, monkeypatch, criterion_3_program
     ):
-        calls = [0]
+        """Each frontier point's minimality is decided twice, in W(0) by the
+        filter and in M by its certificate, each by the strict LP or by
+        theorem: a vertex of the upper image with its rank (`vertex`), or
+        Pos on the closed polyhedron M (`pos`, a `_classify` that decides
+        Min and runs no `_is_minimal`)."""
+        calls = dict.fromkeys(("lp", "vertex", "pos"), 0)
         decide = certify_module._is_minimal
+        certified = certify_module._certified_vertex
+        classify = certify_module._classify
         asked = []
         contains = certify_module.member
 
         def counted(*args):
-            calls[0] += 1
+            calls["lp"] += 1
             return decide(*args)
+
+        def by_vertex(*args):
+            calls["vertex"] += 1
+            return certified(*args)
+
+        def by_pos(a, y0, yplus, *args, minimal=None, **kwargs):
+            before = calls["lp"]
+            status = classify(a, y0, yplus, *args, minimal=minimal, **kwargs)
+            calls["pos"] += minimal is None and calls["lp"] == before
+            return status
 
         def recorded(obj, x):
             asked.append(vec(x))
             return contains(obj, x)
 
         monkeypatch.setattr(certify_module, "_is_minimal", counted)
+        monkeypatch.setattr(certify_module, "_certified_vertex", by_vertex)
+        monkeypatch.setattr(certify_module, "_classify", by_pos)
         monkeypatch.setattr(certify_module, "member", recorded)
         frontier = 0
         for i in range(40):
@@ -625,7 +648,7 @@ class TestWorkDoneOnce:
             assert not set(asked) & set(points), i
             frontier += len(points)
         # the filter's verdict, then minimality in M; W(0) is not asked again
-        assert (frontier, calls[0]) == (45, 90)
+        assert (frontier, calls["lp"], calls["vertex"], calls["pos"]) == (45, 2, 44, 44)
 
     def test_minimality_loop_does_each_piece_of_work_once(
         self, count, monkeypatch, criterion_4_program
@@ -837,7 +860,11 @@ class TestStrictLpCounts:
     def test_classify_proper_decides_membership_once(
         self, count, criterion_3_program
     ):
-        classified = 0
+        """classify_proper runs the LPs of membership and Min, and those of
+        WMin only where y0 is not minimal (Min implies WMin), at the
+        frontier points and at the other W(0) members among the vertices of
+        cl W(0)."""
+        classified = {True: 0, False: 0}
         for i in range(12):
             ctx = ProgramContext(criterion_3_program(i))
             try:
@@ -845,18 +872,20 @@ class TestStrictLpCounts:
             except EmptyFeasibleError:
                 continue
             cells, yplus = ctx.cells, ctx.program.y_plus
-            for y0 in points:
+            for y0 in dict.fromkeys(points + tuple(ctx.closure[0])):
                 membership = count(member, cells, y0)
+                if not member(cells, y0):
+                    continue
                 assert membership > 0
+                minimal = is_minimal(cells, y0, yplus)
+                weak = 0 if minimal else (
+                    count(is_weak_minimal, cells, y0, yplus) - membership
+                )
                 assert count(
                     classify_proper, cells, y0, yplus, closure=ctx.closure
-                ) == (
-                    count(is_minimal, cells, y0, yplus)
-                    + count(is_weak_minimal, cells, y0, yplus)
-                    - membership
-                )
-                classified += 1
-        assert classified > 10
+                ) == count(is_minimal, cells, y0, yplus) + weak
+                classified[minimal] += 1
+        assert classified[True] > 10 and classified[False] > 5, classified
 
 
 class TestDirectIdentityCells:
@@ -1450,6 +1479,27 @@ class TestFrontier:
         fr = dual_frontier(worked_example, L)
         assert fr.points == ()
 
+    def test_dual_frontier_takes_a_context(self, monkeypatch, criterion_3_program):
+        """dual_frontier of a program's context equals that of the program,
+        and builds no cells of W(0) beyond the context's own."""
+        built = []
+        w0 = certify_module.w0_cells
+        monkeypatch.setattr(certify_module, "w0_cells", lambda p: built.append(p) or w0(p))
+        compared = 0
+        for i in range(12):
+            ctx = ProgramContext(criterion_3_program(i))
+            try:
+                _, points, _ = minimal_frontier_points(ctx)
+            except EmptyFeasibleError:
+                continue
+            for y0 in points:
+                L = lagrange_process(separator_cone(ctx.graph, y0))
+                built.clear()
+                assert dual_frontier(ctx, L) == dual_frontier(ctx.program, L)
+                assert len(built) == 1  # the program's fresh context only
+                compared += 1
+        assert compared > 10
+
     def test_negative_limit_is_refused(self):
         """A negative limit used to slice the candidates from the end, and
         the frontier lost a point while it reported itself truncated."""
@@ -1467,6 +1517,156 @@ class TestFrontier:
             with pytest.raises(ValueError, match="nonnegative"):
                 entry(-1)
             assert entry(0) == ((), True)
+
+
+def _fuzz_affine(i):
+    return random_affine_instance(random.Random(1_000_003 + i), (2, 2, 1))
+
+
+def _fuzz_setvalued(i):
+    return random_setvalued_instance(random.Random(1_000_003 + i), (2, 2))
+
+
+class TestMinimalityByTheorem:
+    """Min decided by theorem, as a vertex of cl W(0) + Y_+ in the frontier
+    filter and as Pos on the closed polyhedron M in `_classify`, and WMin
+    taken from Min where y0 is minimal, give the verdicts of strict LPs
+    alone (`lp_minimality`)."""
+
+    @staticmethod
+    def check(p, lp_minimality, seen):
+        """The filter's verdict on every W(0) member among the vertices of
+        the upper image; P and D at every frontier point, from its
+        certificate; D at every W(0) member among the vertices of M and of
+        cl W(0), minimal or not; and P at every W(0) member among the
+        vertices of cl W(0)."""
+        ctx = ProgramContext(p)
+        try:
+            _, points, _ = minimal_frontier_points(ctx)
+        except EmptyFeasibleError:
+            return
+        yplus = p.y_plus
+        verdicts = lambda status: (status.minimal, status.weak_minimal)
+        for v, verdict in ctx.minimal.items():
+            assert verdict == lp_minimality(ctx.cells, v, yplus)[0], v
+            seen["filter", verdict] += 1
+        for v in ctx.closure[0]:
+            if member(ctx.cells, v):
+                status = certify_module._classify(
+                    ctx.cells, v, yplus, False, closure=ctx.closure
+                )
+                assert verdicts(status) == lp_minimality(ctx.cells, v, yplus), v
+                seen["P", status.minimal] += 1
+        conv = ctx.convex
+        for y0 in points:
+            cert = certify_multiplier(ctx, y0, with_witnesses=False)
+            m = cert.dual_image
+            assert verdicts(cert.status_P0) == lp_minimality(conv.cells, y0, yplus)
+            assert verdicts(cert.status_D) == lp_minimality(m, y0, yplus), y0
+            for v in dict.fromkeys(closure_generators(m)[0] + conv.closure[0]):
+                if member(conv.cells, v):
+                    status = certify_module._classify(m, v, yplus, False)
+                    assert verdicts(status) == lp_minimality(m, v, yplus), (y0, v)
+                    seen["D", status.minimal] += 1
+
+    # the least number of verdicts compared: the filter's (all minimal),
+    # then P and D, minimal and not
+    @pytest.mark.parametrize("stream, count, least", [
+        ("criterion 3", 40, (60, 80, 80, 190, 140)),
+        ("criterion 4", 60, (35, 50, 40, 60, 100)),
+        ("affine (2,2,1)", 150, (190, 250, 330, 390, 410)),
+        ("set-valued (2,2)", 150, (110, 150, 90, 150, 310)),
+    ])
+    def test_verdicts_match_the_lp_oracle(
+        self, criterion_3_program, criterion_4_program, lp_minimality,
+        stream, count, least,
+    ):
+        program = {
+            "criterion 3": criterion_3_program,
+            "criterion 4": criterion_4_program,
+            "affine (2,2,1)": _fuzz_affine,
+            "set-valued (2,2)": _fuzz_setvalued,
+        }[stream]
+        seen = Counter()
+        for i in range(count):
+            self.check(program(i), lp_minimality, seen)
+        kinds = (("filter", True), ("P", True), ("P", False), ("D", True), ("D", False))
+        assert all(seen[k] >= n for k, n in zip(kinds, least)), seen
+
+    def test_upper_image_with_a_line_keeps_the_lp(self, orthant2, r_plus):
+        """W(0) = {(t, 0)} under Y_+ = R^2_+: the upper image is a half-plane
+        with a line, whose canonical vertex (0, 0) lies in W(0) and is not
+        minimal.  The filter decides it by the strict LP, not by rank."""
+        p = AffineVectorProgram(
+            Polyhedron.full_space(1),
+            affine_map([[1], [0]], [0, 0]),
+            affine_map([[0]], [-1]),
+            orthant2,
+            r_plus,
+        )
+        ctx = ProgramContext(p)
+        assert minimal_frontier_points(ctx)[1:] == ((), False)
+        assert ctx.minimal == {(F(0), F(0)): False}
+        assert not is_minimal(ctx.cells, (0, 0), orthant2)
+
+    def test_corrupted_vertex_raises(self, planar_i3):
+        """The rank certificate refuses a point of the upper image that is
+        not a vertex, though it is in W(0): the midpoint of the segment
+        W(0), given as a vertex of a hull whose rows are the true ones."""
+        ctx = ProgramContext(planar_i3)
+        cells, points, _ = minimal_frontier_points(ctx)
+        assert points == ((F(0), F(1)), (F(1), F(0)))
+        upper = Polyhedron.from_vrep(2, points, planar_i3.y_plus.generators)
+        mid = (F(1, 2), F(1, 2))
+        assert member(cells, mid) and upper.member(mid)
+        corrupted = Polyhedron(
+            2, hrep=upper.hrep, vrep=VRep(points + (mid,), upper.vrep.rays)
+        )
+        with pytest.raises(InternalConsistencyError, match="not a vertex"):
+            certify_module._minimal_vertices(
+                cells, corrupted, planar_i3.y_plus, 10, {}, upper=True
+            )
+        rows = upper.system().integer_form[:2]
+        assert all(certify_module._certified_vertex(rows, v) for v in points)
+        with pytest.raises(InternalConsistencyError, match="not a vertex"):
+            certify_module._certified_vertex(rows, mid)
+
+    def test_every_status_is_validated(self, monkeypatch, criterion_3_program):
+        """`EfficiencyStatus.validate` runs on every status `_classify`
+        returns, on the theorem routes and the LP routes alike, and with
+        Y_+ pointed or not."""
+        validated = []
+        validate = certify_module.EfficiencyStatus.validate
+        classify = certify_module._classify
+        returned = []
+
+        def recorded(status):
+            validated.append(status)
+            return validate(status)
+
+        def counted(*args, **kwargs):
+            returned.append(classify(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(certify_module.EfficiencyStatus, "validate", recorded)
+        monkeypatch.setattr(certify_module, "_classify", counted)
+        for i in range(12):
+            ctx = ProgramContext(criterion_3_program(i))
+            try:
+                _, points, _ = minimal_frontier_points(ctx)
+            except EmptyFeasibleError:
+                continue
+            for y0 in points:
+                certify_multiplier(ctx, y0, with_witnesses=False)
+            for v in ctx.closure[0]:
+                if member(ctx.cells, v):
+                    classify_proper(ctx.cells, v, ctx.program.y_plus)
+        assert validated == returned
+        applicable = Counter(s.pos is not None for s in returned)
+        minimal = Counter(s.minimal for s in returned)
+        assert min(applicable.values()) > 10 and min(minimal.values()) > 10, (
+            applicable, minimal
+        )
 
 
 class TestOracleEquivalence:

@@ -262,6 +262,28 @@ class TestFrontier:
         pts = sorted(tuple(p["point"]) for p in doc["minimal_points"])
         assert pts == [("0/1", "1/1"), ("1/1", "0/1")]
 
+    def test_dual_side_builds_w0_once(self, capsys, monkeypatch, instance_path):
+        """`frontier --side D` hands its context to `dual_frontier`, so the
+        cells of W(0) that decided y0 in W(0) also serve the dual image's
+        inclusion check: `w0_cells` runs once, as for `classify --side D`.
+        The report is the one recorded when it ran twice."""
+        calls = []
+        w0_cells = certify_module.w0_cells
+
+        def counted(p):
+            calls.append(p)
+            return w0_cells(p)
+
+        monkeypatch.setattr(certify_module, "w0_cells", counted)
+        code, out, err = run(
+            capsys,
+            ["frontier", instance_path("i3"), "--side", "D", "--y0=1/2,1/2", "--json"],
+        )
+        assert (code, err, len(calls)) == (0, "", 1)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bad6f83784e5f6e06fa08ef60ef1e9f27017cf438763e698055470329c6bdcb1"
+        )
+
     def test_worked_example_dual_min_empty(self, capsys, instance_path):
         code, out, _ = run(
             capsys,
