@@ -19,10 +19,10 @@ dilations.
 
 The public `is_minimal` and `is_weak_minimal` always take that route.  On
 the certify path three verdicts are decided by theorem instead, each on a
-certificate checked exactly: a member of W(0) that is a vertex of
-cl W(0) + Y_+ is minimal (`_minimal_vertices`, certified by the rank of its
-tight rows), Min on a closed polyhedron is Pos, and Min implies WMin
-(`_classify`).
+certificate checked exactly: a member of A that is a vertex of a hull of A
+closed under + Y_+, as cl W(0) + Y_+ and M are, is minimal
+(`_minimal_vertices`, certified by the rank of its tight rows), Min on a
+closed polyhedron is Pos, and Min implies WMin (`_classify`).
 """
 
 from __future__ import annotations
@@ -739,25 +739,25 @@ def _certified_vertex(rows, v: Vec) -> bool:
 
 
 def _minimal_vertices(a: SetLike, hull: Polyhedron, yplus: OrderCone,
-                      limit: int, verdicts: dict, upper: bool = False):
-    """(points, truncated): the first `limit` vertices of `hull` that are
-    members of A and minimal in A, and whether `hull` has more vertices than
-    `limit`.  `verdicts` records point -> minimality for each member tested.
+                      limit: int, verdicts: dict):
+    """(points, truncated): the first `limit` vertices of `hull`, a closed
+    convex set holding A, that are members of A and minimal in A, and
+    whether `hull` has more vertices than `limit`.  `verdicts` records
+    point -> minimality for each member tested.
 
-    With `upper`, hull is cl A + Y_+, and when it has no lines a member v of
-    A among its vertices is minimal in A by theorem: if v - d is in A for
-    some d in Y_+, then v - d and v + d are both in hull, with midpoint v, so
-    d = 0.  The certificate is that v is a vertex (`_certified_vertex`), on
-    the hull's canonical rows, which its vertices were read off.  Any other
-    member is decided by `_is_minimal`: that of a hull that is not
-    cl A + Y_+, or of one with lines, as with any Y_+ that is not pointed,
-    or with W(0) = {(t, 0)} and Y_+ = R^2_+, whose canonical vertex (0, 0)
-    is in W(0) and not minimal."""
+    When hull + Y_+ lies in hull and hull has no lines, a member v of A
+    among its vertices is minimal in A by theorem: if v - d is in A for some
+    d in Y_+, then v - d and v + d are both in hull, with midpoint v, so
+    d = 0.  The certificates are read off hull's integer rows: Y_+ is
+    pointed and its generators are recession rays of hull (`ray_member`),
+    and v is a vertex (`_certified_vertex`).  Any other member is decided by
+    `_is_minimal`, as is (0, 0) in W(0) = {(t, 0)} under Y_+ = R^2_+, a
+    vertex of an upper image with a line and not minimal."""
     if limit < 0:
         raise ValueError(f"the frontier limit must be nonnegative, not {limit}")
     candidates = hull.vrep.vertices
-    # any rows of hull certify its vertices; `system` holds the canonical ones
-    rows = hull.system().integer_form[:2] if upper and not hull.vrep.lines else None
+    upward = yplus.is_pointed and all(hull.ray_member(g) for g in yplus.generators)
+    rows = hull.integer_form()[:2] if upward and not hull.vrep.lines else None
     points = []
     for v in candidates[:limit]:
         if member(a, v):
@@ -788,25 +788,21 @@ def minimal_frontier_points(p, limit: int = 10000):
         list(rays) + list(p.y_plus.generators),
         list(lines) + list(p.y_plus.lineality),
     )
-    points, truncated = _minimal_vertices(
-        cells, upper, p.y_plus, limit, ctx.minimal, upper=True
-    )
+    points, truncated = _minimal_vertices(cells, upper, p.y_plus, limit, ctx.minimal)
     return cells, points, truncated
 
 
-def minimal_frontier(p: Program, limit: int = 10000) -> Frontier:
-    """Vertices of the closed upper image at z = 0, filtered by minimality
-    against W(0), by theorem where the upper image has no lines and by the
-    exact strict LP otherwise (`minimal_frontier_points`).  Each point is
-    classified knowing it is minimal, so it is weakly minimal with no LP.
-    Candidate supply for y0, not a complete enumeration of Min (non-closed
-    corner points need an explicit y0)."""
-    ctx = ProgramContext(p)
+def minimal_frontier(p, limit: int = 10000) -> Frontier:
+    """Vertices of the closed upper image at z = 0, for a program or its
+    context, filtered by minimality against W(0) (`minimal_frontier_points`).
+    Each point is classified knowing it is minimal, so it is weakly minimal
+    with no LP.  Candidate supply for y0, not a complete enumeration of Min
+    (non-closed corner points need an explicit y0)."""
+    ctx = _context(p)
     cells, points, truncated = minimal_frontier_points(ctx, limit)
+    yplus = ctx.program.y_plus
     out = [
-        FrontierPoint(
-            v, _classify(cells, v, p.y_plus, closure=ctx.closure, minimal=True)
-        )
+        FrontierPoint(v, _classify(cells, v, yplus, closure=ctx.closure, minimal=True))
         for v in points
     ]
     return Frontier(tuple(out), truncated)
@@ -814,15 +810,14 @@ def minimal_frontier(p: Program, limit: int = 10000) -> Frontier:
 
 def dual_frontier(p, L: LagrangeProcess, limit: int = 10000) -> Frontier:
     """Same vertex filter applied to the dual image M, for a program or its
-    context, which `dual_image` reads W(0) from.  Its hull is M's closure,
-    not M + Y_+, so each member vertex is decided by the strict LP."""
+    context, which `dual_image` reads W(0) from.  The hull is M, or the closed
+    convex hull of a finite program's pieces; Graph(L) holds {0} x Y_+, so
+    M + Y_+ = M and the filter may decide by theorem (`_minimal_vertices`)."""
     ctx = _context(p)
     p = ctx.program
-    m = dual_image(ctx, L)
-    verts, rays, lines = closure_generators(m)
-    if not verts:
-        return Frontier((), False)
-    hull = Polyhedron.from_vrep(p.y_dim, verts, rays, lines)
+    m = hull = dual_image(ctx, L)
+    if not isinstance(m, Polyhedron):
+        hull = Polyhedron.from_vrep(p.y_dim, *closure_generators(m))
     points, truncated = _minimal_vertices(m, hull, p.y_plus, limit, {})
     out = [
         FrontierPoint(v, _classify(m, v, p.y_plus, minimal=True)) for v in points

@@ -201,13 +201,16 @@ class Polyhedron:
             eq=tuple((r.normal, r.offset) for r in rows if r.rel == EQ),
         )
 
-    def _scaled_member(self, x, d) -> bool:
-        """Is x / d in the set, for integers x and d > 0 (d = 0: is the
-        direction x in the recession cone)?  The integer form of the rows of
-        `_any_hrep` is made on the first test and kept."""
+    def integer_form(self):
+        """`system().integer_form`, made on first use and kept."""
         if self._ints is None:
             self._ints = self.system().integer_form
-        return integer_holds(x, d, *self._ints)
+        return self._ints
+
+    def _scaled_member(self, x, d) -> bool:
+        """Is x / d in the set, for integers x and d > 0 (d = 0: is the
+        direction x in the recession cone)?"""
+        return integer_holds(x, d, *self.integer_form())
 
     def member(self, x) -> bool:
         """Is x in the set?  x is written over one denominator and every row
@@ -950,10 +953,11 @@ def as_cells(obj) -> tuple[Cell, ...]:
         return (cell_of_polyhedron(obj),)
     if isinstance(obj, BoundaryRestrictedPolyhedron):
         frs = obj.restrictions
+        closure = obj.closure.system()
         cells = []
         for k in range(len(frs) + 1):
             for on in combinations(range(len(frs)), k):
-                sys_ = obj.closure.system()
+                sys_ = closure
                 ok = True
                 for i, fr in enumerate(frs):
                     if i in on:

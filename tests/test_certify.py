@@ -1500,6 +1500,23 @@ class TestFrontier:
                 compared += 1
         assert compared > 10
 
+    def test_minimal_frontier_takes_a_context(self, criterion_3_program):
+        """minimal_frontier of a program's context equals that of the
+        program, and records its verdicts in the context; it used to read
+        the context as a program and fail on `w0_values`."""
+        compared = 0
+        for i in range(12):
+            p = criterion_3_program(i)
+            ctx = ProgramContext(p)
+            try:
+                fr = minimal_frontier(p)
+            except EmptyFeasibleError:
+                continue
+            assert minimal_frontier(ctx) == fr
+            assert all(ctx.minimal[fp.point] for fp in fr.points)
+            compared += len(fr.points)
+        assert compared > 10
+
     def test_negative_limit_is_refused(self):
         """A negative limit used to slice the candidates from the end, and
         the frontier lost a point while it reported itself truncated."""
@@ -1538,8 +1555,10 @@ class TestMinimalityByTheorem:
         """The filter's verdict on every W(0) member among the vertices of
         the upper image; P and D at every frontier point, from its
         certificate; D at every W(0) member among the vertices of M and of
-        cl W(0), minimal or not; and P at every W(0) member among the
-        vertices of cl W(0)."""
+        cl W(0), minimal or not; P at every W(0) member among the vertices
+        of cl W(0); and the points of `dual_frontier` at every frontier
+        point, against the member vertices of the hull of M, or of a finite
+        program's pieces, that the oracle finds minimal."""
         ctx = ProgramContext(p)
         try:
             _, points, _ = minimal_frontier_points(ctx)
@@ -1568,14 +1587,28 @@ class TestMinimalityByTheorem:
                     status = certify_module._classify(m, v, yplus, False)
                     assert verdicts(status) == lp_minimality(m, v, yplus), (y0, v)
                     seen["D", status.minimal] += 1
+            # M, or a finite program's union of pieces, and its hull
+            dual = dual_image(ctx, cert.process)
+            hull = Polyhedron.from_vrep(p.y_dim, *closure_generators(dual))
+            expected = tuple(
+                v for v in hull.vrep.vertices
+                if member(dual, v) and lp_minimality(dual, v, yplus)[0]
+            )
+            assert dual_frontier(ctx, cert.process).points == tuple(
+                certify_module.FrontierPoint(
+                    v, certify_module._classify(dual, v, yplus, minimal=True)
+                )
+                for v in expected
+            ), y0
+            seen["dual frontier", True] += len(expected)
 
     # the least number of verdicts compared: the filter's (all minimal),
-    # then P and D, minimal and not
+    # then P and D, minimal and not, then the dual frontier's points
     @pytest.mark.parametrize("stream, count, least", [
-        ("criterion 3", 40, (60, 80, 80, 190, 140)),
-        ("criterion 4", 60, (35, 50, 40, 60, 100)),
-        ("affine (2,2,1)", 150, (190, 250, 330, 390, 410)),
-        ("set-valued (2,2)", 150, (110, 150, 90, 150, 310)),
+        ("criterion 3", 40, (60, 80, 80, 190, 140, 60)),
+        ("criterion 4", 60, (35, 50, 40, 60, 100, 25)),
+        ("affine (2,2,1)", 150, (190, 250, 330, 390, 410, 190)),
+        ("set-valued (2,2)", 150, (110, 150, 90, 150, 310, 75)),
     ])
     def test_verdicts_match_the_lp_oracle(
         self, criterion_3_program, criterion_4_program, lp_minimality,
@@ -1590,7 +1623,8 @@ class TestMinimalityByTheorem:
         seen = Counter()
         for i in range(count):
             self.check(program(i), lp_minimality, seen)
-        kinds = (("filter", True), ("P", True), ("P", False), ("D", True), ("D", False))
+        kinds = (("filter", True), ("P", True), ("P", False), ("D", True), ("D", False),
+                 ("dual frontier", True))
         assert all(seen[k] >= n for k, n in zip(kinds, least)), seen
 
     def test_upper_image_with_a_line_keeps_the_lp(self, orthant2, r_plus):
@@ -1609,6 +1643,51 @@ class TestMinimalityByTheorem:
         assert ctx.minimal == {(F(0), F(0)): False}
         assert not is_minimal(ctx.cells, (0, 0), orthant2)
 
+    def test_hull_not_closed_under_yplus_keeps_the_lp(self, monkeypatch, orthant2):
+        """A = {(0, 0), (1, 1)} with its segment as hull, under
+        Y_+ = R^2_+: the hull has no lines, but Y_+'s generators are not its
+        recession rays, and its vertex (1, 1) is in A and not minimal.  The
+        filter decides both vertices by the strict LP, not by rank."""
+        calls = []
+        lp = certify_module._is_minimal
+        monkeypatch.setattr(
+            certify_module, "_is_minimal", lambda *args: calls.append(args[1]) or lp(*args)
+        )
+        a = tuple(point_cell(v) for v in ((0, 0), (1, 1)))
+        hull = Polyhedron.from_vrep(2, [(0, 0), (1, 1)])
+        verdicts = {}
+        points = certify_module._minimal_vertices(a, hull, orthant2, 10, verdicts)
+        assert points == (((F(0), F(0)),), False)
+        assert verdicts == {(F(0), F(0)): True, (F(1), F(1)): False}
+        assert sorted(calls) == [(F(0), F(0)), (F(1), F(1))]
+
+    def test_dual_frontier_without_lines_runs_no_lp(self, monkeypatch, criterion_3_program):
+        """Where M has no lines, `dual_frontier` decides every member
+        vertex of M by theorem, and none by `_is_minimal`; where it has
+        lines, by the strict LP."""
+        calls = []
+        lp = certify_module._is_minimal
+        monkeypatch.setattr(
+            certify_module, "_is_minimal", lambda *args: calls.append(args[1]) or lp(*args)
+        )
+        seen = Counter()
+        for i in range(40):
+            ctx = ProgramContext(criterion_3_program(i))
+            try:
+                _, points, _ = minimal_frontier_points(ctx)
+            except EmptyFeasibleError:
+                continue
+            for y0 in points:
+                L = lagrange_process(separator_cone(ctx.graph, y0))
+                m = dual_image(ctx, L)
+                calls.clear()
+                fr = dual_frontier(ctx, L)
+                assert isinstance(m, Polyhedron) and fr.points
+                if not m.vrep.lines:
+                    assert calls == [], (i, y0)
+                seen[bool(m.vrep.lines), bool(calls)] += 1
+        assert seen[False, False] > 50 and seen[True, True] >= 1, seen
+
     def test_corrupted_vertex_raises(self, planar_i3):
         """The rank certificate refuses a point of the upper image that is
         not a vertex, though it is in W(0): the midpoint of the segment
@@ -1623,9 +1702,7 @@ class TestMinimalityByTheorem:
             2, hrep=upper.hrep, vrep=VRep(points + (mid,), upper.vrep.rays)
         )
         with pytest.raises(InternalConsistencyError, match="not a vertex"):
-            certify_module._minimal_vertices(
-                cells, corrupted, planar_i3.y_plus, 10, {}, upper=True
-            )
+            certify_module._minimal_vertices(cells, corrupted, planar_i3.y_plus, 10, {})
         rows = upper.system().integer_form[:2]
         assert all(certify_module._certified_vertex(rows, v) for v in points)
         with pytest.raises(InternalConsistencyError, match="not a vertex"):

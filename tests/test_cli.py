@@ -339,6 +339,53 @@ class TestFiniteProgramReports:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of `frontier --side D --y0=... --json`, recorded
+# while every member vertex of the dual frontier's hull was decided by strict
+# LP: at the first frontier point of the criterion-3 programs among 0-11 that
+# have one, where M is a polyhedron, and at the y0 pinned above for the
+# criterion-4 programs, where M is a union of pieces
+DUAL_FRONTIER_REPORTS = [
+    (3, 1, "0/1,1/1,-5/2", "dc70dd3e2f1c1fd5f23b458ad91a848a52b4661a2bc4b81a35220e4ae7fd9d17"),
+    (3, 2, "-1/1,-3/1", "efb2351565d35d8e0b534969832690a7efa129bf924de651c730cea47d174cfd"),
+    (3, 3, "2/1,-1/2,-19/2", "ac51685a7651439f237400dd5f1ec0211a7d8df2f5a52c65a61009b56a1dc533"),
+    (3, 4, "-5/1,-7/1", "39efba4fbcca9775aaf50e17007a30aa595fdd63de0948a2defb3e6a2ab8829e"),
+    (3, 5, "-6/1,6/1,-5/1", "c2f997095be60930317d9dba25f3fd46303efa9f3b69dd895a061e9329bce8fe"),
+    (3, 7, "-34/7,-62/7,27/7", "37550f9b5bdd3c7cd285c66f4436de053ba982973f4fa2023c034d93ff40cfc8"),
+    (3, 8, "23/4,-1/4,-15/4", "7ce60310289841fe5267cb59303b69d2f7635c16c8b872a99f671835c792f001"),
+    (3, 9, "-2/1,-11/2", "8e559c848e5732422410faf3c1a8b51181ec3796cd1609b1e624e639fbdc3a95"),
+    (3, 11, "2/1", "feefe368e8c59b2f0d688148776a3da97a797c25d6514c369b744307239f18ec"),
+    (4, 1, "-1/1,-3/1,-1/1", "0530a4587f510892278436e77926f511349790d2a4b47a8118a4de5729038808"),
+    (4, 4, "0/1,2/1,0/1", "523fdf16b4b4b8103563a6274e1d3bdc8d5107be7af6b3a97bcece9005b3df0e"),
+    (4, 5, "0/1,-1/1", "110116668d834b5648343045fc39ace0eef7c88a176f76e6299a1c86ce76a105"),
+    (4, 5, "3/1,0/1", "d01c025b6f5766a1f1d0a31d4beac972577d86fa0e971647dc80bf8385a6c184"),
+    (4, 6, "-2/1,-2/1", "57089a57accd9dcbab53b690947eca73c7352ffdf9284cc446cb3584fb16f2bf"),
+    (4, 6, "3/1,3/1", "b874671bfc0c5b8c0db7d765a176bb33daab1148a11edddcfa274c8dc8ed87d7"),
+    (4, 8, "0/1", "666d28a6d6a26ea0f318123074aaff6fb03f3d0d19e79dfd8f14973d98cb5218"),
+    (4, 8, "-2/1", "ada2a705034bb0aa065d55cb2a133bfbb48313bb9bf984a65c30d4a99b496645"),
+    (4, 10, "-2/1,-3/1,2/1", "5dec66050c573abda2d25559f3cf7add55776f082efd2f034563a053c9359641"),
+    (4, 10, "3/1,-3/1,0/1", "82ddfa59912c7bd02435682cc10d609dbbd015430aaaa97a22f3abe3aaa1b9e0"),
+    (4, 11, "-2/1,-3/1", "fc8b6327317c025691ceb8ea7449d074d7bac65750f95b682d6054b2bcdbbb50"),
+    (4, 11, "1/1,-2/1", "0b85eafbb760275681e8fbfd44f8de26400a5e06c02a9a7a220acc3baf30cc81"),
+]
+
+
+class TestDualFrontierReports:
+    """The JSON report of `frontier --side D`, where the dual frontier
+    filter takes its theorem route or its LP route from the hull of M,
+    pinned by the sha256 of its stdout."""
+
+    @pytest.mark.parametrize("criterion, i, y0, digest", DUAL_FRONTIER_REPORTS)
+    def test_report_digest(self, capsys, tmp_path, criterion_3_program,
+                           criterion_4_program, criterion, i, y0, digest):
+        program = criterion_3_program if criterion == 3 else criterion_4_program
+        path = tmp_path / f"program_{i}.json"
+        path.write_text(emit_problem(program(i)))
+        argv = ["frontier", str(path), "--side", "D", f"--y0={y0}", "--json"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestFuzz:
     def test_small_clean_run(self, capsys):
         code, out, _ = run(capsys, ["fuzz", "--seed", "1", "--count", "3"])
