@@ -18,11 +18,12 @@ for these notions because they only involve closed conic hulls and open
 dilations.
 
 The public `is_minimal` and `is_weak_minimal` always take that route.  On
-the certify path three verdicts are decided by theorem instead, each on a
+the certify path four verdicts are decided by theorem instead, each on a
 certificate checked exactly: a member of A that is a vertex of a hull of A
 closed under + Y_+, as cl W(0) + Y_+ and M are, is minimal
 (`_minimal_vertices`, certified by the rank of its tight rows), Min on a
-closed polyhedron is Pos, and Min implies WMin (`_classify`).
+closed polyhedron is Pos, Min implies WMin, and He and GHe are Pos
+(`_classify`).
 """
 
 from __future__ import annotations
@@ -259,10 +260,6 @@ class EfficiencyStatus:
         return self
 
 
-def _cone_is_zero(k: Polyhedron) -> bool:
-    return not k.vrep.rays and not k.vrep.lines
-
-
 def _henig_admissible(cone_a: PolyhedralCone, base: Polyhedron,
                       eta: Fraction) -> bool:
     """K_eta = cone(base + eta * infinity-ball) is pointed and meets
@@ -274,10 +271,11 @@ def _henig_admissible(cone_a: PolyhedralCone, base: Polyhedron,
     gens = [vadd(v, c) for v in base.vrep.vertices for c in corners]
     k = PolyhedralCone.from_generators(base.dim, gens)
     le, eq, _ = k.system().integer_form
-    return tight_rank((0,) * k.dim, 1, le, eq)[1] == k.dim and _cone_is_zero(
-        cone_a.with_rows([(tuple(-x for x in r.normal), ZERO, LE)
-                          for r in k.inequalities()])
-    )
+    if tight_rank((0,) * k.dim, 1, le, eq)[1] != k.dim:
+        return False
+    meet = cone_a.with_rows([(tuple(-x for x in r.normal), ZERO, LE)
+                             for r in k.inequalities()])
+    return not meet.vrep.rays and not meet.vrep.lines
 
 
 def _henig_distance(rays, lines, base: Polyhedron) -> Fraction:
@@ -336,18 +334,17 @@ def _henig_eta(cone_a: PolyhedralCone, rays, lines, base: Polyhedron) -> Fractio
     )
 
 
-def classify_proper(a: SetLike, y0, yplus: OrderCone,
-                    closure=None) -> EfficiencyStatus:
+def classify_proper(a: SetLike, y0, yplus: OrderCone) -> EfficiencyStatus:
     """Full efficiency status of y0 in A under the Y_+ order.
 
     Minimality and weak minimality are exact on the (possibly non-closed)
     set.  On a closed `Polyhedron` with Y_+ pointed, Min is read off Pos
     (Isermann 1974), and a minimal y0 is weakly minimal with no LP
     (`_classify`).  The proper notions are decided on the closed conic hull
-    C = cl cone(A - y0): Pos by LP, He by the polyhedral reduction
-    C cap (-Y_+) = {0} with an explicit dilation witness, SE by boundedness
-    of C cap (ball - Y_+), GHe via the Pos or He certificates.  Non-pointed
-    order cones report the proper notions as not applicable (None).
+    C = cl cone(A - y0): Pos by LP, He and GHe read off Pos with an explicit
+    dilation witness for He, SE by boundedness of C cap (ball - Y_+).
+    Non-pointed order cones report the proper notions as not applicable
+    (None).
 
     The He witness is eta = he_eta: with K_eta = cone(base + eta * B_inf) for
     the bounded base of Y_+, eta is admissible when K_eta is pointed and
@@ -359,20 +356,19 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone,
     from the LP alone when it is below delta; only when it equals delta is
     it checked by double description, and when that check fails he_eta is
     half of it, which is below delta.
-
-    `closure` is `closure_generators(a)` when the caller already has it.
     """
-    return _classify(*_member_of(a, y0), yplus, closure=closure)
+    return _classify(*_member_of(a, y0), yplus)
 
 
 def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True,
               closure=None, minimal: Optional[bool] = None) -> EfficiencyStatus:
     """classify_proper for a y0 already known to be a member of A; `minimal`
-    is y0's minimality in A when the caller has decided it.
+    is y0's minimality in A when the caller has decided it, and `closure`
+    is `closure_generators(a)` when the caller already has it.
 
-    Two verdicts are decided by theorem, each on a certificate that is
+    Three verdicts are decided by theorem, each on a certificate that is
     checked exactly; the strict LPs of `_is_minimal` and `_is_weak_minimal`
-    decide the rest:
+    and the double description of SE decide the rest:
     - On a closed polyhedron A with Y_+ pointed, Min is Pos.  Pos implies
       Min, and a minimal point of a polyhedron has a strictly positive
       supporting functional (Arrow, Barankin & Blackwell 1953; Isermann
@@ -382,10 +378,16 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
       of y0 - Int Y_+ that is also in y0 + Y_+ would put 0 in Int Y_+ and
       make Y_+ the whole space.  So WMin runs its LP only where y0 is not
       minimal.
+    - With Y_+ pointed, He and GHe are Pos.  For the closed polyhedral cone
+      C = cl cone(A - y0), C cap (-Y_+) = {0} iff some y* strictly positive
+      on Y_+ minus 0 is >= 0 on C (Isermann 1974; Henig 1982): strictly
+      separate C from -B for a compact base B of Y_+, and the converse is
+      immediate.  So the Pos LP's certificate decides He as well, and SE,
+      decided by double description, must agree with it.
 
     `with_witnesses=False` skips the dilation witness search (the booleans
-    are unchanged: for polyhedral data the reduction implies a pointed
-    dilation exists)."""
+    are unchanged: for polyhedral data He implies a pointed dilation
+    exists)."""
     pointed = yplus.is_pointed
     if pointed:
         dim = yplus.ambient_dim
@@ -404,25 +406,17 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
     if not pointed:
         return EfficiencyStatus(minimal, weak).validate()
 
-    witnesses: dict = {}
-    if pos:
-        witnesses["pos"] = y_star
-
+    witnesses: dict = {"pos": y_star} if pos else {}
+    he = ghe = pos
     rays_a = [vsub(v, y0) for v in verts if vsub(v, y0) != zeros(dim)] + list(rays)
     cone_a = PolyhedralCone.from_generators(dim, rays=rays_a, lines=list(lines))
-    meet = cone_a.with_rows(
-        [(tuple(-x for x in n), ZERO, LE) for n in yplus.facet_normals()]
-    )
-    he = _cone_is_zero(meet)
-
-    ghe = pos or he
     if he and with_witnesses:
         base = yplus.structure.base
         if base is None:
             raise NotPointedError("Henig dilation needs a pointed cone with a base")
         witnesses["he_eta"] = _henig_eta(cone_a, rays_a, lines, base)
     if ghe:
-        witnesses["ghe_via"] = "he" if he else "pos"
+        witnesses["ghe_via"] = "he"
 
     bounded_part = cone_a.with_rows(yplus.ball_minus.hrep)
     se = not bounded_part.vrep.rays and not bounded_part.vrep.lines
@@ -623,14 +617,16 @@ def certify_multiplier(p, y0, with_witnesses: bool = True) -> Certificate:
     certified through their simplex-embedding convex relaxation (the
     transfer theorems require convex data); the certificate is flagged
     accordingly.  Exact point-set statuses for finite programs are available
-    through classify_proper / brute_force_status instead.
+    through classify_proper / brute_force_status instead.  y0 must be
+    attained by a feasible point of the program itself, not only of its
+    relaxation; NotInW0Error otherwise.
     """
     ctx = _context(p)
     conv = ctx.convex
     prog = conv.program
     y0 = vec(y0)
     minimal = conv.minimal.get(y0)
-    if minimal is None and not member(conv.cells, y0):
+    if (minimal is None or ctx.relaxed) and not member(ctx.cells, y0):
         raise NotInW0Error(f"{y0} is not attained by a feasible point")
 
     graph_w = conv.graph

@@ -12,8 +12,9 @@ restricted slices; a recorder of the strict LPs that building order
 cones and boundary-restricted sets runs; double description without
 its cardinality prefilter; the H/V conversions that lift every set,
 cones included, to its homogenization; the polar cone with its
-generators from a double description; and Min and WMin decided by
-strict LPs alone."""
+generators from a double description; Min and WMin decided by
+strict LPs alone; and He decided by a double description of
+C cap (-Y_+)."""
 
 import random
 from fractions import Fraction as F
@@ -55,6 +56,7 @@ from process_duality.polyhedra import (
     VRep,
     _on_hyperplane,
     cell_of_polyhedron,
+    closure_generators,
     identity_cell,
     intersect_empty,
 )
@@ -67,6 +69,7 @@ from process_duality.rational import (
     quotients,
     vadd,
     vec,
+    vsub,
     zeros,
 )
 
@@ -827,3 +830,28 @@ def lp_minimality():
     """(A, y0, yplus) -> (Min, WMin) of y0 in A, each by strict LPs over
     A's cells, with no verdict taken by theorem."""
     return _lp_minimality
+
+
+def _he_by_double_description(a, y0, yplus):
+    """He of y0 in A, for Y_+ pointed, as `certify` decided it before He
+    was read off Pos: the closed conic hull C = cl cone(A - y0), from the
+    generators of A's closure, cut by the rows of -Y_+, is {0}."""
+    y0 = vec(y0)
+    dim = yplus.ambient_dim
+    verts, rays, lines = closure_generators(a)
+    shifted = [vsub(v, y0) for v in verts]
+    cone_a = PolyhedralCone.from_generators(
+        dim, rays=[r for r in shifted if not is_zero_vec(r)] + list(rays),
+        lines=list(lines),
+    )
+    meet = cone_a.with_rows(
+        [(tuple(-x for x in n), ZERO, LE) for n in yplus.facet_normals()]
+    )
+    return not meet.vrep.rays and not meet.vrep.lines
+
+
+@pytest.fixture(scope="session")
+def he_by_double_description():
+    """(A, y0, yplus) -> He of y0 in A, by a double description of
+    C cap (-Y_+), with no verdict read off Pos."""
+    return _he_by_double_description

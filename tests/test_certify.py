@@ -881,9 +881,9 @@ class TestStrictLpCounts:
                 weak = 0 if minimal else (
                     count(is_weak_minimal, cells, y0, yplus) - membership
                 )
-                assert count(
-                    classify_proper, cells, y0, yplus, closure=ctx.closure
-                ) == count(is_minimal, cells, y0, yplus) + weak
+                assert count(classify_proper, cells, y0, yplus) == count(
+                    is_minimal, cells, y0, yplus
+                ) + weak
                 classified[minimal] += 1
         assert classified[True] > 10 and classified[False] > 5, classified
 
@@ -1278,7 +1278,7 @@ class TestPointCellType:
             cells = ctx.cells
             for y0 in w0_image_points(p):
                 assert member(cells, y0)
-                classify_proper(cells, y0, p.y_plus, closure=ctx.closure)
+                classify_proper(cells, y0, p.y_plus)
                 classified += 1
             assert all("system" not in c.__dict__ for c in cells), i
             # read, the rows are those of the unit-row identity cell
@@ -1393,6 +1393,27 @@ class TestCertify:
         cert = certify_multiplier(three_point_discrete, (0, 0))
         assert cert.convex_relaxation
         assert not cert.has_violation
+
+    def test_finite_program_refuses_a_point_of_the_relaxation_only(
+        self, orthant2, r_plus
+    ):
+        """A y0 in the relaxation's W(0) that no point of the finite
+        program attains is refused, as `process` and `classify` refuse
+        it, also where the relaxation's frontier recorded it minimal."""
+        midpoint = (F(1, 2), F(1, 2))
+        for g in (-1, 1):
+            p = DiscreteVectorProgram(
+                [DiscretePoint("a", (F(0), F(1)), (F(-1),)),
+                 DiscretePoint("b", (F(1), F(0)), (F(g),))],
+                orthant2, r_plus,
+            )
+            ctx = ProgramContext(p)
+            minimal_frontier_points(ctx.convex)
+            assert ctx.convex.minimal.get(midpoint) is (True if g == 1 else None)
+            assert member(ctx.convex.cells, midpoint)
+            with pytest.raises(NotInW0Error):
+                certify_multiplier(ctx, midpoint)
+            assert not certify_multiplier(ctx, (0, 1)).has_violation
 
     def test_kinked_value_function_gives_pointed_graph_and_c4(self, r_plus):
         # Omega = [0,1], f = x, g = -x: the value function kinks at z = 0,
@@ -1548,24 +1569,33 @@ class TestMinimalityByTheorem:
     """Min decided by theorem, as a vertex of cl W(0) + Y_+ in the frontier
     filter and as Pos on the closed polyhedron M in `_classify`, and WMin
     taken from Min where y0 is minimal, give the verdicts of strict LPs
-    alone (`lp_minimality`)."""
+    alone (`lp_minimality`); He and GHe, read off Pos, give the verdict of
+    a double description of C cap (-Y_+) (`he_by_double_description`)."""
 
     @staticmethod
-    def check(p, lp_minimality, seen):
+    def check(p, lp_minimality, he_by_double_description, seen):
         """The filter's verdict on every W(0) member among the vertices of
         the upper image; P and D at every frontier point, from its
         certificate; D at every W(0) member among the vertices of M and of
         cl W(0), minimal or not; P at every W(0) member among the vertices
         of cl W(0); and the points of `dual_frontier` at every frontier
         point, against the member vertices of the hull of M, or of a finite
-        program's pieces, that the oracle finds minimal."""
+        program's pieces, that the oracle finds minimal.  Every status with
+        Y_+ pointed has He == GHe == Pos == the double description's He."""
         ctx = ProgramContext(p)
         try:
             _, points, _ = minimal_frontier_points(ctx)
         except EmptyFeasibleError:
             return
         yplus = p.y_plus
-        verdicts = lambda status: (status.minimal, status.weak_minimal)
+
+        def verdicts(status, a, v):
+            if status.pos is not None:
+                he = he_by_double_description(a, v, yplus)
+                assert status.he == status.ghe == status.pos == he, v
+                seen["He", he] += 1
+            return status.minimal, status.weak_minimal
+
         for v, verdict in ctx.minimal.items():
             assert verdict == lp_minimality(ctx.cells, v, yplus)[0], v
             seen["filter", verdict] += 1
@@ -1574,18 +1604,22 @@ class TestMinimalityByTheorem:
                 status = certify_module._classify(
                     ctx.cells, v, yplus, False, closure=ctx.closure
                 )
-                assert verdicts(status) == lp_minimality(ctx.cells, v, yplus), v
+                assert verdicts(status, ctx.cells, v) == lp_minimality(
+                    ctx.cells, v, yplus
+                ), v
                 seen["P", status.minimal] += 1
         conv = ctx.convex
         for y0 in points:
             cert = certify_multiplier(ctx, y0, with_witnesses=False)
             m = cert.dual_image
-            assert verdicts(cert.status_P0) == lp_minimality(conv.cells, y0, yplus)
-            assert verdicts(cert.status_D) == lp_minimality(m, y0, yplus), y0
+            assert verdicts(cert.status_P0, conv.cells, y0) == lp_minimality(
+                conv.cells, y0, yplus
+            )
+            assert verdicts(cert.status_D, m, y0) == lp_minimality(m, y0, yplus), y0
             for v in dict.fromkeys(closure_generators(m)[0] + conv.closure[0]):
                 if member(conv.cells, v):
                     status = certify_module._classify(m, v, yplus, False)
-                    assert verdicts(status) == lp_minimality(m, v, yplus), (y0, v)
+                    assert verdicts(status, m, v) == lp_minimality(m, v, yplus), (y0, v)
                     seen["D", status.minimal] += 1
             # M, or a finite program's union of pieces, and its hull
             dual = dual_image(ctx, cert.process)
@@ -1594,25 +1628,29 @@ class TestMinimalityByTheorem:
                 v for v in hull.vrep.vertices
                 if member(dual, v) and lp_minimality(dual, v, yplus)[0]
             )
-            assert dual_frontier(ctx, cert.process).points == tuple(
+            fr = dual_frontier(ctx, cert.process)
+            assert fr.points == tuple(
                 certify_module.FrontierPoint(
                     v, certify_module._classify(dual, v, yplus, minimal=True)
                 )
                 for v in expected
             ), y0
+            for fp in fr.points:
+                verdicts(fp.status, dual, fp.point)
             seen["dual frontier", True] += len(expected)
 
     # the least number of verdicts compared: the filter's (all minimal),
-    # then P and D, minimal and not, then the dual frontier's points
+    # then P and D, minimal and not, then the dual frontier's points, then
+    # He with Y_+ pointed, true and not
     @pytest.mark.parametrize("stream, count, least", [
-        ("criterion 3", 40, (60, 80, 80, 190, 140, 60)),
-        ("criterion 4", 60, (35, 50, 40, 60, 100, 25)),
-        ("affine (2,2,1)", 150, (190, 250, 330, 390, 410, 190)),
-        ("set-valued (2,2)", 150, (110, 150, 90, 150, 310, 75)),
+        ("criterion 3", 40, (60, 80, 80, 190, 140, 60, 420, 160)),
+        ("criterion 4", 60, (35, 50, 40, 60, 100, 25, 180, 120)),
+        ("affine (2,2,1)", 150, (190, 250, 330, 390, 410, 190, 1100, 570)),
+        ("set-valued (2,2)", 150, (110, 150, 90, 150, 310, 75, 490, 380)),
     ])
     def test_verdicts_match_the_lp_oracle(
         self, criterion_3_program, criterion_4_program, lp_minimality,
-        stream, count, least,
+        he_by_double_description, stream, count, least,
     ):
         program = {
             "criterion 3": criterion_3_program,
@@ -1622,9 +1660,9 @@ class TestMinimalityByTheorem:
         }[stream]
         seen = Counter()
         for i in range(count):
-            self.check(program(i), lp_minimality, seen)
+            self.check(program(i), lp_minimality, he_by_double_description, seen)
         kinds = (("filter", True), ("P", True), ("P", False), ("D", True), ("D", False),
-                 ("dual frontier", True))
+                 ("dual frontier", True), ("He", True), ("He", False))
         assert all(seen[k] >= n for k, n in zip(kinds, least)), seen
 
     def test_upper_image_with_a_line_keeps_the_lp(self, orthant2, r_plus):
@@ -1687,6 +1725,43 @@ class TestMinimalityByTheorem:
                     assert calls == [], (i, y0)
                 seen[bool(m.vrep.lines), bool(calls)] += 1
         assert seen[False, False] > 50 and seen[True, True] >= 1, seen
+
+    def test_se_is_checked_against_pos(self, monkeypatch, planar_i3):
+        """He is read off the Pos LP and SE off a double description, and
+        the two must agree: with the Pos LP made to find no functional at
+        a super-efficient point, the classification raises."""
+        monkeypatch.setattr(certify_module, "positive_functional", lambda *args: None)
+        with pytest.raises(InternalConsistencyError, match="SE and He must coincide"):
+            certify_multiplier(planar_i3, (F(1, 2), F(1, 2)))
+
+    def test_one_cone_intersection_without_witnesses(
+        self, monkeypatch, criterion_3_program
+    ):
+        """Without witnesses, a classification with Y_+ pointed cuts its
+        cone C = cl cone(A - y0) by rows once, for SE, on W(0) and on M."""
+        calls = []
+        with_rows = Polyhedron.with_rows
+        monkeypatch.setattr(
+            Polyhedron, "with_rows", lambda *args: calls.append(1) or with_rows(*args)
+        )
+        classified = 0
+        for i in range(12):
+            ctx = ProgramContext(criterion_3_program(i))
+            try:
+                _, points, _ = minimal_frontier_points(ctx)
+            except EmptyFeasibleError:
+                continue
+            yplus = ctx.program.y_plus
+            for y0 in points:
+                m = dual_image(ctx, lagrange_process(separator_cone(ctx.graph, y0)))
+                for a, closure in ((ctx.cells, ctx.closure), (m, None)):
+                    calls.clear()
+                    status = certify_module._classify(
+                        a, y0, yplus, False, closure=closure
+                    )
+                    assert status.pos is None or calls == [1], (i, y0)
+                    classified += status.pos is not None
+        assert classified > 20
 
     def test_corrupted_vertex_raises(self, planar_i3):
         """The rank certificate refuses a point of the upper image that is

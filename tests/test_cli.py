@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction as F
 from importlib import resources
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from process_duality import certify as certify_module
 from process_duality import cli as cli_module
 from process_duality.cli import main
+from process_duality.model import DiscretePoint, DiscreteVectorProgram, OrderCone
 from process_duality.problemfile import emit_problem
 
 
@@ -76,6 +78,22 @@ class TestCertify:
         )
         assert code == 2
         assert "NotInW0" in err
+
+    def test_finite_y0_not_attained_exits_2(self, capsys, tmp_path):
+        # (1/2, 1/2) is in the simplex relaxation's W(0), not in W(0)
+        path = tmp_path / "two_points.json"
+        path.write_text(emit_problem(DiscreteVectorProgram(
+            [DiscretePoint("a", (F(0), F(1)), (F(-1),)),
+             DiscretePoint("b", (F(1), F(0)), (F(-1),))],
+            OrderCone.from_generators(2, [(1, 0), (0, 1)]),
+            OrderCone.from_generators(1, [(1,)]),
+        )))
+        for argv in (["certify"], ["process"], ["classify", "--side", "P"]):
+            code, out, err = run(capsys, argv + [str(path), "--y0", "1/2,1/2"])
+            assert (code, out) == (2, ""), argv
+            assert "NotInW0Error" in err, argv
+        code, _, err = run(capsys, ["certify", str(path), "--y0", "0/1,1/1"])
+        assert (code, err) == (0, "")
 
     def test_frontier_mode(self, capsys, instance_path):
         code, out, _ = run(
@@ -383,6 +401,38 @@ class TestDualFrontierReports:
         argv = ["frontier", str(path), "--side", "D", f"--y0={y0}", "--json"]
         code, out, err = run(capsys, argv)
         assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout of `certify --frontier --json`, recorded while He
+# was decided by a double description of C cap (-Y_+) and not read off Pos,
+# for the criterion-3 programs pinned above: each report carries he, ghe,
+# ghe_via and he_eta on both sides at every frontier point
+CERTIFY_FRONTIER_REPORTS = [
+    (1, "7484ade9490047f18cc30d4784362ae9acb35e06d305ed790b6477d15ea48b4b"),
+    (2, "842eabf1431ebff4d1b3f99f0a2668e45aaf6f25d703863fee45e1ca37e622bf"),
+    (3, "723de9730b841e4b0dc3705301cd274ee6fe769084c8bac045f700b068793fc1"),
+    (4, "7fa3e699f7e5c897db636cee83711a6d25b5d50c71d3fcc2118d1728a5564f2b"),
+    (5, "6064ea668fbd147c020dd525876c853561fd99377f5225237b5eaad67e2f8a74"),
+    (7, "c9f25f5b9850d88f898c260385f51dcb691c8471314f8b060d9d285a50515a2e"),
+    (8, "88a542c4508871121cdd1a418d2bcad6c11233f8afe95fe55c2a4817e1fed823"),
+    (9, "f5b62158a890104609366b74137b84cf2b727f53224f6fc964c6672951112b38"),
+    (11, "ca7bae6c2b36865dbe4ea080c171361233b7009706859a31e78fda52126a395c"),
+]
+
+
+class TestCertifyFrontierReports:
+    """The JSON report of `certify --frontier`, with the proper-efficiency
+    verdicts and witnesses of P and D at each frontier point, pinned by the
+    sha256 of its stdout."""
+
+    @pytest.mark.parametrize("i, digest", CERTIFY_FRONTIER_REPORTS)
+    def test_report_digest(self, capsys, tmp_path, criterion_3_program, i, digest):
+        path = tmp_path / f"program_{i}.json"
+        path.write_text(emit_problem(criterion_3_program(i)))
+        code, out, err = run(capsys, ["certify", str(path), "--frontier", "--json"])
+        assert (code, err) == (0, "")
+        assert '"he_eta"' in out and '"ghe_via": "he"' in out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
