@@ -41,7 +41,7 @@ from .errors import (
     NotMemberError,
     NotPointedError,
 )
-from .exactlp import LinearSystem, LpStatus, lp_solve
+from .exactlp import LinearSystem
 from .model import (
     AffineVectorProgram,
     OrderCone,
@@ -82,6 +82,7 @@ from .rational import (
     Vec,
     box_corners,
     dot,
+    fmt_vector,
     inf_norm,
     integer_holds,
     integer_scaled,
@@ -279,34 +280,26 @@ def _henig_admissible(cone_a: PolyhedralCone, base: Polyhedron,
 
 
 def _henig_distance(rays, lines, base: Polyhedron) -> Fraction:
-    """delta = min ||d + b||_inf over d in cone(rays) + span(lines) and b in
-    base, by one LP: d as a nonnegative combination of the rays and of each
-    line taken with both signs, b as a convex combination of the base
-    vertices, and t >= |(d + b)_k| on every coordinate k."""
-    verts = base.vrep.vertices
-    cols = list(rays) + [s for l in lines for s in (l, tuple(-x for x in l))]
-    cols += verts
-    n = len(cols)  # the weights, then t
-    le = []
-    for k in range(base.dim):
-        coeffs = tuple(c[k] for c in cols)
-        le.append((coeffs + (-ONE,), ZERO))
-        le.append((tuple(-x for x in coeffs) + (-ONE,), ZERO))
-    le += [(tuple(-ONE if i == j else ZERO for i in range(n + 1)), ZERO)
-           for j in range(n)]
-    convex = ((ZERO,) * (n - len(verts)) + (ONE,) * len(verts) + (ZERO,), ONE)
-    out = lp_solve((ZERO,) * n + (ONE,), LinearSystem(n + 1, tuple(le), (convex,)))
-    if out.status is not LpStatus.OPTIMAL:
+    """delta = min ||d + b||_inf over d in C = cone(rays) + span(lines) and b
+    in base, read off an L1 functional.  By minimum-norm duality (Luenberger
+    1969, 5.8) delta = max {min_v h.v : ||h||_1 <= 1, h >= 0 on C} over the
+    base vertices v, so for delta > 0 it is 1 / min ||h||_1 over h with
+    h.v >= 1 on the vertices, h >= 0 on the rays and h = 0 on the lines:
+    the L1-minimal `positive_functional`.  Under He, delta > 0, so no such
+    h is an internal fault."""
+    h = positive_functional(base.dim, base.vrep.vertices, rays, lines)
+    if h is None:
         raise InternalConsistencyError("the Henig distance LP has no optimum")
-    return out.objective_value
+    return 1 / sum(map(abs, h))
 
 
 def _henig_eta(cone_a: PolyhedralCone, rays, lines, base: Polyhedron) -> Fraction:
     """The largest admissible eta = 2^-k, k < 64, for the Henig witness.
 
     Every eta > delta (`_henig_distance`) is inadmissible, and every eta <
-    delta is admissible by the distance LP alone, whose optimum
-    `verify_outcome` has re-checked exactly:
+    delta is admissible by delta alone.  delta is 1 / ||h||_1 of the
+    L1-minimal functional, whose optimum `verify_outcome` has re-checked
+    exactly:
     - d = 0 lies in C = cone(rays) + span(lines), so ||b||_inf >= delta > eta
       for every b in the base.  Then 0 is not in S = base + eta * B_inf, a
       compact convex set, so K_eta = cone(S) is closed and pointed.
@@ -349,13 +342,15 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone) -> EfficiencyStatus:
     The He witness is eta = he_eta: with K_eta = cone(base + eta * B_inf) for
     the bounded base of Y_+, eta is admissible when K_eta is pointed and
     C cap (-K_eta) = {0}, and he_eta is the largest admissible 2^-k, k < 64.
-    One LP gives delta = min ||d + b||_inf over d in C and b in the base:
-    every eta < delta is admissible and every eta > delta is not.  eta =
-    delta can go either way (Y = R, Y_+ = R_+ and C = R_+ give delta = 1 and
-    a pointed K_1).  So he_eta is the largest 2^-k <= min(delta, 1), taken
-    from the LP alone when it is below delta; only when it equals delta is
-    it checked by double description, and when that check fails he_eta is
-    half of it, which is below delta.
+    delta = min ||d + b||_inf over d in C and b in the base is 1 / ||h||_1
+    for the L1-minimal h >= 1 on the base's vertices and >= 0 on C, one LP
+    whose optimum `verify_outcome` re-checks exactly: every eta < delta is
+    admissible and every eta > delta is not.  eta = delta can go either way
+    (Y = R, Y_+ = R_+ and C = R_+ give delta = 1 and a pointed K_1).  So
+    he_eta is the largest 2^-k <= min(delta, 1), taken from the LP alone
+    when it is below delta; only when it equals delta is it checked by
+    double description, and when that check fails he_eta is half of it,
+    which is below delta.
     """
     return _classify(*_member_of(a, y0), yplus)
 
@@ -627,7 +622,7 @@ def certify_multiplier(p, y0, with_witnesses: bool = True) -> Certificate:
     y0 = vec(y0)
     minimal = conv.minimal.get(y0)
     if (minimal is None or ctx.relaxed) and not member(ctx.cells, y0):
-        raise NotInW0Error(f"{y0} is not attained by a feasible point")
+        raise NotInW0Error(f"{fmt_vector(y0)} is not attained by a feasible point")
 
     graph_w = conv.graph
     s = separator_cone(graph_w, y0)

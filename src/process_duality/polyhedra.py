@@ -524,7 +524,9 @@ def cone_structure(k: PolyhedralCone) -> ConeStructure:
     A pointed polyhedral cone always admits a bounded base: the convex hull
     of its generators normalized against a strictly positive functional from
     the interior of the positive polar.  The zero cone is reported pointed
-    with no base.
+    with no base.  The base has one vertex r / (h.r) per extreme ray r, so
+    these vertices, sorted, are its canonical V-representation, and reading
+    it runs no double description.
     """
     ldim = len(k.lineality)
     pointed = ldim == 0
@@ -545,7 +547,8 @@ def cone_structure(k: PolyhedralCone) -> ConeStructure:
         rx = integer_scaled(r)[0]
         s = sum(map(mul, hx, rx))
         verts.append(tuple(Fraction(x * hd, s) for x in rx))
-    return ConeStructure(0, True, True, Polyhedron.from_vrep(k.dim, verts), h)
+    base = Polyhedron(k.dim, vrep=VRep(tuple(sorted(verts))))
+    return ConeStructure(0, True, True, base, h)
 
 
 def positive_functional(dim, ge_one, ge_zero=(), eq_zero=()) -> Optional[Vec]:

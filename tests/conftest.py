@@ -13,8 +13,8 @@ cones and boundary-restricted sets runs; double description without
 its cardinality prefilter; the H/V conversions that lift every set,
 cones included, to its homogenization; the polar cone with its
 generators from a double description; Min and WMin decided by
-strict LPs alone; and He decided by a double description of
-C cap (-Y_+)."""
+strict LPs alone; He decided by a double description of
+C cap (-Y_+); and the Henig distance by its primal LP."""
 
 import random
 from fractions import Fraction as F
@@ -855,3 +855,34 @@ def he_by_double_description():
     """(A, y0, yplus) -> He of y0 in A, by a double description of
     C cap (-Y_+), with no verdict read off Pos."""
     return _he_by_double_description
+
+
+def _henig_distance_by_primal_lp(rays, lines, base):
+    """delta = min ||d + b||_inf over d in cone(rays) + span(lines) and b in
+    base, as `certify` computed it before it was read off the L1 functional:
+    one LP with d as a nonnegative combination of the rays and of each line
+    taken with both signs, b as a convex combination of the base vertices,
+    and t >= |(d + b)_k| on every coordinate k."""
+    verts = base.vrep.vertices
+    cols = list(rays) + [s for l in lines for s in (l, tuple(-x for x in l))]
+    cols += verts
+    n = len(cols)  # the weights, then t
+    le = []
+    for k in range(base.dim):
+        coeffs = tuple(c[k] for c in cols)
+        le.append((coeffs + (-ONE,), ZERO))
+        le.append((tuple(-x for x in coeffs) + (-ONE,), ZERO))
+    le += [(tuple(-ONE if i == j else ZERO for i in range(n + 1)), ZERO)
+           for j in range(n)]
+    convex = ((ZERO,) * (n - len(verts)) + (ONE,) * len(verts) + (ZERO,), ONE)
+    out = lp_solve((ZERO,) * n + (ONE,), LinearSystem(n + 1, tuple(le), (convex,)))
+    assert out.status is LpStatus.OPTIMAL
+    return out.objective_value
+
+
+@pytest.fixture(scope="session")
+def henig_distance_by_primal_lp():
+    """(rays, lines, base) -> the Henig distance delta by the primal LP over
+    the weights of C's generators and of the base vertices, with no dual
+    functional."""
+    return _henig_distance_by_primal_lp

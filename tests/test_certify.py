@@ -389,7 +389,7 @@ class TestHenigEta:
     """The Henig witness eta read off the distance LP is the halving loop's."""
 
     def test_lp_chosen_eta_equals_the_halving_loop(
-        self, monkeypatch, criterion_3_program
+        self, monkeypatch, criterion_3_program, henig_distance_by_primal_lp
     ):
         chosen = certify_module._henig_eta
         seen = {"points": 0, "at_delta": 0}
@@ -398,6 +398,7 @@ class TestHenigEta:
             eta = chosen(cone_a, rays, lines, base)
             assert eta == halving_loop_eta(cone_a, base)
             delta = certify_module._henig_distance(rays, lines, base)
+            assert delta == henig_distance_by_primal_lp(rays, lines, base)
             seen["points"] += 1
             # the largest 2^-k <= min(delta, 1) was delta itself
             seen["at_delta"] += delta <= 1 and delta in (eta, 2 * eta)
@@ -541,10 +542,22 @@ class TestHenigEta:
             certify_multiplier(planar_i3, y0)
 
     def test_distance_lp_without_optimum_raises(self, monkeypatch, planar_i3):
-        monkeypatch.setattr(certify_module, "lp_solve",
-                            lambda *args, **kwargs: LpOutcome(LpStatus.INFEASIBLE))
+        # only the distance LP meets the base's own vertex tuple; the Pos LP
+        # is given Y_+'s generators
+        base_vertices = planar_i3.y_plus.structure.base.vrep.vertices
+        functional = certify_module.positive_functional
+
+        def no_distance(dim, ge_one, *args):
+            return None if ge_one is base_vertices else functional(dim, ge_one, *args)
+
+        monkeypatch.setattr(certify_module, "positive_functional", no_distance)
         with pytest.raises(InternalConsistencyError, match="Henig distance LP"):
             certify_multiplier(planar_i3, (F(1, 2), F(1, 2)))
+
+    def test_distance_zero_raises(self):
+        # C = R_- meets -base = {-1}, so delta = 0 and no functional exists
+        with pytest.raises(InternalConsistencyError, match="Henig distance LP"):
+            certify_module._henig_distance([(-1,)], [], Polyhedron.from_vrep(1, [(1,)]))
 
 
 class TestWorkDoneOnce:

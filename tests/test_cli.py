@@ -506,6 +506,11 @@ class TestMalformedArguments:
                    ["frontier", instance_path("i3"), "--side", "D", "--y0=-5,-5"],
                    "NotInW0Error: -5,-5 is not attained by a feasible point")
 
+    def test_certify_outside_w0(self, capsys, instance_path):
+        # y0 is written as a rational vector, not as Fraction reprs
+        self.check(capsys, ["certify", instance_path("i3"), "--y0=-5,-5"],
+                   "NotInW0Error: -5/1,-5/1 is not attained by a feasible point")
+
     def test_negative_first_coordinate_in_the_equals_form(self, capsys, instance_path):
         # --y0=-1/1 reaches the vector parser, which refuses its length
         self.check(capsys, ["classify", instance_path("i3"), "--y0=-1/1"],

@@ -287,7 +287,9 @@ class TestConeConversions:
     """A cone's conversions run one double description in the cone's own
     dimension (`polyhedra._cone_generators`), not on its homogenization."""
 
-    def test_matches_the_lifted_conversions(self, lifted_conversions):
+    def test_matches_the_lifted_conversions(
+        self, lifted_conversions, dd_calls, criterion_3_program
+    ):
         hsets, vsets = cone_conversion_inputs()
         assert len(hsets) > 1000 and len(vsets) > 1000
         cones = []
@@ -302,18 +304,30 @@ class TestConeConversions:
             assert repr(p.hrep) == repr(expected), (dim, rays, lines)
             cones.append(p)
         # the bounded base from integer forms is the one built with Fractions
+        # from its vertices, as are those of Y_+ of criterion-3 programs
+        # 0-39; it is built canonical, so reading its generators runs no
+        # double description
+        cones = [PolyhedralCone.from_polyhedron(p) for p in cones]
+        cones += [criterion_3_program(i).y_plus.cone for i in range(40)]
         bases = 0
-        for p in cones:
-            k = PolyhedralCone.from_polyhedron(p)
+        for k in cones:
             cs = cone_structure(k)
             if cs.base is None:
                 continue
+            dd_calls.clear()
+            cs.base.vrep
+            assert dd_calls == [], k.hrep
             h = cs.functional
-            expected = Polyhedron.from_vrep(
-                k.dim, [tuple(x / dot(h, r) for x in r) for r in k.generators]
-            )
+            verts = [tuple(x / dot(h, r) for x in r) for r in k.generators]
+            expected = Polyhedron.from_vrep(k.dim, verts)
             assert repr(cs.base.vrep) == repr(expected.vrep), k.hrep
             assert repr(cs.base.hrep) == repr(expected.hrep), k.hrep
+            centre = tuple(sum(x) / len(verts) for x in zip(*verts))
+            points = verts + list(k.generators) + [centre, zeros(k.dim)]
+            points += [tuple(2 * x - c for x, c in zip(v, centre)) for v in verts]
+            points += [tuple((x + c) / 2 for x, c in zip(v, centre)) for v in verts]
+            for x in points:
+                assert cs.base.member(x) == expected.member(x), (k.hrep, x)
             bases += 1
         assert bases > 500
 
