@@ -167,7 +167,7 @@ def _member_of(a: SetLike, y0):
         a = tuple(a)
     y0 = vec(y0)
     if not member(a, y0):
-        raise NotMemberError(f"{y0} is not a member of the set under test")
+        raise NotMemberError(f"{fmt_vector(y0)} is not a member of the set under test")
     return a, y0
 
 
@@ -269,38 +269,40 @@ def _henig_admissible(cone_a: PolyhedralCone, base: Polyhedron,
     rank of the rows the double description has just produced decides it
     (`tight_rank`)."""
     corners = [tuple(eta * s for s in c) for c in box_corners(base.dim)]
-    gens = [vadd(v, c) for v in base.vrep.vertices for c in corners]
+    gens = [vadd(v, c) for v in base.any_vrep().vertices for c in corners]
     k = PolyhedralCone.from_generators(base.dim, gens)
     le, eq, _ = k.system().integer_form
     if tight_rank((0,) * k.dim, 1, le, eq)[1] != k.dim:
         return False
     meet = cone_a.with_rows([(tuple(-x for x in r.normal), ZERO, LE)
-                             for r in k.inequalities()])
-    return not meet.vrep.rays and not meet.vrep.lines
+                             for r in k.inequalities()]).any_vrep()
+    return not meet.rays and not meet.lines
 
 
-def _henig_distance(rays, lines, base: Polyhedron) -> Fraction:
-    """delta = min ||d + b||_inf over d in C = cone(rays) + span(lines) and b
-    in base, read off an L1 functional.  By minimum-norm duality (Luenberger
-    1969, 5.8) delta = max {min_v h.v : ||h||_1 <= 1, h >= 0 on C} over the
-    base vertices v, so for delta > 0 it is 1 / min ||h||_1 over h with
-    h.v >= 1 on the vertices, h >= 0 on the rays and h = 0 on the lines:
-    the L1-minimal `positive_functional`.  Under He, delta > 0, so no such
-    h is an internal fault."""
-    h = positive_functional(base.dim, base.vrep.vertices, rays, lines)
+def _henig_distance(cone_a: PolyhedralCone, base: Polyhedron) -> Fraction:
+    """delta = min ||d + b||_inf over d in C = `cone_a` and b in base, read
+    off an L1 functional.  By minimum-norm duality (Luenberger 1969, 5.8)
+    delta = max {min_v h.v : ||h||_1 <= 1, h >= 0 on C} over the base
+    vertices v, so for delta > 0 it is 1 / min ||h||_1 over h with h.v >= 1
+    on the vertices, h >= 0 on C's extreme rays and h = 0 on its lineality:
+    the L1-minimal `positive_functional`.  Only that value leaves the LP, so
+    it reads C's canonical generators, the fewest rows.  Under He,
+    delta > 0, so no such h is an internal fault."""
+    vertices = base.any_vrep().vertices
+    h = positive_functional(base.dim, vertices, cone_a.generators, cone_a.lineality)
     if h is None:
         raise InternalConsistencyError("the Henig distance LP has no optimum")
     return 1 / sum(map(abs, h))
 
 
-def _henig_eta(cone_a: PolyhedralCone, rays, lines, base: Polyhedron) -> Fraction:
+def _henig_eta(cone_a: PolyhedralCone, base: Polyhedron) -> Fraction:
     """The largest admissible eta = 2^-k, k < 64, for the Henig witness.
 
     Every eta > delta (`_henig_distance`) is inadmissible, and every eta <
     delta is admissible by delta alone.  delta is 1 / ||h||_1 of the
     L1-minimal functional, whose optimum `verify_outcome` has re-checked
     exactly:
-    - d = 0 lies in C = cone(rays) + span(lines), so ||b||_inf >= delta > eta
+    - d = 0 lies in C = `cone_a`, so ||b||_inf >= delta > eta
       for every b in the base.  Then 0 is not in S = base + eta * B_inf, a
       compact convex set, so K_eta = cone(S) is closed and pointed.
     - If 0 != x in C cap (-K_eta), then -x = lambda * (b + eta * u) with
@@ -310,7 +312,7 @@ def _henig_eta(cone_a: PolyhedralCone, rays, lines, base: Polyhedron) -> Fractio
     description when it is below delta.  A tie eta = delta can go either way
     and is decided by `_henig_admissible`; when it fails, eta/2 < delta is.
     """
-    delta = _henig_distance(rays, lines, base)
+    delta = _henig_distance(cone_a, base)
     eta = ONE
     for k in range(64):
         if eta < delta:
@@ -403,22 +405,20 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
 
     witnesses: dict = {"pos": y_star} if pos else {}
     he = ghe = pos
-    rays_a = [vsub(v, y0) for v in verts if vsub(v, y0) != zeros(dim)] + list(rays)
-    cone_a = PolyhedralCone.from_generators(dim, rays=rays_a, lines=list(lines))
+    shifted = [vsub(v, y0) for v in verts]
+    cone_a = PolyhedralCone.from_generators(dim, rays=shifted + list(rays), lines=list(lines))
     if he and with_witnesses:
         base = yplus.structure.base
         if base is None:
             raise NotPointedError("Henig dilation needs a pointed cone with a base")
-        witnesses["he_eta"] = _henig_eta(cone_a, rays_a, lines, base)
+        witnesses["he_eta"] = _henig_eta(cone_a, base)
     if ghe:
         witnesses["ghe_via"] = "he"
 
-    bounded_part = cone_a.with_rows(yplus.ball_minus.hrep)
-    se = not bounded_part.vrep.rays and not bounded_part.vrep.lines
+    bounded_part = cone_a.with_rows(yplus.ball_minus.any_hrep()).any_vrep()
+    se = not bounded_part.rays and not bounded_part.lines
     if se:
-        rho = max(
-            (inf_norm(v) for v in bounded_part.vrep.vertices), default=ZERO
-        )
+        rho = max((inf_norm(v) for v in bounded_part.vertices), default=ZERO)
         witnesses["se_rho"] = rho
     if se != he:
         raise InternalConsistencyError(
@@ -458,9 +458,9 @@ def _dual_image_affine(ctx: ProgramContext, L: LagrangeProcess) -> Polyhedron:
     p = ctx.program
     xdim, ydim, zdim = p.x_dim, p.y_dim, p.z_dim
     rows = []
-    for r in p.omega.closure.hrep:
+    for r in p.omega.closure.any_hrep():
         rows.append((tuple(r.normal) + zeros(ydim), r.offset, r.rel))
-    for r in L.graph.hrep:
+    for r in L.graph.any_hrep():
         nz, ny = r.normal[:zdim], r.normal[zdim:]
         x_part = tuple(
             sum((nz[i] * p.g.matrix[i][j] for i in range(zdim)), ZERO)
@@ -496,7 +496,7 @@ def brute_force_status(p: Program, y0) -> EfficiencyStatus:
     y0 = vec(y0)
     points = w0_image_points(p)
     if y0 not in points:
-        raise NotMemberError(f"{y0} is not an attained image point")
+        raise NotMemberError(f"{fmt_vector(y0)} is not an attained image point")
     yplus = p.y_plus
     minimal = all(
         yplus.contains(vsub(q, y0))
@@ -586,14 +586,14 @@ def _c5_functional(s: SeparatorCone, yplus: OrderCone):
 def _internal_graph_checks(p: AffineVectorProgram, closure: Polyhedron, y0,
                            L: LagrangeProcess):
     """Facts the construction guarantees, asserted on the generators of the
-    closed graph."""
+    closed graph as it was built: containment needs any generating set."""
     for g in p.z_plus.generators:
         if not L.graph.member(tuple(-x for x in g) + zeros(p.y_dim)):
             raise InternalConsistencyError("(-z_+, 0) escapes the process graph")
     zdim = p.z_dim
     shift = zeros(zdim) + tuple(y0)
     flip = lambda w: tuple(-x for x in w[:zdim]) + tuple(w[zdim:])
-    v = closure.vrep
+    v = closure.any_vrep()
     shifted = Polyhedron.from_vrep(
         closure.dim,
         [flip(vsub(x, shift)) for x in v.vertices],

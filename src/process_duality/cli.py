@@ -75,7 +75,7 @@ def _emit_status(s: EfficiencyStatus):
     return out
 
 
-def _emit_certificate(cert: Certificate, problem) -> dict:
+def _emit_certificate(cert: Certificate, digest: str) -> dict:
     dual = cert.dual_image
     if isinstance(dual, Polyhedron):
         dual_repr = {"h_rep": _emit_hrep(dual.hrep)}
@@ -84,7 +84,7 @@ def _emit_certificate(cert: Certificate, problem) -> dict:
     return {
         "report": "certificate",
         "tool": TOOL,
-        "instance_hash": instance_hash(problem),
+        "instance_hash": digest,
         "y0": _emit_vec(cert.y0),
         "slater": {
             "found": cert.slater_witness is not None,
@@ -210,11 +210,12 @@ def cmd_certify(args) -> int:
     problem = _load(args.problem)
     ctx = ProgramContext(problem)
     points, truncated = _y0_list(ctx, args)
+    digest = instance_hash(problem)
     reports = []
     worst = 0
     for y0 in points:
         cert = certify_multiplier(ctx, y0)
-        reports.append(_emit_certificate(cert, problem))
+        reports.append(_emit_certificate(cert, digest))
         if cert.has_violation:
             worst = 1
     payload = reports[0] if len(reports) == 1 and not args.frontier else {

@@ -390,7 +390,8 @@ def graph_closure(p: Program) -> Polyhedron:
     This is the whole graph for finite programs and for affine programs over
     a plain Omega; over a boundary-restricted Omega it is the graph of the
     closure of Omega.  Continuous functionals, and hence separators, see only
-    this set.
+    this set.  It holds only generators, the images of the ones Omega holds
+    (`any_vrep`): no reader on the certify path needs its canonical form.
     """
     dim = p.z_dim + p.y_dim
     krays, klines = _product_cone_gens(p)
@@ -405,10 +406,10 @@ def graph_closure(p: Program) -> Polyhedron:
         return Polyhedron.from_vrep(dim, verts, krays, klines)
 
     phi = _graph_map(p)
-    closure_omega = p.omega.closure
-    verts = [phi(v) for v in closure_omega.vrep.vertices]
-    rays = [phi.linear_part(r) for r in closure_omega.vrep.rays] + krays
-    lines = [phi.linear_part(l) for l in closure_omega.vrep.lines] + klines
+    v = p.omega.closure.any_vrep()
+    verts = [phi(x) for x in v.vertices]
+    rays = [phi.linear_part(r) for r in v.rays] + krays
+    lines = [phi.linear_part(l) for l in v.lines] + klines
     return Polyhedron.from_vrep(dim, verts, rays, lines)
 
 
@@ -436,7 +437,7 @@ def upper_image_graph(p: Program):
             if t is not None
         ]
         facet = Polyhedron.from_hrep(
-            dim, tuple(g_cl.hrep) + ((row.normal, row.offset, EQ),)
+            dim, tuple(g_cl.any_hrep()) + ((row.normal, row.offset, EQ),)
         )
         if not traces:
             retained = Polyhedron.empty(dim)
@@ -445,10 +446,10 @@ def upper_image_graph(p: Program):
             vs = []
             rs = [k for k in krays if dot(row.normal, k) == 0]
             ls = list(klines)
-            for t in traces:
-                vs += list(t.vrep.vertices)
-                rs += list(t.vrep.rays)
-                ls += list(t.vrep.lines)
+            for t in map(Polyhedron.any_vrep, traces):
+                vs += list(t.vertices)
+                rs += list(t.rays)
+                ls += list(t.lines)
             retained = Polyhedron.from_vrep(dim, vs, rs, ls)
         # retained lies in the facet by construction, so they differ exactly
         # when the facet has a point outside retained

@@ -88,6 +88,13 @@ class Polyhedron:
     canonical forms are unique per set, so equality and hashing compare the
     canonical H-representation.  The integer form of the rows that decide
     membership is also computed on first use and kept.
+
+    A reader asks for the form it needs: `.hrep` and `.vrep` to emit, to
+    compare, to pick vertex candidates, or where the row order of an LP
+    decides an emitted witness; `any_hrep()` and `any_vrep()`, some valid
+    form that is canonical when known, for everything else (a polar,
+    containment, membership, LP rows of which only the optimal value
+    leaves).  Only this class reads or writes its representation slots.
     """
 
     __slots__ = ("dim", "_raw_hrep", "_raw_vrep", "_hrep", "_vrep", "_ints")
@@ -107,12 +114,12 @@ class Polyhedron:
         row = HRow(zeros(dim), Fraction(-1), LE)
         return Polyhedron(dim, hrep=(row,), vrep=VRep())
 
-    @staticmethod
-    def from_hrep(dim: int, rows: Iterable) -> "Polyhedron":
-        return Polyhedron(dim, raw_hrep=_coerce_rows(dim, rows))
+    @classmethod
+    def from_hrep(cls, dim: int, rows: Iterable) -> "Polyhedron":
+        return cls(dim, raw_hrep=_coerce_rows(dim, rows))
 
-    @staticmethod
-    def from_vrep(dim, vertices=(), rays=(), lines=()) -> "Polyhedron":
+    @classmethod
+    def from_vrep(cls, dim, vertices=(), rays=(), lines=()) -> "Polyhedron":
         vertices = tuple(_coerce_point(dim, v) for v in vertices)
         rays = (_coerce_point(dim, r) for r in rays)
         rays = tuple(r for r in rays if not is_zero_vec(r))
@@ -124,11 +131,11 @@ class Polyhedron:
                     "a nonempty V-representation needs at least one vertex"
                 )
             return Polyhedron.empty(dim)
-        return Polyhedron(dim, raw_vrep=VRep(vertices, rays, lines))
+        return cls(dim, raw_vrep=VRep(vertices, rays, lines))
 
-    @staticmethod
-    def full_space(dim: int) -> "Polyhedron":
-        return Polyhedron.from_hrep(dim, ())
+    @classmethod
+    def full_space(cls, dim: int) -> "Polyhedron":
+        return cls.from_hrep(dim, ())
 
     # -- lazy canonical representations -----------------------------------
 
@@ -158,11 +165,13 @@ class Polyhedron:
         return self._hrep
 
     # No constructor sets both raw representations, so a set built from
-    # generators gets its canonical rows from `_any_hrep` on first use, and
+    # generators gets its canonical rows from `any_hrep` on first use, and
     # keeps them, and a set built from rows its canonical generators from
-    # `_any_vrep`.
+    # `any_vrep`.  Outside this module `.hrep` and `.vrep` are read only to
+    # emit, to compare, to pick vertex candidates, or where an LP's row
+    # order decides an emitted witness; every other reader takes these.
 
-    def _any_hrep(self):
+    def any_hrep(self) -> tuple[HRow, ...]:
         """Some valid row list for this set (canonical if already computed)."""
         if self._hrep is not None:
             return self._hrep
@@ -170,7 +179,9 @@ class Polyhedron:
             return self._raw_hrep
         return self.hrep
 
-    def _any_vrep(self) -> VRep:
+    def any_vrep(self) -> VRep:
+        """Some valid generating set for this set (canonical if already
+        computed)."""
         if self._vrep is not None:
             return self._vrep
         if self._raw_vrep is not None:
@@ -181,7 +192,7 @@ class Polyhedron:
 
     @property
     def is_empty(self) -> bool:
-        return not self._any_vrep().vertices
+        return not self.any_vrep().vertices
 
     @property
     def closure(self) -> "Polyhedron":
@@ -194,7 +205,7 @@ class Polyhedron:
         return tuple(r for r in self.hrep if r.rel == EQ)
 
     def system(self) -> LinearSystem:
-        rows = self._any_hrep()
+        rows = self.any_hrep()
         return LinearSystem(
             self.dim,
             le=tuple((r.normal, r.offset) for r in rows if r.rel == LE),
@@ -224,7 +235,7 @@ class Polyhedron:
     def contains_poly(self, other: "Polyhedron") -> bool:
         if other.is_empty:
             return True
-        v = other._any_vrep()
+        v = other.any_vrep()
         return (
             all(self.member(x) for x in v.vertices)
             and all(self.ray_member(r) for r in v.rays)
@@ -252,13 +263,13 @@ class Polyhedron:
     # -- geometry --------------------------------------------------------
 
     def with_rows(self, rows) -> "Polyhedron":
-        return Polyhedron.from_hrep(self.dim, tuple(self._any_hrep()) + _coerce_rows(self.dim, rows))
+        return Polyhedron.from_hrep(self.dim, tuple(self.any_hrep()) + _coerce_rows(self.dim, rows))
 
     def translate(self, t) -> "Polyhedron":
         t = _coerce_point(self.dim, t)
         if self.is_empty:
             return self
-        v = self._any_vrep()
+        v = self.any_vrep()
         return Polyhedron.from_vrep(
             self.dim,
             [vadd(x, t) for x in v.vertices],
@@ -272,7 +283,7 @@ class Polyhedron:
         offset = _coerce_point(out_dim, offset)
         if self.is_empty:
             return Polyhedron.empty(out_dim)
-        src_v = self._any_vrep()
+        src_v = self.any_vrep()
         verts = [vadd(matvec(matrix, v), offset) for v in src_v.vertices]
         rays = [matvec(matrix, r) for r in src_v.rays]
         lines = [matvec(matrix, l) for l in src_v.lines]
@@ -282,23 +293,22 @@ class Polyhedron:
 class PolyhedralCone(Polyhedron):
     """Polyhedron with zero offsets; the only vertex is the origin."""
 
-    @staticmethod
-    def from_generators(dim, rays=(), lines=()) -> "PolyhedralCone":
-        p = Polyhedron.from_vrep(dim, [zeros(dim)], rays, lines)
-        return PolyhedralCone(dim, raw_hrep=p._raw_hrep, raw_vrep=p._raw_vrep, hrep=p._hrep, vrep=p._vrep)
+    @classmethod
+    def from_generators(cls, dim, rays=(), lines=()) -> "PolyhedralCone":
+        return cls.from_vrep(dim, [zeros(dim)], rays, lines)
 
-    @staticmethod
-    def from_normals(dim, ineq_normals=(), eq_normals=()) -> "PolyhedralCone":
+    @classmethod
+    def from_normals(cls, dim, ineq_normals=(), eq_normals=()) -> "PolyhedralCone":
         rows = [HRow(vec(n), ZERO, LE) for n in ineq_normals]
         rows += [HRow(vec(n), ZERO, EQ) for n in eq_normals]
-        p = Polyhedron.from_hrep(dim, rows)
-        return PolyhedralCone(dim, raw_hrep=p._raw_hrep, raw_vrep=p._raw_vrep, hrep=p._hrep, vrep=p._vrep)
+        return cls.from_hrep(dim, rows)
 
-    @staticmethod
-    def from_polyhedron(p: Polyhedron) -> "PolyhedralCone":
-        if any(r.offset != 0 for r in p.hrep) or p.vrep.vertices != (zeros(p.dim),):
+    @classmethod
+    def from_polyhedron(cls, p: Polyhedron) -> "PolyhedralCone":
+        rows, v = p.hrep, p.vrep
+        if any(r.offset != 0 for r in rows) or v.vertices != (zeros(p.dim),):
             raise InternalConsistencyError("not a cone")
-        return PolyhedralCone(p.dim, raw_hrep=p._raw_hrep, raw_vrep=p._raw_vrep, hrep=p._hrep, vrep=p._vrep)
+        return cls(p.dim, hrep=rows, vrep=v)
 
     @property
     def generators(self) -> tuple[Vec, ...]:
@@ -622,7 +632,7 @@ def _generator_witness(p: Polyhedron, row, strict: bool) -> bool:
     a.l = 0 on the lines, a.v <= b on the vertices and a.r <= 0 on the rays.
     So p meets the hyperplane iff some vertex lies on it, and has a point
     strictly inside iff some vertex does or some ray has a.r < 0."""
-    v = p._any_vrep()
+    v = p.any_vrep()
     cands = v.vertices
     if strict:
         cands += tuple(vadd(v.vertices[0], r) for r in v.rays)
@@ -746,7 +756,7 @@ class BoundaryRestrictedPolyhedron:
             on = next((fr for fr in pending if _on_hyperplane(closure, fr)), None)
             if on is None:
                 break
-            closure = closure.with_rows(on.retained._any_hrep())
+            closure = closure.with_rows(on.retained.any_hrep())
             pending = [
                 fr for fr in pending
                 if (fr.normal, fr.offset) != (on.normal, on.offset)

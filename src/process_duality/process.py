@@ -89,8 +89,10 @@ def separator_cone(graph_w, y0) -> SeparatorCone:
 
     Only the closure of the graph matters here (every separator is
     continuous), so boundary restrictions are dropped, and callers may pass
-    the closure (`model.graph_closure`) directly.  Lines of the polar
-    contribute a +- pair of generators.
+    the closure (`model.graph_closure`) directly.  A polar depends on the
+    cone alone, and `cone_dd` returns one canonical form for any generating
+    set, so the closure's generators are read as built (`any_vrep`).  Lines
+    of the polar contribute a +- pair of generators.
     """
     closure = graph_w.closure
     dim = closure.dim
@@ -99,11 +101,11 @@ def separator_cone(graph_w, y0) -> SeparatorCone:
     if z_dim < 0:
         raise DimensionMismatch("y0 longer than the graph dimension")
     shift = zeros(z_dim) + tuple(y0)
-    gens = [vsub(v, shift) for v in closure.vrep.vertices]
-    gens += list(closure.vrep.rays)
+    v = closure.any_vrep()
+    gens = [vsub(x, shift) for x in v.vertices] + list(v.rays)
     # Positive polar: <h, g> >= 0 for generators, <h, l> = 0 for lines.
     ineq = [tuple(-x for x in g) for g in gens if not is_zero_vec(g)]
-    eq = [tuple(l) for l in closure.vrep.lines]
+    eq = [tuple(l) for l in v.lines]
     lines, rays = cone_dd(dim, ineq, eq)
     seps = []
     for r in rays:
@@ -156,7 +158,7 @@ def lagrange_process(s: SeparatorCone) -> LagrangeProcess:
     """
     dim = s.z_dim + s.y_dim
     if s.empty_flag:
-        graph = PolyhedralCone.from_polyhedron(Polyhedron.full_space(dim))
+        graph = PolyhedralCone.full_space(dim)
         return LagrangeProcess(s.z_dim, s.y_dim, graph, s)
     normals = [n for h in s.generators for n, _ in halfspace_process(h).system().le]
     graph = PolyhedralCone.from_normals(dim, ineq_normals=normals)
@@ -169,7 +171,7 @@ def process_eval(L: LagrangeProcess, z) -> Polyhedron:
     if len(z) != L.z_dim:
         raise DimensionMismatch("process evaluated at a wrong-width z")
     rows = []
-    for row in L.graph.hrep:
+    for row in L.graph.any_hrep():
         normal = row.normal[L.z_dim :]
         rhs = row.offset - dot(row.normal[: L.z_dim], z)
         if is_zero_vec(normal):

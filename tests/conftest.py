@@ -14,7 +14,8 @@ its cardinality prefilter; the H/V conversions that lift every set,
 cones included, to its homogenization; the polar cone with its
 generators from a double description; Min and WMin decided by
 strict LPs alone; He decided by a double description of
-C cap (-Y_+); and the Henig distance by its primal LP."""
+C cap (-Y_+); the Henig distance by its primal LP; and the separator
+cone read off the graph closure's canonical generators."""
 
 import random
 from fractions import Fraction as F
@@ -60,6 +61,7 @@ from process_duality.polyhedra import (
     identity_cell,
     intersect_empty,
 )
+from process_duality.process import Separator, SeparatorCone
 from process_duality.rational import (
     ONE,
     ZERO,
@@ -299,7 +301,7 @@ class _LpRoute:
             on = next((fr for fr in pending if _on_hyperplane(closure, fr)), None)
             if on is None:
                 break
-            closure = closure.with_rows(on.retained._any_hrep())
+            closure = closure.with_rows(on.retained.any_hrep())
             pending = [
                 fr for fr in pending
                 if (fr.normal, fr.offset) != (on.normal, on.offset)
@@ -550,7 +552,7 @@ class _FractionMember:
             return all(
                 dot(r.normal, x) <= r.offset if r.rel == LE
                 else dot(r.normal, x) == r.offset
-                for r in obj._any_hrep()
+                for r in obj.any_hrep()
             )
         if isinstance(obj, BoundaryRestrictedPolyhedron):
             return self(obj.closure, x) and all(
@@ -570,7 +572,7 @@ class _FractionMember:
         r = vec(r)
         return all(
             dot(row.normal, r) <= 0 if row.rel == LE else dot(row.normal, r) == 0
-            for row in p._any_hrep()
+            for row in p.any_hrep()
         )
 
     def holds_at(self, v, cells, strict_rows):
@@ -886,3 +888,36 @@ def henig_distance_by_primal_lp():
     the weights of C's generators and of the base vertices, with no dual
     functional."""
     return _henig_distance_by_primal_lp
+
+
+def _separator_cone_by_canonical_vrep(graph_w, y0):
+    """`process.separator_cone` as it was when it read the closure's
+    canonical generators, `closure.vrep`, rather than the generators the
+    closure was built from: the positive polar of cone(closure - (0, y0))
+    by one `cone_dd`."""
+    closure = graph_w.closure
+    dim = closure.dim
+    y0 = vec(y0)
+    z_dim = dim - len(y0)
+    shift = zeros(z_dim) + tuple(y0)
+    gens = [vsub(v, shift) for v in closure.vrep.vertices]
+    gens += list(closure.vrep.rays)
+    ineq = [tuple(-x for x in g) for g in gens if not is_zero_vec(g)]
+    eq = [tuple(l) for l in closure.vrep.lines]
+    lines, rays = cone_dd(dim, ineq, eq)
+    seps = []
+    for r in rays:
+        r = quotients(r, 1)
+        seps.append(Separator(r[:z_dim], r[z_dim:]))
+    for l in lines:
+        l = quotients(l, 1)
+        seps.append(Separator(l[:z_dim], l[z_dim:]))
+        seps.append(Separator(tuple(-x for x in l[:z_dim]), tuple(-x for x in l[z_dim:])))
+    return SeparatorCone(z_dim, len(y0), y0, tuple(seps))
+
+
+@pytest.fixture(scope="session")
+def separator_cone_by_canonical_vrep():
+    """(graph, y0) -> the separator cone at y0 from the canonical
+    generators of the graph's closure."""
+    return _separator_cone_by_canonical_vrep

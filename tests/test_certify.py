@@ -82,7 +82,7 @@ from process_duality.polyhedra import (
     member,
     point_cell,
 )
-from process_duality.problemfile import emit_problem, load_problem
+from process_duality.problemfile import emit_problem, instance_hash, load_problem
 from process_duality.process import (
     Separator,
     SeparatorCone,
@@ -334,6 +334,16 @@ class TestClassifyProper:
         with pytest.raises(NotMemberError):
             classify_proper(halfplane(), (0, -1), orthant2)
 
+    def test_refusal_writes_y0_as_rationals(self, planar_i3):
+        """The refusals behind `is_minimal`, `is_weak_minimal` and
+        `classify_proper` write y0 in the p/q text of every report."""
+        cells = w0_cells(planar_i3)
+        for decide in (classify_proper, is_minimal, is_weak_minimal):
+            with pytest.raises(
+                NotMemberError, match="^-5/1,-5/1 is not a member of the set under test$"
+            ):
+                decide(cells, (-5, -5), planar_i3.y_plus)
+
 
 def halving_loop_eta(cone_a, base):
     """The Henig witness by trial: the first eta = 1, 1/2, 1/4, ... whose
@@ -374,9 +384,9 @@ def _henig_searches(monkeypatch, programs):
     chosen = certify_module._henig_eta
     searches = []
 
-    def recorded(cone_a, rays, lines, base):
-        eta = chosen(cone_a, rays, lines, base)
-        delta = certify_module._henig_distance(rays, lines, base)
+    def recorded(cone_a, base):
+        eta = chosen(cone_a, base)
+        delta = certify_module._henig_distance(cone_a, base)
         searches.append((cone_a, base, eta, delta))
         return eta
 
@@ -394,11 +404,13 @@ class TestHenigEta:
         chosen = certify_module._henig_eta
         seen = {"points": 0, "at_delta": 0}
 
-        def checked(cone_a, rays, lines, base):
-            eta = chosen(cone_a, rays, lines, base)
+        def checked(cone_a, base):
+            eta = chosen(cone_a, base)
             assert eta == halving_loop_eta(cone_a, base)
-            delta = certify_module._henig_distance(rays, lines, base)
-            assert delta == henig_distance_by_primal_lp(rays, lines, base)
+            delta = certify_module._henig_distance(cone_a, base)
+            assert delta == henig_distance_by_primal_lp(
+                cone_a.generators, cone_a.lineality, base
+            )
             seen["points"] += 1
             # the largest 2^-k <= min(delta, 1) was delta itself
             seen["at_delta"] += delta <= 1 and delta in (eta, 2 * eta)
@@ -490,8 +502,8 @@ class TestHenigEta:
         admissible = certify_module._henig_admissible
         deltas, etas = [], []
 
-        def recorded(rays, lines, base):
-            deltas.append(distance(rays, lines, base))
+        def recorded(cone_a, base):
+            deltas.append(distance(cone_a, base))
             return deltas[-1]
 
         def checked(cone_a, base, eta):
@@ -536,7 +548,7 @@ class TestHenigEta:
         y0 = (F(1, 2), F(1, 2))
         assert certify_multiplier(planar_i3, y0).status_P0.witnesses["he_eta"]
         monkeypatch.setattr(certify_module, "_henig_distance",
-                            lambda rays, lines, base: F(1, 2**70))
+                            lambda cone_a, base: F(1, 2**70))
         with pytest.raises(InternalConsistencyError,
                            match="dilation witness not found"):
             certify_multiplier(planar_i3, y0)
@@ -557,7 +569,9 @@ class TestHenigEta:
     def test_distance_zero_raises(self):
         # C = R_- meets -base = {-1}, so delta = 0 and no functional exists
         with pytest.raises(InternalConsistencyError, match="Henig distance LP"):
-            certify_module._henig_distance([(-1,)], [], Polyhedron.from_vrep(1, [(1,)]))
+            certify_module._henig_distance(
+                PolyhedralCone.from_generators(1, [(-1,)]), Polyhedron.from_vrep(1, [(1,)])
+            )
 
 
 class TestWorkDoneOnce:
@@ -691,7 +705,7 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(model_module, "feasible_region",
                             counted("feasible_region", model_module.feasible_region))
         monkeypatch.setattr(Polyhedron, "from_hrep",
-                            staticmethod(counted("from_hrep", Polyhedron.from_hrep)))
+                            classmethod(counted("from_hrep", Polyhedron.from_hrep.__func__)))
 
         def minimality_item(p):
             cells = w0_cells(p)
@@ -1481,6 +1495,10 @@ class TestBruteForce:
         with pytest.raises(NotMemberError):
             brute_force_status(three_point_discrete, (9, 9))
 
+    def test_refusal_writes_y0_as_rationals(self, three_point_discrete):
+        with pytest.raises(NotMemberError, match="^9/1,1/2 is not an attained image point$"):
+            brute_force_status(three_point_discrete, (9, F(1, 2)))
+
 
 class TestFrontier:
     def test_planar(self, planar_i3):
@@ -1893,9 +1911,10 @@ class TestProgramContext:
                 except EmptyFeasibleError:
                     continue
                 shared = [certify_multiplier(ctx, y0) for y0 in points]
+            digest = instance_hash(p)
             for y0, cert in zip(points, shared):
-                assert _emit_certificate(cert, p) == _emit_certificate(
-                    certify_multiplier(p, y0), p
+                assert _emit_certificate(cert, digest) == _emit_certificate(
+                    certify_multiplier(p, y0), digest
                 )
             certified += len(points)
         assert certified > 50
@@ -2067,7 +2086,7 @@ class TestUnboundedL1Lp:
 
 def _certificate_report(p, y0):
     """The certificate report at y0, less the instance hash."""
-    report = _emit_certificate(certify_multiplier(p, y0), p)
+    report = _emit_certificate(certify_multiplier(p, y0), instance_hash(p))
     del report["instance_hash"]
     return report
 

@@ -42,6 +42,44 @@ def test_only_rational_reads_numerators_and_denominators():
     assert readers == []
 
 
+REPRESENTATION_SLOTS = {"_raw_hrep", "_raw_vrep", "_hrep", "_vrep", "_ints"}
+
+
+def test_only_polyhedron_reads_its_representation_slots():
+    """Which form a reader gets is decided in one class: no code but
+    `Polyhedron`'s own methods, through `self`, reads or writes the slots
+    that hold its raw and canonical forms; every other reader asks for
+    `hrep`, `vrep`, `any_hrep()` or `any_vrep()`, and every other
+    constructor builds through the class."""
+    package = Path(process_duality.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    assert sources
+    owned, others = [], []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = [
+            fn
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "Polyhedron"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.args.args
+            and fn.args.args[0].arg == "self"
+        ]
+        through_self = {
+            id(node)
+            for fn in methods
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in REPRESENTATION_SLOTS:
+                site = (path.name, node.lineno, node.attr)
+                (owned if id(node) in through_self else others).append(site)
+    assert others == []
+    assert {attr for _, _, attr in owned} == REPRESENTATION_SLOTS
+
+
 def _unused_imports(tree):
     """Names a module imports but never reads.  A module's `__all__` counts
     as a read of every name it lists, so re-exports are uses."""

@@ -5,8 +5,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from process_duality.errors import DegenerateFunctional, SlaterMissing
-from process_duality.model import slater_point, upper_image_graph
+from process_duality import polyhedra as polyhedra_module
+from process_duality.certify import (
+    ProgramContext,
+    certify_multiplier,
+    minimal_frontier_points,
+)
+from process_duality.errors import DegenerateFunctional, EmptyFeasibleError, SlaterMissing
+from process_duality.fuzzing import random_discrete_instance, random_setvalued_instance
+from process_duality.model import graph_closure, slater_point, upper_image_graph
 from process_duality.polyhedra import LE, Polyhedron, PolyhedralCone
 from process_duality.process import (
     Separator,
@@ -57,6 +64,96 @@ class TestSeparatorCone:
                     assert sum(a * b for a, b in zip(h.z_star, zg)) >= 0
                 for yg in prog.y_plus.generators:
                     assert sum(a * b for a, b in zip(h.y_star, yg)) >= 0
+
+
+def _finite_programs(count):
+    """Discrete (3,2) and set-valued (2,2) programs, `count` seeds each."""
+    for s in range(count):
+        yield random_discrete_instance(random.Random(s), (3, 2))
+        yield random_setvalued_instance(random.Random(s), (2, 2))
+
+
+class TestGeneratingSetReads:
+    """Consumers that need only a generating set of the graph closure read
+    the one it was built from (`any_vrep`), never its canonical form."""
+
+    @staticmethod
+    def compared(oracle, p):
+        """(frontier points at which the separator cones of p's graph
+        closures, as certify and the CLI build them, equal the oracle's,
+        whether some closure was built from redundant vertices)."""
+        ctx = ProgramContext(p)
+        try:
+            _, points, _ = minimal_frontier_points(ctx)
+        except EmptyFeasibleError:
+            return 0, False
+        programs = {id(q): q for q in (p, ctx.convex.program)}.values()
+        redundant = False
+        for q in programs:
+            closure = graph_closure(q)
+            built = closure.any_vrep()
+            got = [separator_cone(closure, y0) for y0 in points]
+            # the canonical form is made here, by the oracle's first read
+            assert got == [oracle(closure, y0) for y0 in points]
+            redundant |= len(built.vertices) > len(closure.vrep.vertices)
+        return len(points), redundant
+
+    def test_separator_cone_equals_the_canonical_route(
+        self, criterion_3_program, separator_cone_by_canonical_vrep
+    ):
+        points = 0
+        for i in range(40):
+            if i not in (3, 5):
+                points += self.compared(
+                    separator_cone_by_canonical_vrep, criterion_3_program(i)
+                )[0]
+        assert points > 40
+
+    def test_redundant_finite_generators_give_the_canonical_separators(
+        self, separator_cone_by_canonical_vrep
+    ):
+        """The raw graph generators of these finite programs repeat an
+        image point or hold one inside the hull, so the two routes run
+        their double descriptions on different inputs."""
+        redundant = 0
+        for p in _finite_programs(40):
+            points, differs = self.compared(separator_cone_by_canonical_vrep, p)
+            redundant += points if differs else 0
+        assert redundant > 25
+
+    def test_certify_never_canonicalizes_the_graph_closure(self, monkeypatch):
+        """Through one context, the only conversion in Z x Y that each
+        certificate runs is its process graph's generators, read for the
+        bounded-base test; the graph closure is never converted to rows.
+        Programs whose relaxation has x in Z x Y or in Z are left out: their
+        simplex, its cells and the dual image's lift x + y convert there."""
+        calls = []
+        for name in ("_vrep_to_hrep", "_hrep_to_vrep"):
+            def counted(dim, form, name=name, fn=getattr(polyhedra_module, name)):
+                calls.append((name, dim, form))
+                return fn(dim, form)
+
+            monkeypatch.setattr(polyhedra_module, name, counted)
+        certified = 0
+        for p in _finite_programs(30):
+            ctx = ProgramContext(p)
+            try:
+                _, points, _ = minimal_frontier_points(ctx)
+            except EmptyFeasibleError:
+                continue
+            zy = p.z_dim + p.y_dim
+            if ctx.convex.program.x_dim in (p.z_dim, zy):
+                continue
+            built = ctx.convex.graph.any_vrep()
+            calls.clear()
+            for y0 in points:
+                certify_multiplier(ctx, y0)
+            at_zy = [name for name, dim, _ in calls if dim == zy]
+            assert at_zy == ["_hrep_to_vrep"] * len(points), at_zy
+            assert all(form is not built for _, _, form in calls)
+            assert ctx.convex.graph.any_vrep() is built
+            certified += len(points)
+        assert certified > 20
 
 
 class TestNonvertical:
