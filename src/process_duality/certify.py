@@ -80,7 +80,6 @@ from .rational import (
     ONE,
     ZERO,
     Vec,
-    box_corners,
     dot,
     fmt_vector,
     inf_norm,
@@ -261,22 +260,15 @@ class EfficiencyStatus:
         return self
 
 
-def _henig_admissible(cone_a: PolyhedralCone, base: Polyhedron,
-                      eta: Fraction) -> bool:
-    """K_eta = cone(base + eta * infinity-ball) is pointed and meets
-    -cone_a only at 0, decided by double description.  K_eta is pointed iff
-    the origin is a vertex of it: every row is tight there, so one integer
-    rank of the rows the double description has just produced decides it
-    (`tight_rank`)."""
-    corners = [tuple(eta * s for s in c) for c in box_corners(base.dim)]
-    gens = [vadd(v, c) for v in base.any_vrep().vertices for c in corners]
-    k = PolyhedralCone.from_generators(base.dim, gens)
-    le, eq, _ = k.system().integer_form
-    if tight_rank((0,) * k.dim, 1, le, eq)[1] != k.dim:
+def _henig_admissible(cone_a: PolyhedralCone, k_eta) -> bool:
+    """K_eta = cone(base + eta * infinity-ball), given by its facet rows
+    (`OrderCone.dilation_rows`, None when K_eta is not pointed), is pointed
+    and meets -cone_a only at 0, decided by double description."""
+    if k_eta is None:
         return False
-    meet = cone_a.with_rows([(tuple(-x for x in r.normal), ZERO, LE)
-                             for r in k.inequalities()]).any_vrep()
-    return not meet.rays and not meet.lines
+    meet = cone_a.with_rows([(tuple(-x for x in a), ZERO, LE) for a, _, _ in k_eta])
+    v = meet.any_vrep()
+    return not v.rays and not v.lines
 
 
 def _henig_distance(cone_a: PolyhedralCone, base: Polyhedron) -> Fraction:
@@ -295,8 +287,9 @@ def _henig_distance(cone_a: PolyhedralCone, base: Polyhedron) -> Fraction:
     return 1 / sum(map(abs, h))
 
 
-def _henig_eta(cone_a: PolyhedralCone, base: Polyhedron) -> Fraction:
-    """The largest admissible eta = 2^-k, k < 64, for the Henig witness.
+def _henig_eta(cone_a: PolyhedralCone, yplus: OrderCone) -> Fraction:
+    """The largest admissible eta = 2^-k, k < 64, for the Henig witness, with
+    K_eta built on the bounded base of `yplus`.
 
     Every eta > delta (`_henig_distance`) is inadmissible, and every eta <
     delta is admissible by delta alone.  delta is 1 / ||h||_1 of the
@@ -310,15 +303,16 @@ def _henig_eta(cone_a: PolyhedralCone, base: Polyhedron) -> Fraction:
       ||x / lambda + b||_inf <= eta < delta, against the minimality of delta.
     So the largest 2^-k <= min(delta, 1) is returned without double
     description when it is below delta.  A tie eta = delta can go either way
-    and is decided by `_henig_admissible`; when it fails, eta/2 < delta is.
+    and is decided by `_henig_admissible`, on the K_eta rows that `yplus`
+    keeps per eta; when it fails, eta/2 < delta is.
     """
-    delta = _henig_distance(cone_a, base)
+    delta = _henig_distance(cone_a, yplus.structure.base)
     eta = ONE
     for k in range(64):
         if eta < delta:
             return eta
         if eta == delta:
-            if _henig_admissible(cone_a, base, eta):
+            if _henig_admissible(cone_a, yplus.dilation_rows(eta)):
                 return eta
             if k < 63:
                 return eta / 2
@@ -389,9 +383,14 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
     if pointed:
         dim = yplus.ambient_dim
         verts, rays, lines = closure_generators(a) if closure is None else closure
-        # Pos: y* in Y_+^{+i} supporting cl A at y0
+        gens = [vsub(v, y0) for v in verts] + list(rays)
+        cone_a = PolyhedralCone.from_generators(dim, rays=gens, lines=list(lines))
+        # Pos: y* in Y_+^{+i} supporting cl A at y0.  Its feasible set is
+        # fixed by C alone, so the LP reads C's canonical generators; at a tie
+        # the witness is the split-form vertex over A's closure generators.
         y_star = positive_functional(
-            dim, yplus.generators, [vsub(v, y0) for v in verts] + list(rays), lines
+            dim, yplus.generators, cone_a.generators, cone_a.lineality,
+            (gens, lines),
         )
         pos = y_star is not None
     if minimal is None:
@@ -405,13 +404,10 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
 
     witnesses: dict = {"pos": y_star} if pos else {}
     he = ghe = pos
-    shifted = [vsub(v, y0) for v in verts]
-    cone_a = PolyhedralCone.from_generators(dim, rays=shifted + list(rays), lines=list(lines))
     if he and with_witnesses:
-        base = yplus.structure.base
-        if base is None:
+        if yplus.structure.base is None:
             raise NotPointedError("Henig dilation needs a pointed cone with a base")
-        witnesses["he_eta"] = _henig_eta(cone_a, base)
+        witnesses["he_eta"] = _henig_eta(cone_a, yplus)
     if ghe:
         witnesses["ghe_via"] = "he"
 

@@ -8,13 +8,28 @@ is that of the rational tableau.  The basic point is read off the final
 constraint rows, the dual multipliers off the final objective row at each
 row's initial basic column.
 
+A variable is free or, when the system lists it in `nonneg`, nonnegative.
+The tableau's columns are, in order: one per variable (x_j itself, or x_j+
+for a free variable); one mirror column x_j- per free variable, in variable
+order; one slack per LE row; the artificials.  So a nonnegative variable
+costs one column and no row: its bound is the column's own sign constraint,
+and its multiplier is the column's reduced cost.  A system with no
+nonnegative variable gets the x+ / x- split of every variable.
+
 Every outcome carries a certificate that is re-checked exactly before it is
-returned: OPTIMAL is checked for row feasibility, dual signs, stationarity,
+returned: OPTIMAL is checked for feasibility, dual signs, stationarity,
 complementary slackness and strong duality; INFEASIBLE carries a Farkas
 vector, read off the phase-1 objective row the same way as the duals;
 UNBOUNDED carries a feasible point and a recession ray along which the
 objective improves, read off the phase-2 entering column with no positive
 entry.
+An OPTIMAL outcome also says whether its optimum is certified unique: every
+nonbasic column's reduced cost is positive in the final objective row (a
+mirror column whose partner is basic excepted: it moves no x).  Every
+optimal point then has each such column at 0, which leaves only the basic
+point.  The claim is re-checked from the system: by complementary slackness
+every optimal point lies on the rows and bounds whose multiplier is nonzero,
+and those have rank dim.
 The check runs on integers and reads the system, never the tableau: each row
 is the system's own integer form, the row times the lcm of its own
 denominators, which is computed once per system and also seeds the tableau;
@@ -40,6 +55,7 @@ from operator import mul
 from typing import Optional
 
 from . import _kernel
+from ._dd import tight_rank
 from .errors import DimensionMismatch, InternalConsistencyError
 from .rational import (
     ONE,
@@ -74,28 +90,41 @@ def _rows(dim: int, rows) -> tuple[Row, ...]:
     return tuple(out)
 
 
+def _nonneg(dim: int, indices) -> tuple[int, ...]:
+    """The variable indices sorted and without repeats, each below dim."""
+    out = tuple(sorted(set(indices)))
+    if out and not 0 <= out[0] <= out[-1] < dim:
+        raise DimensionMismatch(f"nonnegative variable out of range in dimension {dim}")
+    return out
+
+
 @dataclass(frozen=True)
 class LinearSystem:
-    """A·x <= b, E·x = d, C·x < s over a common ambient dimension."""
+    """A·x <= b, E·x = d, C·x < s over a common ambient dimension, and
+    x_j >= 0 for each variable j in `nonneg` (held sorted)."""
 
     dim: int
     le: tuple[Row, ...] = ()
     eq: tuple[Row, ...] = ()
     strict: tuple[Row, ...] = ()
+    nonneg: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "le", _rows(self.dim, self.le))
         object.__setattr__(self, "eq", _rows(self.dim, self.eq))
         object.__setattr__(self, "strict", _rows(self.dim, self.strict))
+        object.__setattr__(self, "nonneg", _nonneg(self.dim, self.nonneg))
 
-    def extended(self, le=(), eq=(), strict=()) -> "LinearSystem":
-        """This system plus the given rows; only the added rows are coerced,
-        the held ones were when this system was built."""
+    def extended(self, le=(), eq=(), strict=(), nonneg=()) -> "LinearSystem":
+        """This system plus the given rows and nonnegative variables; only
+        the added rows are coerced, the held ones were when this system was
+        built."""
         out = object.__new__(LinearSystem)
         object.__setattr__(out, "dim", self.dim)
         object.__setattr__(out, "le", self.le + _rows(self.dim, le))
         object.__setattr__(out, "eq", self.eq + _rows(self.dim, eq))
         object.__setattr__(out, "strict", self.strict + _rows(self.dim, strict))
+        object.__setattr__(out, "nonneg", _nonneg(self.dim, self.nonneg + tuple(nonneg)))
         return out
 
     @staticmethod
@@ -110,6 +139,7 @@ class LinearSystem:
             object.__setattr__(out, name, tuple(
                 (quotients(a, s), Fraction(b, s)) for a, b, s in rows
             ))
+        object.__setattr__(out, "nonneg", ())
         object.__setattr__(out, "integer_form", (tuple(le), tuple(eq), tuple(strict)))
         return out
 
@@ -120,17 +150,23 @@ class LinearSystem:
         return integer_rows(self.le), integer_rows(self.eq), integer_rows(self.strict)
 
     def holds_at(self, x, d) -> bool:
-        """Do all rows hold at the point x / d (integers x, d > 0), the
-        strict rows strictly?"""
+        """Do all rows and bounds hold at the point x / d (integers x,
+        d > 0), the strict rows strictly?"""
+        if self.nonneg and any(x[j] < 0 for j in self.nonneg):
+            return False
         return integer_holds(x, d, *self.integer_form)
 
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """OPTIMAL carries the point, the value and the duals; INFEASIBLE carries
-    a Farkas vector: farkas_le >= 0, A^T.farkas_le + E^T.farkas_eq = 0 and
-    b.farkas_le + d.farkas_eq < 0; UNBOUNDED carries a feasible point and a
-    recession ray d: A.d <= 0, E.d = 0 and c.d < 0 (min) / > 0 (max)."""
+    """OPTIMAL carries the point, the value, the duals, one multiplier per
+    nonnegative variable (`dual_bound`, in `nonneg` order) and whether the
+    optimum is certified unique; INFEASIBLE carries a Farkas vector:
+    farkas_le >= 0, A^T.farkas_le + E^T.farkas_eq zero on each free variable
+    and >= 0 on each nonnegative one, and b.farkas_le + d.farkas_eq < 0;
+    UNBOUNDED carries a feasible point and a recession ray d: A.d <= 0,
+    E.d = 0, d >= 0 on the nonnegative variables and c.d < 0 (min) / > 0
+    (max)."""
 
     status: LpStatus
     primal_point: Optional[Vec] = None
@@ -140,6 +176,8 @@ class LpOutcome:
     farkas_le: Optional[Vec] = None
     farkas_eq: Optional[Vec] = None
     ray: Optional[Vec] = None
+    dual_bound: Optional[Vec] = None
+    unique: bool = False
 
 
 @dataclass(frozen=True)
@@ -209,14 +247,18 @@ def _read_multipliers(obj, init_col, init_cost, flipped) -> list[Fraction]:
 
 
 def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
-    """Exact optimum of a linear objective over an LE/EQ system.
+    """Exact optimum of a linear objective over an LE/EQ system with its
+    nonnegative variables.
 
     On OPTIMAL the returned point is basic (a vertex or a point on a minimal
-    face) and the dual multipliers certify optimality exactly:
-    dual_le >= 0, A^T.dual_le + E^T.dual_eq = -c (min) / +c (max), exact
-    complementary slackness, and equal primal and dual objective values.
-    On INFEASIBLE the outcome carries an exactly checked Farkas vector, and
-    on UNBOUNDED an exactly checked feasible point and improving ray.
+    face) and the multipliers certify optimality exactly: dual_le >= 0,
+    dual_bound >= 0, A^T.dual_le + E^T.dual_eq - dual_bound (on the
+    nonnegative variables) = -c (min) / +c (max), exact complementary
+    slackness, and equal primal and dual objective values; `unique` says
+    whether every nonbasic reduced cost is positive, and when it does no
+    other point is optimal.  On INFEASIBLE the outcome carries an exactly
+    checked Farkas vector, and on UNBOUNDED an exactly checked feasible
+    point and improving ray.
     """
     if sense not in ("min", "max"):
         raise ValueError(f"unknown sense {sense!r}")
@@ -233,11 +275,15 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
     m = len(rows)
     n_le = len(system.le)
     flipped = [b < 0 for _, b, _ in rows]
+    bounded = set(system.nonneg)
+    free = [j for j in range(n) if j not in bounded]
 
-    # Columns: x+ (n), x- (n), one slack per LE row, artificials as needed,
-    # then the right-hand side and the objective denominator.  A row's initial
-    # basic column is the slack of an unflipped LE row, otherwise its artificial.
-    art_start = 2 * n + n_le
+    # Columns: x (n), one mirror x- per free variable, one slack per LE row,
+    # artificials as needed, then the right-hand side and the objective
+    # denominator.  A row's initial basic column is the slack of an unflipped
+    # LE row, otherwise its artificial.
+    n_x = n + len(free)
+    art_start = n_x + n_le
     init_col = []
     n_art = 0
     for i in range(m):
@@ -245,7 +291,7 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
             init_col.append(art_start + n_art)
             n_art += 1
         else:
-            init_col.append(2 * n + i)
+            init_col.append(n_x + i)
     width = art_start + n_art
 
     # Each row of the flipped standard form, times its row's scale s.
@@ -256,9 +302,10 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
         for j, q in enumerate(a):
             if q:
                 line[j] = sign * q
-                line[n + j] = -sign * q
+        for k, j in enumerate(free):
+            line[n + k] = -line[j]
         if i < n_le:
-            line[2 * n + i] = sign * scale
+            line[n_x + i] = sign * scale
         line[init_col[i]] = scale
         line[width] = sign * b
         tab.append(line)
@@ -299,43 +346,61 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
     cints, cden = integer_scaled(cmin)
     cost = [0] * (width + 2)
     cost[:n] = cints
-    cost[n:2 * n] = [-q for q in cints]
+    cost[n:n_x] = [-cints[j] for j in free]
     cost[-1] = cden
     tab.append(_objective_row(cost, tab, basis))
     e = _simplex(tab, basis, art_start)
 
-    point = _read_x(tab, basis, n, lambda row, b: Fraction(row[width], row[b]))
+    point = _read_x(tab, basis, n, free, lambda row, b: Fraction(row[width], row[b]))
     if e is not None:
         # Column e enters at rate 1, so basic column b moves at -row[e] / row[b]
         # >= 0 (each row is a positive multiple of its Gauss-Jordan row).
-        ray = _read_x(tab, basis, n, lambda row, b: Fraction(-row[e], row[b]))
-        if e < 2 * n:
-            ray[e % n] += ONE if e < n else -ONE
+        ray = _read_x(tab, basis, n, free, lambda row, b: Fraction(-row[e], row[b]))
+        if e < n:
+            ray[e] += ONE
+        elif e < n_x:
+            ray[free[e - n]] -= ONE
         result = LpOutcome(LpStatus.UNBOUNDED, tuple(point), ray=tuple(ray))
         verify_outcome(c, system, sense, result)
         return result
     obj = tab[-1]
-    value_min = Fraction(-obj[width], obj[-1])
+    den = obj[-1]
+    value_min = Fraction(-obj[width], den)
     value = value_min if sense == "min" else -value_min
 
     # Phase-2 costs vanish at the initial basic columns.  An artificial left
-    # basic in a dropped row is 0 in every kept row, so its row reads 0.
+    # basic in a dropped row is 0 in every kept row, so its row reads 0.  A
+    # nonnegative variable's multiplier is its column's reduced cost.
     y = _read_multipliers(obj, init_col, [0] * m, flipped)
+    bound = tuple(Fraction(obj[j], den) for j in system.nonneg)
+    # A free variable's x_j+ and x_j- columns have opposite reduced costs:
+    # with both nonbasic neither is positive, and with one basic the other
+    # reads 0 but moves no x, so it is skipped.
+    partner = {j: n + k for k, j in enumerate(free)}
+    partner.update((col, j) for j, col in list(partner.items()))
+    basic = set(basis)
+    unique = all(
+        obj[j] > 0 for j in range(art_start)
+        if j not in basic and partner.get(j) not in basic
+    )
     result = LpOutcome(LpStatus.OPTIMAL, tuple(point), value,
-                       tuple(y[:n_le]), tuple(y[n_le:]))
+                       tuple(y[:n_le]), tuple(y[n_le:]), dual_bound=bound,
+                       unique=unique)
     verify_outcome(c, system, sense, result)
     return result
 
 
-def _read_x(tab, basis, n, value) -> list[Fraction]:
+def _read_x(tab, basis, n, free, value) -> list[Fraction]:
     """x = x+ - x- over the basic columns of the constraint rows, basic
-    column b taking value(row, b); nonbasic columns are 0."""
+    column b taking value(row, b); nonbasic columns are 0.  Column j < n is
+    x_j (x_j+ when free), and column n + k is x_j- of the free variable
+    j = free[k]."""
     x = [ZERO] * n
     for row, b in zip(tab, basis):
         if b < n:
             x[b] += value(row, b)
-        elif b < 2 * n:
-            x[b - n] -= value(row, b)
+        elif b < n + len(free):
+            x[free[b - n]] -= value(row, b)
     return x
 
 
@@ -367,14 +432,19 @@ def _fits(system: LinearSystem, y, mu) -> bool:
 
 def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
     """Exact certificate check of an outcome; raises on any violated
-    identity.  An UNBOUNDED outcome's point must satisfy every row and its
-    ray d must have A.d <= 0, E.d = 0 and c.d < 0 (min) / > 0 (max).
+    identity.  An UNBOUNDED outcome's point must satisfy every row and bound
+    and its ray d must have A.d <= 0, E.d = 0, d >= 0 on the nonnegative
+    variables and c.d < 0 (min) / > 0 (max).  A `unique` OPTIMAL outcome
+    must have rank dim among the EQ rows, the LE rows with a nonzero dual
+    and the bounds x_j >= 0 with a nonzero multiplier: complementary
+    slackness puts every optimal point on them.
 
     Every identity is checked on integers: each row as the system's
     `integer_form`, the row times the lcm of its own denominators, the point
     over one common denominator, and the multipliers, each divided by its
     row's scale, over another."""
     dim = system.dim
+    nonneg = system.nonneg
     if out.status is LpStatus.INFEASIBLE:
         y, mu = out.farkas_le, out.farkas_eq
         if not _fits(system, y, mu):
@@ -383,8 +453,15 @@ def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
             raise InternalConsistencyError("negative Farkas multiplier on an LE row")
         le, eq, _ = system.integer_form
         total, rhs, _ = _integer_combination(le + eq, y + mu, dim)
-        if any(total):
-            raise InternalConsistencyError("Farkas combination of the rows is not zero")
+        bounded = set(nonneg)
+        for j, t in enumerate(total):
+            if j in bounded:
+                if t < 0:
+                    raise InternalConsistencyError(
+                        "Farkas combination is negative on a nonnegative variable"
+                    )
+            elif t:
+                raise InternalConsistencyError("Farkas combination of the rows is not zero")
         if rhs >= 0:
             raise InternalConsistencyError("Farkas right-hand side is not negative")
         return
@@ -404,6 +481,8 @@ def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
     for a, b, _ in eq:
         if sum(map(mul, a, x)) != b * xden:
             raise InternalConsistencyError("primal point violates an EQ row")
+    if any(x[j] < 0 for j in nonneg):
+        raise InternalConsistencyError("primal point violates a nonnegativity bound")
     sign = -1 if sense == "min" else 1
     if unbounded:
         # the ray over one denominator: A.d <= 0, E.d = 0, sign.c.d > 0
@@ -414,23 +493,33 @@ def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
             raise InternalConsistencyError("ray leaves an LE row")
         if any(sum(map(mul, a, d)) != 0 for a, _, _ in eq):
             raise InternalConsistencyError("ray leaves an EQ row")
+        if any(d[j] < 0 for j in nonneg):
+            raise InternalConsistencyError("ray leaves a nonnegativity bound")
         if sign * sum(map(mul, c, d)) <= 0:
             raise InternalConsistencyError("ray does not improve the objective")
         return
     y = out.dual_le
     mu = out.dual_eq
-    if not _fits(system, y, mu):
+    nu = out.dual_bound if nonneg else ()
+    if not _fits(system, y, mu) or nu is None or len(nu) != len(nonneg):
         raise InternalConsistencyError("optimal outcome without a dual per row")
     if any(v < 0 for v in y):
         raise InternalConsistencyError("negative dual on an LE row")
+    if any(v < 0 for v in nu):
+        raise InternalConsistencyError("negative multiplier on a nonnegativity bound")
     total, dual_val, m = _integer_combination(le + eq, y + mu, dim)
-    # A^T.y + E^T.mu = sign.c, both sides times m.cden
-    for lhs, cj in zip(total, c):
-        if lhs * cden != sign * cj * m:
+    # A^T.y + E^T.mu - nu = sign.c, both sides times m.cden.nden, where
+    # nu = nints / nden on the nonnegative variables and 0 elsewhere
+    nints, nden = integer_scaled(nu)
+    at = dict(zip(nonneg, nints))
+    for j, (lhs, cj) in enumerate(zip(total, c)):
+        if (lhs * nden - at.get(j, 0) * m) * cden != sign * cj * m * nden:
             raise InternalConsistencyError("dual stationarity fails")
     for yi, ax, (_, b, _) in zip(y, le_dots, le):
         if yi != 0 and ax != b * xden:
             raise InternalConsistencyError("complementary slackness fails")
+    if any(v and x[j] for j, v in at.items()):
+        raise InternalConsistencyError("complementary slackness fails")
     # c.x = cx / (cden.xden) and b.y + d.mu = dual_val / m;
     # sense == "min": c.x == -(b.y + d.mu); sense == "max": c.x == b.y + d.mu
     cx = sum(map(mul, c, x))
@@ -440,11 +529,21 @@ def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
     value = out.objective_value
     if value is None or value * cx_den != cx:
         raise InternalConsistencyError("objective value mismatch")
+    if out.unique:
+        # a bound with a nonzero multiplier fixes its coordinate at 0, so the
+        # EQ rows and the LE rows with a nonzero dual must have full rank on
+        # the coordinates left
+        keep = [j for j in range(dim) if not at.get(j)]
+        held = [(tuple(a[j] for j in keep), b, s)
+                for yi, (a, b, s) in zip(y, le) if yi]
+        held += [(tuple(a[j] for j in keep), b, s) for a, b, s in eq]
+        if tight_rank([x[j] for j in keep], xden, (), held)[1] != len(keep):
+            raise InternalConsistencyError("unique optimum without a full-rank certificate")
 
 
 def strict_feasible(system: LinearSystem) -> StrictFeasibility:
-    """True iff some point satisfies all LE, EQ, and strict rows, the strict
-    ones with a literally positive margin.  Decided by maximizing a shared
+    """True iff some point satisfies all LE, EQ, and strict rows and the
+    nonnegativity bounds, the strict rows with a literally positive margin.  Decided by maximizing a shared
     slack t added to every strict row (capped at 1); feasible iff t* > 0."""
     n = system.dim
     le = [(tuple(normal) + (ZERO,), rhs) for normal, rhs in system.le]
@@ -452,7 +551,7 @@ def strict_feasible(system: LinearSystem) -> StrictFeasibility:
         le.append((tuple(normal) + (ONE,), rhs))
     le.append(((ZERO,) * n + (ONE,), ONE))
     eq = [(tuple(normal) + (ZERO,), rhs) for normal, rhs in system.eq]
-    ext = LinearSystem(n + 1, tuple(le), tuple(eq))
+    ext = LinearSystem(n + 1, tuple(le), tuple(eq), system.nonneg)
     objective = (ZERO,) * n + (ONE,)
     out = lp_solve(objective, ext, "max")
     if out.status is LpStatus.INFEASIBLE:

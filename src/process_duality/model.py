@@ -16,6 +16,7 @@ from math import lcm
 from operator import mul
 from typing import Sequence, Union
 
+from ._dd import tight_rank
 from .errors import (
     DimensionMismatch,
     EmptyProgramError,
@@ -55,6 +56,21 @@ from .rational import (
 OmegaLike = Union[Polyhedron, BoundaryRestrictedPolyhedron]
 
 
+def _dilation_rows(base: Polyhedron, eta: Fraction):
+    """The facet rows of K_eta = cone(base + eta * infinity-ball) as
+    `integer_rows`, or None when K_eta is not pointed.  K_eta is pointed
+    iff the origin is a vertex of it: every row is tight there, so one
+    integer rank of the rows the double description has just produced
+    decides it (`tight_rank`)."""
+    corners = [tuple(eta * s for s in c) for c in box_corners(base.dim)]
+    gens = [vadd(v, c) for v in base.any_vrep().vertices for c in corners]
+    k = PolyhedralCone.from_generators(base.dim, gens)
+    le, eq, _ = k.system().integer_form
+    if tight_rank((0,) * k.dim, 1, le, eq)[1] != k.dim:
+        return None
+    return le
+
+
 class OrderCone:
     """Full-dimensional polyhedral order cone with a cached interior witness.
 
@@ -67,7 +83,8 @@ class OrderCone:
     strictly.  It always does: the cone is full-dimensional, so no facet
     normal n is orthogonal to every ray, while n.r <= 0 on each, hence n.r
     < 0 on some ray and n.(sum of rays) < 0.  Its `structure` (the bounded
-    base of a pointed cone), `ball_minus`, its facet rows in integers
+    base of a pointed cone), `ball_minus`, the rows of each Henig dilation
+    of the base (`dilation_rows`), its facet rows in integers
     (`integer_facets`) and the negated sum of its facet normals in integers
     (`integer_normal_sum`) are built on first read and kept.  The rows of
     y0 - K are read off `integer_facets` for each y0 (`below_rows`, and with
@@ -89,6 +106,7 @@ class OrderCone:
         if not self.strictly_contains(w):
             raise InternalConsistencyError("order cone has empty interior")
         self.interior_witness = w
+        self._dilations = {}
 
     @staticmethod
     def from_generators(dim: int, rays) -> "OrderCone":
@@ -109,6 +127,14 @@ class OrderCone:
     @cached_property
     def structure(self) -> ConeStructure:
         return cone_structure(self.cone)
+
+    def dilation_rows(self, eta: Fraction):
+        """`_dilation_rows` of the bounded base of this pointed cone
+        (`structure`) at eta, built on the first read for each eta and
+        kept."""
+        if eta not in self._dilations:
+            self._dilations[eta] = _dilation_rows(self.structure.base, eta)
+        return self._dilations[eta]
 
     @cached_property
     def ball_minus(self) -> Polyhedron:

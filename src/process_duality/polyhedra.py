@@ -561,43 +561,77 @@ def cone_structure(k: PolyhedralCone) -> ConeStructure:
     return ConeStructure(0, True, True, base, h)
 
 
-def positive_functional(dim, ge_one, ge_zero=(), eq_zero=()) -> Optional[Vec]:
+def positive_functional(dim, ge_one, ge_zero=(), eq_zero=(), at_tie=None) -> Optional[Vec]:
     """Deterministic h with <h, a> >= 1 on every `ge_one` row, >= 0 on every
     `ge_zero` row and = 0 on every `eq_zero` row, or None when there is none.
 
-    h is split into h+ - h- and the L1-minimal split is taken.  The LP meets
-    the rows in the order given, `ge_one` before `ge_zero`; Bland's rule makes
-    h depend on that order, and h is emitted in reports.
+    h is split into h+ - h- and the L1-minimal split is taken, by the rule of
+    `l1_minimal_point`: the unique optimum when there is one, which is the
+    same whatever rows describe the same set of functionals, and at a tie
+    the vertex Bland's rule reaches on the split form over the rows met in
+    the order given, `ge_one` before `ge_zero`.  `at_tie`, a pair (ge_zero,
+    eq_zero) with the same solutions as the given one, names the rows of
+    that tie-breaking form in place of the given ones.  h is emitted in
+    reports.
     """
-    le = [(tuple(-x for x in a) + tuple(a), -ONE) for a in ge_one]
-    le += [(tuple(-x for x in a) + tuple(a), ZERO) for a in ge_zero]
-    eq = [(tuple(a) + tuple(-x for x in a), ZERO) for a in eq_zero]
-    x = l1_minimal_point(LinearSystem(2 * dim, tuple(le), tuple(eq)))
+    x = l1_minimal_point(
+        _functional_system(dim, ge_one, ge_zero, eq_zero),
+        None if at_tie is None else _functional_system(dim, ge_one, *at_tie),
+    )
     if x is None:
         return None
     return tuple(x[j] - x[dim + j] for j in range(dim))
 
 
-def l1_minimal_point(system: LinearSystem) -> Optional[Vec]:
+def _functional_system(dim, ge_one, ge_zero, eq_zero) -> LinearSystem:
+    """The rows of `positive_functional` over the split (h+, h-)."""
+    le = [(tuple(-x for x in a) + tuple(a), -ONE) for a in ge_one]
+    le += [(tuple(-x for x in a) + tuple(a), ZERO) for a in ge_zero]
+    eq = [(tuple(a) + tuple(-x for x in a), ZERO) for a in eq_zero]
+    return LinearSystem(2 * dim, tuple(le), tuple(eq))
+
+
+def l1_minimal_point(system: LinearSystem, at_tie=None) -> Optional[Vec]:
     """Point of `system` with every coordinate >= 0 and the least coordinate
     sum, or None when there is none.
 
-    The rows x >= 0 come after the system's own rows.  They bound the sum
-    below, so an UNBOUNDED answer is an internal fault, never "no point".
+    The point is defined by a rule.  The LP is first solved with every
+    coordinate a nonnegative variable, one column each.  When that optimum
+    is certified unique (`LpOutcome.unique`), every exact formulation of the
+    same set returns it, and so it is returned.  At a tie the point is the
+    vertex that Bland's rule reaches on the split form: `at_tie` (a system
+    with the same nonnegative points, default `system`) with the rows
+    x >= 0 after its own, every coordinate split again by `lp_solve`.  The
+    sum is bounded below by 0, so an UNBOUNDED answer is an internal fault,
+    never "no point".
     """
     dim = system.dim
-    nonneg = [
+    ones = (ONE,) * dim
+    native = _l1_outcome(lp_solve(ones, system.extended(nonneg=range(dim)), "min"))
+    if native is None:
+        return None
+    if native.unique:
+        return native.primal_point
+    split = at_tie if at_tie is not None else system
+    bounds = [
         (tuple(-ONE if i == j else ZERO for i in range(dim)), ZERO)
         for j in range(dim)
     ]
-    out = lp_solve((ONE,) * dim, system.extended(le=nonneg), "min")
+    out = _l1_outcome(lp_solve(ones, split.extended(le=bounds), "min"))
+    if out is None or out.objective_value != native.objective_value:
+        raise InternalConsistencyError(
+            "the split L1-minimal LP does not reach the native optimum"
+        )
+    return out.primal_point
+
+
+def _l1_outcome(out):
+    """An L1-minimal LP's outcome, None when it is infeasible."""
     if out.status is LpStatus.UNBOUNDED:
         raise InternalConsistencyError(
             "L1-minimal LP over nonnegative variables is unbounded"
         )
-    if out.status is not LpStatus.OPTIMAL:
-        return None
-    return out.primal_point
+    return out if out.status is LpStatus.OPTIMAL else None
 
 
 # -- boundary-restricted polyhedra ----------------------------------------

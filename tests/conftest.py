@@ -14,15 +14,17 @@ its cardinality prefilter; the H/V conversions that lift every set,
 cones included, to its homogenization; the polar cone with its
 generators from a double description; Min and WMin decided by
 strict LPs alone; He decided by a double description of
-C cap (-Y_+); the Henig distance by its primal LP; and the separator
-cone read off the graph closure's canonical generators."""
+C cap (-Y_+); the Henig distance by its primal LP; the separator
+cone read off the graph closure's canonical generators; and the
+L1-minimal point checked against its split-form LP."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from process_duality import _dd, model, polyhedra
+from process_duality import _dd, certify, model, polyhedra
 from process_duality._dd import (
     _idot,
     _integer_null_space,
@@ -484,15 +486,39 @@ def _fits(system, y, mu):
             and len(y) == len(system.le) and len(mu) == len(system.eq))
 
 
+def _fraction_rank(rows, dim):
+    """Rank of Fraction rows by Gaussian elimination."""
+    work = [list(r) for r in rows]
+    rank = 0
+    for col in range(dim):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                f = work[i][col] / work[rank][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
 def _fraction_verify_outcome(objective, system, sense, out):
+    nonneg = system.nonneg
     if out.status is LpStatus.INFEASIBLE:
         y, mu = out.farkas_le, out.farkas_eq
         if not _fits(system, y, mu):
             raise InternalConsistencyError("infeasible outcome without a Farkas vector")
         if any(v < 0 for v in y):
             raise InternalConsistencyError("negative Farkas multiplier on an LE row")
-        if any(v != 0 for v in _combination(system, y, mu)):
-            raise InternalConsistencyError("Farkas combination of the rows is not zero")
+        for j, v in enumerate(_combination(system, y, mu)):
+            if j in nonneg:
+                if v < 0:
+                    raise InternalConsistencyError(
+                        "Farkas combination is negative on a nonnegative variable"
+                    )
+            elif v != 0:
+                raise InternalConsistencyError("Farkas combination of the rows is not zero")
         if _rhs_combination(system, y, mu) >= 0:
             raise InternalConsistencyError("Farkas right-hand side is not negative")
         return
@@ -507,19 +533,27 @@ def _fraction_verify_outcome(objective, system, sense, out):
     for normal, rhs in system.eq:
         if dot(normal, x) != rhs:
             raise InternalConsistencyError("primal point violates an EQ row")
+    if any(x[j] < 0 for j in nonneg):
+        raise InternalConsistencyError("primal point violates a nonnegativity bound")
     y = out.dual_le
     mu = out.dual_eq
-    if not _fits(system, y, mu):
+    nu = out.dual_bound if nonneg else ()
+    if not _fits(system, y, mu) or nu is None or len(nu) != len(nonneg):
         raise InternalConsistencyError("optimal outcome without a dual per row")
     if any(v < 0 for v in y):
         raise InternalConsistencyError("negative dual on an LE row")
+    if any(v < 0 for v in nu):
+        raise InternalConsistencyError("negative multiplier on a nonnegativity bound")
+    at = dict(zip(nonneg, nu))
     sign = -1 if sense == "min" else 1
-    for lhs, cj in zip(_combination(system, y, mu), c):
-        if lhs != sign * cj:
+    for j, (lhs, cj) in enumerate(zip(_combination(system, y, mu), c)):
+        if lhs - at.get(j, 0) != sign * cj:
             raise InternalConsistencyError("dual stationarity fails")
     for yi, ax, (_, rhs) in zip(y, le_dots, system.le):
         if yi != 0 and ax != rhs:
             raise InternalConsistencyError("complementary slackness fails")
+    if any(v and x[j] for j, v in at.items()):
+        raise InternalConsistencyError("complementary slackness fails")
     dual_val = _rhs_combination(system, y, mu)
     # sense == "min": c.x == -(b.y + d.mu); sense == "max": c.x == b.y + d.mu
     expected = -dual_val if sense == "min" else dual_val
@@ -528,14 +562,24 @@ def _fraction_verify_outcome(objective, system, sense, out):
         raise InternalConsistencyError("strong duality fails")
     if cx != out.objective_value:
         raise InternalConsistencyError("objective value mismatch")
+    if out.unique:
+        # every optimal point lies on the rows and bounds with a nonzero
+        # multiplier, and on every EQ row
+        held = [normal for yi, (normal, _) in zip(y, system.le) if yi]
+        held += [normal for normal, _ in system.eq]
+        held += [tuple(F(int(i == j)) for i in range(system.dim))
+                 for j, v in at.items() if v]
+        if _fraction_rank(held, system.dim) != system.dim:
+            raise InternalConsistencyError("unique optimum without a full-rank certificate")
 
 
 @pytest.fixture(scope="session")
 def fraction_verify_outcome():
     """(objective, system, sense, outcome) -> the LP certificate check in
     Fraction arithmetic, with the package check's messages and order: row
-    feasibility, multiplier signs, stationarity (or the Farkas combination),
-    complementary slackness, strong duality and the objective value."""
+    and bound feasibility, multiplier signs, stationarity (or the Farkas
+    combination), complementary slackness, strong duality, the objective
+    value and the rank behind a unique optimum."""
     return _fraction_verify_outcome
 
 
@@ -921,3 +965,41 @@ def separator_cone_by_canonical_vrep():
     """(graph, y0) -> the separator cone at y0 from the canonical
     generators of the graph's closure."""
     return _separator_cone_by_canonical_vrep
+
+
+def _split_form_point(system):
+    """The L1-minimal point as the split form gives it: the rows x >= 0
+    after the system's own, and every coordinate split by `lp_solve`; None
+    when there is none."""
+    dim = system.dim
+    rows = [(tuple(-1 if i == j else 0 for i in range(dim)), 0) for j in range(dim)]
+    out = lp_solve((1,) * dim, system.extended(le=rows))
+    return out.primal_point if out.status is LpStatus.OPTIMAL else None
+
+
+@pytest.fixture
+def l1_against_split_form(monkeypatch):
+    """Wrap `l1_minimal_point` where `polyhedra` and `certify` call it: each
+    point it returns must be the split-form point over the system that
+    breaks ties (`at_tie`, default the system itself), the point emitted
+    before native nonnegative variables.  Returns a Counter of the native
+    LPs by kind: "unique", "tie" or "none" (infeasible)."""
+    solve = polyhedra.l1_minimal_point
+    seen = Counter()
+
+    def checked(system, at_tie=None):
+        got = solve(system, at_tie)
+        native = lp_solve((1,) * system.dim, system.extended(nonneg=range(system.dim)))
+        if native.status is not LpStatus.OPTIMAL:
+            seen["none"] += 1
+        elif native.unique:
+            seen["unique"] += 1
+            assert got == native.primal_point
+        else:
+            seen["tie"] += 1
+        assert got == _split_form_point(system if at_tie is None else at_tie)
+        return got
+
+    monkeypatch.setattr(polyhedra, "l1_minimal_point", checked)
+    monkeypatch.setattr(certify, "l1_minimal_point", checked)
+    return seen

@@ -54,6 +54,7 @@ from process_duality.model import (
     DiscretePoint,
     DiscreteVectorProgram,
     OrderCone,
+    _dilation_rows,
     SetValuedPoint,
     SetValuedProgram,
     affine_map,
@@ -384,8 +385,9 @@ def _henig_searches(monkeypatch, programs):
     chosen = certify_module._henig_eta
     searches = []
 
-    def recorded(cone_a, base):
-        eta = chosen(cone_a, base)
+    def recorded(cone_a, yplus):
+        eta = chosen(cone_a, yplus)
+        base = yplus.structure.base
         delta = certify_module._henig_distance(cone_a, base)
         searches.append((cone_a, base, eta, delta))
         return eta
@@ -404,8 +406,9 @@ class TestHenigEta:
         chosen = certify_module._henig_eta
         seen = {"points": 0, "at_delta": 0}
 
-        def checked(cone_a, base):
-            eta = chosen(cone_a, base)
+        def checked(cone_a, yplus):
+            eta = chosen(cone_a, yplus)
+            base = yplus.structure.base
             assert eta == halving_loop_eta(cone_a, base)
             delta = certify_module._henig_distance(cone_a, base)
             assert delta == henig_distance_by_primal_lp(
@@ -469,7 +472,7 @@ class TestHenigEta:
             for e in {eta, delta} if eta * 2 == delta <= 1 else {eta}:
                 base.vrep
                 before = calls[0]
-                got = admissible(cone_a, base, e)
+                got = admissible(cone_a, _dilation_rows(base, e))
                 rows_route = calls[0] - before
                 before = calls[0]
                 assert got == lineality_route(cone_a, base, e)
@@ -491,28 +494,28 @@ class TestHenigEta:
         ]
         assert len(below) >= 60
         for cone_a, base, eta in below:
-            assert certify_module._henig_admissible(cone_a, base, eta)
+            assert certify_module._henig_admissible(cone_a, _dilation_rows(base, eta))
 
     def test_double_description_runs_only_at_ties(
         self, monkeypatch, criterion_3_program
     ):
-        """`_henig_admissible` is called only with eta equal to the delta
-        just computed."""
+        """K_eta, the cone `_henig_admissible` decides on, is asked for only
+        with eta equal to the delta just computed."""
         distance = certify_module._henig_distance
-        admissible = certify_module._henig_admissible
+        dilation = OrderCone.dilation_rows
         deltas, etas = [], []
 
         def recorded(cone_a, base):
             deltas.append(distance(cone_a, base))
             return deltas[-1]
 
-        def checked(cone_a, base, eta):
+        def checked(yplus, eta):
             etas.append(eta)
             assert eta == deltas[-1]
-            return admissible(cone_a, base, eta)
+            return dilation(yplus, eta)
 
         monkeypatch.setattr(certify_module, "_henig_distance", recorded)
-        monkeypatch.setattr(certify_module, "_henig_admissible", checked)
+        monkeypatch.setattr(OrderCone, "dilation_rows", checked)
         _certify_frontiers(
             criterion_3_program(i) for i in range(40) if i not in (3, 5)
         )
@@ -522,19 +525,23 @@ class TestHenigEta:
         orthant = PolyhedralCone.from_generators(2, [(1, 0), (0, 1)])
         # cone of (+-1, 0) + eta * ball is a half-plane: not pointed
         segment = Polyhedron.from_vrep(2, [(1, 0), (-1, 0)])
-        assert not certify_module._henig_admissible(orthant, segment, F(1, 2))
+        assert not certify_module._henig_admissible(
+            orthant, _dilation_rows(segment, F(1, 2))
+        )
         point = Polyhedron.from_vrep(2, [(1, 1)])
-        assert certify_module._henig_admissible(orthant, point, F(1, 4))
+        assert certify_module._henig_admissible(orthant, _dilation_rows(point, F(1, 4)))
 
     def test_a_refused_tie_falls_back_to_half_of_it(self, monkeypatch, r_plus,
                                                     orthant2):
         calls = []
+        dilation = OrderCone.dilation_rows
 
-        def refused(cone_a, base, eta):
+        def recorded(yplus, eta):
             calls.append(eta)
-            return False
+            return dilation(yplus, eta)
 
-        monkeypatch.setattr(certify_module, "_henig_admissible", refused)
+        monkeypatch.setattr(OrderCone, "dilation_rows", recorded)
+        monkeypatch.setattr(certify_module, "_henig_admissible", lambda *args: False)
         # C = Y_+ = R_+: delta = 1, a tie that double description passes
         tie = Polyhedron.from_vrep(1, [(0,)], [(1,)])
         assert classify_proper(tie, (0,), r_plus).witnesses["he_eta"] == F(1, 2)
@@ -2061,6 +2068,18 @@ class TestClosureGenerators:
                                      ((0, 0, 1), 1, LE)]),
         ):
             assert closure_generators(p) == cell_path_generators(p)
+
+
+def test_frontier_functionals_are_the_split_form_points(
+    l1_against_split_form, criterion_3_program
+):
+    """The Pos, delta and C5 LPs of `certify --frontier` on criterion 3
+    programs 0-39 emit the native unique optimum where there is one, and it
+    is the split form's point; at a tie they emit the split form's vertex,
+    for Pos over A's closure generators."""
+    _certify_frontiers(criterion_3_program(i) for i in range(40) if i not in (3, 5))
+    seen = l1_against_split_form
+    assert seen["unique"] > 100 and seen["tie"] > 0, seen
 
 
 class TestUnboundedL1Lp:

@@ -160,6 +160,97 @@ def test_corrupted_optimal_certificate_raises(corruption, message,
             check(FRACTIONAL_OBJECTIVE, FRACTIONAL, "min", bad)
 
 
+# min x + y over x, y >= 0, both nonnegative variables, with x + 2y >= 2:
+# the optimum (0, 1) is unique, with dual 1/2 on the row and multiplier 1/2
+# on the bound x >= 0.
+NATIVE = LinearSystem(2, le=[((-1, -2), -2)], nonneg=(0, 1))
+# min x + y over x + y >= 1, x, y >= 0: every point of a segment is optimal.
+TIE = LinearSystem(2, le=[((-1, -1), -1)], nonneg=(0, 1))
+
+
+def test_a_nonnegative_variable_takes_one_column_and_no_row(monkeypatch):
+    simplex = exactlp_module._simplex
+    shapes = []
+
+    def recorded(tab, basis, limit):
+        shapes.append((len(tab) - 1, len(tab[0])))
+        return simplex(tab, basis, limit)
+
+    monkeypatch.setattr(exactlp_module, "_simplex", recorded)
+    out = lp_solve((1, 1), NATIVE)
+    assert out.primal_point == (F(0), F(1))
+    assert (out.dual_le, out.dual_eq, out.dual_bound) == ((F(1, 2),), (), (F(1, 2), F(0)))
+    assert out.unique
+    # one row; x, y, the row's slack and its artificial, then the right-hand
+    # side and the objective denominator
+    assert shapes == [(1, 6), (1, 6)]
+
+
+def test_uniqueness_is_certified_only_without_a_tie():
+    out = lp_solve((1, 1), TIE)
+    assert out.objective_value == 1 and not out.unique
+    # a basic free variable's mirror column moves no x
+    assert lp_solve((1,), LinearSystem(1, le=[((-1,), -1)])).unique
+    assert not lp_solve((1, 1), TIE.extended(nonneg=(0,))).unique
+
+
+@pytest.mark.parametrize(
+    "system,corruption,message",
+    [
+        (NATIVE, dict(primal_point=(F(-2), F(2))),
+         "primal point violates a nonnegativity bound"),
+        (NATIVE, dict(dual_bound=(F(1, 2),)), "optimal outcome without a dual per row"),
+        (NATIVE, dict(dual_bound=None), "optimal outcome without a dual per row"),
+        (NATIVE, dict(dual_bound=(F(-1, 2), F(0))),
+         "negative multiplier on a nonnegativity bound"),
+        (NATIVE, dict(dual_bound=(F(1, 2), F(1))), "dual stationarity fails"),
+        # feasible and on the row, but x > 0 where its bound's multiplier is 1/2
+        (NATIVE, dict(primal_point=(F(2), F(0))), "complementary slackness fails"),
+        (TIE, dict(unique=True), "unique optimum without a full-rank certificate"),
+    ],
+)
+def test_corrupted_bound_certificate_raises(system, corruption, message,
+                                            fraction_verify_outcome):
+    out = lp_solve((1, 1), system)
+    bad = replace(out, **corruption)
+    for check in (verify_outcome, fraction_verify_outcome):
+        check((1, 1), system, "min", out)
+        with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+            check((1, 1), system, "min", bad)
+
+
+@pytest.mark.parametrize(
+    "bound,nonneg,message",
+    [
+        # 1.(x + y <= -1) + 2.(-x <= 5) is (-1, 1): negative on x >= 0
+        (5, (0, 1), "Farkas combination is negative on a nonnegative variable"),
+        # 1.(x + y <= -1) + 2.(-x <= 0), with x free: nonzero on x
+        (0, (1,), "Farkas combination of the rows is not zero"),
+    ],
+)
+def test_corrupted_farkas_vector_over_bounds_raises(bound, nonneg, message,
+                                                    fraction_verify_outcome):
+    system = LinearSystem(2, le=[((1, 1), -1), ((-1, 0), bound)], nonneg=nonneg)
+    out = lp_solve((0, 0), system)
+    assert out.status is LpStatus.INFEASIBLE
+    bad = replace(out, farkas_le=(F(1), F(2)))
+    for check in (verify_outcome, fraction_verify_outcome):
+        check((0, 0), system, "min", out)
+        with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+            check((0, 0), system, "min", bad)
+
+
+def test_unbounded_ray_respects_the_bounds():
+    # max x + y over x, y >= 0 with x - y <= 1 grows without bound; the
+    # direction (-1, 3) keeps the row and improves, but leaves x >= 0
+    system = LinearSystem(2, le=[((1, -1), 1)], nonneg=(0, 1))
+    out = lp_solve((1, 1), system, "max")
+    assert out.status is LpStatus.UNBOUNDED
+    assert all(v >= 0 for v in out.primal_point) and all(v >= 0 for v in out.ray)
+    with pytest.raises(InternalConsistencyError, match="^ray leaves a nonnegativity bound$"):
+        verify_outcome((1, 1), system, "max", replace(out, ray=(F(-1), F(3))))
+
+
 @pytest.mark.parametrize(
     "extra,status",
     [
@@ -525,6 +616,24 @@ def test_random_lp_with_equalities_matches_brute_force(case):
         assert out.objective_value == oracle
 
 
+@settings(max_examples=150, deadline=None)
+@given(bounded_lp_with_equalities(), st.data())
+def test_nonnegative_variables_decide_as_their_bound_rows(case, data):
+    """Variables marked nonnegative give the LP of the same system with a
+    row -x_j <= 0 each: the same status and value, and at a certified
+    unique optimum the same point, which the split form must then reach."""
+    objective, system, sense = case
+    nonneg = sorted(data.draw(st.sets(st.integers(0, system.dim - 1))))
+    native = lp_solve(objective, system.extended(nonneg=nonneg), sense)
+    rows = [(tuple(-1 if i == j else 0 for i in range(system.dim)), 0) for j in nonneg]
+    split = lp_solve(objective, system.extended(le=rows), sense)
+    assert native.status is split.status
+    if native.status is LpStatus.OPTIMAL:
+        assert native.objective_value == split.objective_value
+        if native.unique:
+            assert native.primal_point == split.primal_point
+
+
 def _raised(check, objective, system, sense, out):
     """The message `check` raises on the outcome, or None."""
     try:
@@ -537,9 +646,10 @@ def _raised(check, objective, system, sense, out):
 @st.composite
 def perturbed_certificates(draw):
     """A `bounded_lp_with_equalities` case, its rows optionally each times
-    a positive rational, solved; then one entry of the certificate (the
-    point, the value, a dual or a Farkas multiplier) moved by a small
-    rational, possibly 0."""
+    a positive rational and some of its variables nonnegative, solved; then
+    one entry of the certificate (the point, the value, a dual, a bound's
+    multiplier or a Farkas multiplier) moved by a small rational, possibly
+    0, or the uniqueness claim flipped."""
     objective, system, sense = draw(bounded_lp_with_equalities())
     if draw(st.booleans()):
         factor = st.builds(F, st.integers(1, 6), st.integers(1, 6))
@@ -550,15 +660,19 @@ def perturbed_certificates(draw):
                          for (n, b), f in zip(rows, factors))
 
         system = LinearSystem(system.dim, scaled(system.le), scaled(system.eq))
+    system = system.extended(nonneg=draw(st.sets(st.integers(0, system.dim - 1))))
     out = lp_solve(objective, system, sense)
     if out.status is LpStatus.OPTIMAL:
-        fields = ["primal_point", "objective_value", "dual_le", "dual_eq"]
+        fields = ["primal_point", "objective_value", "dual_le", "dual_eq", "unique"]
+        fields += ["dual_bound"] if system.nonneg else []
     else:
         fields = ["farkas_le", "farkas_eq"]
     name = draw(st.sampled_from(fields))
     delta = F(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
     value = getattr(out, name)
-    if name == "objective_value":
+    if name == "unique":
+        value = not value
+    elif name == "objective_value":
         value += delta
     else:
         i = draw(st.integers(0, len(value) - 1))

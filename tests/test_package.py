@@ -178,3 +178,23 @@ def test_no_module_level_memo():
                   and isinstance(node.value, ast.Name) and node.value.id in aliases):
                 found.append((path.name, node.lineno, node.attr))
     assert found == []
+
+
+def test_only_the_lp_and_dd_modules_use_the_kernel():
+    """One LP kernel: no module but `exactlp` and `_dd` imports `_kernel`,
+    so every LP is solved by `lp_solve`, not by a tableau built beside it."""
+    package = Path(process_duality.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    assert sources
+    users = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [(node.module or "")] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "_kernel" for n in names):
+                users.add(path.name)
+    assert users == {"exactlp.py", "_dd.py"}

@@ -442,6 +442,31 @@ class TestConeStructure:
         assert not cs.base.member((0, 0, 0))
 
 
+    def test_a_tie_keeps_the_split_form_vertex(self):
+        """Criterion 5 cone 168 has two L1-minimal functionals of norm 1/2.
+        The native LP stops at (0, 1/6, 1/3) and certifies no unique
+        optimum, so the witness stays the split form's vertex (0, 1/2, 0)."""
+        dim, rows = criterion5_cone(168)
+        k = PolyhedralCone.from_normals(dim, rows)
+        assert k.generators == ((-1, 2, 2), (-1, 2, 5), (1, 4, 1))
+        assert cone_structure(k).functional == (0, F(1, 2), 0)
+        le = [(tuple(-x for x in g) + tuple(g), -1) for g in k.generators]
+        native = lp_solve((1,) * 6, LinearSystem(6, le=le, nonneg=range(6)))
+        h = tuple(native.primal_point[j] - native.primal_point[3 + j] for j in range(3))
+        assert h == (0, F(1, 6), F(1, 3))
+        assert native.objective_value == F(1, 2) and not native.unique
+
+    def test_criterion_5_functionals_are_the_split_form_points(self, l1_against_split_form):
+        """Over the benchmark's cones 0-799, each functional is the native
+        unique optimum or, at a tie, the split form's vertex, and the native
+        point equals the split form's wherever it is unique."""
+        for i in range(800):
+            dim, rows = criterion5_cone(i)
+            cone_structure(PolyhedralCone.from_normals(dim, rows))
+        seen = l1_against_split_form
+        assert seen["unique"] > 250 and seen["tie"] > 40, seen
+
+
 class TestMembership:
     def test_open_halfplane_with_retained_origin(self):
         D = D_set()
