@@ -61,15 +61,15 @@ from .polyhedra import (
     PolyhedralCone,
     closure_generators,
     cone_structure,
+    functional_system,
     identity_cell,
     intersect_empty,
-    l1_minimal_point,
+    l1_minimum,
     member,
     positive_functional,
 )
 from .process import (
     LagrangeProcess,
-    Separator,
     SeparatorCone,
     check_nonvertical,
     lagrange_process,
@@ -85,7 +85,6 @@ from .rational import (
     inf_norm,
     integer_holds,
     integer_scaled,
-    vadd,
     vec,
     vsub,
     zeros,
@@ -277,14 +276,17 @@ def _henig_distance(cone_a: PolyhedralCone, base: Polyhedron) -> Fraction:
     delta = max {min_v h.v : ||h||_1 <= 1, h >= 0 on C} over the base
     vertices v, so for delta > 0 it is 1 / min ||h||_1 over h with h.v >= 1
     on the vertices, h >= 0 on C's extreme rays and h = 0 on its lineality:
-    the L1-minimal `positive_functional`.  Only that value leaves the LP, so
-    it reads C's canonical generators, the fewest rows.  Under He,
-    delta > 0, so no such h is an internal fault."""
+    the value of `l1_minimum` over the rows of `positive_functional`, the
+    same at every optimal point, so no tie rule runs.  Only that value
+    leaves the LP, so it reads C's canonical generators, the fewest rows.
+    Under He, delta > 0, so no such h is an internal fault."""
     vertices = base.any_vrep().vertices
-    h = positive_functional(base.dim, vertices, cone_a.generators, cone_a.lineality)
-    if h is None:
+    out = l1_minimum(
+        functional_system(base.dim, vertices, cone_a.generators, cone_a.lineality)
+    )
+    if out is None:
         raise InternalConsistencyError("the Henig distance LP has no optimum")
-    return 1 / sum(map(abs, h))
+    return 1 / out.objective_value
 
 
 def _henig_eta(cone_a: PolyhedralCone, yplus: OrderCone) -> Fraction:
@@ -559,24 +561,17 @@ def _is_scalar_halfline(yplus: OrderCone) -> bool:
     return yplus.ambient_dim == 1 and yplus.is_pointed
 
 
-def _c5_functional(s: SeparatorCone, yplus: OrderCone):
-    """h0 in S with <y*_h0, r> >= 1 on every extreme ray of Y_+, by LP over
-    the generator coefficients; None when no such h0 exists."""
+def _c5_applies(s: SeparatorCone, yplus: OrderCone) -> bool:
+    """Is there h0 in S with <y*_h0, r> >= 1 on every extreme ray of Y_+?
+    Decided by one LP over the generator coefficients (`l1_minimum`); no
+    h0 leaves it."""
     if not s.generators or not yplus.is_pointed:
-        return None
+        return False
     le = [
         (tuple(-dot(h.y_star, r) for h in s.generators), -ONE)
         for r in yplus.generators
     ]
-    lam = l1_minimal_point(LinearSystem(len(s.generators), tuple(le)))
-    if lam is None:
-        return None
-    z_star = zeros(s.z_dim)
-    y_star = zeros(s.y_dim)
-    for c, h in zip(lam, s.generators):
-        z_star = vadd(z_star, tuple(c * v for v in h.z_star))
-        y_star = vadd(y_star, tuple(c * v for v in h.y_star))
-    return Separator(z_star, y_star)
+    return l1_minimum(LinearSystem(len(s.generators), tuple(le))) is not None
 
 
 def _internal_graph_checks(p: AffineVectorProgram, closure: Polyhedron, y0,
@@ -661,8 +656,7 @@ def certify_multiplier(p, y0, with_witnesses: bool = True) -> Certificate:
     add("C4", structure.has_bounded_base,
         status_p.minimal == status_d.minimal,
         "process graph has a bounded base")
-    h0 = _c5_functional(s, yplus) if slater_ok else None
-    add("C5", h0 is not None,
+    add("C5", slater_ok and _c5_applies(s, yplus),
         status_p.minimal == status_d.minimal,
         "separator strictly positive on the order cone boundary")
     add("C6", yplus.is_pointed,

@@ -23,13 +23,8 @@ vector, read off the phase-1 objective row the same way as the duals;
 UNBOUNDED carries a feasible point and a recession ray along which the
 objective improves, read off the phase-2 entering column with no positive
 entry.
-An OPTIMAL outcome also says whether its optimum is certified unique: every
-nonbasic column's reduced cost is positive in the final objective row (a
-mirror column whose partner is basic excepted: it moves no x).  Every
-optimal point then has each such column at 0, which leaves only the basic
-point.  The claim is re-checked from the system: by complementary slackness
-every optimal point lies on the rows and bounds whose multiplier is nonzero,
-and those have rank dim.
+Whether an optimum is unique is no part of an outcome: the one reader of
+that, `polyhedra.l1_minimal_point`, decides it from the multipliers.
 The check runs on integers and reads the system, never the tableau: each row
 is the system's own integer form, the row times the lcm of its own
 denominators, which is computed once per system and also seeds the tableau;
@@ -46,7 +41,7 @@ slack is positive.  No epsilons, no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -55,7 +50,6 @@ from operator import mul
 from typing import Optional
 
 from . import _kernel
-from ._dd import tight_rank
 from .errors import DimensionMismatch, InternalConsistencyError
 from .rational import (
     ONE,
@@ -107,7 +101,7 @@ class LinearSystem:
     le: tuple[Row, ...] = ()
     eq: tuple[Row, ...] = ()
     strict: tuple[Row, ...] = ()
-    nonneg: tuple[int, ...] = ()
+    nonneg: tuple[int, ...] = field(default=(), kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "le", _rows(self.dim, self.le))
@@ -159,11 +153,11 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class LpOutcome:
-    """OPTIMAL carries the point, the value, the duals, one multiplier per
-    nonnegative variable (`dual_bound`, in `nonneg` order) and whether the
-    optimum is certified unique; INFEASIBLE carries a Farkas vector:
-    farkas_le >= 0, A^T.farkas_le + E^T.farkas_eq zero on each free variable
-    and >= 0 on each nonnegative one, and b.farkas_le + d.farkas_eq < 0;
+    """OPTIMAL carries the point, the value, the duals and one multiplier
+    per nonnegative variable (`dual_bound`, in `nonneg` order); INFEASIBLE
+    carries a Farkas vector: farkas_le >= 0, A^T.farkas_le + E^T.farkas_eq
+    zero on each free variable and >= 0 on each nonnegative one, and
+    b.farkas_le + d.farkas_eq < 0;
     UNBOUNDED carries a feasible point and a recession ray d: A.d <= 0,
     E.d = 0, d >= 0 on the nonnegative variables and c.d < 0 (min) / > 0
     (max)."""
@@ -177,7 +171,6 @@ class LpOutcome:
     farkas_eq: Optional[Vec] = None
     ray: Optional[Vec] = None
     dual_bound: Optional[Vec] = None
-    unique: bool = False
 
 
 @dataclass(frozen=True)
@@ -254,11 +247,9 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
     face) and the multipliers certify optimality exactly: dual_le >= 0,
     dual_bound >= 0, A^T.dual_le + E^T.dual_eq - dual_bound (on the
     nonnegative variables) = -c (min) / +c (max), exact complementary
-    slackness, and equal primal and dual objective values; `unique` says
-    whether every nonbasic reduced cost is positive, and when it does no
-    other point is optimal.  On INFEASIBLE the outcome carries an exactly
-    checked Farkas vector, and on UNBOUNDED an exactly checked feasible
-    point and improving ray.
+    slackness, and equal primal and dual objective values.  On INFEASIBLE
+    the outcome carries an exactly checked Farkas vector, and on UNBOUNDED
+    an exactly checked feasible point and improving ray.
     """
     if sense not in ("min", "max"):
         raise ValueError(f"unknown sense {sense!r}")
@@ -373,19 +364,8 @@ def lp_solve(objective, system: LinearSystem, sense: str = "min") -> LpOutcome:
     # nonnegative variable's multiplier is its column's reduced cost.
     y = _read_multipliers(obj, init_col, [0] * m, flipped)
     bound = tuple(Fraction(obj[j], den) for j in system.nonneg)
-    # A free variable's x_j+ and x_j- columns have opposite reduced costs:
-    # with both nonbasic neither is positive, and with one basic the other
-    # reads 0 but moves no x, so it is skipped.
-    partner = {j: n + k for k, j in enumerate(free)}
-    partner.update((col, j) for j, col in list(partner.items()))
-    basic = set(basis)
-    unique = all(
-        obj[j] > 0 for j in range(art_start)
-        if j not in basic and partner.get(j) not in basic
-    )
     result = LpOutcome(LpStatus.OPTIMAL, tuple(point), value,
-                       tuple(y[:n_le]), tuple(y[n_le:]), dual_bound=bound,
-                       unique=unique)
+                       tuple(y[:n_le]), tuple(y[n_le:]), dual_bound=bound)
     verify_outcome(c, system, sense, result)
     return result
 
@@ -434,10 +414,7 @@ def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
     """Exact certificate check of an outcome; raises on any violated
     identity.  An UNBOUNDED outcome's point must satisfy every row and bound
     and its ray d must have A.d <= 0, E.d = 0, d >= 0 on the nonnegative
-    variables and c.d < 0 (min) / > 0 (max).  A `unique` OPTIMAL outcome
-    must have rank dim among the EQ rows, the LE rows with a nonzero dual
-    and the bounds x_j >= 0 with a nonzero multiplier: complementary
-    slackness puts every optimal point on them.
+    variables and c.d < 0 (min) / > 0 (max).
 
     Every identity is checked on integers: each row as the system's
     `integer_form`, the row times the lcm of its own denominators, the point
@@ -529,29 +506,20 @@ def verify_outcome(objective, system: LinearSystem, sense: str, out: LpOutcome):
     value = out.objective_value
     if value is None or value * cx_den != cx:
         raise InternalConsistencyError("objective value mismatch")
-    if out.unique:
-        # a bound with a nonzero multiplier fixes its coordinate at 0, so the
-        # EQ rows and the LE rows with a nonzero dual must have full rank on
-        # the coordinates left
-        keep = [j for j in range(dim) if not at.get(j)]
-        held = [(tuple(a[j] for j in keep), b, s)
-                for yi, (a, b, s) in zip(y, le) if yi]
-        held += [(tuple(a[j] for j in keep), b, s) for a, b, s in eq]
-        if tight_rank([x[j] for j in keep], xden, (), held)[1] != len(keep):
-            raise InternalConsistencyError("unique optimum without a full-rank certificate")
 
 
 def strict_feasible(system: LinearSystem) -> StrictFeasibility:
     """True iff some point satisfies all LE, EQ, and strict rows and the
-    nonnegativity bounds, the strict rows with a literally positive margin.  Decided by maximizing a shared
-    slack t added to every strict row (capped at 1); feasible iff t* > 0."""
+    nonnegativity bounds, the strict rows with a literally positive margin.
+    Decided by maximizing a shared slack t added to every strict row (capped
+    at 1); feasible iff t* > 0."""
     n = system.dim
     le = [(tuple(normal) + (ZERO,), rhs) for normal, rhs in system.le]
     for normal, rhs in system.strict:
         le.append((tuple(normal) + (ONE,), rhs))
     le.append(((ZERO,) * n + (ONE,), ONE))
     eq = [(tuple(normal) + (ZERO,), rhs) for normal, rhs in system.eq]
-    ext = LinearSystem(n + 1, tuple(le), tuple(eq), system.nonneg)
+    ext = LinearSystem(n + 1, tuple(le), tuple(eq), nonneg=system.nonneg)
     objective = (ZERO,) * n + (ONE,)
     out = lp_solve(objective, ext, "max")
     if out.status is LpStatus.INFEASIBLE:

@@ -33,7 +33,7 @@ from itertools import combinations, product
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from ._dd import cone_dd
+from ._dd import cone_dd, tight_rank
 from .errors import DimensionMismatch, InternalConsistencyError
 from .exactlp import LinearSystem, LpStatus, lp_solve, strict_feasible
 from .rational import (
@@ -575,63 +575,80 @@ def positive_functional(dim, ge_one, ge_zero=(), eq_zero=(), at_tie=None) -> Opt
     reports.
     """
     x = l1_minimal_point(
-        _functional_system(dim, ge_one, ge_zero, eq_zero),
-        None if at_tie is None else _functional_system(dim, ge_one, *at_tie),
+        functional_system(dim, ge_one, ge_zero, eq_zero),
+        None if at_tie is None else functional_system(dim, ge_one, *at_tie),
     )
     if x is None:
         return None
     return tuple(x[j] - x[dim + j] for j in range(dim))
 
 
-def _functional_system(dim, ge_one, ge_zero, eq_zero) -> LinearSystem:
-    """The rows of `positive_functional` over the split (h+, h-)."""
+def functional_system(dim, ge_one, ge_zero, eq_zero) -> LinearSystem:
+    """The rows of `positive_functional` over the split (h+, h-).  At every
+    point of `l1_minimum` of this system h+ and h- have disjoint supports,
+    so its value is ||h||_1 of every L1-minimal h."""
     le = [(tuple(-x for x in a) + tuple(a), -ONE) for a in ge_one]
     le += [(tuple(-x for x in a) + tuple(a), ZERO) for a in ge_zero]
     eq = [(tuple(a) + tuple(-x for x in a), ZERO) for a in eq_zero]
     return LinearSystem(2 * dim, tuple(le), tuple(eq))
 
 
+def l1_minimum(system: LinearSystem):
+    """The checked optimal `LpOutcome` of the least coordinate sum over the
+    points of `system` with every coordinate >= 0, each coordinate a
+    nonnegative variable of one column; None when there is no such point.
+    The sum is bounded below by 0, so an UNBOUNDED answer is an internal
+    fault, never "no point"."""
+    dim = system.dim
+    out = lp_solve((ONE,) * dim, system.extended(nonneg=range(dim)), "min")
+    if out.status is LpStatus.UNBOUNDED:
+        raise InternalConsistencyError(
+            "L1-minimal LP over nonnegative variables is unbounded"
+        )
+    return out if out.status is LpStatus.OPTIMAL else None
+
+
 def l1_minimal_point(system: LinearSystem, at_tie=None) -> Optional[Vec]:
     """Point of `system` with every coordinate >= 0 and the least coordinate
     sum, or None when there is none.
 
-    The point is defined by a rule.  The LP is first solved with every
-    coordinate a nonnegative variable, one column each.  When that optimum
-    is certified unique (`LpOutcome.unique`), every exact formulation of the
-    same set returns it, and so it is returned.  At a tie the point is the
-    vertex that Bland's rule reaches on the split form: `at_tie` (a system
-    with the same nonnegative points, default `system`) with the rows
-    x >= 0 after its own, every coordinate split again by `lp_solve`.  The
-    sum is bounded below by 0, so an UNBOUNDED answer is an internal fault,
-    never "no point".
+    The point is defined by a rule.  It is the point of `l1_minimum` when
+    that optimum is unique, which every exact formulation of the same set
+    returns.  Uniqueness is read off the multipliers (Mangasarian 1979,
+    "Uniqueness of solution in linear programming"): by complementary
+    slackness every optimal point lies on the EQ rows, the LE rows with a
+    nonzero dual and the bounds x_j >= 0 with a nonzero multiplier, so when
+    those have rank dim no other point is optimal.  Otherwise, at a tie,
+    the point is the vertex that Bland's rule reaches on the split form:
+    `at_tie` (a system with the same nonnegative points, default `system`)
+    with the rows x >= 0 after its own, every coordinate split again by
+    `lp_solve`.
     """
-    dim = system.dim
-    ones = (ONE,) * dim
-    native = _l1_outcome(lp_solve(ones, system.extended(nonneg=range(dim)), "min"))
+    native = l1_minimum(system)
     if native is None:
         return None
-    if native.unique:
+    dim = system.dim
+    # a bound with a nonzero multiplier fixes its coordinate at 0, so the EQ
+    # rows and the LE rows with a nonzero dual must have full rank on the
+    # coordinates left
+    keep = [j for j in range(dim) if not native.dual_bound[j]]
+    held = [(tuple(a[j] for j in keep), b)
+            for yi, (a, b) in zip(native.dual_le, system.le) if yi]
+    held += [(tuple(a[j] for j in keep), b) for a, b in system.eq]
+    x, d = integer_scaled(native.primal_point)
+    if tight_rank([x[j] for j in keep], d, (), integer_rows(held))[1] == len(keep):
         return native.primal_point
     split = at_tie if at_tie is not None else system
     bounds = [
         (tuple(-ONE if i == j else ZERO for i in range(dim)), ZERO)
         for j in range(dim)
     ]
-    out = _l1_outcome(lp_solve(ones, split.extended(le=bounds), "min"))
-    if out is None or out.objective_value != native.objective_value:
+    out = lp_solve((ONE,) * dim, split.extended(le=bounds), "min")
+    if out.objective_value != native.objective_value:
         raise InternalConsistencyError(
             "the split L1-minimal LP does not reach the native optimum"
         )
     return out.primal_point
-
-
-def _l1_outcome(out):
-    """An L1-minimal LP's outcome, None when it is infeasible."""
-    if out.status is LpStatus.UNBOUNDED:
-        raise InternalConsistencyError(
-            "L1-minimal LP over nonnegative variables is unbounded"
-        )
-    return out if out.status is LpStatus.OPTIMAL else None
 
 
 # -- boundary-restricted polyhedra ----------------------------------------
@@ -903,12 +920,15 @@ class Cell:
         ).is_feasible()
 
     def closure_image(self) -> Polyhedron:
-        """Closed polyhedron: image of the lift with strict rows relaxed."""
+        """Closed polyhedron: image of the lift with strict rows relaxed and
+        the bounds u_j >= 0 as rows."""
         lift = Polyhedron.from_hrep(
             self.lift_dim,
             [(n, r, LE) for n, r in self.system.le]
             + [(n, r, LE) for n, r in self.system.strict]
-            + [(n, r, EQ) for n, r in self.system.eq],
+            + [(n, r, EQ) for n, r in self.system.eq]
+            + [(tuple(-ONE if i == j else ZERO for i in range(self.lift_dim)), ZERO, LE)
+               for j in self.system.nonneg],
         )
         return lift.affine_image(self.matrix, self.offset, self.target_dim)
 
@@ -1061,7 +1081,7 @@ def intersect_empty(parts, strict_halfspaces=()) -> Emptiness:
                 offset_of.append(pos)
                 pos += c.lift_dim
         width = pos
-        le, eq, strict = [], [], []
+        le, eq, strict, nonneg = [], [], [], []
 
         def emb(coeffs, at):
             row = [ZERO] * width
@@ -1076,6 +1096,7 @@ def intersect_empty(parts, strict_halfspaces=()) -> Emptiness:
                 eq.append((emb(n, at), r))
             for n, r in c.system.strict:
                 strict.append((emb(n, at), r))
+            nonneg += [at + j for j in c.system.nonneg]
             if c.is_identity:
                 continue
             # y = M.u + o, one equality per target coordinate
@@ -1087,7 +1108,9 @@ def intersect_empty(parts, strict_halfspaces=()) -> Emptiness:
                 eq.append((tuple(row), c.offset[i]))
         for n, r in strict_rows:
             strict.append((emb(n, 0), r))
-        res = strict_feasible(LinearSystem(width, tuple(le), tuple(eq), tuple(strict)))
+        res = strict_feasible(
+            LinearSystem(width, tuple(le), tuple(eq), tuple(strict), nonneg=nonneg)
+        )
         if res.feasible:
             return Emptiness(False, res.witness[:target])
     return Emptiness(True)

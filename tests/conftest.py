@@ -562,15 +562,6 @@ def _fraction_verify_outcome(objective, system, sense, out):
         raise InternalConsistencyError("strong duality fails")
     if cx != out.objective_value:
         raise InternalConsistencyError("objective value mismatch")
-    if out.unique:
-        # every optimal point lies on the rows and bounds with a nonzero
-        # multiplier, and on every EQ row
-        held = [normal for yi, (normal, _) in zip(y, system.le) if yi]
-        held += [normal for normal, _ in system.eq]
-        held += [tuple(F(int(i == j)) for i in range(system.dim))
-                 for j, v in at.items() if v]
-        if _fraction_rank(held, system.dim) != system.dim:
-            raise InternalConsistencyError("unique optimum without a full-rank certificate")
 
 
 @pytest.fixture(scope="session")
@@ -578,9 +569,29 @@ def fraction_verify_outcome():
     """(objective, system, sense, outcome) -> the LP certificate check in
     Fraction arithmetic, with the package check's messages and order: row
     and bound feasibility, multiplier signs, stationarity (or the Farkas
-    combination), complementary slackness, strong duality, the objective
-    value and the rank behind a unique optimum."""
+    combination), complementary slackness, strong duality and the objective
+    value."""
     return _fraction_verify_outcome
+
+
+def _certified_unique(system, out):
+    """Do the EQ rows, the LE rows with a nonzero dual and the bounds with a
+    nonzero multiplier of the OPTIMAL `out` have rank dim, in Fraction
+    arithmetic?  Every optimal point lies on them, so then `out`'s point is
+    the only one."""
+    held = [normal for yi, (normal, _) in zip(out.dual_le, system.le) if yi]
+    held += [normal for normal, _ in system.eq]
+    held += [tuple(F(int(i == j)) for i in range(system.dim))
+             for j, v in zip(system.nonneg, out.dual_bound) if v]
+    return _fraction_rank(held, system.dim) == system.dim
+
+
+@pytest.fixture(scope="session")
+def certified_unique():
+    """(system, optimal outcome) -> whether the rank of the rows and bounds
+    with a nonzero multiplier certifies the optimum unique, the rule of
+    `l1_minimal_point` in Fraction arithmetic."""
+    return _certified_unique
 
 
 class _FractionMember:
@@ -979,20 +990,34 @@ def _split_form_point(system):
 
 @pytest.fixture
 def l1_against_split_form(monkeypatch):
-    """Wrap `l1_minimal_point` where `polyhedra` and `certify` call it: each
-    point it returns must be the split-form point over the system that
-    breaks ties (`at_tie`, default the system itself), the point emitted
-    before native nonnegative variables.  Returns a Counter of the native
-    LPs by kind: "unique", "tie" or "none" (infeasible)."""
+    """Wrap `l1_minimal_point` where `polyhedra` calls it: each point it
+    returns must be the split-form point over the system that breaks ties
+    (`at_tie`, default the system itself), the point emitted before native
+    nonnegative variables.  Wrap `l1_minimum` where `certify` calls it (delta
+    and C5, which read only the value or whether there is one): it must be
+    None where the split form has no point, and otherwise its value must be
+    the coordinate sum of the split-form point.  Returns a Counter of the
+    native LPs by kind: "unique" (`_certified_unique`), "tie", "none"
+    (infeasible) or "value" (read by `certify`)."""
     solve = polyhedra.l1_minimal_point
+    minimum = polyhedra.l1_minimum
     seen = Counter()
+
+    def valued(system):
+        out = minimum(system)
+        split = _split_form_point(system)
+        seen["value"] += 1
+        assert (out is None) == (split is None)
+        assert out is None or out.objective_value == sum(split)
+        return out
 
     def checked(system, at_tie=None):
         got = solve(system, at_tie)
-        native = lp_solve((1,) * system.dim, system.extended(nonneg=range(system.dim)))
+        native_system = system.extended(nonneg=range(system.dim))
+        native = lp_solve((1,) * system.dim, native_system)
         if native.status is not LpStatus.OPTIMAL:
             seen["none"] += 1
-        elif native.unique:
+        elif _certified_unique(native_system, native):
             seen["unique"] += 1
             assert got == native.primal_point
         else:
@@ -1001,5 +1026,5 @@ def l1_against_split_form(monkeypatch):
         return got
 
     monkeypatch.setattr(polyhedra, "l1_minimal_point", checked)
-    monkeypatch.setattr(certify, "l1_minimal_point", checked)
+    monkeypatch.setattr(certify, "l1_minimum", valued)
     return seen

@@ -561,17 +561,33 @@ class TestHenigEta:
             certify_multiplier(planar_i3, y0)
 
     def test_distance_lp_without_optimum_raises(self, monkeypatch, planar_i3):
-        # only the distance LP meets the base's own vertex tuple; the Pos LP
-        # is given Y_+'s generators
-        base_vertices = planar_i3.y_plus.structure.base.vrep.vertices
-        functional = certify_module.positive_functional
-
-        def no_distance(dim, ge_one, *args):
-            return None if ge_one is base_vertices else functional(dim, ge_one, *args)
-
-        monkeypatch.setattr(certify_module, "positive_functional", no_distance)
+        # the distance LP is the first `l1_minimum` that `certify` runs; the
+        # Pos LPs run theirs inside `positive_functional`
+        monkeypatch.setattr(certify_module, "l1_minimum", lambda system: None)
         with pytest.raises(InternalConsistencyError, match="Henig distance LP"):
             certify_multiplier(planar_i3, (F(1, 2), F(1, 2)))
+
+    def test_distance_at_a_tie_runs_one_lp(self, monkeypatch):
+        """delta is read off the optimal value, the same at every optimal
+        point, so a tie runs no split-form LP.  Base {(1, 1)} and
+        C = cone{(1, 0)}: every h = (t, 1 - t), 0 <= t <= 1, is L1-minimal,
+        and delta = 1."""
+        cone_a = PolyhedralCone.from_generators(2, [(1, 0)])
+        base = Polyhedron.from_vrep(2, [(1, 1)])
+        solve = polyhedra_module.lp_solve
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(polyhedra_module, "lp_solve", counted)
+        # the Pos helper over the same rows meets the tie
+        assert polyhedra_module.positive_functional(2, [(1, 1)], [(1, 0)]) is not None
+        assert len(calls) == 2
+        calls.clear()
+        assert certify_module._henig_distance(cone_a, base) == 1
+        assert len(calls) == 1
 
     def test_distance_zero_raises(self):
         # C = R_- meets -base = {-1}, so delta = 0 and no functional exists
@@ -2073,13 +2089,37 @@ class TestClosureGenerators:
 def test_frontier_functionals_are_the_split_form_points(
     l1_against_split_form, criterion_3_program
 ):
-    """The Pos, delta and C5 LPs of `certify --frontier` on criterion 3
-    programs 0-39 emit the native unique optimum where there is one, and it
-    is the split form's point; at a tie they emit the split form's vertex,
-    for Pos over A's closure generators."""
+    """The Pos LPs of `certify --frontier` on criterion 3 programs 0-39 emit
+    the native unique optimum where there is one, and it is the split
+    form's point; at a tie they emit the split form's vertex, over A's
+    closure generators.  The delta and C5 LPs give the split form's value
+    and feasibility."""
     _certify_frontiers(criterion_3_program(i) for i in range(40) if i not in (3, 5))
     seen = l1_against_split_form
     assert seen["unique"] > 100 and seen["tie"] > 0, seen
+
+
+def test_c5_at_a_tie_runs_one_lp(monkeypatch, r_plus):
+    """C5 asks only whether some h0 in S is >= 1 on Y_+'s extreme rays, so
+    a tie runs no split-form LP: with two generators of y* = 1 on Y_+ = R_+
+    every lambda >= 0 with lambda_1 + lambda_2 = 1 is L1-minimal."""
+    s = SeparatorCone(1, 1, (F(0),), (Separator((F(1),), (F(1),)),
+                                       Separator((F(-1),), (F(1),))))
+    solve = polyhedra_module.lp_solve
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(polyhedra_module, "lp_solve", counted)
+    assert certify_module._c5_applies(s, r_plus)
+    assert len(calls) == 1
+    # the same system meets the tie in `l1_minimal_point`
+    calls.clear()
+    tie = LinearSystem(2, [((-1, -1), -1)])
+    assert polyhedra_module.l1_minimal_point(tie) is not None
+    assert len(calls) == 2
 
 
 class TestUnboundedL1Lp:
@@ -2088,7 +2128,7 @@ class TestUnboundedL1Lp:
 
     @pytest.mark.parametrize("solve", [
         lambda y: polyhedra_module.positive_functional(2, y.generators, [(F(0), F(0))]),
-        lambda y: certify_module._c5_functional(
+        lambda y: certify_module._c5_applies(
             SeparatorCone(1, 2, (F(0), F(0)),
                           (Separator((F(1),), (F(1), F(1))),)),
             y,
@@ -2096,7 +2136,7 @@ class TestUnboundedL1Lp:
         lambda y: polyhedra_module.positive_functional(2, y.generators),
     ], ids=["pos_functional", "c5_functional", "positive_functional"])
     def test_unbounded_raises(self, monkeypatch, orthant2, solve):
-        assert solve(orthant2) is not None
+        assert solve(orthant2)
         monkeypatch.setattr(polyhedra_module, "lp_solve",
                             lambda *args, **kwargs: LpOutcome(LpStatus.UNBOUNDED))
         with pytest.raises(InternalConsistencyError, match="unbounded"):

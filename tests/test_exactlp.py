@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from process_duality import _kernel
 from process_duality import exactlp as exactlp_module
+from process_duality import polyhedra as polyhedra_module
 from process_duality import rational as rational_module
 from process_duality.errors import DimensionMismatch, InternalConsistencyError
 from process_duality.rational import dot, integer_rows, vec
@@ -19,6 +20,12 @@ from process_duality.exactlp import (
     lp_solve,
     strict_feasible,
     verify_outcome,
+)
+from process_duality.polyhedra import (
+    functional_system,
+    identity_cell,
+    l1_minimal_point,
+    l1_minimum,
 )
 
 
@@ -180,18 +187,42 @@ def test_a_nonnegative_variable_takes_one_column_and_no_row(monkeypatch):
     out = lp_solve((1, 1), NATIVE)
     assert out.primal_point == (F(0), F(1))
     assert (out.dual_le, out.dual_eq, out.dual_bound) == ((F(1, 2),), (), (F(1, 2), F(0)))
-    assert out.unique
     # one row; x, y, the row's slack and its artificial, then the right-hand
     # side and the objective denominator
     assert shapes == [(1, 6), (1, 6)]
 
 
-def test_uniqueness_is_certified_only_without_a_tie():
-    out = lp_solve((1, 1), TIE)
-    assert out.objective_value == 1 and not out.unique
-    # a basic free variable's mirror column moves no x
-    assert lp_solve((1,), LinearSystem(1, le=[((-1,), -1)])).unique
-    assert not lp_solve((1, 1), TIE.extended(nonneg=(0,))).unique
+# The extreme rays of criterion 5 cone 168, whose functional LP has two
+# optimal vertices (see test_polyhedra.py).
+CONE_168 = ((-1, 2, 2), (-1, 2, 5), (1, 4, 1))
+
+
+def test_uniqueness_is_certified_only_without_a_tie(monkeypatch):
+    """`l1_minimal_point` keeps the point of `l1_minimum` when the EQ rows,
+    the LE rows with a nonzero dual and the bounds with a nonzero multiplier
+    have rank dim, and otherwise re-solves the split form: NATIVE's optimum
+    is one point, TIE's is a segment, and cone 168's functional LP stops at
+    a vertex other than the split form's."""
+    solve = polyhedra_module.lp_solve
+    native = []
+
+    def recorded(objective, system, sense="min"):
+        native.append(bool(system.nonneg))
+        return solve(objective, system, sense)
+
+    monkeypatch.setattr(polyhedra_module, "lp_solve", recorded)
+    assert l1_minimal_point(LinearSystem(2, NATIVE.le)) == (0, 1)
+    assert native == [True]
+    native.clear()
+    bounds = [((-1, 0), 0), ((0, -1), 0)]
+    split = solve((1, 1), LinearSystem(2, TIE.le + tuple(bounds))).primal_point
+    assert l1_minimal_point(LinearSystem(2, TIE.le)) == split
+    assert native == [True, False]
+    system = functional_system(3, CONE_168, (), ())
+    assert l1_minimum(system).primal_point == (0, F(1, 6), F(1, 3), 0, 0, 0)
+    native.clear()
+    assert l1_minimal_point(system) == (0, F(1, 2), 0, 0, 0, 0)
+    assert native == [True, False]
 
 
 @pytest.mark.parametrize(
@@ -206,7 +237,6 @@ def test_uniqueness_is_certified_only_without_a_tie():
         (NATIVE, dict(dual_bound=(F(1, 2), F(1))), "dual stationarity fails"),
         # feasible and on the row, but x > 0 where its bound's multiplier is 1/2
         (NATIVE, dict(primal_point=(F(2), F(0))), "complementary slackness fails"),
-        (TIE, dict(unique=True), "unique optimum without a full-rank certificate"),
     ],
 )
 def test_corrupted_bound_certificate_raises(system, corruption, message,
@@ -497,6 +527,22 @@ def test_strict_witness_has_positive_margin():
         assert sum(a * v for a, v in zip(normal, x)) < rhs
 
 
+def test_strict_rows_over_nonnegative_variables():
+    # -x < 0 with x >= 0 holds at x > 0; x < 0 with x >= 0 holds nowhere
+    open_ray = LinearSystem(1, strict=[((-1,), 0)], nonneg=(0,))
+    res = strict_feasible(open_ray)
+    assert res.feasible and res.witness[0] > 0
+    assert identity_cell(open_ray).is_feasible()
+    negative = LinearSystem(1, strict=[((1,), 0)], nonneg=(0,))
+    assert not strict_feasible(negative).feasible
+    assert not identity_cell(negative).is_feasible()
+
+
+def test_nonnegative_variables_are_named_by_keyword():
+    with pytest.raises(TypeError):
+        LinearSystem(1, (), (), (), (0,))
+
+
 def test_equality_rows_and_duals():
     s = LinearSystem(2, le=[((-1, 0), -1)], eq=[((1, 1), 3)])
     out = lp_solve((1, 0), s)
@@ -618,19 +664,21 @@ def test_random_lp_with_equalities_matches_brute_force(case):
 
 @settings(max_examples=150, deadline=None)
 @given(bounded_lp_with_equalities(), st.data())
-def test_nonnegative_variables_decide_as_their_bound_rows(case, data):
+def test_nonnegative_variables_decide_as_their_bound_rows(certified_unique, case, data):
     """Variables marked nonnegative give the LP of the same system with a
-    row -x_j <= 0 each: the same status and value, and at a certified
-    unique optimum the same point, which the split form must then reach."""
+    row -x_j <= 0 each: the same status and value, and at an optimum that
+    the rank of its multipliers certifies unique the same point, which the
+    split form must then reach."""
     objective, system, sense = case
     nonneg = sorted(data.draw(st.sets(st.integers(0, system.dim - 1))))
-    native = lp_solve(objective, system.extended(nonneg=nonneg), sense)
+    bounded = system.extended(nonneg=nonneg)
+    native = lp_solve(objective, bounded, sense)
     rows = [(tuple(-1 if i == j else 0 for i in range(system.dim)), 0) for j in nonneg]
     split = lp_solve(objective, system.extended(le=rows), sense)
     assert native.status is split.status
     if native.status is LpStatus.OPTIMAL:
         assert native.objective_value == split.objective_value
-        if native.unique:
+        if certified_unique(bounded, native):
             assert native.primal_point == split.primal_point
 
 
@@ -649,7 +697,7 @@ def perturbed_certificates(draw):
     a positive rational and some of its variables nonnegative, solved; then
     one entry of the certificate (the point, the value, a dual, a bound's
     multiplier or a Farkas multiplier) moved by a small rational, possibly
-    0, or the uniqueness claim flipped."""
+    0."""
     objective, system, sense = draw(bounded_lp_with_equalities())
     if draw(st.booleans()):
         factor = st.builds(F, st.integers(1, 6), st.integers(1, 6))
@@ -663,16 +711,14 @@ def perturbed_certificates(draw):
     system = system.extended(nonneg=draw(st.sets(st.integers(0, system.dim - 1))))
     out = lp_solve(objective, system, sense)
     if out.status is LpStatus.OPTIMAL:
-        fields = ["primal_point", "objective_value", "dual_le", "dual_eq", "unique"]
+        fields = ["primal_point", "objective_value", "dual_le", "dual_eq"]
         fields += ["dual_bound"] if system.nonneg else []
     else:
         fields = ["farkas_le", "farkas_eq"]
     name = draw(st.sampled_from(fields))
     delta = F(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
     value = getattr(out, name)
-    if name == "unique":
-        value = not value
-    elif name == "objective_value":
+    if name == "objective_value":
         value += delta
     else:
         i = draw(st.integers(0, len(value) - 1))

@@ -198,3 +198,21 @@ def test_only_the_lp_and_dd_modules_use_the_kernel():
             if any(n.split(".")[-1] == "_kernel" for n in names):
                 users.add(path.name)
     assert users == {"exactlp.py", "_dd.py"}
+
+
+def test_the_lp_module_imports_no_double_description():
+    """The LP kernel stands below double description: `exactlp` imports
+    nothing from `_dd`, and the one rank test an LP answer needs (the
+    uniqueness of an L1 optimum) is made by its reader in `polyhedra`."""
+    path = Path(process_duality.__file__).parent / "exactlp.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(n.split(".")[-1] == "_dd" for n in names):
+            found.append(node.lineno)
+    assert found == []

@@ -38,6 +38,7 @@ from process_duality.polyhedra import (
     BoundaryRestriction,
     BoundaryRestrictedPolyhedron,
     Cell,
+    Emptiness,
     Polyhedron,
     PolyhedralCone,
     VRep,
@@ -46,6 +47,7 @@ from process_duality.polyhedra import (
     closure_generators,
     cone_structure,
     dd_convert,
+    identity_cell,
     intersect_empty,
     member,
     point_cell,
@@ -442,19 +444,22 @@ class TestConeStructure:
         assert not cs.base.member((0, 0, 0))
 
 
-    def test_a_tie_keeps_the_split_form_vertex(self):
+    def test_a_tie_keeps_the_split_form_vertex(self, certified_unique):
         """Criterion 5 cone 168 has two L1-minimal functionals of norm 1/2.
-        The native LP stops at (0, 1/6, 1/3) and certifies no unique
-        optimum, so the witness stays the split form's vertex (0, 1/2, 0)."""
+        The native LP stops at (0, 1/6, 1/3) and the rank of its multipliers
+        certifies no unique optimum, so the witness stays the split form's
+        vertex (0, 1/2, 0)."""
         dim, rows = criterion5_cone(168)
         k = PolyhedralCone.from_normals(dim, rows)
         assert k.generators == ((-1, 2, 2), (-1, 2, 5), (1, 4, 1))
         assert cone_structure(k).functional == (0, F(1, 2), 0)
         le = [(tuple(-x for x in g) + tuple(g), -1) for g in k.generators]
-        native = lp_solve((1,) * 6, LinearSystem(6, le=le, nonneg=range(6)))
+        system = LinearSystem(6, le=le, nonneg=range(6))
+        native = lp_solve((1,) * 6, system)
         h = tuple(native.primal_point[j] - native.primal_point[3 + j] for j in range(3))
         assert h == (0, F(1, 6), F(1, 3))
-        assert native.objective_value == F(1, 2) and not native.unique
+        assert native.objective_value == F(1, 2)
+        assert not certified_unique(system, native)
 
     def test_criterion_5_functionals_are_the_split_form_points(self, l1_against_split_form):
         """Over the benchmark's cones 0-799, each functional is the native
@@ -876,6 +881,22 @@ class TestIntersectEmpty:
         A = Polyhedron.from_hrep(2, [((-1, -1), -1, LE)])
         B = Polyhedron.from_hrep(2, [((1, 0), F(1, 2), LE), ((0, 1), F(1, 2), LE)])
         assert intersect_empty([A, B], [((1, 0), F(1, 2))]).empty
+
+    def test_nonnegative_variables_bound_every_answer(self):
+        # x <= -1 with x >= 0 is empty, whichever question asks
+        cell = identity_cell(LinearSystem(1, le=[((1,), -1)], nonneg=(0,)))
+        assert not cell.is_feasible() and not cell.member((-2,))
+        assert intersect_empty([cell]) == Emptiness(True)
+        assert cell.closure_image().is_empty
+        # y = u + 1 with 0 <= u <= 1: the bound is on the lift variable u,
+        # which the joint system places after the target coordinate y
+        lifted = Cell(LinearSystem(1, le=[((1,), 1)], nonneg=(0,)), ((ONE,),), (ONE,))
+        assert intersect_empty([lifted], [((1,), 1)]).empty
+        res = intersect_empty([lifted], [((1,), 2)])
+        assert not res.empty and 1 <= res.witness[0] < 2
+        assert lifted.closure_image() == Polyhedron.from_hrep(
+            1, [((-1,), -1, LE), ((1,), 2, LE)]
+        )
 
     def test_member_agrees_with_singleton_intersection(self):
         p = orthant(2)
