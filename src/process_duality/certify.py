@@ -23,12 +23,21 @@ certificate checked exactly: a member of A that is a vertex of a hull of A
 closed under + Y_+, as cl W(0) + Y_+ and M are, is minimal
 (`_minimal_vertices`, certified by the rank of its tight rows), Min on a
 closed polyhedron is Pos, Min implies WMin, and He and GHe are Pos
-(`_classify`).
+(`_classify`).  Three more facts are read off what is already known, with
+no LP:
+- a closed cell of W(0), one with no strict row, is its own closure image,
+  so a vertex of that image is a member of W(0) and a nonempty image shows
+  W(0) nonempty (`ProgramContext.closed_vertices`, `minimal_frontier_points`);
+- Pos, He, GHe and SE are functions of C = cl cone(A - y0) and Y_+ alone, so
+  a certificate decides them once where M's cone at y0 has W(0)'s canonical
+  rows, and only a tied Pos witness is chosen again (`_cone_verdicts`);
+- where Y_+'s base vertices are its generators, He's distance delta is
+  1 / ||y*||_1 of the Pos functional y* (`_henig_eta`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
@@ -64,6 +73,7 @@ from .polyhedra import (
     functional_system,
     identity_cell,
     intersect_empty,
+    l1_functional,
     l1_minimum,
     member,
     positive_functional,
@@ -110,7 +120,10 @@ class ProgramContext:
     Each part is built on first use and kept for the life of the context.
     `minimal_frontier_points` records in `minimal` the verdicts it reached,
     point -> minimality in W(0), for the members of W(0) it tested, and
-    `certify_multiplier` reads them instead of deciding them again.
+    `certify_multiplier` reads them instead of deciding them again.  The
+    closure image of each W(0) cell (`images`) is made once: `closure` reads
+    its generators, and `closed_vertices` the vertices of the closed cells'
+    images, members of W(0) by construction.
 
     A finite program is certified through its simplex relaxation: `convex`
     is the context of the program that the transfer theorems run on, this
@@ -136,9 +149,24 @@ class ProgramContext:
         return w0_cells(self.program)
 
     @cached_property
+    def images(self) -> tuple[Polyhedron, ...]:
+        """The closure image of each W(0) cell, in the order of `cells`."""
+        return tuple(c.closure_image() for c in self.cells)
+
+    @cached_property
     def closure(self):
         """(vertices, rays, lines) of the closures of the W(0) cells."""
-        return closure_generators(self.cells)
+        return closure_generators(self.images)
+
+    @cached_property
+    def closed_vertices(self) -> frozenset:
+        """The canonical vertices of the closure images of the closed cells
+        (`Cell.closed`).  Such a cell is its own closure image, so each of
+        these vertices is a member of W(0), known with no LP."""
+        return frozenset(
+            v for c, image in zip(self.cells, self.images) if c.closed
+            for v in image.vrep.vertices
+        )
 
     @cached_property
     def slater(self):
@@ -289,9 +317,10 @@ def _henig_distance(cone_a: PolyhedralCone, base: Polyhedron) -> Fraction:
     return 1 / out.objective_value
 
 
-def _henig_eta(cone_a: PolyhedralCone, yplus: OrderCone) -> Fraction:
+def _henig_eta(cone_a: PolyhedralCone, yplus: OrderCone, y_star: Vec) -> Fraction:
     """The largest admissible eta = 2^-k, k < 64, for the Henig witness, with
-    K_eta built on the bounded base of `yplus`.
+    K_eta built on the bounded base of `yplus`; `y_star` is the Pos
+    functional of `cone_a` (`l1_functional` over Y_+'s generators).
 
     Every eta > delta (`_henig_distance`) is inadmissible, and every eta <
     delta is admissible by delta alone.  delta is 1 / ||h||_1 of the
@@ -307,8 +336,17 @@ def _henig_eta(cone_a: PolyhedralCone, yplus: OrderCone) -> Fraction:
     description when it is below delta.  A tie eta = delta can go either way
     and is decided by `_henig_admissible`, on the K_eta rows that `yplus`
     keeps per eta; when it fails, eta/2 < delta is.
+
+    When the base's vertices are Y_+'s generators (R_+ and the orthant, for
+    two), delta's LP has the Pos LP's rows, so delta is 1 / ||y_star||_1,
+    the Pos optimum, the same at every optimal point, and no second LP
+    runs.
     """
-    delta = _henig_distance(cone_a, yplus.structure.base)
+    base = yplus.structure.base
+    if set(base.vrep.vertices) == set(yplus.generators):
+        delta = 1 / sum(map(abs, y_star))
+    else:
+        delta = _henig_distance(cone_a, base)
     eta = ONE
     for k in range(64):
         if eta < delta:
@@ -353,11 +391,65 @@ def classify_proper(a: SetLike, y0, yplus: OrderCone) -> EfficiencyStatus:
     return _classify(*_member_of(a, y0), yplus)
 
 
+@dataclass(frozen=True)
+class _ConeVerdicts:
+    """What `_classify` decides on the closed cone C = cl cone(A - y0) with
+    Y_+ pointed: the Pos functional y* (None when Pos fails), He's eta
+    (None without He or without witnesses) and SE's rho (None when SE
+    fails).  Each is a function of (C, Y_+) alone (Isermann 1974; Henig
+    1982), except y* when `tied`: the tie rule picks it by the rows of the
+    split form, the closure generators of A."""
+
+    cone: PolyhedralCone
+    y_star: Optional[Vec]
+    tied: bool
+    he_eta: Optional[Fraction]
+    se_rho: Optional[Fraction]
+
+
+def _cone_verdicts(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True,
+                   closure=None, like: Optional[_ConeVerdicts] = None) -> _ConeVerdicts:
+    """The `_ConeVerdicts` of y0 in A, for Y_+ pointed; `closure` is
+    `closure_generators(a)` when the caller already has it.
+
+    `like` holds the verdicts of another set at y0.  When its cone has the
+    same canonical H-representation as C, they are taken as they are, and
+    only a tied y* is chosen again, by the tie rule over A's own closure
+    generators."""
+    dim = yplus.ambient_dim
+    verts, rays, lines = closure_generators(a) if closure is None else closure
+    gens = [vsub(v, y0) for v in verts] + list(rays)
+    cone_a = PolyhedralCone.from_generators(dim, rays=gens, lines=list(lines))
+    shared = like is not None and like.cone == cone_a
+    if shared and not like.tied:
+        return like
+    # Pos: y* in Y_+^{+i} supporting cl A at y0.  Its feasible set is fixed
+    # by C alone, so the LP reads C's canonical generators; at a tie the
+    # witness is the split-form vertex over A's closure generators.
+    y_star, tied = l1_functional(
+        dim, yplus.generators, cone_a.generators, cone_a.lineality, (gens, lines)
+    )
+    if shared:
+        return replace(like, y_star=y_star)
+    he_eta = None
+    if y_star is not None and with_witnesses:
+        if yplus.structure.base is None:
+            raise NotPointedError("Henig dilation needs a pointed cone with a base")
+        he_eta = _henig_eta(cone_a, yplus, y_star)
+    bounded_part = cone_a.with_rows(yplus.ball_minus.any_hrep()).any_vrep()
+    se_rho = None
+    if not bounded_part.rays and not bounded_part.lines:
+        se_rho = max((inf_norm(v) for v in bounded_part.vertices), default=ZERO)
+    return _ConeVerdicts(cone_a, y_star, tied, he_eta, se_rho)
+
+
 def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True,
-              closure=None, minimal: Optional[bool] = None) -> EfficiencyStatus:
+              closure=None, minimal: Optional[bool] = None,
+              on_cone: Optional[_ConeVerdicts] = None) -> EfficiencyStatus:
     """classify_proper for a y0 already known to be a member of A; `minimal`
-    is y0's minimality in A when the caller has decided it, and `closure`
-    is `closure_generators(a)` when the caller already has it.
+    is y0's minimality in A when the caller has decided it, `closure` is
+    `closure_generators(a)` when the caller already has it, and `on_cone`
+    the `_cone_verdicts` of y0 in A when the caller has them.
 
     Three verdicts are decided by theorem, each on a certificate that is
     checked exactly; the strict LPs of `_is_minimal` and `_is_weak_minimal`
@@ -377,24 +469,17 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
       separate C from -B for a compact base B of Y_+, and the converse is
       immediate.  So the Pos LP's certificate decides He as well, and SE,
       decided by double description, must agree with it.
+    Pos, He, GHe and SE depend on C and Y_+ alone (`_ConeVerdicts`), so a
+    certificate decides them once for two sets with the same C.
 
     `with_witnesses=False` skips the dilation witness search (the booleans
     are unchanged: for polyhedral data He implies a pointed dilation
     exists)."""
     pointed = yplus.is_pointed
     if pointed:
-        dim = yplus.ambient_dim
-        verts, rays, lines = closure_generators(a) if closure is None else closure
-        gens = [vsub(v, y0) for v in verts] + list(rays)
-        cone_a = PolyhedralCone.from_generators(dim, rays=gens, lines=list(lines))
-        # Pos: y* in Y_+^{+i} supporting cl A at y0.  Its feasible set is
-        # fixed by C alone, so the LP reads C's canonical generators; at a tie
-        # the witness is the split-form vertex over A's closure generators.
-        y_star = positive_functional(
-            dim, yplus.generators, cone_a.generators, cone_a.lineality,
-            (gens, lines),
-        )
-        pos = y_star is not None
+        if on_cone is None:
+            on_cone = _cone_verdicts(a, y0, yplus, with_witnesses, closure)
+        pos = on_cone.y_star is not None
     if minimal is None:
         if pointed and isinstance(a, Polyhedron):
             minimal = pos
@@ -404,20 +489,15 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
     if not pointed:
         return EfficiencyStatus(minimal, weak).validate()
 
-    witnesses: dict = {"pos": y_star} if pos else {}
+    witnesses: dict = {"pos": on_cone.y_star} if pos else {}
     he = ghe = pos
     if he and with_witnesses:
-        if yplus.structure.base is None:
-            raise NotPointedError("Henig dilation needs a pointed cone with a base")
-        witnesses["he_eta"] = _henig_eta(cone_a, yplus)
+        witnesses["he_eta"] = on_cone.he_eta
     if ghe:
         witnesses["ghe_via"] = "he"
-
-    bounded_part = cone_a.with_rows(yplus.ball_minus.any_hrep()).any_vrep()
-    se = not bounded_part.rays and not bounded_part.lines
+    se = on_cone.se_rho is not None
     if se:
-        rho = max((inf_norm(v) for v in bounded_part.vertices), default=ZERO)
-        witnesses["se_rho"] = rho
+        witnesses["se_rho"] = on_cone.se_rho
     if se != he:
         raise InternalConsistencyError(
             "SE and He must coincide for pointed polyhedral order cones"
@@ -629,9 +709,14 @@ def certify_multiplier(p, y0, with_witnesses: bool = True) -> Certificate:
         raise InternalConsistencyError("y0 escapes the dual image")
 
     yplus = prog.y_plus
+    on_p = on_d = None
+    if yplus.is_pointed:
+        # D takes P's Pos, He, GHe and SE when its cone at y0 is P's
+        on_p = _cone_verdicts(conv.cells, y0, yplus, with_witnesses, conv.closure)
+        on_d = _cone_verdicts(m, y0, yplus, with_witnesses, like=on_p)
     status_p = _classify(conv.cells, y0, yplus, with_witnesses,
-                         closure=conv.closure, minimal=minimal)
-    status_d = _classify(m, y0, yplus, with_witnesses)
+                         minimal=minimal, on_cone=on_p)
+    status_d = _classify(m, y0, yplus, with_witnesses, on_cone=on_d)
 
     slater_ok = slater is not None
     clauses = []
@@ -720,11 +805,12 @@ def _certified_vertex(rows, v: Vec) -> bool:
 
 
 def _minimal_vertices(a: SetLike, hull: Polyhedron, yplus: OrderCone,
-                      limit: int, verdicts: dict):
+                      limit: int, verdicts: dict, members=frozenset()):
     """(points, truncated): the first `limit` vertices of `hull`, a closed
     convex set holding A, that are members of A and minimal in A, and
     whether `hull` has more vertices than `limit`.  `verdicts` records
-    point -> minimality for each member tested.
+    point -> minimality for each member tested.  A vertex in `members`, a
+    set of points known to be in A, is taken as a member with no test.
 
     When hull + Y_+ lies in hull and hull has no lines, a member v of A
     among its vertices is minimal in A by theorem: if v - d is in A for some
@@ -741,7 +827,7 @@ def _minimal_vertices(a: SetLike, hull: Polyhedron, yplus: OrderCone,
     rows = hull.integer_form()[:2] if upward and not hull.vrep.lines else None
     points = []
     for v in candidates[:limit]:
-        if member(a, v):
+        if v in members or member(a, v):
             if rows is None:
                 verdicts[v] = _is_minimal(a, v, yplus)
             else:
@@ -757,10 +843,16 @@ def minimal_frontier_points(p, limit: int = 10000):
 
     A member of W(0) among the vertices of upper = cl W(0) + Y_+ is minimal
     by theorem when upper has no lines, with its vertex rank as certificate,
-    and by one strict LP per cell otherwise (`_minimal_vertices`)."""
+    and by one strict LP per cell otherwise (`_minimal_vertices`).  A closed
+    cell is its own closure image, so a nonempty image shows W(0) nonempty
+    and a vertex of it is a member of W(0) (`ProgramContext.closed_vertices`),
+    each with no LP; a cell with strict rows keeps its strict LPs."""
     ctx = _context(p)
     p, cells = ctx.program, ctx.cells
-    if not any(c.is_feasible() for c in cells):
+    if not any(
+        not image.is_empty if c.closed else c.is_feasible()
+        for c, image in zip(cells, ctx.images)
+    ):
         raise EmptyFeasibleError("no feasible point at z = 0")
     verts, rays, lines = ctx.closure
     upper = Polyhedron.from_vrep(
@@ -769,7 +861,9 @@ def minimal_frontier_points(p, limit: int = 10000):
         list(rays) + list(p.y_plus.generators),
         list(lines) + list(p.y_plus.lineality),
     )
-    points, truncated = _minimal_vertices(cells, upper, p.y_plus, limit, ctx.minimal)
+    points, truncated = _minimal_vertices(
+        cells, upper, p.y_plus, limit, ctx.minimal, ctx.closed_vertices
+    )
     return cells, points, truncated
 
 

@@ -26,7 +26,7 @@ projection is ever needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -574,13 +574,20 @@ def positive_functional(dim, ge_one, ge_zero=(), eq_zero=(), at_tie=None) -> Opt
     that tie-breaking form in place of the given ones.  h is emitted in
     reports.
     """
-    x = l1_minimal_point(
+    return l1_functional(dim, ge_one, ge_zero, eq_zero, at_tie)[0]
+
+
+def l1_functional(dim, ge_one, ge_zero=(), eq_zero=(), at_tie=None):
+    """(h, tied): the h of `positive_functional`, and whether the tie rule
+    chose it.  h depends on the rows only when tied is True: otherwise it is
+    the unique L1-minimal functional of the set the rows describe."""
+    x, tied = l1_minimal_point(
         functional_system(dim, ge_one, ge_zero, eq_zero),
         None if at_tie is None else functional_system(dim, ge_one, *at_tie),
     )
     if x is None:
-        return None
-    return tuple(x[j] - x[dim + j] for j in range(dim))
+        return None, False
+    return tuple(x[j] - x[dim + j] for j in range(dim)), tied
 
 
 def functional_system(dim, ge_one, ge_zero, eq_zero) -> LinearSystem:
@@ -608,9 +615,10 @@ def l1_minimum(system: LinearSystem):
     return out if out.status is LpStatus.OPTIMAL else None
 
 
-def l1_minimal_point(system: LinearSystem, at_tie=None) -> Optional[Vec]:
-    """Point of `system` with every coordinate >= 0 and the least coordinate
-    sum, or None when there is none.
+def l1_minimal_point(system: LinearSystem, at_tie=None):
+    """(x, tied): the point of `system` with every coordinate >= 0 and the
+    least coordinate sum, None when there is none, and whether the tie rule
+    below chose it.
 
     The point is defined by a rule.  It is the point of `l1_minimum` when
     that optimum is unique, which every exact formulation of the same set
@@ -626,7 +634,7 @@ def l1_minimal_point(system: LinearSystem, at_tie=None) -> Optional[Vec]:
     """
     native = l1_minimum(system)
     if native is None:
-        return None
+        return None, False
     dim = system.dim
     # a bound with a nonzero multiplier fixes its coordinate at 0, so the EQ
     # rows and the LE rows with a nonzero dual must have full rank on the
@@ -637,7 +645,7 @@ def l1_minimal_point(system: LinearSystem, at_tie=None) -> Optional[Vec]:
     held += [(tuple(a[j] for j in keep), b) for a, b in system.eq]
     x, d = integer_scaled(native.primal_point)
     if tight_rank([x[j] for j in keep], d, (), integer_rows(held))[1] == len(keep):
-        return native.primal_point
+        return native.primal_point, False
     split = at_tie if at_tie is not None else system
     bounds = [
         (tuple(-ONE if i == j else ZERO for i in range(dim)), ZERO)
@@ -648,7 +656,7 @@ def l1_minimal_point(system: LinearSystem, at_tie=None) -> Optional[Vec]:
         raise InternalConsistencyError(
             "the split L1-minimal LP does not reach the native optimum"
         )
-    return out.primal_point
+    return out.primal_point, True
 
 
 # -- boundary-restricted polyhedra ----------------------------------------
@@ -849,12 +857,16 @@ class Cell:
     first read.  `is_identity` is computed on first read and kept, unless
     the cell was built with it, and so is the integer form of the rows, by
     the system.  `point` and `integer_point` are None: only a `PointCell`
-    has them.
+    has them.  A cell made from a closed polyhedron (`cell_of_polyhedron`)
+    keeps it as `polyhedron`, the set of its system, also when composed
+    with an affine map, and its closure image maps that polyhedron's
+    generators.
     """
 
     system: LinearSystem
     matrix: Mat
     offset: Vec
+    polyhedron: Optional[Polyhedron] = field(default=None, compare=False, repr=False)
 
     point = None
     integer_point = None
@@ -902,6 +914,12 @@ class Cell:
     def is_feasible(self) -> bool:
         return strict_feasible(self.system).feasible
 
+    @property
+    def closed(self) -> bool:
+        """Has the system no strict row?  Then the cell is its own closure
+        image, and every point of that image is a member."""
+        return not self.system.strict
+
     def member(self, x) -> bool:
         """Is x = M.u + o for some u of the system?
 
@@ -921,15 +939,19 @@ class Cell:
 
     def closure_image(self) -> Polyhedron:
         """Closed polyhedron: image of the lift with strict rows relaxed and
-        the bounds u_j >= 0 as rows."""
-        lift = Polyhedron.from_hrep(
-            self.lift_dim,
-            [(n, r, LE) for n, r in self.system.le]
-            + [(n, r, LE) for n, r in self.system.strict]
-            + [(n, r, EQ) for n, r in self.system.eq]
-            + [(tuple(-ONE if i == j else ZERO for i in range(self.lift_dim)), ZERO, LE)
-               for j in self.system.nonneg],
-        )
+        the bounds u_j >= 0 as rows.  The lift is the kept `polyhedron` when
+        there is one, whose generators are known once its emptiness was
+        decided, so no double description runs for the lift again."""
+        lift = self.polyhedron
+        if lift is None:
+            lift = Polyhedron.from_hrep(
+                self.lift_dim,
+                [(n, r, LE) for n, r in self.system.le]
+                + [(n, r, LE) for n, r in self.system.strict]
+                + [(n, r, EQ) for n, r in self.system.eq]
+                + [(tuple(-ONE if i == j else ZERO for i in range(self.lift_dim)), ZERO, LE)
+                   for j in self.system.nonneg],
+            )
         return lift.affine_image(self.matrix, self.offset, self.target_dim)
 
     def compose(self, matrix: Mat, offset: Vec) -> "Cell":
@@ -937,7 +959,7 @@ class Cell:
         matrix = tuple(vec(r) for r in matrix)
         new_m = tuple(_pullback(self.matrix, row) for row in matrix)
         new_o = vadd(matvec(matrix, self.offset), vec(offset))
-        return Cell(self.system, new_m, new_o)
+        return Cell(self.system, new_m, new_o, self.polyhedron)
 
 
 def _pullback(matrix: Mat, coeffs) -> Vec:
@@ -972,11 +994,12 @@ class PointCell(Cell):
     """The cell {v} of one point v, as every cell of a finite program's
     W(0) is, made by `point_cell` with its `point` v and its
     `integer_point` (x, d), v over one denominator.  It answers from them:
-    `member` by comparison with v, `is_feasible` with True and
+    `member` by comparison with v, `is_feasible` and `closed` with True and
     `closure_image` with the polyhedron whose one vertex is v.  Its system,
     the identity cell's unit rows y_i = v_i, is built only if it is read."""
 
     is_identity = True
+    closed = True
 
     @cached_property
     def system(self) -> LinearSystem:
@@ -1009,7 +1032,11 @@ def point_cell(v) -> PointCell:
 
 
 def cell_of_polyhedron(p: Polyhedron) -> Cell:
-    return identity_cell(p.system())
+    """The identity cell of the closed polyhedron p, on p's rows, keeping p
+    (`Cell.polyhedron`)."""
+    cell = identity_cell(p.system())
+    cell.__dict__["polyhedron"] = p
+    return cell
 
 
 def as_cells(obj) -> tuple[Cell, ...]:

@@ -993,7 +993,8 @@ def l1_against_split_form(monkeypatch):
     """Wrap `l1_minimal_point` where `polyhedra` calls it: each point it
     returns must be the split-form point over the system that breaks ties
     (`at_tie`, default the system itself), the point emitted before native
-    nonnegative variables.  Wrap `l1_minimum` where `certify` calls it (delta
+    nonnegative variables, and it must say that the tie rule chose the
+    point exactly at a tie.  Wrap `l1_minimum` where `certify` calls it (delta
     and C5, which read only the value or whether there is one): it must be
     None where the split form has no point, and otherwise its value must be
     the coordinate sum of the split-form point.  Returns a Counter of the
@@ -1012,18 +1013,20 @@ def l1_against_split_form(monkeypatch):
         return out
 
     def checked(system, at_tie=None):
-        got = solve(system, at_tie)
+        got, tied = solve(system, at_tie)
         native_system = system.extended(nonneg=range(system.dim))
         native = lp_solve((1,) * system.dim, native_system)
         if native.status is not LpStatus.OPTIMAL:
             seen["none"] += 1
+            assert not tied
         elif _certified_unique(native_system, native):
             seen["unique"] += 1
-            assert got == native.primal_point
+            assert got == native.primal_point and not tied
         else:
             seen["tie"] += 1
+            assert tied
         assert got == _split_form_point(system if at_tie is None else at_tie)
-        return got
+        return got, tied
 
     monkeypatch.setattr(polyhedra, "l1_minimal_point", checked)
     monkeypatch.setattr(certify, "l1_minimum", valued)

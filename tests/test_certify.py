@@ -379,14 +379,45 @@ def _certify_frontiers(programs):
             certify_multiplier(ctx, y0)
 
 
+# Y_+ whose bounded base has a vertex that is not one of its generators, by
+# the dimension of Y.  The L1-minimal functional >= 1 on the rays, (0, 1) and
+# (1, 1, 1), takes 2 and 3 on the last ray, so that ray's base vertex is
+# (1/2, 1) and (2/3, 2/3, -1/3).  delta's LP then has other rows than the Pos
+# LP, and `_henig_distance` runs it; on R_+ and the orthant it does not.
+DISTINCT_BASE = {
+    2: ((0, 1), (1, 2)),
+    3: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, -1)),
+}
+
+
+def _distinct_base(p):
+    """Affine program p with the Y_+ of DISTINCT_BASE in its dimension of Y,
+    None when Y = R, whose one base vertex is its generator."""
+    rays = DISTINCT_BASE.get(p.y_dim)
+    if rays is None:
+        return None
+    yplus = OrderCone.from_generators(p.y_dim, rays)
+    assert set(yplus.structure.base.vrep.vertices) != set(yplus.generators)
+    return AffineVectorProgram(p.omega, p.f, p.g, yplus, p.z_plus)
+
+
+def _distinct_base_programs(criterion_3_program, count, bundled=True):
+    """Criterion 3 programs 0..count-1 but 3 and 5, and the bundled ones,
+    each with the Y_+ of `_distinct_base`, those with Y = R left out."""
+    programs = [criterion_3_program(i) for i in range(count) if i not in (3, 5)]
+    if bundled:
+        programs += [_bundled(n) for n in ("worked_example", "i3", "scalar_i2")]
+    return [q for q in map(_distinct_base, programs) if q is not None]
+
+
 def _henig_searches(monkeypatch, programs):
     """(cone_a, base, eta, delta) of every Henig witness search that
     `_certify_frontiers(programs)` runs."""
     chosen = certify_module._henig_eta
     searches = []
 
-    def recorded(cone_a, yplus):
-        eta = chosen(cone_a, yplus)
+    def recorded(cone_a, yplus, y_star):
+        eta = chosen(cone_a, yplus, y_star)
         base = yplus.structure.base
         delta = certify_module._henig_distance(cone_a, base)
         searches.append((cone_a, base, eta, delta))
@@ -398,7 +429,9 @@ def _henig_searches(monkeypatch, programs):
 
 
 class TestHenigEta:
-    """The Henig witness eta read off the distance LP is the halving loop's."""
+    """The Henig witness eta read off the distance LP is the halving loop's.
+    The programs take a Y_+ whose base vertices are not its generators
+    (`_distinct_base`), so that delta's own LP runs."""
 
     def test_lp_chosen_eta_equals_the_halving_loop(
         self, monkeypatch, criterion_3_program, henig_distance_by_primal_lp
@@ -406,8 +439,8 @@ class TestHenigEta:
         chosen = certify_module._henig_eta
         seen = {"points": 0, "at_delta": 0}
 
-        def checked(cone_a, yplus):
-            eta = chosen(cone_a, yplus)
+        def checked(cone_a, yplus, y_star):
+            eta = chosen(cone_a, yplus, y_star)
             base = yplus.structure.base
             assert eta == halving_loop_eta(cone_a, base)
             delta = certify_module._henig_distance(cone_a, base)
@@ -420,9 +453,7 @@ class TestHenigEta:
             return eta
 
         monkeypatch.setattr(certify_module, "_henig_eta", checked)
-        programs = [criterion_3_program(i) for i in range(60) if i not in (3, 5)]
-        programs += [_bundled(n) for n in ("worked_example", "i3", "scalar_i2")]
-        for p in programs:
+        for p in _distinct_base_programs(criterion_3_program, 60):
             ctx = ProgramContext(p)
             try:
                 _, points, _ = minimal_frontier_points(ctx)
@@ -442,7 +473,7 @@ class TestHenigEta:
         description run fewer per check, at every eta the search considers:
         a tie eta = delta, and the eta it returns below delta."""
         admissible = certify_module._henig_admissible
-        programs = [criterion_3_program(i) for i in range(40) if i not in (3, 5)]
+        programs = _distinct_base_programs(criterion_3_program, 40, bundled=False)
         searches = _henig_searches(monkeypatch, programs)
         dd = polyhedra_module.cone_dd
         calls = [0]
@@ -485,8 +516,7 @@ class TestHenigEta:
     ):
         """The distance LP alone proves every eta < delta admissible; double
         description agrees wherever the search returned such an eta."""
-        programs = [criterion_3_program(i) for i in range(60) if i not in (3, 5)]
-        programs += [_bundled(n) for n in ("worked_example", "i3", "scalar_i2")]
+        programs = _distinct_base_programs(criterion_3_program, 60)
         below = [
             (cone_a, base, eta)
             for cone_a, base, eta, delta in _henig_searches(monkeypatch, programs)
@@ -516,9 +546,7 @@ class TestHenigEta:
 
         monkeypatch.setattr(certify_module, "_henig_distance", recorded)
         monkeypatch.setattr(OrderCone, "dilation_rows", checked)
-        _certify_frontiers(
-            criterion_3_program(i) for i in range(40) if i not in (3, 5)
-        )
+        _certify_frontiers(_distinct_base_programs(criterion_3_program, 40, bundled=False))
         assert etas and len(etas) < len(deltas)
 
     def test_dilation_with_a_line_is_refused(self):
@@ -553,19 +581,20 @@ class TestHenigEta:
 
     def test_no_candidate_below_delta_raises(self, monkeypatch, planar_i3):
         y0 = (F(1, 2), F(1, 2))
-        assert certify_multiplier(planar_i3, y0).status_P0.witnesses["he_eta"]
+        p = _distinct_base(planar_i3)
+        assert certify_multiplier(p, y0).status_P0.witnesses["he_eta"]
         monkeypatch.setattr(certify_module, "_henig_distance",
                             lambda cone_a, base: F(1, 2**70))
         with pytest.raises(InternalConsistencyError,
                            match="dilation witness not found"):
-            certify_multiplier(planar_i3, y0)
+            certify_multiplier(p, y0)
 
     def test_distance_lp_without_optimum_raises(self, monkeypatch, planar_i3):
         # the distance LP is the first `l1_minimum` that `certify` runs; the
-        # Pos LPs run theirs inside `positive_functional`
+        # Pos LPs run theirs inside `l1_functional`
         monkeypatch.setattr(certify_module, "l1_minimum", lambda system: None)
         with pytest.raises(InternalConsistencyError, match="Henig distance LP"):
-            certify_multiplier(planar_i3, (F(1, 2), F(1, 2)))
+            certify_multiplier(_distinct_base(planar_i3), (F(1, 2), F(1, 2)))
 
     def test_distance_at_a_tie_runs_one_lp(self, monkeypatch):
         """delta is read off the optimal value, the same at every optimal
@@ -589,12 +618,195 @@ class TestHenigEta:
         assert certify_module._henig_distance(cone_a, base) == 1
         assert len(calls) == 1
 
+    def test_delta_read_off_pos_on_the_orthant(
+        self, monkeypatch, criterion_3_program, henig_distance_by_primal_lp
+    ):
+        """Where Y_+'s base vertices are its generators, as on R_+ and the
+        orthant, delta's LP is the Pos LP, so delta is 1 / ||y*||_1 of the
+        Pos functional y*: it equals the primal distance LP's delta, the
+        eta read off it is the halving loop's, and no LP runs for it.  Any
+        other Y_+ runs delta's own LP (`_henig_distance`)."""
+        chosen = certify_module._henig_eta
+        solves = spy_everywhere(monkeypatch, polyhedra_module.lp_solve)
+        distances = spy(monkeypatch, certify_module, "_henig_distance")
+        seen = Counter()
+
+        def checked(cone_a, yplus, y_star):
+            base = yplus.structure.base
+            on_generators = set(base.vrep.vertices) == set(yplus.generators)
+            before = len(solves), len(distances)
+            eta = chosen(cone_a, yplus, y_star)
+            if on_generators:
+                assert (len(solves), len(distances)) == before
+                delta = 1 / sum(map(abs, y_star))
+                assert delta == henig_distance_by_primal_lp(
+                    cone_a.generators, cone_a.lineality, base
+                )
+                assert eta == halving_loop_eta(cone_a, base)
+            else:
+                assert len(distances) == before[1] + 1
+            seen[on_generators] += 1
+            return eta
+
+        monkeypatch.setattr(certify_module, "_henig_eta", checked)
+        _certify_frontiers(criterion_3_program(i) for i in range(60) if i not in (3, 5))
+        assert seen[True] > 80 and seen[False] > 10, seen
+
     def test_distance_zero_raises(self):
         # C = R_- meets -base = {-1}, so delta = 0 and no functional exists
         with pytest.raises(InternalConsistencyError, match="Henig distance LP"):
             certify_module._henig_distance(
                 PolyhedralCone.from_generators(1, [(-1,)]), Polyhedron.from_vrep(1, [(1,)])
             )
+
+
+class TestClosedCells:
+    """A cell with no strict row is its own closure image (`Cell.closed`):
+    a vertex of that image is a member of W(0) and a nonempty image shows
+    W(0) nonempty, each with no LP.  A cell made from a closed polyhedron
+    keeps it, and its closure image maps the polyhedron's generators."""
+
+    def test_closed_cell_vertices_are_members(self, monkeypatch, criterion_3_program):
+        """At every candidate of the frontier filter on criterion 3 programs
+        0-39, a vertex of a closed cell's image is a member of W(0) by the
+        strict LP of `member` too, and the filter runs that LP for exactly
+        the other candidates, as on the boundary-restricted programs."""
+        hulls = []
+        vertices = certify_module._minimal_vertices
+
+        def recorded(a, hull, *args):
+            hulls.append(hull)
+            return vertices(a, hull, *args)
+
+        monkeypatch.setattr(certify_module, "_minimal_vertices", recorded)
+        asked = spy(monkeypatch, certify_module, "member")
+        seen = Counter()
+        for i in range(40):
+            p = criterion_3_program(i)
+            ctx = ProgramContext(p)
+            hulls.clear()
+            asked.clear()
+            try:
+                minimal_frontier_points(ctx)
+            except EmptyFeasibleError:
+                assert not ctx.closed_vertices, i
+                continue
+            tested = [x for _, x in asked]
+            restricted = isinstance(p.omega, BoundaryRestrictedPolyhedron)
+            for v in hulls[0].vrep.vertices:
+                closed = v in ctx.closed_vertices
+                assert closed <= member(ctx.cells, v), (i, v)
+                assert (v in tested) != closed, (i, v)
+                seen[restricted, closed] += 1
+        assert seen[False, True] > 30 and seen[True, True] > 0, seen
+        assert seen[True, False] > 30, seen
+
+    def test_nonempty_w0_by_a_closed_image(self, monkeypatch, criterion_3_program):
+        """The filter shows W(0) nonempty by a closed cell's nonempty image,
+        and runs the strict LP of `is_feasible` only on the cells with strict
+        rows; its verdict is that of the strict LPs on every cell, also
+        where a closed cell's image is empty (program 28)."""
+        feasible = Cell.is_feasible
+        asked = []
+
+        def recorded(cell):
+            asked.append(cell)
+            return feasible(cell)
+
+        monkeypatch.setattr(Cell, "is_feasible", recorded)
+        seen = Counter()
+        for i in range(40):
+            ctx = ProgramContext(criterion_3_program(i))
+            cells = ctx.cells
+            asked.clear()
+            try:
+                minimal_frontier_points(ctx)
+                nonempty = True
+            except EmptyFeasibleError:
+                nonempty = False
+            lps = [c for c in asked if any(c is d for d in cells)]
+            assert not any(c.closed for c in lps), i
+            assert nonempty == any(strict_feasible(c.system).feasible for c in cells), i
+            seen[nonempty, bool(lps)] += 1
+            seen["empty closed image"] += any(
+                c.closed and image.is_empty for c, image in zip(cells, ctx.images)
+            )
+        assert seen[True, False] > 20 and seen[True, True] > 0, seen
+        assert seen["empty closed image"] > 0, seen
+
+    def test_closure_image_maps_the_kept_polyhedron(
+        self, monkeypatch, criterion_3_program
+    ):
+        """A W(0) cell of a program over a closed Omega keeps the feasible
+        region it was made from, whose generators its emptiness test left
+        known: its closure image runs no double description and is the
+        image of the cell's rows."""
+        dd = spy_everywhere(monkeypatch, polyhedra_module.cone_dd)
+        kept = 0
+        for i in range(40):
+            p = criterion_3_program(i)
+            for c in w0_cells(p):
+                if c.polyhedron is None:
+                    assert isinstance(p.omega, BoundaryRestrictedPolyhedron), i
+                    continue
+                assert c.closed
+                dd.clear()
+                image = c.closure_image()
+                assert dd == [], i
+                lift = Polyhedron.from_hrep(
+                    c.lift_dim,
+                    [(n, r, LE) for n, r in c.system.le]
+                    + [(n, r, EQ) for n, r in c.system.eq],
+                )
+                assert image == lift.affine_image(c.matrix, c.offset, c.target_dim), i
+                kept += 1
+        assert kept > 25
+
+
+class TestSharedConeVerdicts:
+    """Pos, He, GHe and SE depend on C = cl cone(A - y0) and Y_+ alone, so a
+    certificate decides them once where M's cone at y0 is W(0)'s."""
+
+    def test_shared_verdicts_equal_a_fresh_classification(
+        self, monkeypatch, criterion_3_program
+    ):
+        """D takes P's verdicts, eta and rho where its cone has P's canonical
+        rows, and chooses a tied Pos witness again over M's closure
+        generators.  Its status and witnesses equal those of
+        `_classify(m, y0, yplus)` deciding everything itself, on criterion
+        3 programs 0-39: program 16 shares a cone with a tie, and program
+        29 has a tie of its own."""
+        verdicts = certify_module._cone_verdicts
+        shared = []
+
+        def recorded(*args, like=None):
+            out = verdicts(*args, like=like)
+            if like is not None:
+                shared.append((out.cone is like.cone, like.tied))
+                assert (like.cone == out.cone) == shared[-1][0]
+            return out
+
+        monkeypatch.setattr(certify_module, "_cone_verdicts", recorded)
+        seen = Counter()
+        for i in range(40):
+            ctx = ProgramContext(criterion_3_program(i))
+            try:
+                _, points, _ = minimal_frontier_points(ctx)
+            except EmptyFeasibleError:
+                continue
+            yplus = ctx.program.y_plus
+            for y0 in points:
+                shared.clear()
+                cert = certify_multiplier(ctx, y0)
+                fresh = certify_module._classify(cert.dual_image, y0, yplus)
+                assert cert.status_D == fresh, (i, y0)
+                assert cert.status_D.witnesses == fresh.witnesses, (i, y0)
+                assert len(shared) == yplus.is_pointed
+                for same, tied in shared:
+                    seen[same, tied] += 1
+                    seen[i, same, tied] += 1
+        assert seen[True, False] > 10 and seen[False, False] > 30, seen
+        assert seen[16, True, True] and seen[29, False, True], seen
 
 
 class TestWorkDoneOnce:
@@ -1784,7 +1996,7 @@ class TestMinimalityByTheorem:
         """He is read off the Pos LP and SE off a double description, and
         the two must agree: with the Pos LP made to find no functional at
         a super-efficient point, the classification raises."""
-        monkeypatch.setattr(certify_module, "positive_functional", lambda *args: None)
+        monkeypatch.setattr(certify_module, "l1_functional", lambda *args: (None, False))
         with pytest.raises(InternalConsistencyError, match="SE and He must coincide"):
             certify_multiplier(planar_i3, (F(1, 2), F(1, 2)))
 
@@ -2089,12 +2301,12 @@ class TestClosureGenerators:
 def test_frontier_functionals_are_the_split_form_points(
     l1_against_split_form, criterion_3_program
 ):
-    """The Pos LPs of `certify --frontier` on criterion 3 programs 0-39 emit
+    """The Pos LPs of `certify --frontier` on criterion 3 programs 0-59 emit
     the native unique optimum where there is one, and it is the split
     form's point; at a tie they emit the split form's vertex, over A's
-    closure generators.  The delta and C5 LPs give the split form's value
-    and feasibility."""
-    _certify_frontiers(criterion_3_program(i) for i in range(40) if i not in (3, 5))
+    closure generators, and say that the tie rule chose it.  The delta and
+    C5 LPs give the split form's value and feasibility."""
+    _certify_frontiers(criterion_3_program(i) for i in range(60) if i not in (3, 5))
     seen = l1_against_split_form
     assert seen["unique"] > 100 and seen["tie"] > 0, seen
 
@@ -2118,7 +2330,7 @@ def test_c5_at_a_tie_runs_one_lp(monkeypatch, r_plus):
     # the same system meets the tie in `l1_minimal_point`
     calls.clear()
     tie = LinearSystem(2, [((-1, -1), -1)])
-    assert polyhedra_module.l1_minimal_point(tie) is not None
+    assert polyhedra_module.l1_minimal_point(tie)[1]
     assert len(calls) == 2
 
 

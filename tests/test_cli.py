@@ -404,10 +404,14 @@ class TestDualFrontierReports:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of the stdout of `certify --frontier --json`, recorded while He
-# was decided by a double description of C cap (-Y_+) and not read off Pos,
-# for the criterion-3 programs pinned above: each report carries he, ghe,
-# ghe_via and he_eta on both sides at every frontier point
+# sha256 of the stdout of `certify --frontier --json` for every criterion-3
+# program among 0-39 that has a frontier point.  Those among 0-11 were
+# recorded while He was decided by a double description of C cap (-Y_+) and
+# not read off Pos, the others while D decided Pos, He and SE again where its
+# cone at y0 is P's (program 16, whose Pos optimum also ties there) and while
+# a member of W(0) among the frontier candidates was decided by strict LP.
+# With Y_+ pointed, each report carries he, ghe, ghe_via and he_eta on both
+# sides at every frontier point; program 39's Y_+ has a line.
 CERTIFY_FRONTIER_REPORTS = [
     (1, "7484ade9490047f18cc30d4784362ae9acb35e06d305ed790b6477d15ea48b4b"),
     (2, "842eabf1431ebff4d1b3f99f0a2668e45aaf6f25d703863fee45e1ca37e622bf"),
@@ -418,6 +422,90 @@ CERTIFY_FRONTIER_REPORTS = [
     (8, "88a542c4508871121cdd1a418d2bcad6c11233f8afe95fe55c2a4817e1fed823"),
     (9, "f5b62158a890104609366b74137b84cf2b727f53224f6fc964c6672951112b38"),
     (11, "ca7bae6c2b36865dbe4ea080c171361233b7009706859a31e78fda52126a395c"),
+    (13, "6902815814e582d791d36a8c8814df007c4703b40cb60da4bcae2cce507149c2"),
+    (14, "3eae0961f68cbcfc5d4b528243e1ee7862ac56ddc46f683e5751a83ebfb90d88"),
+    (15, "70b495f464b3d288279189225a4b7807f57b81ba7b70e91ee0b4467c51854968"),
+    (16, "a4ea6f8287104f0bfccbd810f89d7c9480b4599de6733f23d3c9cbc76bf2b2ee"),
+    (18, "bf9d5c8c5902f8fe6c02855f469eb03ff4233fcff4621235319f6b9eca150506"),
+    (19, "e8d23d9e8a76565eed0b4e10f9ee6d800ce4c15df3e22e8843d7bdd18bd6bae7"),
+    (20, "6916ee222fe686fe006aa59a74056b45c7e5e6fde5bf0e6ece1849eec25069bf"),
+    (21, "5cf518cc2b66e49ea0ff970f471b353b99ae149185a37d03c5752461ac8d607a"),
+    (23, "6bb22d851b75a56ac9a04e14af9b8db9dee913ddbc71b768497d446b40536533"),
+    (26, "1b5baea8c5fb51824eb60759058df15d291b4aef981d330a703d7229d8b00669"),
+    (27, "0df13d00d9e566754b4af2a88eb221b48259b88a8fe63ae88a0ccc6b55cb8984"),
+    (29, "fb4d840ad29d90fdda8cf9d4137b22302756f8dbd621a3be0c8e69a0d370cd49"),
+    (30, "3df31fc0d42c98cb97ff12b6b62d61b6000b3bc2e12ae2e2ebb8034a6e300b8b"),
+    (31, "218b322087989be24d1252be2daace5cca468410abfeb9636da4a93355110256"),
+    (32, "086cd9a8cb84a34acf8224f4e9a17c0d325a879c69bc807e29d8f99761e9eebb"),
+    (33, "325770d7ef42c124aa0c85f031cd84413e20ccbb1ca003d3e88b08a71da93870"),
+    (34, "50f4f5d4e01c478863ef6a0331429cad9d4d966e31f4aee9793760cdbdd11efc"),
+    (36, "b6120395799407ca38b72065b9d75ca7a6b221d6c56e7823307462075b782c39"),
+    (39, "71e177a58aae169317a7044275ce84bfaf391e44291e611f433440a3c0295634"),
+]
+
+# The same for criterion-4 programs 0-59, certified through their simplex
+# relaxation, with the exit code: 2 where W(0) is empty.
+CERTIFY_FRONTIER_RELAXED_REPORTS = [
+    (0, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (1, 0, "3feca29ddf87d9ccea40ba6b8081984ed66b9e4b7743db500fa789ecf951bd83"),
+    (2, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (3, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (4, 0, "adaa225fdc0466a2b61a8b271aea40e11000f85ea04cb5faa835f10c5cf000e5"),
+    (5, 0, "3feca29ddf87d9ccea40ba6b8081984ed66b9e4b7743db500fa789ecf951bd83"),
+    (6, 0, "6cdd131f2f7e252fe4c0df102775e289ed35e8ac1cd20cc8ab15754e11c8244b"),
+    (7, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (8, 0, "ef9382b235b77c47301530602e8ad0b71ecfab678bdc51b829dbffc42731ef70"),
+    (9, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (10, 0, "3feca29ddf87d9ccea40ba6b8081984ed66b9e4b7743db500fa789ecf951bd83"),
+    (11, 0, "0f2638beec1f3ffb4a9d91f3ffd9c9fd02e9d66192c24d661035c52ee9f24453"),
+    (12, 0, "3feca29ddf87d9ccea40ba6b8081984ed66b9e4b7743db500fa789ecf951bd83"),
+    (13, 0, "7f9aa91bd1459addb4861e6e2202823f076c6e1fbc393ea79497b815e12a2e74"),
+    (14, 0, "5d9d488e4485dfb8e8a6caa0762055de3bb78902a35e36bfdef6e4768bbb11d1"),
+    (15, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (16, 0, "f7e9fff47e20f3168adb98e55afb099564b24d0c6fcb074a309e6c1bdc98f644"),
+    (17, 0, "3feca29ddf87d9ccea40ba6b8081984ed66b9e4b7743db500fa789ecf951bd83"),
+    (18, 0, "1201b0bb06aaec1be918b72c1c7f7b85ea2fbb966092cad4a0dd7fafce30be07"),
+    (19, 0, "ba14e4e6be1e675f4621455ced16d1ad5f7c5409931481f2ee13ce15cb99b05e"),
+    (20, 0, "3feca29ddf87d9ccea40ba6b8081984ed66b9e4b7743db500fa789ecf951bd83"),
+    (21, 0, "94d971b962086f482541b30250cbdc1f1ba569de807fb190ad41fa1b294d9b0a"),
+    (22, 0, "3feca29ddf87d9ccea40ba6b8081984ed66b9e4b7743db500fa789ecf951bd83"),
+    (23, 0, "d3f02a9adda0919a29e9d1df1e770f17d014138c51d94ab676d21326b3595e41"),
+    (24, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (25, 0, "d909c89ee93177ad8b34884b003028675af69f4c36210dd09588044a9e2662aa"),
+    (26, 0, "3feca29ddf87d9ccea40ba6b8081984ed66b9e4b7743db500fa789ecf951bd83"),
+    (27, 0, "e4a201405c35b64b0551b5d3636f341db00322be71de62b7af83b5f6724b9a20"),
+    (28, 0, "3feca29ddf87d9ccea40ba6b8081984ed66b9e4b7743db500fa789ecf951bd83"),
+    (29, 0, "3feca29ddf87d9ccea40ba6b8081984ed66b9e4b7743db500fa789ecf951bd83"),
+    (30, 0, "b370009278da21208f80dd0a1d7eae0048818e6b35cb908923e31c14f6e9351d"),
+    (31, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (32, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (33, 0, "4141f5c0d11a4f15f5029ce29a64c910e97b8233dfb90518d6725da1046462a0"),
+    (34, 0, "ce5f27102c6e47980b798b287da9b108c9219a2196e5d7aeb9e97f3d86733ea9"),
+    (35, 0, "3feca29ddf87d9ccea40ba6b8081984ed66b9e4b7743db500fa789ecf951bd83"),
+    (36, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (37, 0, "1ae47957d57da39a5b3e215d551bfcc611852112deaa8bb9ba415b0d6c8c1ced"),
+    (38, 0, "6b717cc42415681658ac0128b0807b78e706638ead7387da50bfa6783b92218a"),
+    (39, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (40, 0, "038f48db98ea4d9db78440e14be48e1413e921b1dad93dbee249bbc1ce6b41fa"),
+    (41, 0, "092ca5872bf8dadf5b5da378ff9c4becc155fdcb5afff1e79fedb89868150e6b"),
+    (42, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (43, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (44, 0, "527ad05d9b7123376a663c6b659646b49c8288800ed0fe17ca1d583384bd2fb8"),
+    (45, 0, "9efb8ed636c6dbd9283dfb809f34fe6216e298fc8eb97759200e6118b45871b4"),
+    (46, 0, "5fde8295a5c3c69b947560345418f5e547b9b9dbccf17b77a44b4e8d720e2888"),
+    (47, 0, "eb5a2f93c2a568afd09d20eec828d6e4214f302b2ec4b6e43eee47b372196cf4"),
+    (48, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (49, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (50, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (51, 0, "3feca29ddf87d9ccea40ba6b8081984ed66b9e4b7743db500fa789ecf951bd83"),
+    (52, 0, "3feca29ddf87d9ccea40ba6b8081984ed66b9e4b7743db500fa789ecf951bd83"),
+    (53, 0, "dfda94593acb0bb3282820f69b0e5b9380784c04ea56eb32bf33201603774224"),
+    (54, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (55, 0, "2521d88db0603d4c7fe64049d000419155bc281f17c43429f38090a21c28c94d"),
+    (56, 0, "c5e2900162a863c7c845d996583a6aa910f7d13ebfb49fbc5f1d721aeb9004cc"),
+    (57, 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (58, 0, "dbdc91c246d1b699023754409e646422d6e73804aad0550907df641db60b9a74"),
+    (59, 0, "ea5d31db81077a78e652079ab2a4566390afea80dd3e502e4f912f80bd6523b7"),
 ]
 
 
@@ -429,10 +517,22 @@ class TestCertifyFrontierReports:
     @pytest.mark.parametrize("i, digest", CERTIFY_FRONTIER_REPORTS)
     def test_report_digest(self, capsys, tmp_path, criterion_3_program, i, digest):
         path = tmp_path / f"program_{i}.json"
-        path.write_text(emit_problem(criterion_3_program(i)))
+        p = criterion_3_program(i)
+        path.write_text(emit_problem(p))
         code, out, err = run(capsys, ["certify", str(path), "--frontier", "--json"])
         assert (code, err) == (0, "")
-        assert '"he_eta"' in out and '"ghe_via": "he"' in out
+        assert ('"he_eta"' in out and '"ghe_via": "he"' in out) == p.y_plus.is_pointed
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("i, exit_code, digest", CERTIFY_FRONTIER_RELAXED_REPORTS)
+    def test_relaxed_report_digest(self, capsys, tmp_path, criterion_4_program, i,
+                                   exit_code, digest):
+        path = tmp_path / f"program_{i}.json"
+        path.write_text(emit_problem(criterion_4_program(i)))
+        code, out, err = run(capsys, ["certify", str(path), "--frontier", "--json"])
+        assert code == exit_code
+        empty = "error: EmptyFeasibleError: no feasible point at z = 0\n"
+        assert err == (empty if code else "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
