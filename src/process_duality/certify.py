@@ -28,9 +28,14 @@ no LP:
 - a closed cell of W(0), one with no strict row, is its own closure image,
   so a vertex of that image is a member of W(0) and a nonempty image shows
   W(0) nonempty (`ProgramContext.closed_vertices`, `minimal_frontier_points`);
-- Pos, He, GHe and SE are functions of C = cl cone(A - y0) and Y_+ alone, so
-  a certificate decides them once where M's cone at y0 has W(0)'s canonical
-  rows, and only a tied Pos witness is chosen again (`_cone_verdicts`);
+- C = cl cone(A - y0) is the tangent cone at y0 of the closed convex hull
+  of A, so its canonical rows are the hull's canonical rows tight at y0
+  (`_tangent_cone`), read off the hull that the program's context or M
+  already holds;
+- Pos, He, GHe and SE are functions of C and Y_+ alone, so a certificate
+  decides them once where M's cone at y0 has W(0)'s canonical rows, and
+  only a tied Pos witness is chosen again, by the split form alone
+  (`_cone_verdicts`);
 - where Y_+'s base vertices are its generators, He's distance delta is
   1 / ||y*||_1 of the Pos functional y* (`_henig_eta`).
 """
@@ -40,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Optional, Union
 
 from ._dd import tight_rank
@@ -65,6 +71,7 @@ from .polyhedra import (
     LE,
     BoundaryRestrictedPolyhedron,
     Cell,
+    HRow,
     PointCell,
     Polyhedron,
     PolyhedralCone,
@@ -77,6 +84,7 @@ from .polyhedra import (
     l1_minimum,
     member,
     positive_functional,
+    tie_functional,
 )
 from .process import (
     LagrangeProcess,
@@ -123,7 +131,11 @@ class ProgramContext:
     `certify_multiplier` reads them instead of deciding them again.  The
     closure image of each W(0) cell (`images`) is made once: `closure` reads
     its generators, and `closed_vertices` the vertices of the closed cells'
-    images, members of W(0) by construction.
+    images, members of W(0) by construction.  `hull`, the closed convex hull
+    of W(0), has its canonical rows converted once per program: at each y0
+    the cone C = cl cone(W(0) - y0) is the tangent cone of `hull`, cut out
+    by its facets through y0 (`_tangent_cone`; Schrijver 1986, ch. 8), so
+    no y0 converts C from generators.
 
     A finite program is certified through its simplex relaxation: `convex`
     is the context of the program that the transfer theorems run on, this
@@ -157,6 +169,14 @@ class ProgramContext:
     def closure(self):
         """(vertices, rays, lines) of the closures of the W(0) cells."""
         return closure_generators(self.images)
+
+    @cached_property
+    def hull(self) -> Polyhedron:
+        """The closed convex hull of W(0): the closure image of its one cell,
+        or the hull of `closure`."""
+        if len(self.images) == 1:
+            return self.images[0]
+        return Polyhedron.from_vrep(self.program.y_dim, *self.closure)
 
     @cached_property
     def closed_vertices(self) -> frozenset:
@@ -407,30 +427,78 @@ class _ConeVerdicts:
     se_rho: Optional[Fraction]
 
 
+def _tangent_cone(hull: Polyhedron, y0: Vec) -> PolyhedralCone:
+    """C = cl cone(hull - y0) for y0 a point of the polyhedron `hull`, read
+    off hull's facets.
+
+    C is the tangent cone of hull at y0: the rows of hull tight at y0 cut it
+    out, and its facets are hull's facets through y0 (Schrijver 1986,
+    *Theory of Linear and Integer Programming*, ch. 8).  So its canonical
+    rows are hull's canonical rows tight at y0, decided on the kept integer
+    rows, each with offset 0, every EQ row kept, sorted.  That is the cone
+    route's canonical form: hull's EQ rows are in reduced row echelon form
+    with every pivot in a y column, as an offset column pivot would make the
+    row 0 = b, and its LE rows are reduced modulo them, so dropping the
+    offsets leaves both as they are.  The generators come from one H->V run
+    over these rows, on their first read."""
+    inequalities = hull.inequalities()
+    le, eq, _ = hull.integer_form()
+    x, d = integer_scaled(y0)
+    slack = [b * d - sum(map(mul, a, x)) for a, b, _ in le]
+    if min(slack, default=0) < 0 or not integer_holds(x, d, eq=eq):
+        raise InternalConsistencyError(f"{fmt_vector(y0)} is not a point of the hull")
+    rows = [r for r, t in zip(inequalities, slack) if not t] + list(hull.equalities())
+    return PolyhedralCone(
+        hull.dim, hrep=tuple(sorted(HRow(r.normal, ZERO, r.rel) for r in rows))
+    )
+
+
 def _cone_verdicts(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True,
-                   closure=None, like: Optional[_ConeVerdicts] = None) -> _ConeVerdicts:
-    """The `_ConeVerdicts` of y0 in A, for Y_+ pointed; `closure` is
-    `closure_generators(a)` when the caller already has it.
+                   closure=None, like: Optional[_ConeVerdicts] = None,
+                   hull: Optional[Polyhedron] = None) -> _ConeVerdicts:
+    """The `_ConeVerdicts` of y0 in A, for Y_+ pointed.  `hull` is the
+    closed convex hull of A when the caller holds it (by default A's own
+    closure when A is a set, else the hull of `closure_generators(a)`), and
+    C is its tangent cone at y0, cut out by its facets through y0
+    (`_tangent_cone`; Schrijver 1986, ch. 8), so no V->H conversion of C
+    runs; when C has Y_+'s canonical rows it is Y_+'s own cone, whose
+    generators are known.
+    `closure` is `closure_generators(a)` when the caller already has it; it
+    is read only at a tie.
 
     `like` holds the verdicts of another set at y0.  When its cone has the
-    same canonical H-representation as C, they are taken as they are, and
-    only a tied y* is chosen again, by the tie rule over A's own closure
-    generators."""
+    same canonical H-representation as C, they are taken as they are.  A
+    tied y* is chosen again by the tie rule over A's own closure
+    generators, with no native LP: the cone, and so the native optimum and
+    its value ||y*||_1, are `like`'s."""
     dim = yplus.ambient_dim
-    verts, rays, lines = closure_generators(a) if closure is None else closure
-    gens = [vsub(v, y0) for v in verts] + list(rays)
-    cone_a = PolyhedralCone.from_generators(dim, rays=gens, lines=list(lines))
+    if hull is None:
+        if isinstance(a, (Polyhedron, BoundaryRestrictedPolyhedron)):
+            hull = a.closure
+        else:
+            closure = closure_generators(a) if closure is None else closure
+            hull = Polyhedron.from_vrep(dim, *closure)
+    cone_a = _tangent_cone(hull, y0)
+    if cone_a == yplus.cone:
+        cone_a = yplus.cone
+
+    def tie_rows():
+        """The split form's rows at a tie: A's closure generators at y0."""
+        verts, rays, lines = closure_generators(a) if closure is None else closure
+        return [vsub(v, y0) for v in verts] + list(rays), lines
+
     shared = like is not None and like.cone == cone_a
     if shared and not like.tied:
         return like
+    if shared:
+        value = sum(map(abs, like.y_star))
+        return replace(like, y_star=tie_functional(dim, yplus.generators, tie_rows(), value))
     # Pos: y* in Y_+^{+i} supporting cl A at y0.  Its feasible set is fixed
     # by C alone, so the LP reads C's canonical generators; at a tie the
     # witness is the split-form vertex over A's closure generators.
     y_star, tied = l1_functional(
-        dim, yplus.generators, cone_a.generators, cone_a.lineality, (gens, lines)
+        dim, yplus.generators, cone_a.generators, cone_a.lineality, tie_rows
     )
-    if shared:
-        return replace(like, y_star=y_star)
     he_eta = None
     if y_star is not None and with_witnesses:
         if yplus.structure.base is None:
@@ -445,11 +513,15 @@ def _cone_verdicts(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool =
 
 def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True,
               closure=None, minimal: Optional[bool] = None,
-              on_cone: Optional[_ConeVerdicts] = None) -> EfficiencyStatus:
+              on_cone: Optional[_ConeVerdicts] = None,
+              hull: Optional[Polyhedron] = None) -> EfficiencyStatus:
     """classify_proper for a y0 already known to be a member of A; `minimal`
     is y0's minimality in A when the caller has decided it, `closure` is
-    `closure_generators(a)` when the caller already has it, and `on_cone`
-    the `_cone_verdicts` of y0 in A when the caller has them.
+    `closure_generators(a)` and `hull` the closed convex hull of A when the
+    caller already has them, and `on_cone` the `_cone_verdicts` of y0 in A
+    when the caller has them.  C = cl cone(A - y0) is read off the facets of
+    the hull through y0 (`_tangent_cone`; Schrijver 1986, ch. 8), not
+    converted from A's generators shifted by y0.
 
     Three verdicts are decided by theorem, each on a certificate that is
     checked exactly; the strict LPs of `_is_minimal` and `_is_weak_minimal`
@@ -478,7 +550,7 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
     pointed = yplus.is_pointed
     if pointed:
         if on_cone is None:
-            on_cone = _cone_verdicts(a, y0, yplus, with_witnesses, closure)
+            on_cone = _cone_verdicts(a, y0, yplus, with_witnesses, closure, hull=hull)
         pos = on_cone.y_star is not None
     if minimal is None:
         if pointed and isinstance(a, Polyhedron):
@@ -712,7 +784,8 @@ def certify_multiplier(p, y0, with_witnesses: bool = True) -> Certificate:
     on_p = on_d = None
     if yplus.is_pointed:
         # D takes P's Pos, He, GHe and SE when its cone at y0 is P's
-        on_p = _cone_verdicts(conv.cells, y0, yplus, with_witnesses, conv.closure)
+        on_p = _cone_verdicts(conv.cells, y0, yplus, with_witnesses, conv.closure,
+                              hull=conv.hull)
         on_d = _cone_verdicts(m, y0, yplus, with_witnesses, like=on_p)
     status_p = _classify(conv.cells, y0, yplus, with_witnesses,
                          minimal=minimal, on_cone=on_p)
@@ -877,7 +950,8 @@ def minimal_frontier(p, limit: int = 10000) -> Frontier:
     cells, points, truncated = minimal_frontier_points(ctx, limit)
     yplus = ctx.program.y_plus
     out = [
-        FrontierPoint(v, _classify(cells, v, yplus, closure=ctx.closure, minimal=True))
+        FrontierPoint(v, _classify(cells, v, yplus, closure=ctx.closure, minimal=True,
+                                   hull=ctx.hull))
         for v in points
     ]
     return Frontier(tuple(out), truncated)
@@ -891,10 +965,14 @@ def dual_frontier(p, L: LagrangeProcess, limit: int = 10000) -> Frontier:
     ctx = _context(p)
     p = ctx.program
     m = hull = dual_image(ctx, L)
+    closure = None
     if not isinstance(m, Polyhedron):
-        hull = Polyhedron.from_vrep(p.y_dim, *closure_generators(m))
+        closure = closure_generators(m)
+        hull = Polyhedron.from_vrep(p.y_dim, *closure)
     points, truncated = _minimal_vertices(m, hull, p.y_plus, limit, {})
     out = [
-        FrontierPoint(v, _classify(m, v, p.y_plus, minimal=True)) for v in points
+        FrontierPoint(v, _classify(m, v, p.y_plus, closure=closure, minimal=True,
+                                   hull=hull))
+        for v in points
     ]
     return Frontier(tuple(out), truncated)

@@ -272,7 +272,7 @@ def cmd_classify(args) -> int:
     }
     if args.side in ("P", "both"):
         payload["status_P"] = _emit_status(
-            _classify(ctx.cells, y0, problem.y_plus, closure=ctx.closure)
+            _classify(ctx.cells, y0, problem.y_plus, closure=ctx.closure, hull=ctx.hull)
         )
     if args.side in ("D", "both"):
         L = lagrange_process(separator_cone(ctx.graph, y0))

@@ -42,12 +42,13 @@ from .polyhedra import (
 from .rational import (
     Mat,
     Vec,
+    affine_apply,
     box_corners,
     dot,
+    integer_affine,
     integer_holds,
     integer_rows,
     integer_scaled,
-    matvec,
     vadd,
     vec,
     zeros,
@@ -216,11 +217,19 @@ class OrderCone:
 
 @dataclass(frozen=True)
 class AffineMap:
+    """x -> matrix.x + offset.  Both are written over one denominator on
+    the first application and kept (`integer_form`), so each image is one
+    integer dot and one Fraction per entry (`rational.affine_apply`)."""
+
     matrix: Mat
     offset: Vec
 
+    @cached_property
+    def integer_form(self):
+        return integer_affine(self.matrix, self.offset)
+
     def __call__(self, x) -> Vec:
-        return vadd(matvec(self.matrix, x), self.offset)
+        return affine_apply(self.integer_form, x)
 
     @property
     def out_dim(self) -> int:
@@ -231,7 +240,7 @@ class AffineMap:
         return len(self.matrix[0]) if self.matrix else 0
 
     def linear_part(self, x) -> Vec:
-        return matvec(self.matrix, x)
+        return affine_apply(self.integer_form, x, linear=True)
 
 
 def affine_map(matrix, offset) -> AffineMap:

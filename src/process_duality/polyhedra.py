@@ -41,7 +41,9 @@ from .rational import (
     ZERO,
     Mat,
     Vec,
+    affine_apply,
     dot,
+    integer_affine,
     integer_holds,
     integer_rows,
     integer_scaled,
@@ -213,10 +215,14 @@ class Polyhedron:
         )
 
     def integer_form(self):
-        """`system().integer_form`, made on first use and kept."""
-        if self._ints is None:
-            self._ints = self.system().integer_form
-        return self._ints
+        """`system().integer_form`, made on first use and kept with the rows
+        it was made from.  It is made again once the canonical rows replace
+        the raw ones, so its rows are always those of `any_hrep()`, in
+        order."""
+        rows = self.any_hrep()
+        if self._ints is None or self._ints[0] is not rows:
+            self._ints = (rows, self.system().integer_form)
+        return self._ints[1]
 
     def _scaled_member(self, x, d) -> bool:
         """Is x / d in the set, for integers x and d > 0 (d = 0: is the
@@ -278,15 +284,17 @@ class Polyhedron:
         )
 
     def affine_image(self, matrix: Mat, offset, out_dim: int) -> "Polyhedron":
-        """Exact image under x -> M.x + o, computed on generators."""
-        matrix = tuple(vec(row) for row in matrix)
-        offset = _coerce_point(out_dim, offset)
+        """Exact image under x -> M.x + o, computed on generators: M and o
+        over one denominator (`integer_affine`), each generator over its
+        own, and one Fraction per entry of each image (`affine_apply`)."""
+        form = integer_affine(tuple(vec(row) for row in matrix),
+                              _coerce_point(out_dim, offset))
         if self.is_empty:
             return Polyhedron.empty(out_dim)
         src_v = self.any_vrep()
-        verts = [vadd(matvec(matrix, v), offset) for v in src_v.vertices]
-        rays = [matvec(matrix, r) for r in src_v.rays]
-        lines = [matvec(matrix, l) for l in src_v.lines]
+        verts = [affine_apply(form, v) for v in src_v.vertices]
+        rays = [affine_apply(form, r, linear=True) for r in src_v.rays]
+        lines = [affine_apply(form, l, linear=True) for l in src_v.lines]
         return Polyhedron.from_vrep(out_dim, verts, rays, lines)
 
 
@@ -569,10 +577,10 @@ def positive_functional(dim, ge_one, ge_zero=(), eq_zero=(), at_tie=None) -> Opt
     `l1_minimal_point`: the unique optimum when there is one, which is the
     same whatever rows describe the same set of functionals, and at a tie
     the vertex Bland's rule reaches on the split form over the rows met in
-    the order given, `ge_one` before `ge_zero`.  `at_tie`, a pair (ge_zero,
-    eq_zero) with the same solutions as the given one, names the rows of
-    that tie-breaking form in place of the given ones.  h is emitted in
-    reports.
+    the order given, `ge_one` before `ge_zero`.  `at_tie`, a function giving
+    a pair (ge_zero, eq_zero) with the same solutions as the given one,
+    names the rows of that tie-breaking form in place of the given ones; it
+    is called only at a tie.  h is emitted in reports.
     """
     return l1_functional(dim, ge_one, ge_zero, eq_zero, at_tie)[0]
 
@@ -583,11 +591,26 @@ def l1_functional(dim, ge_one, ge_zero=(), eq_zero=(), at_tie=None):
     the unique L1-minimal functional of the set the rows describe."""
     x, tied = l1_minimal_point(
         functional_system(dim, ge_one, ge_zero, eq_zero),
-        None if at_tie is None else functional_system(dim, ge_one, *at_tie),
+        None if at_tie is None else lambda: functional_system(dim, ge_one, *at_tie()),
     )
     if x is None:
         return None, False
-    return tuple(x[j] - x[dim + j] for j in range(dim)), tied
+    return _split_difference(x, dim), tied
+
+
+def tie_functional(dim, ge_one, rows, value: Fraction) -> Vec:
+    """The h that `l1_functional` chooses at a tie, for a set of functionals
+    already known to tie with L1-minimal value `value`: the split-form
+    vertex over `ge_one` and `rows`, a pair (ge_zero, eq_zero), with no
+    native LP run again."""
+    return _split_difference(
+        _split_form_point(functional_system(dim, ge_one, *rows), value), dim
+    )
+
+
+def _split_difference(x: Vec, dim: int) -> Vec:
+    """h = h+ - h- of a point x = (h+, h-) of `functional_system`."""
+    return tuple(x[j] - x[dim + j] for j in range(dim))
 
 
 def functional_system(dim, ge_one, ge_zero, eq_zero) -> LinearSystem:
@@ -627,10 +650,9 @@ def l1_minimal_point(system: LinearSystem, at_tie=None):
     slackness every optimal point lies on the EQ rows, the LE rows with a
     nonzero dual and the bounds x_j >= 0 with a nonzero multiplier, so when
     those have rank dim no other point is optimal.  Otherwise, at a tie,
-    the point is the vertex that Bland's rule reaches on the split form:
-    `at_tie` (a system with the same nonnegative points, default `system`)
-    with the rows x >= 0 after its own, every coordinate split again by
-    `lp_solve`.
+    the point is the vertex that Bland's rule reaches on the split form
+    (`_split_form_point`) of `at_tie()`, a system with the same nonnegative
+    points, made only at a tie (default `system`).
     """
     native = l1_minimum(system)
     if native is None:
@@ -646,17 +668,26 @@ def l1_minimal_point(system: LinearSystem, at_tie=None):
     x, d = integer_scaled(native.primal_point)
     if tight_rank([x[j] for j in keep], d, (), integer_rows(held))[1] == len(keep):
         return native.primal_point, False
-    split = at_tie if at_tie is not None else system
+    split = at_tie() if at_tie is not None else system
+    return _split_form_point(split, native.objective_value), True
+
+
+def _split_form_point(system: LinearSystem, value: Fraction) -> Vec:
+    """The vertex Bland's rule reaches for the least coordinate sum over
+    `system` with the rows x >= 0 after its own, every coordinate split
+    again by `lp_solve`.  Its value must be `value`, the native optimum of
+    the same nonnegative points."""
+    dim = system.dim
     bounds = [
         (tuple(-ONE if i == j else ZERO for i in range(dim)), ZERO)
         for j in range(dim)
     ]
-    out = lp_solve((ONE,) * dim, split.extended(le=bounds), "min")
-    if out.objective_value != native.objective_value:
+    out = lp_solve((ONE,) * dim, system.extended(le=bounds), "min")
+    if out.objective_value != value:
         raise InternalConsistencyError(
             "the split L1-minimal LP does not reach the native optimum"
         )
-    return out.primal_point, True
+    return out.primal_point
 
 
 # -- boundary-restricted polyhedra ----------------------------------------

@@ -32,7 +32,7 @@ from .polyhedra import (
     Polyhedron,
     PolyhedralCone,
 )
-from .rational import fmt, rat
+from .rational import fmt
 
 FORMAT_VERSION = 1
 RELATIONS = {"<=": LE, "=": EQ}
@@ -48,43 +48,53 @@ def _expect(cond, path, msg):
         _fail(path, msg)
 
 
-_RAT_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RAT_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
-def _parse_rat(value, path) -> Fraction:
-    if not isinstance(value, str):
-        _fail(path, f"expected a 'p/q' string, got {type(value).__name__}")
-    if not _RAT_RE.match(value.strip()):
-        _fail(path, f"not a 'p/q' rational: {value!r}")
-    return rat(value)
+def _where(path, parts) -> str:
+    """The field path `path` followed by `parts`: an int i as [i], a string
+    as it is.  Made only for a message, so a valid file formats none."""
+    return path + "".join(p if isinstance(p, str) else f"[{p}]" for p in parts)
 
 
-def _parse_vec(value, width, path):
-    _expect(isinstance(value, list), path, "expected a list of rationals")
-    _expect(
-        len(value) == width, path, f"expected {width} entries, got {len(value)}"
-    )
-    return tuple(_parse_rat(v, f"{path}[{i}]") for i, v in enumerate(value))
+def _parse_rat(value, path, *parts) -> Fraction:
+    """The rational of a 'p/q' string, built from the integers the format
+    check matched; the field is `_where(path, parts)`."""
+    m = _RAT_RE.match(value.strip()) if isinstance(value, str) else None
+    if m is None:
+        where = _where(path, parts)
+        if not isinstance(value, str):
+            _fail(where, f"expected a 'p/q' string, got {type(value).__name__}")
+        _fail(where, f"not a 'p/q' rational: {value!r}")
+    num, den = m.groups()
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
+def _parse_vec(value, width, path, *parts):
+    if not isinstance(value, list):
+        _fail(_where(path, parts), "expected a list of rationals")
+    if len(value) != width:
+        _fail(_where(path, parts), f"expected {width} entries, got {len(value)}")
+    return tuple(_parse_rat(v, path, *parts, i) for i, v in enumerate(value))
 
 
 def _parse_matrix(value, rows, cols, path):
     _expect(isinstance(value, list), path, "expected a list of rows")
     _expect(len(value) == rows, path, f"expected {rows} rows, got {len(value)}")
-    return tuple(
-        _parse_vec(row, cols, f"{path}[{i}]") for i, row in enumerate(value)
-    )
+    return tuple(_parse_vec(row, cols, path, i) for i, row in enumerate(value))
 
 
 def _parse_hrep(value, dim, path):
     _expect(isinstance(value, list), path, "expected a list of rows")
     rows = []
     for i, row in enumerate(value):
-        p = f"{path}[{i}]"
-        _expect(isinstance(row, dict), p, "row must be an object")
+        if not isinstance(row, dict):
+            _fail(_where(path, (i,)), "row must be an object")
         rel = row.get("relation", "<=")
-        _expect(rel in RELATIONS, f"{p}.relation", f"unknown relation {rel!r}")
-        normal = _parse_vec(row.get("normal"), dim, f"{p}.normal")
-        offset = _parse_rat(row.get("offset"), f"{p}.offset")
+        if rel not in RELATIONS:
+            _fail(_where(path, (i, ".relation")), f"unknown relation {rel!r}")
+        normal = _parse_vec(row.get("normal"), dim, path, i, ".normal")
+        offset = _parse_rat(row.get("offset"), path, i, ".offset")
         rows.append((normal, offset, RELATIONS[rel]))
     return rows
 
@@ -94,9 +104,7 @@ def _parse_cone(value, dim, path) -> OrderCone:
     gens = value.get("generators")
     _expect(isinstance(gens, list) and gens, f"{path}.generators",
             "expected a nonempty list of generators")
-    rays = [
-        _parse_vec(g, dim, f"{path}.generators[{i}]") for i, g in enumerate(gens)
-    ]
+    rays = [_parse_vec(g, dim, path, ".generators", i) for i, g in enumerate(gens)]
     try:
         return OrderCone(PolyhedralCone.from_generators(dim, rays))
     except Exception as e:
@@ -192,8 +200,8 @@ def parse_problem(text: str) -> Program:
             parsed.append(
                 DiscretePoint(
                     pid,
-                    _parse_vec(pt.get("f"), ydim, f"{p}.f"),
-                    _parse_vec(pt.get("g"), zdim, f"{p}.g"),
+                    _parse_vec(pt.get("f"), ydim, p, ".f"),
+                    _parse_vec(pt.get("g"), zdim, p, ".g"),
                 )
             )
             continue
@@ -205,10 +213,10 @@ def parse_problem(text: str) -> Program:
             SetValuedPoint(
                 pid,
                 tuple(
-                    _parse_vec(v, ydim, f"{p}.f_values[{j}]") for j, v in enumerate(fvs)
+                    _parse_vec(v, ydim, p, ".f_values", j) for j, v in enumerate(fvs)
                 ),
                 tuple(
-                    _parse_vec(v, zdim, f"{p}.g_values[{j}]") for j, v in enumerate(gvs)
+                    _parse_vec(v, zdim, p, ".g_values", j) for j, v in enumerate(gvs)
                 ),
             )
         )

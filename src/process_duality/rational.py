@@ -88,6 +88,31 @@ def integer_holds(x, d, le=(), eq=(), strict=()) -> bool:
     return True
 
 
+def integer_affine(matrix, offset):
+    """(mx, ox, d): the map x -> M.x + o over one denominator, d > 0 the lcm
+    of the denominators of M and o, so that M = mx / d and o = ox / d."""
+    width = len(matrix[0]) if matrix else 0
+    ints, d = integer_scaled([x for row in matrix for x in row] + list(offset))
+    mx = tuple(ints[i * width:(i + 1) * width] for i in range(len(matrix)))
+    return mx, ints[width * len(matrix):], d
+
+
+def affine_apply(form, x, linear: bool = False) -> Vec:
+    """M.x + o (M.x when `linear`) for the `integer_affine` form of (M, o):
+    with x = xs / xd over its own denominator, entry i is
+    (mx_i.xs + ox_i.xd) / (d.xd), one integer dot and one Fraction."""
+    mx, ox, d = form
+    if mx and len(x) != len(mx[0]):
+        raise DimensionMismatch(f"map of width {len(mx[0])} applied to length {len(x)}")
+    xs, xd = integer_scaled(x)
+    den = d * xd
+    if linear:
+        return tuple(Fraction(sum(map(mul, row, xs)), den) for row in mx)
+    return tuple(
+        Fraction(sum(map(mul, row, xs)) + o * xd, den) for row, o in zip(mx, ox)
+    )
+
+
 def quotients(ints: Iterable[int], c: int) -> Vec:
     """The exact quotients x / c of integers x by a nonzero integer c."""
     if c == 1:

@@ -90,7 +90,7 @@ from process_duality.process import (
     lagrange_process,
     separator_cone,
 )
-from process_duality.rational import ONE, ZERO, dot, vec, zeros
+from process_duality.rational import ONE, ZERO, dot, vec, vsub, zeros
 
 
 def halfplane():
@@ -779,8 +779,8 @@ class TestSharedConeVerdicts:
         verdicts = certify_module._cone_verdicts
         shared = []
 
-        def recorded(*args, like=None):
-            out = verdicts(*args, like=like)
+        def recorded(*args, like=None, **kwargs):
+            out = verdicts(*args, like=like, **kwargs)
             if like is not None:
                 shared.append((out.cone is like.cone, like.tied))
                 assert (like.cone == out.cone) == shared[-1][0]
@@ -807,6 +807,177 @@ class TestSharedConeVerdicts:
                     seen[i, same, tied] += 1
         assert seen[True, False] > 10 and seen[False, False] > 30, seen
         assert seen[16, True, True] and seen[29, False, True], seen
+
+
+    def test_a_shared_tie_runs_only_the_split_form(self, monkeypatch,
+                                                   criterion_3_program):
+        """Where D's cone is P's and P's Pos optimum tied (program 16), the
+        cone, the native optimum and its value are P's: D runs one LP, the
+        split form over M's closure generators, and no native LP again."""
+        solves = spy_everywhere(monkeypatch, polyhedra_module.lp_solve)
+        verdicts = certify_module._cone_verdicts
+        runs = []
+
+        def recorded(*args, like=None, **kwargs):
+            before = len(solves)
+            out = verdicts(*args, like=like, **kwargs)
+            if like is not None and like.tied and out.cone is like.cone:
+                runs.append(len(solves) - before)
+            return out
+
+        monkeypatch.setattr(certify_module, "_cone_verdicts", recorded)
+        _certify_frontiers([criterion_3_program(16)])
+        assert runs and set(runs) == {1}, runs
+
+
+def generator_route_cone(closure, y0):
+    """C = cl cone(A - y0) from A's closure generators shifted by y0, rays
+    and lines, by double description: the route C was read by before it
+    was read off the hull's facets."""
+    verts, rays, lines = closure
+    return PolyhedralCone.from_generators(
+        len(y0), rays=[vsub(v, y0) for v in verts] + list(rays), lines=list(lines)
+    )
+
+
+class TestTangentCone:
+    """C = cl cone(A - y0) is the tangent cone at y0 of the closed convex
+    hull of A: its canonical rows are the hull's canonical rows tight at y0
+    (`_tangent_cone`)."""
+
+    def test_equals_the_generator_route_at_every_frontier_point(
+        self, criterion_3_program, criterion_4_program
+    ):
+        """For P, the hull of W(0), and D, M, at every frontier point of
+        criterion-3 programs 0-39 (restricted boundaries included), of the
+        bundled instances and of criterion-4 programs 0-39 (their own W(0)
+        and their relaxations'), both canonical forms are the generator
+        route's.  So is the default hull of a boundary-restricted Omega,
+        its closure, at each of its vertices."""
+        programs = [criterion_3_program(i) for i in range(40)]
+        programs += [_bundled(n) for n in ("worked_example", "i3", "scalar_i2")]
+        programs += [criterion_4_program(i) for i in range(40)]
+        seen = Counter()
+
+        def check(hull, closure, y0, kind):
+            got = certify_module._tangent_cone(hull, y0)
+            want = generator_route_cone(closure, y0)
+            assert got.hrep == want.hrep, (kind, y0)
+            assert got.vrep == want.vrep, (kind, y0)
+            seen[kind] += 1
+            seen[kind, "interior"] += not got.hrep
+            seen[kind, "equality"] += bool(got.equalities())
+
+        for p in programs:
+            ctx = ProgramContext(p)
+            try:
+                _, points, _ = minimal_frontier_points(ctx)
+            except EmptyFeasibleError:
+                continue
+            conv = ctx.convex
+            for y0 in points:
+                check(ctx.hull, ctx.closure, y0, "P")
+                if ctx.relaxed:
+                    check(conv.hull, conv.closure, y0, "relaxed P")
+                m = dual_image(conv, lagrange_process(separator_cone(conv.graph, y0)))
+                check(m, closure_generators(m), y0, "D")
+            omega = getattr(p, "omega", None)
+            if isinstance(omega, BoundaryRestrictedPolyhedron):
+                for v in omega.closure.vrep.vertices:
+                    if omega.member(v):
+                        check(omega.closure, closure_generators(omega), v, "restricted")
+        assert seen["P"] > 80 and seen["relaxed P"] > 20, seen
+        assert seen["D"] > 80 and seen["restricted"] > 10, seen
+        assert seen["P", "equality"] > 0 and seen["D", "interior"] > 0, seen
+
+    def test_a_point_off_the_hull_is_refused(self):
+        square = Polyhedron.from_vrep(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+        with pytest.raises(InternalConsistencyError, match="not a point of the hull"):
+            certify_module._tangent_cone(square, (F(2), F(0)))
+        segment = Polyhedron.from_vrep(2, [(0, 0), (1, 1)])
+        with pytest.raises(InternalConsistencyError, match="not a point of the hull"):
+            certify_module._tangent_cone(segment, (F(1), F(0)))
+
+    def test_classify_at_a_non_vertex_member(self, orthant2):
+        """y0 = (1, 1) inside the edge y1 + y2 = 2 of A = conv{(2, 0),
+        (0, 2)} + Y_+: C is the half-plane d1 + d2 >= 0, its one facet the
+        edge's, y0 is minimal and Pos, with y* = (1, 1); (1, 0), inside
+        the edge y2 = 0 of the square [0, 2]^2, is weakly minimal only."""
+        a = Polyhedron.from_vrep(2, [(2, 0), (0, 2)], [(1, 0), (0, 1)])
+        y0 = (F(1), F(1))
+        cone = certify_module._tangent_cone(a, y0)
+        assert cone.hrep == generator_route_cone(closure_generators(a), y0).hrep
+        assert [(r.normal, r.offset, r.rel) for r in cone.hrep] == [((-1, -1), 0, LE)]
+        status = classify_proper(a, y0, orthant2)
+        assert (status.minimal, status.weak_minimal, status.pos, status.he,
+                status.ghe, status.se) == (True, True, True, True, True, True)
+        assert status.witnesses["pos"] == (1, 1)
+        square = Polyhedron.from_vrep(2, [(0, 0), (2, 0), (0, 2), (2, 2)])
+        status = classify_proper(square, (1, 0), orthant2)
+        assert (status.minimal, status.weak_minimal, status.pos, status.se) == (
+            False, True, False, False)
+
+    def test_classify_at_an_interior_member(self, orthant2):
+        """At an interior point of a full-dimensional A no row is tight, so
+        C is the whole space: no row, the unit lines, and no proper
+        notion holds."""
+        square = Polyhedron.from_vrep(2, [(0, 0), (2, 0), (0, 2), (2, 2)])
+        y0 = (F(1), F(1))
+        cone = certify_module._tangent_cone(square, y0)
+        assert cone.hrep == ()
+        assert cone.vrep == VRep(((0, 0),), (), ((0, 1), (1, 0)))
+        assert cone.vrep == generator_route_cone(closure_generators(square), y0).vrep
+        status = classify_proper(square, y0, orthant2)
+        assert status == classify_proper(tuple(as_cells(square)), y0, orthant2)
+        assert (status.minimal, status.weak_minimal, status.pos, status.he,
+                status.ghe, status.se) == (False, False, False, False, False, False)
+
+    def test_cone_verdicts_convert_no_cone_from_generators(
+        self, monkeypatch, criterion_3_program
+    ):
+        """With the hull's own rows known (once per program for W(0), and
+        emitted with M), no V->H conversion that `_cone_verdicts` runs, on
+        either side at any frontier point of criterion-3 programs 0-39, is
+        the generator route's of C: C is read off the hull's facets.  Those
+        it runs convert K_eta and B - Y_+."""
+        to_rows = spy_everywhere(monkeypatch, polyhedra_module._vrep_to_hrep)
+        verdicts = certify_module._cone_verdicts
+        calls = []
+
+        def recorded(a, y0, yplus, *args, hull=None, **kwargs):
+            (a if hull is None else hull).hrep
+            before = len(to_rows)
+            out = verdicts(a, y0, yplus, *args, hull=hull, **kwargs)
+            closure = args[1] if len(args) > 1 else None
+            calls.append((a, y0, closure, to_rows[before:]))
+            return out
+
+        monkeypatch.setattr(certify_module, "_cone_verdicts", recorded)
+        _certify_frontiers(criterion_3_program(i) for i in range(40))
+        monkeypatch.undo()
+        converted = 0
+        for a, y0, closure, inputs in calls:
+            closure = closure_generators(a) if closure is None else closure
+            old_route = generator_route_cone(closure, y0).any_vrep()
+            assert all(v != old_route for _, v in inputs)
+            converted += len(inputs)
+        assert len(calls) > 100 and converted > 20, (len(calls), converted)
+
+    def test_a_cone_with_the_order_cones_rows_is_the_order_cone(self, orthant2):
+        """Where C has Y_+'s canonical rows, as at the vertex of y0 + Y_+,
+        C is Y_+'s own cone, whose generators the load converted: no H->V
+        of C runs."""
+        to_generators = []
+        a = Polyhedron.from_vrep(2, [(1, 1)], [(1, 0), (0, 1)])
+        a.hrep
+        convert = polyhedra_module._hrep_to_vrep
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(polyhedra_module, "_hrep_to_vrep",
+                      lambda dim, rows: to_generators.append(rows) or convert(dim, rows))
+            out = certify_module._cone_verdicts(a, (F(1), F(1)), orthant2)
+        assert out.cone is orthant2.cone
+        assert orthant2.cone.hrep not in to_generators
+        assert out.y_star == (1, 1) and out.se_rho == 1
 
 
 class TestWorkDoneOnce:
@@ -2196,10 +2367,12 @@ class TestChecksOnCachedData:
             certify_multiplier(ctx, points[1])
 
     def test_corrupted_closure_caught_by_status_validation(self, planar_i3):
+        """C = cl cone(W(0) - y0) is read off the cached hull of W(0): the
+        hull replaced by the point y0 makes C = {0}, on which Pos holds."""
         ctx = ProgramContext(planar_i3)
         y0 = (F(1), F(1))  # in W(0), dominated by (1, 0)
         assert not certify_multiplier(ctx, y0).status_P0.minimal
-        ctx.closure = ([y0], [], [])
+        ctx.hull = Polyhedron.from_vrep(2, [y0])
         with pytest.raises(InternalConsistencyError, match="Pos holds at a non-minimal"):
             certify_multiplier(ctx, y0)
 
@@ -2304,11 +2477,14 @@ def test_frontier_functionals_are_the_split_form_points(
     """The Pos LPs of `certify --frontier` on criterion 3 programs 0-59 emit
     the native unique optimum where there is one, and it is the split
     form's point; at a tie they emit the split form's vertex, over A's
-    closure generators, and say that the tie rule chose it.  The delta and
-    C5 LPs give the split form's value and feasibility."""
+    closure generators, and say that the tie rule chose it.  Where D shares
+    P's tied cone (program 16) D emits the split form's vertex over M's
+    closure generators.  The delta and C5 LPs give the split form's value
+    and feasibility."""
     _certify_frontiers(criterion_3_program(i) for i in range(60) if i not in (3, 5))
     seen = l1_against_split_form
     assert seen["unique"] > 100 and seen["tie"] > 0, seen
+    assert seen["shared tie"] > 0, seen
 
 
 def test_c5_at_a_tie_runs_one_lp(monkeypatch, r_plus):

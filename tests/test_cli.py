@@ -4,6 +4,7 @@ import hashlib
 import json
 from fractions import Fraction as F
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -627,3 +628,53 @@ class TestMalformedArguments:
     def test_negative_count_for_fuzz(self, capsys):
         self.check(capsys, ["fuzz", "--count", "-3", "--dims", "1,1,1"],
                    "--count: expected a nonnegative integer")
+
+
+REPLAY_PINS = Path(__file__).with_name("cli_replay.json")
+
+
+def replay_digests(capsys, tmp_path, programs):
+    """run label -> [exit code, sha256 of stdout] over `programs`, (name,
+    program) pairs: `certify --frontier --json`, then `classify --side both
+    --json` and `frontier --side D --json` at each frontier point it
+    certified."""
+    out = {}
+
+    def record(label, argv):
+        code, text, _ = run(capsys, argv)
+        out[label] = [code, hashlib.sha256(text.encode()).hexdigest()]
+        return code, text
+
+    for name, p in programs:
+        path = tmp_path / f"{name}.json"
+        path.write_text(emit_problem(p))
+        code, text = record(f"{name} certify", ["certify", str(path), "--frontier", "--json"])
+        if code:
+            continue
+        for cert in json.loads(text)["certificates"]:
+            y0 = ",".join(cert["y0"])
+            record(f"{name} classify {y0}",
+                   ["classify", str(path), f"--y0={y0}", "--side", "both", "--json"])
+            record(f"{name} dual frontier {y0}",
+                   ["frontier", str(path), "--side", "D", f"--y0={y0}", "--json"])
+    return out
+
+
+def replay_programs(criterion_3_program, criterion_4_program):
+    return [(f"c3-{i}", criterion_3_program(i)) for i in range(40)] + [
+        (f"c4-{i}", criterion_4_program(i)) for i in range(20)
+    ]
+
+
+def test_cli_replay_is_byte_identical(capsys, tmp_path, criterion_3_program,
+                                      criterion_4_program):
+    """Every report of the replay, pinned by the sha256 of its stdout and its
+    exit code in `cli_replay.json`: `certify --frontier` on criterion-3
+    programs 0-39 and criterion-4 programs 0-19, and `classify --side both`
+    and `frontier --side D` at each frontier point certified."""
+    got = replay_digests(
+        capsys, tmp_path, replay_programs(criterion_3_program, criterion_4_program)
+    )
+    pins = json.loads(REPLAY_PINS.read_text())
+    assert len(pins) > 150
+    assert got == pins

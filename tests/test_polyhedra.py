@@ -60,7 +60,9 @@ from process_duality.rational import (
     ONE,
     ZERO,
     Vec,
+    affine_apply,
     dot,
+    integer_affine,
     integer_holds,
     integer_rows,
     integer_scaled,
@@ -1278,6 +1280,27 @@ class TestIntegerHelpers:
             got = primitive(ints)
             assert got == fraction_direction(v), v
             assert all(type(x) is int for x in got)
+
+    def test_affine_apply_is_the_fraction_map(self):
+        """M.x + o and M.x, from M and o over one denominator and x over its
+        own, are the Fraction matrix products, entry by entry Fractions; a
+        point of another width is refused."""
+        rng = random.Random(1732)
+        rat = lambda: F(rng.randint(-9, 9), rng.randint(1, 12))
+        for _ in range(300):
+            rows, width = rng.randint(0, 4), rng.randint(1, 4)
+            matrix = tuple(tuple(rat() for _ in range(width)) for _ in range(rows))
+            offset = tuple(rat() for _ in range(rows))
+            x = tuple(rng.choice([rat(), rng.randint(-5, 5)]) for _ in range(width))
+            form = integer_affine(matrix, offset)
+            linear = tuple(sum((a * b for a, b in zip(row, x)), ZERO) for row in matrix)
+            assert affine_apply(form, x, linear=True) == linear
+            got = affine_apply(form, x)
+            assert got == vadd(linear, offset)
+            assert all(type(e) is F for e in got)
+            if rows:
+                with pytest.raises(DimensionMismatch):
+                    affine_apply(form, x + (ONE,))
 
 
 def non_fractions(*sets):
