@@ -16,7 +16,7 @@ def primitive(ints) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (direction kept)."""
     g = gcd(*ints)
     if g > 1:
-        return tuple(x // g for x in ints)
+        return tuple([x // g for x in ints])
     return tuple(ints)
 
 

@@ -129,9 +129,13 @@ class ProgramContext:
     `minimal_frontier_points` records in `minimal` the verdicts it reached,
     point -> minimality in W(0), for the members of W(0) it tested, and
     `certify_multiplier` reads them instead of deciding them again.  The
-    closure image of each W(0) cell (`images`) is made once: `closure` reads
-    its generators, and `closed_vertices` the vertices of the closed cells'
-    images, members of W(0) by construction.  `hull`, the closed convex hull
+    closure image of each W(0) cell (`images`) is made once.  `closure`
+    holds its generators as they were built, which is all that `hull`, the
+    frontier filter's upper image and the check W(0) in M need, and
+    `closed_vertices` the points among them of the closed cells' images,
+    members of W(0) by construction.  The canonical generators of the
+    images are made only where a Pos tie reads them (`cone_verdicts`), and
+    kept on those images for the next tie.  `hull`, the closed convex hull
     of W(0), has its canonical rows converted once per program: at each y0
     the cone C = cl cone(W(0) - y0) is the tangent cone of `hull`, cut out
     by its facets through y0 (`_tangent_cone`; Schrijver 1986, ch. 8), so
@@ -167,8 +171,15 @@ class ProgramContext:
 
     @cached_property
     def closure(self):
-        """(vertices, rays, lines) of the closures of the W(0) cells."""
-        return closure_generators(self.images)
+        """(vertices, rays, lines) of the closures of the W(0) cells, the
+        generators of `images` as they were built (`any_vrep`)."""
+        verts, rays, lines = [], [], []
+        for image in self.images:
+            v = image.any_vrep()
+            verts += v.vertices
+            rays += v.rays
+            lines += v.lines
+        return verts, rays, lines
 
     @cached_property
     def hull(self) -> Polyhedron:
@@ -180,13 +191,26 @@ class ProgramContext:
 
     @cached_property
     def closed_vertices(self) -> frozenset:
-        """The canonical vertices of the closure images of the closed cells
-        (`Cell.closed`).  Such a cell is its own closure image, so each of
-        these vertices is a member of W(0), known with no LP."""
+        """The points of the generators of the closed cells' closure images
+        (`Cell.closed`), as those images were built.  Such a cell is its own
+        closure image, so each of these points is a member of W(0), known
+        with no LP.  A vertex of the upper image that lies in a closed image
+        is a vertex of that image, so it is among any generating set's
+        points."""
         return frozenset(
             v for c, image in zip(self.cells, self.images) if c.closed
-            for v in image.vrep.vertices
+            for v in image.any_vrep().vertices
         )
+
+    def cone_verdicts(self, y0: Vec, with_witnesses: bool = True):
+        """The `_cone_verdicts` of y0 in W(0), None when Y_+ is not pointed.
+        C is read off `hull`; a tied Pos witness reads the canonical
+        generators of `images`, made at the first tie and kept on those
+        images."""
+        yplus = self.program.y_plus
+        if yplus.is_pointed:
+            return _cone_verdicts(self.images, y0, yplus, with_witnesses, hull=self.hull)
+        return None
 
     @cached_property
     def slater(self):
@@ -454,7 +478,7 @@ def _tangent_cone(hull: Polyhedron, y0: Vec) -> PolyhedralCone:
 
 
 def _cone_verdicts(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True,
-                   closure=None, like: Optional[_ConeVerdicts] = None,
+                   like: Optional[_ConeVerdicts] = None,
                    hull: Optional[Polyhedron] = None) -> _ConeVerdicts:
     """The `_ConeVerdicts` of y0 in A, for Y_+ pointed.  `hull` is the
     closed convex hull of A when the caller holds it (by default A's own
@@ -462,9 +486,9 @@ def _cone_verdicts(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool =
     C is its tangent cone at y0, cut out by its facets through y0
     (`_tangent_cone`; Schrijver 1986, ch. 8), so no V->H conversion of C
     runs; when C has Y_+'s canonical rows it is Y_+'s own cone, whose
-    generators are known.
-    `closure` is `closure_generators(a)` when the caller already has it; it
-    is read only at a tie.
+    generators are known.  A's canonical closure generators are read only
+    at a tie: pass A as closed sets that keep them, as
+    `ProgramContext.cone_verdicts` passes the W(0) images.
 
     `like` holds the verdicts of another set at y0.  When its cone has the
     same canonical H-representation as C, they are taken as they are.  A
@@ -472,11 +496,12 @@ def _cone_verdicts(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool =
     generators, with no native LP: the cone, and so the native optimum and
     its value ||y*||_1, are `like`'s."""
     dim = yplus.ambient_dim
+    closure = None
     if hull is None:
         if isinstance(a, (Polyhedron, BoundaryRestrictedPolyhedron)):
             hull = a.closure
         else:
-            closure = closure_generators(a) if closure is None else closure
+            closure = closure_generators(a)
             hull = Polyhedron.from_vrep(dim, *closure)
     cone_a = _tangent_cone(hull, y0)
     if cone_a == yplus.cone:
@@ -512,16 +537,16 @@ def _cone_verdicts(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool =
 
 
 def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True,
-              closure=None, minimal: Optional[bool] = None,
+              minimal: Optional[bool] = None,
               on_cone: Optional[_ConeVerdicts] = None,
               hull: Optional[Polyhedron] = None) -> EfficiencyStatus:
     """classify_proper for a y0 already known to be a member of A; `minimal`
-    is y0's minimality in A when the caller has decided it, `closure` is
-    `closure_generators(a)` and `hull` the closed convex hull of A when the
-    caller already has them, and `on_cone` the `_cone_verdicts` of y0 in A
-    when the caller has them.  C = cl cone(A - y0) is read off the facets of
-    the hull through y0 (`_tangent_cone`; Schrijver 1986, ch. 8), not
-    converted from A's generators shifted by y0.
+    is y0's minimality in A when the caller has decided it, `hull` the
+    closed convex hull of A when the caller already has it, and `on_cone`
+    the `_cone_verdicts` of y0 in A when the caller has them.
+    C = cl cone(A - y0) is read off the facets of the hull through y0
+    (`_tangent_cone`; Schrijver 1986, ch. 8), not converted from A's
+    generators shifted by y0.
 
     Three verdicts are decided by theorem, each on a certificate that is
     checked exactly; the strict LPs of `_is_minimal` and `_is_weak_minimal`
@@ -550,7 +575,7 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
     pointed = yplus.is_pointed
     if pointed:
         if on_cone is None:
-            on_cone = _cone_verdicts(a, y0, yplus, with_witnesses, closure, hull=hull)
+            on_cone = _cone_verdicts(a, y0, yplus, with_witnesses, hull=hull)
         pos = on_cone.y_star is not None
     if minimal is None:
         if pointed and isinstance(a, Polyhedron):
@@ -784,8 +809,7 @@ def certify_multiplier(p, y0, with_witnesses: bool = True) -> Certificate:
     on_p = on_d = None
     if yplus.is_pointed:
         # D takes P's Pos, He, GHe and SE when its cone at y0 is P's
-        on_p = _cone_verdicts(conv.cells, y0, yplus, with_witnesses, conv.closure,
-                              hull=conv.hull)
+        on_p = conv.cone_verdicts(y0, with_witnesses)
         on_d = _cone_verdicts(m, y0, yplus, with_witnesses, like=on_p)
     status_p = _classify(conv.cells, y0, yplus, with_witnesses,
                          minimal=minimal, on_cone=on_p)
@@ -950,8 +974,8 @@ def minimal_frontier(p, limit: int = 10000) -> Frontier:
     cells, points, truncated = minimal_frontier_points(ctx, limit)
     yplus = ctx.program.y_plus
     out = [
-        FrontierPoint(v, _classify(cells, v, yplus, closure=ctx.closure, minimal=True,
-                                   hull=ctx.hull))
+        FrontierPoint(v, _classify(cells, v, yplus, minimal=True,
+                                   on_cone=ctx.cone_verdicts(v)))
         for v in points
     ]
     return Frontier(tuple(out), truncated)
@@ -965,14 +989,11 @@ def dual_frontier(p, L: LagrangeProcess, limit: int = 10000) -> Frontier:
     ctx = _context(p)
     p = ctx.program
     m = hull = dual_image(ctx, L)
-    closure = None
     if not isinstance(m, Polyhedron):
-        closure = closure_generators(m)
-        hull = Polyhedron.from_vrep(p.y_dim, *closure)
+        hull = Polyhedron.from_vrep(p.y_dim, *closure_generators(m))
     points, truncated = _minimal_vertices(m, hull, p.y_plus, limit, {})
     out = [
-        FrontierPoint(v, _classify(m, v, p.y_plus, closure=closure, minimal=True,
-                                   hull=hull))
+        FrontierPoint(v, _classify(m, v, p.y_plus, minimal=True, hull=hull))
         for v in points
     ]
     return Frontier(tuple(out), truncated)

@@ -9,7 +9,6 @@ clause violated (counterexample emitted), 2 input or usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -28,7 +27,13 @@ from .certify import (
 from .errors import NotInW0Error, ProblemFormatError, ProcessDualityError
 from .fuzzing import DEFECTS, run_fuzz
 from .polyhedra import Polyhedron, _of_dim, member
-from .problemfile import _emit_hrep, _emit_vec, instance_hash, load_problem
+from .problemfile import (
+    _emit_hrep,
+    _emit_vec,
+    canonical_json,
+    instance_hash,
+    load_problem,
+)
 from .process import SeparatorCone, lagrange_process, separator_cone
 from .rational import fmt, parse_vector
 
@@ -127,7 +132,7 @@ def _emit_certificate(cert: Certificate, digest: str) -> dict:
 def _dump(data, as_json, out=None):
     out = out if out is not None else sys.stdout
     if as_json:
-        out.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
+        out.write(canonical_json(data) + "\n")
     else:
         _render_text(data, out)
 
@@ -272,7 +277,7 @@ def cmd_classify(args) -> int:
     }
     if args.side in ("P", "both"):
         payload["status_P"] = _emit_status(
-            _classify(ctx.cells, y0, problem.y_plus, closure=ctx.closure, hull=ctx.hull)
+            _classify(ctx.cells, y0, problem.y_plus, on_cone=ctx.cone_verdicts(y0))
         )
     if args.side in ("D", "both"):
         L = lagrange_process(separator_cone(ctx.graph, y0))

@@ -1089,10 +1089,11 @@ def as_cells(obj) -> tuple[Cell, ...]:
                         if fr.retained.is_empty:
                             ok = False
                             break
+                        rows = fr.retained.any_hrep()
                         sys_ = sys_.extended(eq=[(fr.normal, fr.offset)])
                         sys_ = sys_.extended(
-                            le=[(r.normal, r.offset) for r in fr.retained.inequalities()],
-                            eq=[(r.normal, r.offset) for r in fr.retained.equalities()],
+                            le=[(r.normal, r.offset) for r in rows if r.rel == LE],
+                            eq=[(r.normal, r.offset) for r in rows if r.rel == EQ],
                         )
                     else:
                         sys_ = sys_.extended(strict=[(fr.normal, fr.offset)])

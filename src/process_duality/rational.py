@@ -52,10 +52,10 @@ def integer_scaled(values) -> tuple[tuple[int, ...], int]:
     """(ints, d) with d > 0 the lcm of the denominators of `values` (ints or
     Fractions), so that ints / d == values: the one place where a rational
     vector becomes integers (`quotients` is its inverse)."""
-    d = lcm(*(x.denominator for x in values))
+    d = lcm(*[x.denominator for x in values])
     if d == 1:
-        return tuple(x.numerator for x in values), 1
-    return tuple(x.numerator * (d // x.denominator) for x in values), d
+        return tuple([x.numerator for x in values]), 1
+    return tuple([x.numerator * (d // x.denominator) for x in values]), d
 
 
 def integer_rows(rows) -> tuple[tuple[tuple[int, ...], int, int], ...]:
@@ -117,7 +117,7 @@ def quotients(ints: Iterable[int], c: int) -> Vec:
     """The exact quotients x / c of integers x by a nonzero integer c."""
     if c == 1:
         return tuple(map(Fraction, ints))
-    return tuple(Fraction(x, c) for x in ints)
+    return tuple([Fraction(x, c) for x in ints])
 
 
 def zeros(n: int) -> Vec:

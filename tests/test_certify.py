@@ -948,17 +948,15 @@ class TestTangentCone:
             (a if hull is None else hull).hrep
             before = len(to_rows)
             out = verdicts(a, y0, yplus, *args, hull=hull, **kwargs)
-            closure = args[1] if len(args) > 1 else None
-            calls.append((a, y0, closure, to_rows[before:]))
+            calls.append((a, y0, to_rows[before:]))
             return out
 
         monkeypatch.setattr(certify_module, "_cone_verdicts", recorded)
         _certify_frontiers(criterion_3_program(i) for i in range(40))
         monkeypatch.undo()
         converted = 0
-        for a, y0, closure, inputs in calls:
-            closure = closure_generators(a) if closure is None else closure
-            old_route = generator_route_cone(closure, y0).any_vrep()
+        for a, y0, inputs in calls:
+            old_route = generator_route_cone(closure_generators(a), y0).any_vrep()
             assert all(v != old_route for _, v in inputs)
             converted += len(inputs)
         assert len(calls) > 100 and converted > 20, (len(calls), converted)
@@ -2039,7 +2037,7 @@ class TestMinimalityByTheorem:
         for v in ctx.closure[0]:
             if member(ctx.cells, v):
                 status = certify_module._classify(
-                    ctx.cells, v, yplus, False, closure=ctx.closure
+                    ctx.cells, v, yplus, False, hull=ctx.hull
                 )
                 assert verdicts(status, ctx.cells, v) == lp_minimality(
                     ctx.cells, v, yplus
@@ -2191,11 +2189,9 @@ class TestMinimalityByTheorem:
             yplus = ctx.program.y_plus
             for y0 in points:
                 m = dual_image(ctx, lagrange_process(separator_cone(ctx.graph, y0)))
-                for a, closure in ((ctx.cells, ctx.closure), (m, None)):
+                for a, hull in ((ctx.cells, ctx.hull), (m, None)):
                     calls.clear()
-                    status = certify_module._classify(
-                        a, y0, yplus, False, closure=closure
-                    )
+                    status = certify_module._classify(a, y0, yplus, False, hull=hull)
                     assert status.pos is None or calls == [1], (i, y0)
                     classified += status.pos is not None
         assert classified > 20
@@ -2326,6 +2322,46 @@ class TestProgramContext:
         assert certified > 50
         # each program (and each relaxation) builds these once at most
         assert built and set(built.values()) == {1}
+
+    def test_w0_images_are_canonical_only_at_a_tie(self, monkeypatch, criterion_3_program):
+        """Over `certify --frontier` on criterion-3 programs 0-39 the hull,
+        the frontier filter and the check W(0) in M read the W(0) images'
+        generators as they were built (`ProgramContext.closure`): no image's
+        canonical generators are read but by the tie rule of a tied Pos LP,
+        at programs 16 and 29."""
+        reads, tie = [], [False]
+        vrep = Polyhedron.vrep.fget
+        monkeypatch.setattr(
+            Polyhedron, "vrep", property(lambda q: reads.append((q, tie[0])) or vrep(q))
+        )
+        functional = certify_module.l1_functional
+
+        def l1_functional(dim, ge_one, ge_zero, eq_zero, at_tie):
+            def rows():
+                tie[0] = True
+                try:
+                    return at_tie()
+                finally:
+                    tie[0] = False
+            return functional(dim, ge_one, ge_zero, eq_zero, rows)
+
+        monkeypatch.setattr(certify_module, "l1_functional", l1_functional)
+        tied = []
+        for i in range(40):
+            ctx = ProgramContext(criterion_3_program(i))
+            reads.clear()
+            try:
+                _, points, _ = minimal_frontier_points(ctx)
+            except EmptyFeasibleError:
+                continue
+            for y0 in points:
+                certify_multiplier(ctx, y0)
+            images = {id(image) for image in ctx.images}
+            at_tie = [t for q, t in reads if id(q) in images]
+            assert all(at_tie), i
+            if at_tie:
+                tied.append(i)
+        assert tied == [16, 29]
 
     def test_graph_is_built_after_the_w0_check(self, monkeypatch, planar_i3):
         def no_graph(p):

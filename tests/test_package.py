@@ -42,6 +42,28 @@ def test_only_rational_reads_numerators_and_denominators():
     assert readers == []
 
 
+def test_only_problemfile_writes_json():
+    """Reports have one writer, `problemfile.canonical_json`: no module but
+    `problemfile` calls `json.dumps` or imports `dumps` from `json`."""
+    package = Path(process_duality.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    assert sources
+    writers = []
+    for path in sources:
+        if path.name == "problemfile.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute) and node.attr == "dumps"
+                and isinstance(node.value, ast.Name) and node.value.id == "json"
+            ) or (
+                isinstance(node, ast.ImportFrom) and node.module == "json"
+                and any(a.name == "dumps" for a in node.names)
+            ):
+                writers.append((path.name, node.lineno))
+    assert writers == []
+
+
 REPRESENTATION_SLOTS = {"_raw_hrep", "_raw_vrep", "_hrep", "_vrep", "_ints"}
 
 

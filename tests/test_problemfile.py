@@ -4,7 +4,9 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from process_duality import polyhedra as polyhedra_module
 from process_duality.errors import ProblemFormatError
 from process_duality.model import (
     AffineVectorProgram,
@@ -19,6 +21,7 @@ from process_duality.polyhedra import (
     Polyhedron,
 )
 from process_duality.problemfile import (
+    canonical_json,
     emit_problem,
     instance_hash,
     parse_problem,
@@ -222,3 +225,69 @@ class TestFiniteKinds:
         }
         with pytest.raises(ProblemFormatError):
             parse_problem(json.dumps(doc))
+
+
+# text with what the encoder escapes: quotes, backslashes, control
+# characters, non-ASCII and astral characters (written as surrogate pairs)
+TEXT = st.text() | st.sampled_from(
+    ["", '"', "\\", "\x00", "\x1f\x7f", "\n\t", "\u00e9", "\u2028", "\U0001f600"]
+)
+JSON_DATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXT,
+    lambda inner: (
+        st.lists(inner)
+        | st.lists(inner).map(tuple)
+        | st.dictionaries(TEXT, inner)
+    ),
+    max_leaves=40,
+)
+
+
+class TestCanonicalJson:
+    """`canonical_json` writes `json.dumps(data, sort_keys=True, indent=2)`
+    byte for byte, and refuses what a report never holds."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_DATA)
+    @example({"b": [True, 1, False, 0, -7, None], "a": {}, "": [[], ()], "\u00e9": "\\"})
+    @example([{"z": {"y": [1, [2, {"x": ()}]]}}, -(10 ** 30), "\"\x01"])
+    def test_is_the_standard_encoder(self, data):
+        assert canonical_json(data) == json.dumps(data, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("data", [
+        1.5, [0.0], {"a": float("nan")}, {1, 2}, [frozenset()], {1: "a"},
+        {"a": {None: 1}}, {("a",): 1}, b"bytes",
+    ])
+    def test_refuses_other_data(self, data):
+        with pytest.raises(TypeError):
+            canonical_json(data)
+
+
+class TestSharedOrderCone:
+    def test_z_plus_equal_to_y_plus_is_its_cone(self, monkeypatch, criterion_3_program):
+        """Where Z_+ has Y_+'s dimension and generator list, as at
+        criterion-3 programs 30 (R_-) and 34 (R_+), Z_+ is Y_+'s own
+        `OrderCone`: the parse runs 2 fewer double descriptions than for the
+        same file with Z_+'s generator scaled, and emits the same text."""
+        dd = []
+        cone_dd = polyhedra_module.cone_dd
+        monkeypatch.setattr(
+            polyhedra_module, "cone_dd", lambda *args: dd.append(1) or cone_dd(*args)
+        )
+
+        def parsed(text):
+            dd.clear()
+            return parse_problem(text), len(dd)
+
+        for i in (30, 34):
+            text = emit_problem(criterion_3_program(i))
+            doc = json.loads(text)
+            assert doc["z_plus"] == doc["y_plus"], i
+            p, shared = parsed(text)
+            assert p.z_plus is p.y_plus, i
+            [[g]] = doc["z_plus"]["generators"]
+            doc["z_plus"]["generators"] = [[g.replace("1/", "2/")]]
+            q, separate = parsed(json.dumps(doc))
+            assert q.z_plus is not q.y_plus, i
+            assert separate - shared == 2, (i, shared, separate)
+            assert emit_problem(p) == emit_problem(q) == text, i
