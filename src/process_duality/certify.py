@@ -32,17 +32,17 @@ no LP:
   of A, so its canonical rows are the hull's canonical rows tight at y0
   (`_tangent_cone`), read off the hull that the program's context or M
   already holds;
-- Pos, He, GHe and SE are functions of C and Y_+ alone, so a certificate
-  decides them once where M's cone at y0 has W(0)'s canonical rows, and
-  only a tied Pos witness is chosen again, by the split form alone
-  (`_cone_verdicts`);
+- Pos, He, GHe and SE are functions of C and Y_+ alone, and so is the Pos
+  witness, the L1-minimal functional over C's canonical generators, ties
+  included, so a certificate decides them once where M's cone at y0 has
+  W(0)'s canonical rows (`_cone_verdicts`);
 - where Y_+'s base vertices are its generators, He's distance delta is
   1 / ||y*||_1 of the Pos functional y* (`_henig_eta`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -80,11 +80,9 @@ from .polyhedra import (
     functional_system,
     identity_cell,
     intersect_empty,
-    l1_functional,
     l1_minimum,
     member,
     positive_functional,
-    tie_functional,
 )
 from .process import (
     LagrangeProcess,
@@ -133,13 +131,13 @@ class ProgramContext:
     holds its generators as they were built, which is all that `hull`, the
     frontier filter's upper image and the check W(0) in M need, and
     `closed_vertices` the points among them of the closed cells' images,
-    members of W(0) by construction.  The canonical generators of the
-    images are made only where a Pos tie reads them (`cone_verdicts`), and
-    kept on those images for the next tie.  `hull`, the closed convex hull
-    of W(0), has its canonical rows converted once per program: at each y0
-    the cone C = cl cone(W(0) - y0) is the tangent cone of `hull`, cut out
-    by its facets through y0 (`_tangent_cone`; Schrijver 1986, ch. 8), so
-    no y0 converts C from generators.
+    members of W(0) by construction; no image's canonical generators are
+    made.  `hull`, the closed convex hull of W(0), has its canonical rows
+    converted once per program: at each y0 the cone C = cl cone(W(0) - y0)
+    is the tangent cone of `hull`, cut out by its facets through y0
+    (`_tangent_cone`; Schrijver 1986, ch. 8), so no y0 converts C from
+    generators, and the Pos witness reads only C's own canonical
+    generators (`cone_verdicts`).
 
     A finite program is certified through its simplex relaxation: `convex`
     is the context of the program that the transfer theorems run on, this
@@ -203,13 +201,11 @@ class ProgramContext:
         )
 
     def cone_verdicts(self, y0: Vec, with_witnesses: bool = True):
-        """The `_cone_verdicts` of y0 in W(0), None when Y_+ is not pointed.
-        C is read off `hull`; a tied Pos witness reads the canonical
-        generators of `images`, made at the first tie and kept on those
-        images."""
+        """The `_cone_verdicts` of y0 in W(0), read off `hull`, None when Y_+
+        is not pointed."""
         yplus = self.program.y_plus
         if yplus.is_pointed:
-            return _cone_verdicts(self.images, y0, yplus, with_witnesses, hull=self.hull)
+            return _cone_verdicts(self.hull, y0, yplus, with_witnesses)
         return None
 
     @cached_property
@@ -364,7 +360,7 @@ def _henig_distance(cone_a: PolyhedralCone, base: Polyhedron) -> Fraction:
 def _henig_eta(cone_a: PolyhedralCone, yplus: OrderCone, y_star: Vec) -> Fraction:
     """The largest admissible eta = 2^-k, k < 64, for the Henig witness, with
     K_eta built on the bounded base of `yplus`; `y_star` is the Pos
-    functional of `cone_a` (`l1_functional` over Y_+'s generators).
+    functional of `cone_a` (`positive_functional` over Y_+'s generators).
 
     Every eta > delta (`_henig_distance`) is inadmissible, and every eta <
     delta is admissible by delta alone.  delta is 1 / ||h||_1 of the
@@ -441,12 +437,11 @@ class _ConeVerdicts:
     Y_+ pointed: the Pos functional y* (None when Pos fails), He's eta
     (None without He or without witnesses) and SE's rho (None when SE
     fails).  Each is a function of (C, Y_+) alone (Isermann 1974; Henig
-    1982), except y* when `tied`: the tie rule picks it by the rows of the
-    split form, the closure generators of A."""
+    1982), y* too: it is `positive_functional` over Y_+'s generators and
+    C's canonical generators, whose tie rule reads only those rows."""
 
     cone: PolyhedralCone
     y_star: Optional[Vec]
-    tied: bool
     he_eta: Optional[Fraction]
     se_rho: Optional[Fraction]
 
@@ -477,52 +472,36 @@ def _tangent_cone(hull: Polyhedron, y0: Vec) -> PolyhedralCone:
     )
 
 
-def _cone_verdicts(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True,
-                   like: Optional[_ConeVerdicts] = None,
-                   hull: Optional[Polyhedron] = None) -> _ConeVerdicts:
-    """The `_ConeVerdicts` of y0 in A, for Y_+ pointed.  `hull` is the
-    closed convex hull of A when the caller holds it (by default A's own
-    closure when A is a set, else the hull of `closure_generators(a)`), and
-    C is its tangent cone at y0, cut out by its facets through y0
-    (`_tangent_cone`; Schrijver 1986, ch. 8), so no V->H conversion of C
-    runs; when C has Y_+'s canonical rows it is Y_+'s own cone, whose
-    generators are known.  A's canonical closure generators are read only
-    at a tie: pass A as closed sets that keep them, as
-    `ProgramContext.cone_verdicts` passes the W(0) images.
+def _closed_hull(a: SetLike, dim: int) -> Polyhedron:
+    """The closed convex hull of A in dimension dim: A's own closure when A
+    is one set, else the hull of its pieces' `closure_generators`."""
+    if isinstance(a, (Polyhedron, BoundaryRestrictedPolyhedron)):
+        return a.closure
+    return Polyhedron.from_vrep(dim, *closure_generators(a))
+
+
+def _cone_verdicts(hull: Polyhedron, y0: Vec, yplus: OrderCone,
+                   with_witnesses: bool = True,
+                   like: Optional[_ConeVerdicts] = None) -> _ConeVerdicts:
+    """The `_ConeVerdicts` of y0 in a set A whose closed convex hull is
+    `hull`, for Y_+ pointed.  C is the tangent cone of hull at y0, cut out
+    by its facets through y0 (`_tangent_cone`; Schrijver 1986, ch. 8), so no
+    V->H conversion of C runs; when C has Y_+'s canonical rows it is Y_+'s
+    own cone, whose generators are known.
 
     `like` holds the verdicts of another set at y0.  When its cone has the
-    same canonical H-representation as C, they are taken as they are.  A
-    tied y* is chosen again by the tie rule over A's own closure
-    generators, with no native LP: the cone, and so the native optimum and
-    its value ||y*||_1, are `like`'s."""
-    dim = yplus.ambient_dim
-    closure = None
-    if hull is None:
-        if isinstance(a, (Polyhedron, BoundaryRestrictedPolyhedron)):
-            hull = a.closure
-        else:
-            closure = closure_generators(a)
-            hull = Polyhedron.from_vrep(dim, *closure)
+    same canonical H-representation as C, they are taken whole, y* included:
+    every verdict is a function of (C, Y_+)."""
     cone_a = _tangent_cone(hull, y0)
     if cone_a == yplus.cone:
         cone_a = yplus.cone
-
-    def tie_rows():
-        """The split form's rows at a tie: A's closure generators at y0."""
-        verts, rays, lines = closure_generators(a) if closure is None else closure
-        return [vsub(v, y0) for v in verts] + list(rays), lines
-
-    shared = like is not None and like.cone == cone_a
-    if shared and not like.tied:
+    if like is not None and like.cone == cone_a:
         return like
-    if shared:
-        value = sum(map(abs, like.y_star))
-        return replace(like, y_star=tie_functional(dim, yplus.generators, tie_rows(), value))
     # Pos: y* in Y_+^{+i} supporting cl A at y0.  Its feasible set is fixed
-    # by C alone, so the LP reads C's canonical generators; at a tie the
-    # witness is the split-form vertex over A's closure generators.
-    y_star, tied = l1_functional(
-        dim, yplus.generators, cone_a.generators, cone_a.lineality, tie_rows
+    # by C alone, so the LP reads C's canonical generators, and at a tie the
+    # split form over the same rows chooses y*.
+    y_star = positive_functional(
+        yplus.ambient_dim, yplus.generators, cone_a.generators, cone_a.lineality
     )
     he_eta = None
     if y_star is not None and with_witnesses:
@@ -533,17 +512,16 @@ def _cone_verdicts(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool =
     se_rho = None
     if not bounded_part.rays and not bounded_part.lines:
         se_rho = max((inf_norm(v) for v in bounded_part.vertices), default=ZERO)
-    return _ConeVerdicts(cone_a, y_star, tied, he_eta, se_rho)
+    return _ConeVerdicts(cone_a, y_star, he_eta, se_rho)
 
 
 def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True,
               minimal: Optional[bool] = None,
-              on_cone: Optional[_ConeVerdicts] = None,
-              hull: Optional[Polyhedron] = None) -> EfficiencyStatus:
+              on_cone: Optional[_ConeVerdicts] = None) -> EfficiencyStatus:
     """classify_proper for a y0 already known to be a member of A; `minimal`
-    is y0's minimality in A when the caller has decided it, `hull` the
-    closed convex hull of A when the caller already has it, and `on_cone`
-    the `_cone_verdicts` of y0 in A when the caller has them.
+    is y0's minimality in A when the caller has decided it, and `on_cone`
+    the `_cone_verdicts` of y0 in A when the caller has them, else they are
+    decided on A's closed convex hull (`_closed_hull`).
     C = cl cone(A - y0) is read off the facets of the hull through y0
     (`_tangent_cone`; Schrijver 1986, ch. 8), not converted from A's
     generators shifted by y0.
@@ -575,7 +553,8 @@ def _classify(a: SetLike, y0: Vec, yplus: OrderCone, with_witnesses: bool = True
     pointed = yplus.is_pointed
     if pointed:
         if on_cone is None:
-            on_cone = _cone_verdicts(a, y0, yplus, with_witnesses, hull=hull)
+            hull = _closed_hull(a, yplus.ambient_dim)
+            on_cone = _cone_verdicts(hull, y0, yplus, with_witnesses)
         pos = on_cone.y_star is not None
     if minimal is None:
         if pointed and isinstance(a, Polyhedron):
@@ -988,12 +967,12 @@ def dual_frontier(p, L: LagrangeProcess, limit: int = 10000) -> Frontier:
     M + Y_+ = M and the filter may decide by theorem (`_minimal_vertices`)."""
     ctx = _context(p)
     p = ctx.program
-    m = hull = dual_image(ctx, L)
-    if not isinstance(m, Polyhedron):
-        hull = Polyhedron.from_vrep(p.y_dim, *closure_generators(m))
-    points, truncated = _minimal_vertices(m, hull, p.y_plus, limit, {})
-    out = [
-        FrontierPoint(v, _classify(m, v, p.y_plus, minimal=True, hull=hull))
-        for v in points
-    ]
+    m = dual_image(ctx, L)
+    hull = _closed_hull(m, p.y_dim)
+    yplus = p.y_plus
+    points, truncated = _minimal_vertices(m, hull, yplus, limit, {})
+    out = []
+    for v in points:
+        on_cone = _cone_verdicts(hull, v, yplus) if yplus.is_pointed else None
+        out.append(FrontierPoint(v, _classify(m, v, yplus, minimal=True, on_cone=on_cone)))
     return Frontier(tuple(out), truncated)

@@ -569,47 +569,22 @@ def cone_structure(k: PolyhedralCone) -> ConeStructure:
     return ConeStructure(0, True, True, base, h)
 
 
-def positive_functional(dim, ge_one, ge_zero=(), eq_zero=(), at_tie=None) -> Optional[Vec]:
+def positive_functional(dim, ge_one, ge_zero=(), eq_zero=()) -> Optional[Vec]:
     """Deterministic h with <h, a> >= 1 on every `ge_one` row, >= 0 on every
     `ge_zero` row and = 0 on every `eq_zero` row, or None when there is none.
 
     h is split into h+ - h- and the L1-minimal split is taken, by the rule of
-    `l1_minimal_point`: the unique optimum when there is one, which is the
-    same whatever rows describe the same set of functionals, and at a tie
-    the vertex Bland's rule reaches on the split form over the rows met in
-    the order given, `ge_one` before `ge_zero`.  `at_tie`, a function giving
-    a pair (ge_zero, eq_zero) with the same solutions as the given one,
-    names the rows of that tie-breaking form in place of the given ones; it
-    is called only at a tie.  h is emitted in reports.
+    `l1_minimal_point` over these rows: the unique optimum when there is
+    one, the same whatever rows describe the same set of functionals, and at
+    a tie the vertex Bland's rule reaches on the split form over the rows in
+    the order given, `ge_one` before `ge_zero`.  So h is a function of the
+    rows, and over a cone's canonical generators a function of the cone.
+    h is emitted in reports.
     """
-    return l1_functional(dim, ge_one, ge_zero, eq_zero, at_tie)[0]
-
-
-def l1_functional(dim, ge_one, ge_zero=(), eq_zero=(), at_tie=None):
-    """(h, tied): the h of `positive_functional`, and whether the tie rule
-    chose it.  h depends on the rows only when tied is True: otherwise it is
-    the unique L1-minimal functional of the set the rows describe."""
-    x, tied = l1_minimal_point(
-        functional_system(dim, ge_one, ge_zero, eq_zero),
-        None if at_tie is None else lambda: functional_system(dim, ge_one, *at_tie()),
-    )
+    x = l1_minimal_point(functional_system(dim, ge_one, ge_zero, eq_zero))
     if x is None:
-        return None, False
-    return _split_difference(x, dim), tied
-
-
-def tie_functional(dim, ge_one, rows, value: Fraction) -> Vec:
-    """The h that `l1_functional` chooses at a tie, for a set of functionals
-    already known to tie with L1-minimal value `value`: the split-form
-    vertex over `ge_one` and `rows`, a pair (ge_zero, eq_zero), with no
-    native LP run again."""
-    return _split_difference(
-        _split_form_point(functional_system(dim, ge_one, *rows), value), dim
-    )
-
-
-def _split_difference(x: Vec, dim: int) -> Vec:
-    """h = h+ - h- of a point x = (h+, h-) of `functional_system`."""
+        return None
+    # h = h+ - h- of the point x = (h+, h-)
     return tuple(x[j] - x[dim + j] for j in range(dim))
 
 
@@ -638,10 +613,9 @@ def l1_minimum(system: LinearSystem):
     return out if out.status is LpStatus.OPTIMAL else None
 
 
-def l1_minimal_point(system: LinearSystem, at_tie=None):
-    """(x, tied): the point of `system` with every coordinate >= 0 and the
-    least coordinate sum, None when there is none, and whether the tie rule
-    below chose it.
+def l1_minimal_point(system: LinearSystem) -> Optional[Vec]:
+    """The point of `system` with every coordinate >= 0 and the least
+    coordinate sum, None when there is none.
 
     The point is defined by a rule.  It is the point of `l1_minimum` when
     that optimum is unique, which every exact formulation of the same set
@@ -650,13 +624,12 @@ def l1_minimal_point(system: LinearSystem, at_tie=None):
     slackness every optimal point lies on the EQ rows, the LE rows with a
     nonzero dual and the bounds x_j >= 0 with a nonzero multiplier, so when
     those have rank dim no other point is optimal.  Otherwise, at a tie,
-    the point is the vertex that Bland's rule reaches on the split form
-    (`_split_form_point`) of `at_tie()`, a system with the same nonnegative
-    points, made only at a tie (default `system`).
+    the point is the vertex that Bland's rule reaches on the split form of
+    the same rows (`_split_form_point`).
     """
     native = l1_minimum(system)
     if native is None:
-        return None, False
+        return None
     dim = system.dim
     # a bound with a nonzero multiplier fixes its coordinate at 0, so the EQ
     # rows and the LE rows with a nonzero dual must have full rank on the
@@ -667,9 +640,8 @@ def l1_minimal_point(system: LinearSystem, at_tie=None):
     held += [(tuple(a[j] for j in keep), b) for a, b in system.eq]
     x, d = integer_scaled(native.primal_point)
     if tight_rank([x[j] for j in keep], d, (), integer_rows(held))[1] == len(keep):
-        return native.primal_point, False
-    split = at_tie() if at_tie is not None else system
-    return _split_form_point(split, native.objective_value), True
+        return native.primal_point
+    return _split_form_point(system, native.objective_value)
 
 
 def _split_form_point(system: LinearSystem, value: Fraction) -> Vec:

@@ -991,30 +991,17 @@ def _split_form_point(system):
 @pytest.fixture
 def l1_against_split_form(monkeypatch):
     """Wrap `l1_minimal_point` where `polyhedra` calls it: each point it
-    returns must be the split-form point over the system that breaks ties
-    (made by `at_tie()`, default the system itself), the point emitted
-    before native nonnegative variables, and it must say that the tie rule
-    chose the point exactly at a tie.  Wrap `l1_minimum` where `certify` calls it (delta
-    and C5, which read only the value or whether there is one): it must be
-    None where the split form has no point, and otherwise its value must be
-    the coordinate sum of the split-form point.  Wrap `tie_functional` where
-    `certify` calls it (a tie already met on the same cone): its h must be
-    the split-form point's, whose coordinate sum is the value given.
+    returns must be the split-form point over the same system, the point
+    emitted before native nonnegative variables.  Wrap `l1_minimum` where
+    `certify` calls it (delta and C5, which read only the value or whether
+    there is one): it must be None where the split form has no point, and
+    otherwise its value must be the coordinate sum of the split-form point.
     Returns a Counter of the native LPs by kind: "unique"
     (`_certified_unique`), "tie", "none" (infeasible) or "value" (read by
-    `certify`), and of the "shared tie" calls."""
+    `certify`)."""
     solve = polyhedra.l1_minimal_point
     minimum = polyhedra.l1_minimum
-    tie_functional = polyhedra.tie_functional
     seen = Counter()
-
-    def tie(dim, ge_one, rows, value):
-        h = tie_functional(dim, ge_one, rows, value)
-        split = _split_form_point(polyhedra.functional_system(dim, ge_one, *rows))
-        seen["shared tie"] += 1
-        assert sum(split) == value
-        assert h == tuple(split[j] - split[dim + j] for j in range(dim))
-        return h
 
     def valued(system):
         out = minimum(system)
@@ -1024,23 +1011,20 @@ def l1_against_split_form(monkeypatch):
         assert out is None or out.objective_value == sum(split)
         return out
 
-    def checked(system, at_tie=None):
-        got, tied = solve(system, at_tie)
+    def checked(system):
+        got = solve(system)
         native_system = system.extended(nonneg=range(system.dim))
         native = lp_solve((1,) * system.dim, native_system)
         if native.status is not LpStatus.OPTIMAL:
             seen["none"] += 1
-            assert not tied
         elif _certified_unique(native_system, native):
             seen["unique"] += 1
-            assert got == native.primal_point and not tied
+            assert got == native.primal_point
         else:
             seen["tie"] += 1
-            assert tied
-        assert got == _split_form_point(system if at_tie is None else at_tie())
-        return got, tied
+        assert got == _split_form_point(system)
+        return got
 
     monkeypatch.setattr(polyhedra, "l1_minimal_point", checked)
     monkeypatch.setattr(certify, "l1_minimum", valued)
-    monkeypatch.setattr(certify, "tie_functional", tie)
     return seen

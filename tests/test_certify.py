@@ -591,7 +591,7 @@ class TestHenigEta:
 
     def test_distance_lp_without_optimum_raises(self, monkeypatch, planar_i3):
         # the distance LP is the first `l1_minimum` that `certify` runs; the
-        # Pos LPs run theirs inside `l1_functional`
+        # Pos LPs run theirs inside `positive_functional`
         monkeypatch.setattr(certify_module, "l1_minimum", lambda system: None)
         with pytest.raises(InternalConsistencyError, match="Henig distance LP"):
             certify_multiplier(_distinct_base(planar_i3), (F(1, 2), F(1, 2)))
@@ -763,30 +763,51 @@ class TestClosedCells:
         assert kept > 25
 
 
+def _record_shared_verdicts(monkeypatch):
+    """Record, for each `_cone_verdicts` given another set's verdicts
+    `like` (D given P's), (where, same, tied, lps): the first entry of the
+    returned `at`, which the caller sets, whether D's cone is P's, whether
+    P's Pos LP, the last one run without `like`, met a tie
+    (`_split_form_point` ran), and the LPs the call with `like` ran."""
+    verdicts = certify_module._cone_verdicts
+    split_form = polyhedra_module._split_form_point
+    solves = spy_everywhere(monkeypatch, polyhedra_module.lp_solve)
+    ties, tied, shared, at = [], [False], [], [None]
+
+    def counted(*args):
+        ties.append(args)
+        return split_form(*args)
+
+    def recorded(*args, like=None, **kwargs):
+        before, lps = len(ties), len(solves)
+        out = verdicts(*args, like=like, **kwargs)
+        if like is None:
+            tied[0] = len(ties) > before
+        else:
+            same = like.cone == out.cone
+            assert (out is like) == same
+            shared.append((at[0], same, tied[0], len(solves) - lps))
+        return out
+
+    monkeypatch.setattr(polyhedra_module, "_split_form_point", counted)
+    monkeypatch.setattr(certify_module, "_cone_verdicts", recorded)
+    return shared, at
+
+
 class TestSharedConeVerdicts:
-    """Pos, He, GHe and SE depend on C = cl cone(A - y0) and Y_+ alone, so a
-    certificate decides them once where M's cone at y0 is W(0)'s."""
+    """Pos, He, GHe and SE, and the Pos witness, depend on C = cl cone(A -
+    y0) and Y_+ alone, so a certificate decides them once where M's cone at
+    y0 is W(0)'s."""
 
     def test_shared_verdicts_equal_a_fresh_classification(
         self, monkeypatch, criterion_3_program
     ):
-        """D takes P's verdicts, eta and rho where its cone has P's canonical
-        rows, and chooses a tied Pos witness again over M's closure
-        generators.  Its status and witnesses equal those of
-        `_classify(m, y0, yplus)` deciding everything itself, on criterion
-        3 programs 0-39: program 16 shares a cone with a tie, and program
-        29 has a tie of its own."""
-        verdicts = certify_module._cone_verdicts
-        shared = []
-
-        def recorded(*args, like=None, **kwargs):
-            out = verdicts(*args, like=like, **kwargs)
-            if like is not None:
-                shared.append((out.cone is like.cone, like.tied))
-                assert (like.cone == out.cone) == shared[-1][0]
-            return out
-
-        monkeypatch.setattr(certify_module, "_cone_verdicts", recorded)
+        """D takes P's verdicts, eta, rho and Pos witness whole where its
+        cone has P's canonical rows.  Its status and witnesses equal those
+        of `_classify(m, y0, yplus)` deciding everything itself, on
+        criterion 3 programs 0-39: program 16 shares a cone whose Pos LP
+        tied, and program 29 has a tie on a cone of its own."""
+        shared, at = _record_shared_verdicts(monkeypatch)
         seen = Counter()
         for i in range(40):
             ctx = ProgramContext(criterion_3_program(i))
@@ -796,38 +817,32 @@ class TestSharedConeVerdicts:
                 continue
             yplus = ctx.program.y_plus
             for y0 in points:
+                at[0] = i
                 shared.clear()
                 cert = certify_multiplier(ctx, y0)
                 fresh = certify_module._classify(cert.dual_image, y0, yplus)
                 assert cert.status_D == fresh, (i, y0)
                 assert cert.status_D.witnesses == fresh.witnesses, (i, y0)
                 assert len(shared) == yplus.is_pointed
-                for same, tied in shared:
+                for _, same, tied, _ in shared:
                     seen[same, tied] += 1
                     seen[i, same, tied] += 1
         assert seen[True, False] > 10 and seen[False, False] > 30, seen
         assert seen[16, True, True] and seen[29, False, True], seen
 
-
-    def test_a_shared_tie_runs_only_the_split_form(self, monkeypatch,
-                                                   criterion_3_program):
-        """Where D's cone is P's and P's Pos optimum tied (program 16), the
-        cone, the native optimum and its value are P's: D runs one LP, the
-        split form over M's closure generators, and no native LP again."""
-        solves = spy_everywhere(monkeypatch, polyhedra_module.lp_solve)
-        verdicts = certify_module._cone_verdicts
-        runs = []
-
-        def recorded(*args, like=None, **kwargs):
-            before = len(solves)
-            out = verdicts(*args, like=like, **kwargs)
-            if like is not None and like.tied and out.cone is like.cone:
-                runs.append(len(solves) - before)
-            return out
-
-        monkeypatch.setattr(certify_module, "_cone_verdicts", recorded)
-        _certify_frontiers([criterion_3_program(16)])
-        assert runs and set(runs) == {1}, runs
+    def test_a_d_cone_equal_to_ps_runs_no_l1_lp(self, monkeypatch,
+                                                criterion_3_program):
+        """Where D's cone is P's, D takes P's verdicts whole and runs no LP,
+        on criterion 3 programs 0-39, program 16's shared tie included;
+        elsewhere D runs its own Pos LP."""
+        shared, at = _record_shared_verdicts(monkeypatch)
+        for i in range(40):
+            at[0] = i
+            _certify_frontiers([criterion_3_program(i)])
+        assert all(lps == 0 for _, same, _, lps in shared if same), shared
+        assert all(lps > 0 for _, same, _, lps in shared if not same), shared
+        assert (16, True, True, 0) in shared, shared
+        assert sum(same for _, same, _, _ in shared) > 10, shared
 
 
 def generator_route_cone(closure, y0):
@@ -944,19 +959,19 @@ class TestTangentCone:
         verdicts = certify_module._cone_verdicts
         calls = []
 
-        def recorded(a, y0, yplus, *args, hull=None, **kwargs):
-            (a if hull is None else hull).hrep
+        def recorded(hull, y0, yplus, *args, **kwargs):
+            hull.hrep
             before = len(to_rows)
-            out = verdicts(a, y0, yplus, *args, hull=hull, **kwargs)
-            calls.append((a, y0, to_rows[before:]))
+            out = verdicts(hull, y0, yplus, *args, **kwargs)
+            calls.append((hull, y0, to_rows[before:]))
             return out
 
         monkeypatch.setattr(certify_module, "_cone_verdicts", recorded)
         _certify_frontiers(criterion_3_program(i) for i in range(40))
         monkeypatch.undo()
         converted = 0
-        for a, y0, inputs in calls:
-            old_route = generator_route_cone(closure_generators(a), y0).any_vrep()
+        for hull, y0, inputs in calls:
+            old_route = generator_route_cone(closure_generators(hull), y0).any_vrep()
             assert all(v != old_route for _, v in inputs)
             converted += len(inputs)
         assert len(calls) > 100 and converted > 20, (len(calls), converted)
@@ -2037,7 +2052,7 @@ class TestMinimalityByTheorem:
         for v in ctx.closure[0]:
             if member(ctx.cells, v):
                 status = certify_module._classify(
-                    ctx.cells, v, yplus, False, hull=ctx.hull
+                    ctx.cells, v, yplus, False, on_cone=ctx.cone_verdicts(v, False)
                 )
                 assert verdicts(status, ctx.cells, v) == lp_minimality(
                     ctx.cells, v, yplus
@@ -2165,7 +2180,7 @@ class TestMinimalityByTheorem:
         """He is read off the Pos LP and SE off a double description, and
         the two must agree: with the Pos LP made to find no functional at
         a super-efficient point, the classification raises."""
-        monkeypatch.setattr(certify_module, "l1_functional", lambda *args: (None, False))
+        monkeypatch.setattr(certify_module, "positive_functional", lambda *args: None)
         with pytest.raises(InternalConsistencyError, match="SE and He must coincide"):
             certify_multiplier(planar_i3, (F(1, 2), F(1, 2)))
 
@@ -2189,9 +2204,11 @@ class TestMinimalityByTheorem:
             yplus = ctx.program.y_plus
             for y0 in points:
                 m = dual_image(ctx, lagrange_process(separator_cone(ctx.graph, y0)))
-                for a, hull in ((ctx.cells, ctx.hull), (m, None)):
+                for a, verdicts in ((ctx.cells, lambda: ctx.cone_verdicts(y0, False)),
+                                    (m, lambda: None)):
                     calls.clear()
-                    status = certify_module._classify(a, y0, yplus, False, hull=hull)
+                    status = certify_module._classify(a, y0, yplus, False,
+                                                      on_cone=verdicts())
                     assert status.pos is None or calls == [1], (i, y0)
                     classified += status.pos is not None
         assert classified > 20
@@ -2323,30 +2340,20 @@ class TestProgramContext:
         # each program (and each relaxation) builds these once at most
         assert built and set(built.values()) == {1}
 
-    def test_w0_images_are_canonical_only_at_a_tie(self, monkeypatch, criterion_3_program):
+    def test_w0_images_canonical_generators_are_never_read(
+        self, monkeypatch, criterion_3_program
+    ):
         """Over `certify --frontier` on criterion-3 programs 0-39 the hull,
         the frontier filter and the check W(0) in M read the W(0) images'
-        generators as they were built (`ProgramContext.closure`): no image's
-        canonical generators are read but by the tie rule of a tied Pos LP,
-        at programs 16 and 29."""
-        reads, tie = [], [False]
+        generators as they were built (`ProgramContext.closure`), and a Pos
+        LP reads C's canonical generators, ties included (programs 16 and
+        29): no image's canonical generators are ever read."""
+        reads = []
         vrep = Polyhedron.vrep.fget
         monkeypatch.setattr(
-            Polyhedron, "vrep", property(lambda q: reads.append((q, tie[0])) or vrep(q))
+            Polyhedron, "vrep", property(lambda q: reads.append(q) or vrep(q))
         )
-        functional = certify_module.l1_functional
-
-        def l1_functional(dim, ge_one, ge_zero, eq_zero, at_tie):
-            def rows():
-                tie[0] = True
-                try:
-                    return at_tie()
-                finally:
-                    tie[0] = False
-            return functional(dim, ge_one, ge_zero, eq_zero, rows)
-
-        monkeypatch.setattr(certify_module, "l1_functional", l1_functional)
-        tied = []
+        certified = []
         for i in range(40):
             ctx = ProgramContext(criterion_3_program(i))
             reads.clear()
@@ -2357,11 +2364,9 @@ class TestProgramContext:
             for y0 in points:
                 certify_multiplier(ctx, y0)
             images = {id(image) for image in ctx.images}
-            at_tie = [t for q, t in reads if id(q) in images]
-            assert all(at_tie), i
-            if at_tie:
-                tied.append(i)
-        assert tied == [16, 29]
+            assert not [q for q in reads if id(q) in images], i
+            certified.append(i)
+        assert {16, 29} <= set(certified) and len(certified) > 20, certified
 
     def test_graph_is_built_after_the_w0_check(self, monkeypatch, planar_i3):
         def no_graph(p):
@@ -2512,15 +2517,42 @@ def test_frontier_functionals_are_the_split_form_points(
 ):
     """The Pos LPs of `certify --frontier` on criterion 3 programs 0-59 emit
     the native unique optimum where there is one, and it is the split
-    form's point; at a tie they emit the split form's vertex, over A's
-    closure generators, and say that the tie rule chose it.  Where D shares
-    P's tied cone (program 16) D emits the split form's vertex over M's
-    closure generators.  The delta and C5 LPs give the split form's value
-    and feasibility."""
+    form's point; at a tie they emit the split form's vertex over the same
+    rows, C's canonical generators.  The delta and C5 LPs give the split
+    form's value and feasibility."""
     _certify_frontiers(criterion_3_program(i) for i in range(60) if i not in (3, 5))
     seen = l1_against_split_form
     assert seen["unique"] > 100 and seen["tie"] > 0, seen
-    assert seen["shared tie"] > 0, seen
+
+
+def test_pos_witness_is_read_off_c_alone(criterion_3_program):
+    """The one witness rule: at every frontier point of criterion 3
+    programs 0-39, on both sides, the emitted `pos` is `positive_functional`
+    over Y_+'s generators and the canonical generators of C, the tangent
+    cone at y0 of the set's closed convex hull, ties included (programs 16
+    and 29)."""
+    seen = Counter()
+    for i in range(40):
+        ctx = ProgramContext(criterion_3_program(i))
+        try:
+            _, points, _ = minimal_frontier_points(ctx)
+        except EmptyFeasibleError:
+            continue
+        yplus = ctx.program.y_plus
+        if not yplus.is_pointed:
+            continue
+        for y0 in points:
+            cert = certify_multiplier(ctx, y0)
+            for hull, status in ((ctx.hull, cert.status_P0),
+                                 (cert.dual_image, cert.status_D)):
+                cone = certify_module._tangent_cone(hull, y0)
+                want = polyhedra_module.positive_functional(
+                    yplus.ambient_dim, yplus.generators, cone.generators,
+                    cone.lineality,
+                )
+                assert status.witnesses.get("pos") == want, (i, y0)
+                seen[i] += 1
+    assert sum(seen.values()) > 100 and seen[16] and seen[29], seen
 
 
 def test_c5_at_a_tie_runs_one_lp(monkeypatch, r_plus):
@@ -2539,10 +2571,11 @@ def test_c5_at_a_tie_runs_one_lp(monkeypatch, r_plus):
     monkeypatch.setattr(polyhedra_module, "lp_solve", counted)
     assert certify_module._c5_applies(s, r_plus)
     assert len(calls) == 1
-    # the same system meets the tie in `l1_minimal_point`
+    # the same system meets the tie in `l1_minimal_point`, which runs the
+    # split form after the native LP
     calls.clear()
     tie = LinearSystem(2, [((-1, -1), -1)])
-    assert polyhedra_module.l1_minimal_point(tie)[1]
+    assert polyhedra_module.l1_minimal_point(tie) == (1, 0)
     assert len(calls) == 2
 
 

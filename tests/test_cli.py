@@ -434,7 +434,7 @@ CERTIFY_FRONTIER_REPORTS = [
     (23, "6bb22d851b75a56ac9a04e14af9b8db9dee913ddbc71b768497d446b40536533"),
     (26, "1b5baea8c5fb51824eb60759058df15d291b4aef981d330a703d7229d8b00669"),
     (27, "0df13d00d9e566754b4af2a88eb221b48259b88a8fe63ae88a0ccc6b55cb8984"),
-    (29, "fb4d840ad29d90fdda8cf9d4137b22302756f8dbd621a3be0c8e69a0d370cd49"),
+    (29, "769bcf2cd315861d3a26987932d5ec62d8fab45110e30a9020e16bbf587c9d25"),
     (30, "3df31fc0d42c98cb97ff12b6b62d61b6000b3bc2e12ae2e2ebb8034a6e300b8b"),
     (31, "218b322087989be24d1252be2daace5cca468410abfeb9636da4a93355110256"),
     (32, "086cd9a8cb84a34acf8224f4e9a17c0d325a879c69bc807e29d8f99761e9eebb"),
@@ -677,4 +677,5 @@ def test_cli_replay_is_byte_identical(capsys, tmp_path, criterion_3_program,
     )
     pins = json.loads(REPLAY_PINS.read_text())
     assert len(pins) > 150
-    assert got == pins
+    assert got.keys() == pins.keys()
+    assert [label for label in pins if got[label] != pins[label]] == []

@@ -211,17 +211,17 @@ def test_uniqueness_is_certified_only_without_a_tie(monkeypatch):
         return solve(objective, system, sense)
 
     monkeypatch.setattr(polyhedra_module, "lp_solve", recorded)
-    assert l1_minimal_point(LinearSystem(2, NATIVE.le)) == ((0, 1), False)
+    assert l1_minimal_point(LinearSystem(2, NATIVE.le)) == (0, 1)
     assert native == [True]
     native.clear()
     bounds = [((-1, 0), 0), ((0, -1), 0)]
     split = solve((1, 1), LinearSystem(2, TIE.le + tuple(bounds))).primal_point
-    assert l1_minimal_point(LinearSystem(2, TIE.le)) == (split, True)
+    assert l1_minimal_point(LinearSystem(2, TIE.le)) == split
     assert native == [True, False]
     system = functional_system(3, CONE_168, (), ())
     assert l1_minimum(system).primal_point == (0, F(1, 6), F(1, 3), 0, 0, 0)
     native.clear()
-    assert l1_minimal_point(system) == ((0, F(1, 2), 0, 0, 0, 0), True)
+    assert l1_minimal_point(system) == (0, F(1, 2), 0, 0, 0, 0)
     assert native == [True, False]
 
 
